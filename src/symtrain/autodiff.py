@@ -41,10 +41,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def values(self) -> Array:
-        return self.data.reshape(-1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -82,7 +78,7 @@ class Tape:
         self._produced.add(id(out))
         return out
 
-    # -- binary / unary elementwise ------------------------------------
+    # -- pointwise -----------------------------------------------------
 
     def add(self, a: Tensor, b) -> Tensor:
         if _is_scalar_const(b):
@@ -120,37 +116,6 @@ class Tape:
             _accumulate(b, g * a.data)
 
         return self._record(out, back)
-
-    def tanh(self, a: Tensor) -> Tensor:
-        y = np.tanh(a.data)
-        out = Tensor(y)
-
-        def back(g: Array, a=a, y=y) -> None:
-            _accumulate(a, g * (1.0 - y * y))
-
-        return self._record(out, back)
-
-    def sigmoid(self, a: Tensor) -> Tensor:
-        # tanh form: stable for large |x| and one transcendental call
-        y = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
-        out = Tensor(y)
-
-        def back(g: Array, a=a, y=y) -> None:
-            _accumulate(a, g * y * (1.0 - y))
-
-        return self._record(out, back)
-
-    def elementwise(self, op: str, *tensors) -> Tensor:
-        """Dispatch by name over the supported elementwise operations."""
-        if op == "add":
-            return self.add(*tensors)
-        if op == "mul":
-            return self.mul(*tensors)
-        if op == "tanh":
-            return self.tanh(*tensors)
-        if op == "sigmoid":
-            return self.sigmoid(*tensors)
-        raise ValueError(f"unknown elementwise op {op!r}")
 
     def log_sigmoid(self, a: Tensor) -> Tensor:
         x = a.data
@@ -211,19 +176,6 @@ class Tape:
 
         return self._record(out, back)
 
-    def slice_cols(self, a: Tensor, start: int, stop: int) -> Tensor:
-        if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
-            raise ShapeError(f"slice_cols: [{start}:{stop}] of {a.shape}")
-        # a view is safe: op outputs are never mutated while a tape is live
-        out = Tensor(a.data[:, start:stop])
-
-        def back(g: Array, a=a, start=start, stop=stop) -> None:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += g
-
-        return self._record(out, back)
-
     def concat_rows(self, parts: Sequence[Tensor]) -> Tensor:
         if not parts:
             raise ShapeError("concat_rows: no parts")
@@ -269,14 +221,6 @@ class Tape:
 
         return self._record(out, back)
 
-    def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum())
-
-        def back(g: Array, a=a) -> None:
-            _accumulate(a, np.full_like(a.data, float(g)))
-
-        return self._record(out, back)
-
     def take_rows(self, a: Tensor, indices: Sequence[int]) -> Tensor:
         if a.data.ndim != 2:
             raise ShapeError(f"take_rows: need 2-D tensor, got {a.shape}")
@@ -311,8 +255,7 @@ class Tape:
             if not 0 <= t < vocab:
                 raise IndexError(f"log_softmax_nll: target {t} out of range [0, {vocab})")
         idx = np.asarray(targets, dtype=np.intp)
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        log_probs = log_softmax(logits.data)
         per_token = log_probs[np.arange(n_rows), idx].copy()
         out = Tensor(-per_token.sum())
         softmax = np.exp(log_probs)
@@ -362,6 +305,12 @@ def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
     return h_new, (z, r, n, hw_n)
 
 
+def log_softmax(logits: Array) -> Array:
+    """Row-wise log-softmax, stabilized by per-row max subtraction."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def zero_grads(params: Mapping[str, Tensor]) -> None:
     for t in params.values():
         t.grad = None
@@ -382,6 +331,8 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, Array],
     """In-place SGD update with global-norm gradient clipping."""
     if lr <= 0:
         raise ValueError(f"sgd_step: lr must be positive, got {lr}")
+    if clip <= 0:
+        raise ValueError(f"sgd_step: clip must be positive, got {clip}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")

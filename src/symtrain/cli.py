@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from symtrain import analysis
-from symtrain.engine import ConfigError, RunConfig, evaluate, run
+from symtrain.engine import ConfigError, evaluate, run
 from symtrain.environments import (
     EnvKind,
     generate_dataset,
@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="override exploration worker count (results identical)")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint's greedy solve rate")
     p.add_argument("--checkpoint", required=True)
@@ -90,8 +88,6 @@ def _cmd_run(args) -> int:
     from symtrain.validation import load_config
 
     config = load_config(args.config)
-    if args.workers is not None:
-        config = RunConfig(**{**config.as_dict(), "workers": args.workers})
     tasks = load_dataset(args.dataset)
     witnesses = load_witnesses(witness_path(args.dataset))
     run(config, tasks, witnesses, out_dir=args.out_dir, progress=print)

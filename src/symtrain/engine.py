@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -81,10 +80,8 @@ class RunConfig:
     warmup_tasks: int = 20
     warmup_epochs: int = 150
     pool_cap: int = 64
-    rescore_pool: bool = False
     seed_pool_with_warmup: bool = True
     eval_with_refine: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ablations", tuple(self.ablations))
@@ -98,21 +95,23 @@ class RunConfig:
         if self.train_mode not in TRAIN_MODES:
             raise ConfigError(f"train_mode must be one of {TRAIN_MODES}")
         for name, minimum in (("K", 1), ("N1", 1), ("N2", 0), ("iterations", 1),
-                              ("epochs_per_iter", 1), ("batch_size", 1), ("workers", 1)):
+                              ("epochs_per_iter", 1), ("batch_size", 1), ("d", 1),
+                              ("h", 1), ("max_len", 1), ("context_budget", 1),
+                              ("warmup_tasks", 0), ("pool_cap", 1)):
             if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}")
+        for name in ("lr", "temperature", "clip"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         for abl in self.ablations:
             if abl not in ABLATIONS:
                 raise ConfigError(f"unknown ablation {abl!r} (valid: {ABLATIONS})")
         if self.ablations and self.method != "envisions":
             raise ConfigError("ablations are only valid with method = envisions")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
 
     @classmethod
     def required_keys(cls) -> tuple[str, ...]:
-        return ("env", "method", "K", "N1", "N2", "iterations", "train_mode",
-                "ablations", "epochs_per_iter", "lr", "dpo_beta", "seed")
+        return tuple(f.name for f in fields(cls) if f.default is MISSING)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -220,20 +219,13 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
                   config: RunConfig, iteration: int,
                   ) -> list[tuple[Trajectory, Trajectory | None]]:
-    """Sample, refine, execute and score candidates for every task.
+    """Sample, refine, execute and score candidates for every task, in task order.
 
-    Results are identical for any worker count: each task draws from its own
-    seed stream and outputs are collected in task order.
+    Task i draws from its own seed stream, keyed by its position i, so a
+    task's candidates do not depend on the tasks explored after it.
     """
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(
-                lambda it: explore_task(model, it[1], config, iteration, it[0]),
-                enumerate(tasks)))
-    else:
-        chunks = [explore_task(model, task, config, iteration, i)
-                  for i, task in enumerate(tasks)]
-    return [pair for chunk in chunks for pair in chunk]
+    return [pair for i, task in enumerate(tasks)
+            for pair in explore_task(model, task, config, iteration, i)]
 
 
 def _self_refine_on(config: RunConfig) -> bool:
@@ -521,8 +513,6 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
             if "no_candidate_pool" in config.ablations:
                 pool = CandidatePool(config.pool_cap)
             new_count = pool.update(filtered)
-            if config.rescore_pool:
-                pool.rescore(lambda t: _score_solution(model, list(t.x), list(t.a)))
             sets = build_training_sets(pool, held_in, config, iteration)
             if not probe and sets.u2:
                 # freeze the margin probe at the first iteration with pairs
@@ -588,20 +578,3 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                                                           indent=2) + "\n")
     return RunResult(config, reports, series, model, pool, warmup_ids)
 
-
-def run_star_env(config: RunConfig, dataset: Sequence[TaskInstance],
-                 witnesses: dict[str, list[str]], out_dir: str | Path | None = None,
-                 progress: Callable[[str], None] | None = None) -> RunResult:
-    """Positive-only behaviour cloning baseline: no refinement, no pair loss."""
-    if config.method != "star_env":
-        raise ConfigError("run_star_env requires method = star_env")
-    return run(config, dataset, witnesses, out_dir, progress)
-
-
-def run_sft_dpo(config: RunConfig, dataset: Sequence[TaskInstance],
-                witnesses: dict[str, list[str]], out_dir: str | Path | None = None,
-                progress: Callable[[str], None] | None = None) -> RunResult:
-    """Two-stage baseline: SFT on positives, DPO on pairs, continual updates."""
-    if config.method != "sft_dpo":
-        raise ConfigError("run_sft_dpo requires method = sft_dpo")
-    return run(config, dataset, witnesses, out_dir, progress)

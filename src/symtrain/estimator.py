@@ -61,10 +61,12 @@ class SymbolicSelfTrainer(BaseEstimator):
                  K: int = 5, N1: int = 10, N2: int = 2, iterations: int = 5,
                  train_mode: str = "scratch", ablations: tuple[str, ...] = (),
                  epochs_per_iter: int = 30, lr: float = 0.1,
-                 dpo_beta: float = 0.1, seed: int = 0, d: int = 32, h: int = 64,
-                 temperature: float = 1.0, max_len: int = 80,
-                 warmup_tasks: int = 20, batch_size: int = 16,
-                 pool_cap: int = 64, workers: int = 1):
+                 dpo_beta: float = 0.1, seed: int = 0, d: int = RunConfig.d,
+                 h: int = RunConfig.h, temperature: float = RunConfig.temperature,
+                 max_len: int = RunConfig.max_len,
+                 warmup_tasks: int = RunConfig.warmup_tasks,
+                 batch_size: int = RunConfig.batch_size,
+                 pool_cap: int = RunConfig.pool_cap):
         self.env = env
         self.method = method
         self.K = K
@@ -84,10 +86,9 @@ class SymbolicSelfTrainer(BaseEstimator):
         self.warmup_tasks = warmup_tasks
         self.batch_size = batch_size
         self.pool_cap = pool_cap
-        self.workers = workers
 
     def _config(self) -> RunConfig:
-        return RunConfig(**{**self.get_params()})
+        return RunConfig(**self.get_params())
 
     def fit(self, X, y=None, witnesses=None) -> "SymbolicSelfTrainer":
         tasks = check_tasks(X)

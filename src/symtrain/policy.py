@@ -5,22 +5,24 @@ refinement behaviour can be learned from contrastive pairs: plain generation
 conditions on ``BOS x SEP`` and refinement on ``BOS x SEP a_prev SEP``, both
 followed by the solution tokens and a terminating EOS.
 
-Two forward paths exist on purpose: a plain numpy path for sampling/scoring
-and a taped path for losses.  They share formula and evaluation order, and
-the test suite pins their agreement.
+One batched forward pass (:func:`forward`) serves scoring and the training
+losses, so self-reward and the L1/L2 losses are built from the same per-token
+log-probabilities.  Sampling runs the condition through it once, then steps
+one token at a time with the same GRU cell.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from symtrain.autodiff import Array, Tape, Tensor, gru_cell_forward
+from symtrain.autodiff import Array, Tape, Tensor, gru_cell_forward, log_softmax
 
 log = logging.getLogger(__name__)
 
@@ -28,7 +30,7 @@ PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
 
 CHECKPOINT_FORMAT = "symtrain-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 INIT_SCALE = 0.08  # parameters drawn uniform in [-INIT_SCALE, INIT_SCALE]
 
@@ -113,7 +115,7 @@ class GenerationParams:
 
 
 class PolicyModel:
-    """GRU policy with parameter tensors, an embedded rng stream, and hyperparams.
+    """GRU policy: parameter tensors plus hyperparameters.
 
     Gate layout inside the fused weight matrices is ``[update | reset | cand]``
     along the 3h column axis.
@@ -124,10 +126,8 @@ class PolicyModel:
         self.vocab = vocab
         self.d = d
         self.h = h
-        self.rng_seed = seed
         self.context_budget = context_budget
         self.params = self._init_params(seed)
-        self.rng = np.random.default_rng(seed)
 
     def _init_params(self, seed: int) -> dict[str, Tensor]:
         rng = np.random.default_rng(seed)
@@ -146,16 +146,10 @@ class PolicyModel:
         }
 
     def clone(self) -> "PolicyModel":
-        """Deep parameter copy; the rng stream position is copied too."""
-        twin = PolicyModel.__new__(PolicyModel)
-        twin.vocab = self.vocab
-        twin.d, twin.h = self.d, self.h
-        twin.rng_seed = self.rng_seed
-        twin.context_budget = self.context_budget
+        """Deep parameter copy."""
+        twin = copy.copy(self)
         twin.params = {k: Tensor(t.data.copy(), requires_grad=True)
                        for k, t in self.params.items()}
-        twin.rng = np.random.default_rng(0)
-        twin.rng.bit_generator.state = self.rng.bit_generator.state
         return twin
 
 
@@ -182,84 +176,84 @@ def refine_condition(x: Sequence[str], a_prev: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# plain numpy forward (sampling / scoring)
+# forward pass
 
-def _np_arrays(model: PolicyModel) -> dict[str, Array]:
-    return {k: t.data for k, t in model.params.items()}
+def forward(model: PolicyModel, ids: Array, tape: Tape | None = None) -> Tensor:
+    """GRU hidden states over a right-padded id batch ``ids[B, T]``.
 
-
-def _np_step(p: Mapping[str, Array], h_row: Array, token_id: int,
-             n_hidden: int) -> Array:
-    x = p["embed"][token_id:token_id + 1]
-    h_new, _ = gru_cell_forward(x, h_row, p["w_x"], p["w_h"], p["b"], n_hidden)
-    return h_new
-
-
-def _np_logits(p: Mapping[str, Array], h_row: Array) -> Array:
-    return h_row @ p["w_out"] + p["b_out"]
-
-
-def _log_softmax_row(logits: Array) -> Array:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    Returns the (T-1)*B x h states after each of the first T-1 tokens; row
+    ``t*B + i`` is the state that predicts ``ids[i, t+1]``.  With a tape the
+    states are recorded for backpropagation, otherwise they are plain values.
+    """
+    p = model.params
+    n_batch, n_steps = ids.shape
+    if tape is None:
+        x_steps = p["embed"].data[ids.T]  # T x B x d, one gather for all steps
+        h_row = np.zeros((n_batch, model.h))
+        states = np.empty(((n_steps - 1) * n_batch, model.h))
+        for t in range(n_steps - 1):
+            h_row, _ = gru_cell_forward(x_steps[t], h_row, p["w_x"].data,
+                                        p["w_h"].data, p["b"].data, model.h)
+            states[t * n_batch:(t + 1) * n_batch] = h_row
+        return Tensor(states)
+    h_state = Tensor(np.zeros((n_batch, model.h)))
+    steps: list[Tensor] = []
+    for t in range(n_steps - 1):
+        x = tape.embedding_lookup(p["embed"], ids[:, t].tolist())
+        h_state = tape.gru_cell(x, h_state, p["w_x"], p["w_h"], p["b"], model.h)
+        steps.append(h_state)
+    return tape.concat_rows(steps)
 
 
 def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
                          target_ids: Sequence[int]) -> Array:
     """Log-probability of each target token given the condition prefix."""
-    p = _np_arrays(model)
-    seq = list(cond_ids) + list(target_ids)
-    h_row = np.zeros((1, model.h))
-    out = np.empty(len(target_ids))
-    k = 0
-    for t in range(len(seq) - 1):
-        h_row = _np_step(p, h_row, seq[t], model.h)
-        if t >= len(cond_ids) - 1:
-            logp = _log_softmax_row(_np_logits(p, h_row))
-            out[k] = logp[0, seq[t + 1]]
-            k += 1
-    return out
+    tgt = np.asarray(target_ids, dtype=np.intp)
+    ids = np.asarray([[*cond_ids, *target_ids]], dtype=np.intp)
+    h_rows = forward(model, ids).data[len(cond_ids) - 1:]
+    logits = h_rows @ model.params["w_out"].data + model.params["b_out"].data
+    return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
 
 def _generate(model: PolicyModel, cond_ids: list[int], params: GenerationParams,
-              rng: np.random.Generator | None) -> list[int]:
-    """Ancestral sampling (or greedy when rng is None); EOS is consumed, not returned."""
-    p = _np_arrays(model)
-    h_row = np.zeros((1, model.h))
-    for t in cond_ids[:-1]:
-        h_row = _np_step(p, h_row, t, model.h)
-    prev = cond_ids[-1]
-    out: list[int] = []
-    vocab_size = len(model.vocab)
-    for _ in range(params.max_len):
-        h_row = _np_step(p, h_row, prev, model.h)
-        logits = _np_logits(p, h_row)
-        if rng is None:
-            token = int(np.argmax(logits[0]))
-        else:
-            probs = np.exp(_log_softmax_row(logits / params.temperature))[0]
-            probs = probs / probs.sum()
-            token = int(rng.choice(vocab_size, p=probs))
-        if token == model.vocab.eos_id:
-            break
-        out.append(token)
-        prev = token
-    return out
+              rng: np.random.Generator | None) -> list[list[int]]:
+    """k_samples ancestral samples (greedy when rng is None) after one shared
+    pass over the condition; EOS is consumed, not returned."""
+    p = {k: t.data for k, t in model.params.items()}
+    h_cond = forward(model, np.asarray([cond_ids], dtype=np.intp)).data[-1:]
+    samples: list[list[int]] = []
+    for _ in range(params.k_samples):
+        h_row, prev, out = h_cond, cond_ids[-1], []
+        for _ in range(params.max_len):
+            h_row, _ = gru_cell_forward(p["embed"][prev:prev + 1], h_row, p["w_x"],
+                                        p["w_h"], p["b"], model.h)
+            logits = h_row @ p["w_out"] + p["b_out"]
+            if rng is None:
+                token = int(np.argmax(logits[0]))
+            else:
+                probs = np.exp(log_softmax(logits / params.temperature))[0]
+                probs = probs / probs.sum()
+                token = int(rng.choice(len(probs), p=probs))
+            if token == model.vocab.eos_id:
+                break
+            out.append(token)
+            prev = token
+        samples.append(out)
+    return samples
 
 
 def sample(model: PolicyModel, x: Sequence[str], params: GenerationParams,
-           seed: int | None = None) -> list[list[str]]:
-    """Draw k_samples solutions for input x; deterministic under a given seed."""
+           seed: int) -> list[list[str]]:
+    """Draw k_samples solutions for input x; deterministic under the seed."""
     if not x:
         raise ValueError("sample: input x must be non-empty")
-    rng = np.random.default_rng(seed) if seed is not None else model.rng
     cond = model.vocab.encode(sample_condition(x))
-    return [model.vocab.decode(_generate(model, cond, params, rng))
-            for _ in range(params.k_samples)]
+    return [model.vocab.decode(ids) for ids in
+            _generate(model, cond, params, np.random.default_rng(seed))]
 
 
 def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
-           params: GenerationParams, seed: int | None = None) -> list[list[str]]:
+           params: GenerationParams, seed: int) -> list[list[str]]:
     """Draw k_samples refinements of a previous solution."""
     if not a_prev:
         raise ValueError("refine: previous solution must be non-empty")
@@ -267,17 +261,16 @@ def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
     if truncated:
         log.warning("refine conditioning truncated to context budget %d",
                     model.context_budget)
-    rng = np.random.default_rng(seed) if seed is not None else model.rng
     cond = model.vocab.encode(cond_tokens)
-    return [model.vocab.decode(_generate(model, cond, params, rng))
-            for _ in range(params.k_samples)]
+    return [model.vocab.decode(ids) for ids in
+            _generate(model, cond, params, np.random.default_rng(seed))]
 
 
 def greedy_decode(model: PolicyModel, condition: Sequence[str],
                   max_len: int = 80) -> list[str]:
     cond = model.vocab.encode([BOS, *condition, SEP])
     gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=1)
-    return model.vocab.decode(_generate(model, cond, gen, rng=None))
+    return model.vocab.decode(_generate(model, cond, gen, rng=None)[0])
 
 
 def score(model: PolicyModel, condition: Sequence[str], a: Sequence[str]) -> float:
@@ -300,30 +293,7 @@ def score(model: PolicyModel, condition: Sequence[str], a: Sequence[str]) -> flo
 
 
 # ---------------------------------------------------------------------------
-# taped forward (losses)
-
-def _taped_step(tape: Tape, model: PolicyModel, ids: Sequence[int],
-                h_state: Tensor) -> Tensor:
-    x = tape.embedding_lookup(model.params["embed"], ids)
-    return tape.gru_cell(x, h_state, model.params["w_x"], model.params["w_h"],
-                         model.params["b"], model.h)
-
-
-def nll(model: PolicyModel, condition: Sequence[str], target: Sequence[str],
-        tape: Tape) -> tuple[Tensor, Array]:
-    """Summed negative log-likelihood of target after ``BOS condition SEP``.
-
-    The target is taken verbatim; callers append EOS when the terminating
-    decision should be part of the loss.
-    """
-    target = list(target)
-    if not target:
-        raise ValueError("nll: empty target")
-    cond_ids = model.vocab.encode([BOS, *condition, SEP])
-    tgt_ids = model.vocab.encode(target)
-    loss, per_token = batch_nll(model, tape, [(cond_ids, tgt_ids)])
-    return loss, per_token
-
+# losses
 
 def batch_nll(model: PolicyModel, tape: Tape,
               examples: Sequence[tuple[list[int], list[int]]],
@@ -331,37 +301,26 @@ def batch_nll(model: PolicyModel, tape: Tape,
     """Joint NLL over encoded (condition_ids, target_ids) examples.
 
     Sequences are right-padded to a common length; only genuine target
-    positions enter the loss.  Per-token log-probs come back in example
-    order (use example_token_slices to split them).
+    positions are projected and enter the loss.  Per-token log-probs come
+    back in example order (use example_token_slices to split them).
     """
     n_batch = len(examples)
     if n_batch == 0:
         raise ValueError("batch_nll: no examples")
-    seqs = [list(c) + list(t) for c, t in examples]
     if any(len(t) == 0 for _, t in examples):
         raise ValueError("batch_nll: empty target")
-    max_len = max(len(s) for s in seqs)
-    pad = model.vocab.pad_id
-    ids = np.full((n_batch, max_len), pad, dtype=np.intp)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    h_state = Tensor(np.zeros((n_batch, model.h)))
-    h_steps: list[Tensor] = []
-    for t in range(max_len - 1):
-        h_state = _taped_step(tape, model, ids[:, t].tolist(), h_state)
-        h_steps.append(h_state)
-    h_all = tape.concat_rows(h_steps)  # row (t, i) lives at t * n_batch + i
-    logits_all = tape.add_bias(tape.matmul(h_all, model.params["w_out"]),
-                               model.params["b_out"])
+    ids = np.full((n_batch, max(len(c) + len(t) for c, t in examples)),
+                  model.vocab.pad_id, dtype=np.intp)
     indices: list[int] = []
     targets: list[int] = []
     for i, (cond, tgt) in enumerate(examples):
-        for k in range(len(tgt)):
-            step = len(cond) - 1 + k
-            indices.append(step * n_batch + i)
-            targets.append(tgt[k])
-    selected = tape.take_rows(logits_all, indices)
-    return tape.log_softmax_nll(selected, targets)
+        ids[i, :len(cond) + len(tgt)] = [*cond, *tgt]
+        indices += [(len(cond) - 1 + k) * n_batch + i for k in range(len(tgt))]
+        targets += tgt
+    h_rows = tape.take_rows(forward(model, ids, tape), indices)
+    logits = tape.add_bias(tape.matmul(h_rows, model.params["w_out"]),
+                           model.params["b_out"])
+    return tape.log_softmax_nll(logits, targets)
 
 
 def example_token_slices(examples: Sequence[tuple[list[int], list[int]]],
@@ -380,18 +339,16 @@ def example_token_slices(examples: Sequence[tuple[list[int], list[int]]],
 
 def save_checkpoint(model: PolicyModel, path: str | Path,
                     metadata: dict | None = None) -> Path:
-    """Write a versioned JSON checkpoint: vocab, hyperparams, params, rng state."""
+    """Write a versioned JSON checkpoint: vocab, hyperparams and params."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "d": model.d,
         "h": model.h,
         "context_budget": model.context_budget,
-        "rng_seed": model.rng_seed,
         "vocab": model.vocab.tokens,
         "params": {k: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
                    for k, t in model.params.items()},
-        "rng_state": model.rng.bit_generator.state,
         "metadata": metadata or {},
     }
     path = Path(path)
@@ -413,14 +370,13 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             f"(expected {CHECKPOINT_VERSION})")
     try:
         model = PolicyModel(Vocab(payload["vocab"]), payload["d"], payload["h"],
-                            payload["rng_seed"], payload["context_budget"])
+                            context_budget=payload["context_budget"])
         for name, rec in payload["params"].items():
             arr = np.asarray(rec["values"], dtype=np.float64)
             shape = tuple(rec["shape"])
             if arr.size != int(np.prod(shape)):
                 raise CheckpointError(f"parameter {name}: value count mismatch")
             model.params[name] = Tensor(arr.reshape(shape), requires_grad=True)
-        model.rng.bit_generator.state = payload["rng_state"]
         metadata = payload.get("metadata", {})
     except CheckpointError:
         raise

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from symtrain.environments.types import Status
 
@@ -88,7 +88,6 @@ class CandidatePool:
             raise ValueError("pool cap must be >= 1")
         self.cap_per_task = cap_per_task
         self._by_task: dict[str, dict[tuple[str, ...], Trajectory]] = {}
-        self.iteration_watermark = 0
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._by_task.values())
@@ -118,7 +117,6 @@ class CandidatePool:
                 added += 1
             elif t.r > old.r:
                 entries[t.a] = t
-            self.iteration_watermark = max(self.iteration_watermark, t.iteration)
             self._evict(t.task_id)
         return added
 
@@ -129,12 +127,6 @@ class CandidatePool:
             victims = negatives if negatives else list(entries.values())
             worst = max(victims, key=_rank_key)
             del entries[worst.a]
-
-    def rescore(self, reward_fn: Callable[[Trajectory], float]) -> None:
-        """Replace every stored reward; study flag, off in the standard loop."""
-        for entries in self._by_task.values():
-            for key, t in list(entries.items()):
-                entries[key] = replace(t, r=reward_fn(t))
 
     def ranked_sets(self, task_id: str) -> RankedSets:
         entries = self.entries(task_id)

@@ -15,7 +15,7 @@ from symtrain.analysis import (
 )
 from symtrain.autodiff import Tape, collect_grads, sgd_step, zero_grads
 from symtrain.environments import Status
-from symtrain.policy import EOS, PolicyModel, default_vocab, nll
+from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
 
 
@@ -82,9 +82,10 @@ def test_margin_grows_after_training_on_positive():
     a_plus, a_minus = ("a", "+", "a"), ("a", "*", "a")
     pairs = [(x, a_plus, a_minus)]
     before = delta_logp(model, pairs)
+    example = (model.vocab.encode([BOS, *x, SEP]), model.vocab.encode([*a_plus, EOS]))
     for _ in range(40):
         tape = Tape()
-        loss, _ = nll(model, list(x), [*a_plus, EOS], tape)
+        loss, _ = batch_nll(model, tape, [example])
         tape.backward(loss)
         sgd_step(model.params, collect_grads(model.params), lr=0.2, clip=1.0)
         zero_grads(model.params)

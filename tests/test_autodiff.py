@@ -17,7 +17,7 @@ from helpers import assert_grads_close, central_differences, mp_log_softmax_nll
 
 
 def _scalar_loss(tape, t):
-    return tape.sum_all(t), None
+    return tape.log_softmax_nll(t, [0] * t.shape[0])
 
 
 def test_matmul_identity():
@@ -40,28 +40,23 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_matmul_gradient_of_sum_wrt_left_operand():
-    a = Tensor([[1.0, 2.0]], requires_grad=True)
-    b = Tensor([[3.0], [4.0]])
+    # the loss is the sum of the rows' NLLs, so dL/d(a @ b) = softmax - onehot
+    a = Tensor([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True)
+    b = Tensor([[3.0, 0.0], [4.0, 1.0]])
 
     def loss_fn():
         tape = Tape()
-        out = tape.sum_all(tape.matmul(a, b))
+        out, _ = tape.log_softmax_nll(tape.matmul(a, b), [0, 1])
         return float(out.data)
 
     tape = Tape()
-    out = tape.sum_all(tape.matmul(a, b))
+    out, _ = tape.log_softmax_nll(tape.matmul(a, b), [0, 1])
     tape.backward(out)
     fd = central_differences(loss_fn, {"a": a})
     assert_grads_close({"a": a.grad}, fd)
-    assert np.allclose(a.grad, [[3.0, 4.0]])
-
-
-def test_elementwise_trivia():
-    tape = Tape()
-    assert float(tape.tanh(Tensor(0.0)).data) == 0.0
-    assert float(tape.sigmoid(Tensor(0.0)).data) == 0.5
-    assert float(tape.elementwise("add", Tensor(2.0), 3.0).data) == 5.0
-    assert float(tape.elementwise("mul", Tensor(2.0), Tensor(4.0)).data) == 8.0
+    z = a.data @ b.data
+    d_logits = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True) - np.eye(2)
+    assert np.allclose(a.grad, d_logits @ b.data.T)
 
 
 def test_elementwise_shape_mismatch():
@@ -69,14 +64,6 @@ def test_elementwise_shape_mismatch():
         Tape().add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         Tape().mul(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 1))))
-
-
-def test_tanh_derivative_matches_closed_form():
-    x = Tensor(0.3, requires_grad=True)
-    tape = Tape()
-    y = tape.tanh(x)
-    tape.backward(y)
-    assert float(x.grad) == pytest.approx(1.0 - math.tanh(0.3) ** 2, rel=1e-12)
 
 
 def test_embedding_lookup_gathers_rows():
@@ -110,7 +97,9 @@ def test_embedding_repeated_id_sums_gradient():
     tape.backward(out)
     fd = central_differences(loss_fn, {"table": table})
     assert_grads_close({"table": table.grad}, fd)
-    assert np.allclose(table.grad[1], [2.0, 2.0])
+    row = table.data[1]
+    d_row = np.exp(row) / np.exp(row).sum() - [1.0, 0.0]
+    assert np.allclose(table.grad[1], 2.0 * d_row)
     assert np.allclose(table.grad[0], 0.0)
 
 
@@ -205,16 +194,14 @@ def test_every_op_matches_finite_differences(seed):
     def forward():
         tape = Tape()
         rows = tape.embedding_lookup(table, [1, 5, 1])
-        mixed = tape.mul(tape.tanh(a), tape.sigmoid(b))
-        mixed = tape.add(mixed, 0.25)
+        mixed = tape.mul(tape.log_sigmoid(a), b)
+        mixed = tape.add(tape.mul(tape.add(mixed, a), 0.5), 0.25)
         merged = tape.concat_rows([mixed, rows])          # 6 x 4
-        left = tape.slice_cols(merged, 0, 4)
-        logits = tape.add_bias(tape.matmul(left, w), bias)  # 6 x 5
+        logits = tape.add_bias(tape.matmul(merged, w), bias)  # 6 x 5
         picked = tape.take_rows(logits, [0, 2, 4, 5, 1, 3, 3])
         loss, _ = tape.log_softmax_nll(picked, targets)
         extra = tape.mul(tape.log_sigmoid(tape.mul(loss, 0.13)), -1.0)
-        total = tape.add(tape.add(loss, extra), tape.mul(tape.sum_all(mixed), 0.05))
-        return tape, total
+        return tape, tape.add(loss, extra)
 
     tape, total = forward()
     tape.backward(total)
@@ -257,6 +244,15 @@ def test_sgd_step_rejects_bad_lr():
         sgd_step({}, {}, lr=0.0)
 
 
+@pytest.mark.parametrize("clip", [-1.0, 0.0])
+def test_sgd_step_rejects_nonpositive_clip(clip):
+    # a negative clip would flip the step: p=1, grad=+2, lr=0.1 gives 1.1
+    p = Tensor(1.0, requires_grad=True)
+    with pytest.raises(ValueError, match="clip"):
+        sgd_step({"p": p}, {"p": np.asarray(2.0)}, lr=0.1, clip=clip)
+    assert float(p.data) == 1.0
+
+
 def test_sgd_converges_on_quadratic():
     # f(p) = (p - 2.5)^2 has its analytic minimum at 2.5
     p = Tensor(-4.0, requires_grad=True)
@@ -270,6 +266,11 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(3)
     tape = Tape()
     x = Tensor(rng.uniform(-50, 50, (4, 4)))
-    for out in (tape.tanh(x), tape.sigmoid(x), tape.log_sigmoid(x),
-                tape.add(x, x), tape.mul(x, x), tape.matmul(x, x)):
+    h = Tensor(rng.uniform(-50, 50, (4, 2)))
+    w_x = Tensor(rng.uniform(-50, 50, (4, 6)))
+    w_h = Tensor(rng.uniform(-50, 50, (2, 6)))
+    b = Tensor(rng.uniform(-50, 50, (1, 6)))
+    for out in (tape.log_sigmoid(x), tape.add(x, x), tape.mul(x, x), tape.matmul(x, x),
+                tape.gru_cell(x, h, w_x, w_h, b, 2),
+                tape.log_softmax_nll(tape.mul(x, 100.0), [0, 1, 2, 3])[0]):
         assert np.isfinite(out.data).all()

@@ -15,8 +15,6 @@ from symtrain.engine import (
     explore_phase,
     filter_pair,
     run,
-    run_sft_dpo,
-    run_star_env,
     select_u1,
     select_u2,
     train_iteration,
@@ -85,6 +83,15 @@ def test_config_invariants():
         tiny_config(ablations=["bogus"])
     with pytest.raises(ConfigError):
         tiny_config(env="martian")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("clip", -1.0), ("clip", 0.0), ("warmup_tasks", -3), ("temperature", 0.0),
+    ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("context_budget", 0),
+])
+def test_config_rejects_values_that_misbehave_later(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +220,9 @@ def test_explore_is_deterministic_and_worker_invariant(expr_setup):
     first = explore_phase(model, tasks, config, iteration=1)
     second = explore_phase(model, tasks, config, iteration=1)
     assert first == second
-    parallel_config = tiny_config(K=2, workers=3)
-    parallel = explore_phase(model, tasks, parallel_config, iteration=1)
-    assert parallel == first
+    # a task's candidates depend on its position only, not on the tasks after it
+    prefix = explore_phase(model, tasks[:3], config, iteration=1)
+    assert prefix == first[:3 * config.K]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +350,7 @@ def test_star_env_matches_fully_ablated_envisions(tiny_dataset):
     tasks, witnesses = tiny_dataset
     ablated = run(tiny_config(ablations=["no_self_refine", "no_L2"]),
                   tasks, witnesses)
-    star = run_star_env(tiny_config(method="star_env", ablations=[]),
+    star = run(tiny_config(method="star_env", ablations=[]),
                         tasks, witnesses)
     assert [r.as_dict() for r in ablated.reports] == \
         [r.as_dict() for r in star.reports]
@@ -352,7 +359,7 @@ def test_star_env_matches_fully_ablated_envisions(tiny_dataset):
 def test_star_env_training_sets_have_no_negatives(tiny_dataset):
     tasks, witnesses = tiny_dataset
     config = tiny_config(method="star_env", ablations=[])
-    result = run_star_env(config, tasks, witnesses)
+    result = run(config, tasks, witnesses)
     for t in result.pool.all_entries():
         assert t.source == "explore"
     assert all(r.loss_l2 == 0.0 for r in result.reports)
@@ -361,7 +368,7 @@ def test_star_env_training_sets_have_no_negatives(tiny_dataset):
 def test_sft_dpo_runs_and_reports(tiny_dataset):
     tasks, witnesses = tiny_dataset
     config = tiny_config(method="sft_dpo", iterations=1)
-    result = run_sft_dpo(config, tasks, witnesses)
+    result = run(config, tasks, witnesses)
     assert len(result.reports) == 2
 
 

@@ -1,5 +1,9 @@
+import inspect
+from dataclasses import MISSING, fields
+
 import pytest
 
+from symtrain.engine import RunConfig
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.estimator import NotFittedError, SymbolicSelfTrainer
 from symtrain.validation import check_tasks, check_witnesses
@@ -19,6 +23,17 @@ def test_get_params_roundtrip():
     assert params["K"] == 7 and params["seed"] == 3
     clone = SymbolicSelfTrainer(**params)
     assert clone.get_params() == params
+
+
+def test_shared_defaults_come_from_run_config():
+    config_defaults = {f.name: f.default for f in fields(RunConfig)
+                       if f.default is not MISSING}
+    est_defaults = {name: p.default for name, p in
+                    inspect.signature(SymbolicSelfTrainer).parameters.items()}
+    shared = config_defaults.keys() & est_defaults.keys()
+    assert "batch_size" in shared
+    for name in shared:
+        assert est_defaults[name] == config_defaults[name], name
 
 
 def test_set_params_validates_names():

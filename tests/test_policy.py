@@ -20,7 +20,6 @@ from symtrain.policy import (
     example_token_slices,
     greedy_decode,
     load_checkpoint,
-    nll,
     refine,
     refine_condition,
     reinit,
@@ -44,6 +43,13 @@ def toy_model(seed=0, d=8, h=12):
 def _random_tokens(rng, vocab, n):
     grammar = vocab.tokens[len(CONTROL_TOKENS):]
     return [str(rng.choice(grammar)) for _ in range(n)]
+
+
+def _condition_nll(model, condition, target, tape):
+    """batch_nll of one target after ``BOS condition SEP``."""
+    vocab = model.vocab
+    return batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
+                                    vocab.encode(target))])
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +78,6 @@ def test_control_tokens_absent_from_grammars():
 
 # ---------------------------------------------------------------------------
 # distributions and generation
-
-def test_next_token_distribution_sums_to_one():
-    model = toy_model()
-    from symtrain.policy import _log_softmax_row, _np_arrays, _np_logits, _np_step
-    p = _np_arrays(model)
-    h_row = np.zeros((1, model.h))
-    for token in model.vocab.encode([BOS, "a", "b", SEP]):
-        h_row = _np_step(p, h_row, token, model.h)
-        probs = np.exp(_log_softmax_row(_np_logits(p, h_row)))
-        assert abs(probs.sum() - 1.0) < 1e-9
-
 
 def test_sample_returns_k_sequences():
     model = toy_model()
@@ -188,7 +183,7 @@ def test_score_consistent_with_loss_primitive():
         condition = _random_tokens(rng, model.vocab, int(rng.integers(1, 5)))
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 7)))
         tape = Tape()
-        loss, per_token = nll(model, condition, [*a, EOS], tape)
+        loss, per_token = _condition_nll(model, condition, [*a, EOS], tape)
         expected = per_token.sum() / (len(a) + 1)
         assert score(model, condition, a) == pytest.approx(expected, abs=1e-9)
         assert float(loss.data) == pytest.approx(-per_token.sum(), abs=1e-9)
@@ -198,7 +193,7 @@ def test_score_equals_negative_nll_over_length():
     model = toy_model(seed=1)
     a = ["b", "a", "d"]
     tape = Tape()
-    loss, _ = nll(model, ["c"], [*a, EOS], tape)
+    loss, _ = _condition_nll(model, ["c"], [*a, EOS], tape)
     assert float(loss.data) == pytest.approx(-score(model, ["c"], a) * (len(a) + 1),
                                              abs=1e-9)
 
@@ -211,15 +206,15 @@ def test_nll_uniform_logits_is_log_vocab():
     model.params["w_out"].data[:] = 0.0
     model.params["b_out"].data[:] = 0.0
     tape = Tape()
-    loss, _ = nll(model, ["a"], ["b"], tape)
+    loss, _ = _condition_nll(model, ["a"], ["b"], tape)
     assert float(loss.data) == pytest.approx(math.log(16), abs=1e-12)
 
 
 def test_nll_rejects_empty_target_and_unknown_token():
     with pytest.raises(ValueError):
-        nll(toy_model(), ["a"], [], Tape())
+        _condition_nll(toy_model(), ["a"], [], Tape())
     with pytest.raises(ValueError, match="not in vocabulary"):
-        nll(toy_model(), ["a"], ["nope"], Tape())
+        _condition_nll(toy_model(), ["a"], ["nope"], Tape())
 
 
 def test_nll_gradient_matches_finite_differences():
@@ -227,11 +222,11 @@ def test_nll_gradient_matches_finite_differences():
 
     def loss_fn():
         tape = Tape()
-        loss, _ = nll(model, ["a", "b"], ["c", "d", EOS], tape)
+        loss, _ = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
         return float(loss.data)
 
     tape = Tape()
-    loss, _ = nll(model, ["a", "b"], ["c", "d", EOS], tape)
+    loss, _ = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
     tape.backward(loss)
     analytic = collect_grads(model.params)
     fd = central_differences(loss_fn, model.params)
@@ -257,6 +252,22 @@ def test_batch_nll_equals_sum_of_single_losses():
     slices = example_token_slices(examples)
     assert slices == [(0, 2), (2, 4), (6, 2)]
     assert per_token.shape == (8,)
+
+
+def test_sequence_token_logps_match_batch_nll_per_token():
+    model = toy_model(seed=9)
+    vocab = model.vocab
+    examples = [
+        (vocab.encode([BOS, "a", "b", "c", SEP]), vocab.encode(["d", EOS])),
+        (vocab.encode([BOS, "e", SEP]), vocab.encode(["f", "g", "h", "i", "j", EOS])),
+        (vocab.encode([BOS, "k", "l", SEP]), vocab.encode(["a", "b", EOS])),
+        (vocab.encode([BOS, "c", SEP, "d", "e", SEP]), vocab.encode(["f", EOS])),
+    ]
+    _, per_token = batch_nll(model, Tape(), examples)
+    for (cond, tgt), (start, length) in zip(examples, example_token_slices(examples)):
+        expected = per_token[start:start + length]
+        np.testing.assert_allclose(sequence_token_logps(model, cond, tgt), expected,
+                                   rtol=0, atol=1e-12)
 
 
 def test_batch_nll_gradient_matches_finite_differences():
@@ -339,22 +350,13 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    for version in (1, 99):  # version 1 carried an rng stream the policy no longer has
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
     payload["format"] = "other"
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
-
-def test_checkpoint_resumes_rng_stream(tmp_path):
-    model = toy_model(seed=33)
-    params = GenerationParams(k_samples=2, max_len=6)
-    sample(model, ["a"], params)  # advance the model stream
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path)
-    expected = sample(model, ["a"], params)
-    resumed, _ = load_checkpoint(path)
-    assert sample(resumed, ["a"], params) == expected
