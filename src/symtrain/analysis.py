@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from symtrain.policy import EOS, PolicyModel, score
+from symtrain.policy import PolicyModel, score
 from symtrain.pool import CandidatePool
 
 CSV_COLUMNS = ("iteration", "held_in_rate", "held_out_rate",
@@ -36,7 +36,7 @@ def delta_logp(model: PolicyModel,
         return None
     total = 0.0
     for x, a_plus, a_minus in pairs:
-        total += score(model, x, [*a_plus, EOS]) - score(model, x, [*a_minus, EOS])
+        total += score(model, x, a_plus) - score(model, x, a_minus)
     return total / len(pairs)
 
 

@@ -2,7 +2,9 @@
 
 Everything is float64 and shapes are ordinary numpy shapes.  Broadcasting is
 deliberately restricted to scalar-vs-tensor (plus one explicit row-bias add),
-so every backward rule below stays short enough to audit by eye.
+so every backward rule below stays short enough to audit by eye.  The GRU
+is one recorded op for a whole id batch: its backward is a single BPTT rule
+for the sequence, not one record per timestep.
 """
 
 from __future__ import annotations
@@ -158,66 +160,53 @@ class Tape:
 
         return self._record(out, back)
 
-    def embedding_lookup(self, table: Tensor, ids: Sequence[int]) -> Tensor:
-        if table.data.ndim != 2:
-            raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
-        vocab = table.shape[0]
-        for i in ids:
-            if not 0 <= i < vocab:
-                raise IndexError(f"embedding_lookup: id {i} out of range [0, {vocab})")
-        idx = np.asarray(list(ids), dtype=np.intp)
-        out = Tensor(table.data[idx] if len(idx) else
-                     np.zeros((0, table.shape[1])))
+    def gru_sequence(self, embed: Tensor, ids: Array, w_x: Tensor, w_h: Tensor,
+                     b: Tensor, n_hidden: int) -> Tensor:
+        """GRU over the embedded id batch ``ids[B, S]`` from a zero state.
 
-        def back(g: Array, table=table, idx=idx) -> None:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
-
-        return self._record(out, back)
-
-    def concat_rows(self, parts: Sequence[Tensor]) -> Tensor:
-        if not parts:
-            raise ShapeError("concat_rows: no parts")
-        ncols = parts[0].shape[1]
-        if any(p.data.ndim != 2 or p.shape[1] != ncols for p in parts):
-            raise ShapeError("concat_rows: column counts differ")
-        sizes = [p.shape[0] for p in parts]
-        out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-
-        def back(g: Array, parts=tuple(parts), sizes=tuple(sizes)) -> None:
-            off = 0
-            for p, n in zip(parts, sizes):
-                _accumulate(p, g[off:off + n])
-                off += n
-
-        return self._record(out, back)
-
-    def gru_cell(self, x: Tensor, h_prev: Tensor, w_x: Tensor, w_h: Tensor,
-                 b: Tensor, n_hidden: int) -> Tensor:
-        """One fused GRU step (update/reset/candidate gate layout along 3h).
-
-        Forward shares :func:`gru_cell_forward` with the inference path; the
-        backward rule is the hand-derived chain through both gates.
+        Returns the S*B x h states; row ``t*B + i`` follows ``ids[i, t]``.  The
+        forward is :func:`gru_sequence_forward`; the backward is one reversed
+        BPTT sweep, then one product per weight and one scatter-add into the
+        embedding table.
         """
-        h_new, cache = gru_cell_forward(x.data, h_prev.data, w_x.data,
-                                        w_h.data, b.data, n_hidden)
-        out = Tensor(h_new)
+        ids = np.asarray(ids, dtype=np.intp)
+        vocab = embed.shape[0]
+        bad = ids[(ids < 0) | (ids >= vocab)]
+        if bad.size:
+            raise IndexError(f"gru_sequence: id {bad[0]} out of range [0, {vocab})")
+        x_steps = embed.data[ids.T]
+        caches: list[tuple[Array, Array, Array, Array]] = []
+        out = Tensor(gru_sequence_forward(x_steps, w_x.data, w_h.data, b.data,
+                                          n_hidden, caches))
 
-        def back(g: Array, x=x, h_prev=h_prev, w_x=w_x, w_h=w_h, b=b,
-                 cache=cache) -> None:
-            z, r, n, hw_n = cache
-            dz = g * (h_prev.data - n)
-            dn_pre = (g * (1.0 - z)) * (1.0 - n * n)
-            dz_pre = dz * (z * (1.0 - z))
-            dr_pre = (dn_pre * hw_n) * (r * (1.0 - r))
-            dxw = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
-            dhw = np.concatenate([dz_pre, dr_pre, dn_pre * r], axis=1)
-            _accumulate(b, dxw.sum(axis=0, keepdims=True))
-            _accumulate(x, dxw @ w_x.data.T)
-            _accumulate(w_x, x.data.T @ dxw)
-            _accumulate(h_prev, g * z + dhw @ w_h.data.T)
-            _accumulate(w_h, h_prev.data.T @ dhw)
+        def back(g: Array, embed=embed, w_x=w_x, w_h=w_h, b=b, out=out) -> None:
+            n_batch = ids.shape[0]
+            states = out.data
+            # one buffer: the pre-activation gradients of x @ w_x, later
+            # rescaled in place into those of h @ w_h
+            d_pre = np.empty((len(states), 3 * n_hidden))
+            d_h = np.zeros((n_batch, n_hidden))
+            for t in range(len(caches) - 1, -1, -1):
+                rows = slice(t * n_batch, (t + 1) * n_batch)
+                z, r, n, hw_n = caches[t]
+                h_prev = states[rows.start - n_batch:rows.start] if t else 0.0
+                g_t = g[rows] + d_h
+                dn_pre = (g_t * (1.0 - z)) * (1.0 - n * n)
+                d = d_pre[rows]
+                d[:, :n_hidden] = (g_t * (h_prev - n)) * (z * (1.0 - z))
+                d[:, n_hidden:2 * n_hidden] = (dn_pre * hw_n) * (r * (1.0 - r))
+                d[:, 2 * n_hidden:] = dn_pre
+                d_hw = np.concatenate([d[:, :2 * n_hidden], dn_pre * r], axis=1)
+                d_h = g_t * z + d_hw @ w_h.data.T
+            x_rows = x_steps.reshape(len(states), -1)
+            _accumulate(b, d_pre.sum(axis=0, keepdims=True))
+            _accumulate(w_x, x_rows.T @ d_pre)
+            if embed.grad is None:
+                embed.grad = np.zeros_like(embed.data)
+            np.add.at(embed.grad, ids.T.reshape(-1), d_pre @ w_x.data.T)
+            for t, (_, r, _, _) in enumerate(caches):
+                d_pre[t * n_batch:(t + 1) * n_batch, 2 * n_hidden:] *= r
+            _accumulate(w_h, states[:-n_batch].T @ d_pre[n_batch:])
 
         return self._record(out, back)
 
@@ -303,6 +292,24 @@ def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
     n = np.tanh((xw[:, 2 * nh:] + r * hw_n) + b[:, 2 * nh:])
     h_new = (z * h) + ((z * -1.0 + 1.0) * n)
     return h_new, (z, r, n, hw_n)
+
+
+def gru_sequence_forward(x_steps: Array, w_x: Array, w_h: Array, b: Array,
+                         n_hidden: int, caches: list | None = None) -> Array:
+    """GRU over inputs ``x_steps[S, B, d]`` from a zero state.
+
+    Returns the S*B x h states, row ``t*B + i`` after step t of row i, and
+    appends each step's gate cache to ``caches`` when one is given.
+    """
+    n_steps, n_batch = x_steps.shape[:2]
+    h = np.zeros((n_batch, n_hidden))
+    states = np.empty((n_steps * n_batch, n_hidden))
+    for t in range(n_steps):
+        h, cache = gru_cell_forward(x_steps[t], h, w_x, w_h, b, n_hidden)
+        states[t * n_batch:(t + 1) * n_batch] = h
+        if caches is not None:
+            caches.append(cache)
+    return states
 
 
 def log_softmax(logits: Array) -> Array:

@@ -183,11 +183,6 @@ def child_seed(*keys: int) -> int:
 # ---------------------------------------------------------------------------
 # exploration
 
-def _score_solution(model: PolicyModel, condition: list[str], a: Sequence[str]) -> float:
-    # append the terminator explicitly so empty generations remain scoreable
-    return score(model, condition, [*a, EOS])
-
-
 def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
                  iteration: int, task_index: int,
                  ) -> list[tuple[Trajectory, Trajectory | None]]:
@@ -201,7 +196,7 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
     for k, a in enumerate(samples):
         res = execute(config.env, task, a)
         t = Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                       _score_solution(model, x, a), "explore", iteration, res.status)
+                       score(model, x, a), "explore", iteration, res.status)
         t_tilde = None
         if refine_on and a:  # an empty draft cannot prompt a refinement
             a_ref = refine(model, x, a, refine_gen,
@@ -209,7 +204,7 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
                                            task_index, k))[0]
             res_ref = execute(config.env, task, a_ref)
             cond_ref, _ = refine_condition(x, a, model.context_budget)
-            r_ref = score(model, cond_ref[1:-1], [*a_ref, EOS])
+            r_ref = score(model, cond_ref[1:-1], a_ref)
             t_tilde = Trajectory(task.id, task.x, task.y, tuple(a_ref), res_ref.b,
                                  r_ref, "refine", iteration, res_ref.status)
         pairs.append((t, t_tilde))
@@ -489,7 +484,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                 a = tuple(witnesses[t.id])
                 res = execute(config.env, t, a)
                 witness_trajs.append(Trajectory(
-                    t.id, t.x, t.y, a, res.b, _score_solution(model, list(t.x), a),
+                    t.id, t.x, t.y, a, res.b, score(model, t.x, a),
                     "explore", 0, res.status))
             seeded = pool.update(witness_trajs)
 

@@ -15,12 +15,16 @@ value is the output.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from symtrain.environments.types import Status, TaskInstance, graded
 
 FIXPOINT_BUDGET = 1_000
+# atom-against-fact matches per forward_chain: a rule body of n atoms joins
+# exponentially in n, so the fixpoint budget alone does not bound the work
+MATCH_BUDGET = 10_000
 
 
 class LogicParseError(ValueError):
@@ -157,15 +161,18 @@ def _match(atom: Atom, fact: Atom, bindings: dict[str, str]) -> dict[str, str] |
 
 
 def _body_matches(body: Sequence[Atom], facts: frozenset[Atom] | set[Atom],
-                  bindings: dict[str, str]) -> Iterator[dict[str, str]]:
+                  bindings: dict[str, str], matches: Iterator[int],
+                  ) -> Iterator[dict[str, str]]:
     if not body:
         yield bindings
         return
     first, rest = body[0], body[1:]
     for fact in facts:
+        if next(matches) > MATCH_BUDGET:
+            raise LogicTimeout(f"over {MATCH_BUDGET} atom matches")
         b = _match(first, fact, bindings)
         if b is not None:
-            yield from _body_matches(rest, facts, b)
+            yield from _body_matches(rest, facts, b, matches)
 
 
 def _substitute(atom: Atom, bindings: dict[str, str]) -> Atom:
@@ -174,12 +181,14 @@ def _substitute(atom: Atom, bindings: dict[str, str]) -> Atom:
 
 
 def forward_chain(program: Program, budget: int = FIXPOINT_BUDGET) -> set[Atom]:
-    """Iterate all rules to a fixpoint; raises LogicTimeout past the budget."""
+    """Iterate all rules to a fixpoint; raises LogicTimeout past the budget of
+    rounds or past MATCH_BUDGET atom matches."""
     facts = set(program.facts)
+    matches = itertools.count(1)
     for _ in range(budget):
         new: set[Atom] = set()
         for rule in program.rules:
-            for bindings in _body_matches(rule.body, facts, {}):
+            for bindings in _body_matches(rule.body, facts, {}, matches):
                 head = _substitute(rule.head, bindings)
                 if head not in facts:
                     new.add(head)

@@ -5,9 +5,12 @@ refinement behaviour can be learned from contrastive pairs: plain generation
 conditions on ``BOS x SEP`` and refinement on ``BOS x SEP a_prev SEP``, both
 followed by the solution tokens and a terminating EOS.
 
-One batched forward pass (:func:`forward`) serves scoring and the training
-losses, so self-reward and the L1/L2 losses are built from the same per-token
-log-probabilities.  Sampling runs the condition through it once, then steps
+One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
+through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
+scoring and sampling's condition pass; taped, it is a single
+``Tape.gru_sequence`` record whose backward is one BPTT sweep, and it serves
+the L1/L2 and DPO losses.  Self-reward and the losses are thus built from the
+same per-token log-probabilities.  After the condition pass, sampling steps
 one token at a time with the same GRU cell.
 """
 
@@ -22,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from symtrain.autodiff import Array, Tape, Tensor, gru_cell_forward, log_softmax
+from symtrain.autodiff import (Array, Tape, Tensor, gru_cell_forward, gru_sequence_forward,
+                               log_softmax)
 
 log = logging.getLogger(__name__)
 
@@ -186,23 +190,11 @@ def forward(model: PolicyModel, ids: Array, tape: Tape | None = None) -> Tensor:
     states are recorded for backpropagation, otherwise they are plain values.
     """
     p = model.params
-    n_batch, n_steps = ids.shape
+    inputs = ids[:, :-1]
     if tape is None:
-        x_steps = p["embed"].data[ids.T]  # T x B x d, one gather for all steps
-        h_row = np.zeros((n_batch, model.h))
-        states = np.empty(((n_steps - 1) * n_batch, model.h))
-        for t in range(n_steps - 1):
-            h_row, _ = gru_cell_forward(x_steps[t], h_row, p["w_x"].data,
-                                        p["w_h"].data, p["b"].data, model.h)
-            states[t * n_batch:(t + 1) * n_batch] = h_row
-        return Tensor(states)
-    h_state = Tensor(np.zeros((n_batch, model.h)))
-    steps: list[Tensor] = []
-    for t in range(n_steps - 1):
-        x = tape.embedding_lookup(p["embed"], ids[:, t].tolist())
-        h_state = tape.gru_cell(x, h_state, p["w_x"], p["w_h"], p["b"], model.h)
-        steps.append(h_state)
-    return tape.concat_rows(steps)
+        return Tensor(gru_sequence_forward(p["embed"].data[inputs.T], p["w_x"].data,
+                                           p["w_h"].data, p["b"].data, model.h))
+    return tape.gru_sequence(p["embed"], inputs, p["w_x"], p["w_h"], p["b"], model.h)
 
 
 def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
@@ -274,22 +266,14 @@ def greedy_decode(model: PolicyModel, condition: Sequence[str],
 
 
 def score(model: PolicyModel, condition: Sequence[str], a: Sequence[str]) -> float:
-    """Length-normalized sequence log-probability (nats per token).
+    """Length-normalized log-probability of ``a`` followed by EOS (nats per token).
 
-    The scored sequence runs through the first EOS, which is appended when
-    absent, so the terminating decision always contributes; padding after EOS
-    is ignored.  The condition is framed as ``BOS condition SEP``.
+    The terminating EOS always contributes, so an empty solution scores EOS
+    alone.  The condition is framed as ``BOS condition SEP``.
     """
-    a = list(a)
-    if not a:
-        raise ValueError("score: solution must be non-empty")
-    if EOS in a:
-        eff = a[: a.index(EOS) + 1]
-    else:
-        eff = a + [EOS]
+    target = model.vocab.encode([*a, EOS])
     cond_ids = model.vocab.encode([BOS, *condition, SEP])
-    logps = sequence_token_logps(model, cond_ids, model.vocab.encode(eff))
-    return float(logps.sum() / len(eff))
+    return float(sequence_token_logps(model, cond_ids, target).sum() / len(target))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_delta_logp_units_match_reward_difference():
     model = PolicyModel(default_vocab(), d=8, h=12, seed=2)
     x = ("a", "=", "3", ";", "sum", "a", "a")
     a_plus, a_minus = ("a", "+", "a"), ("a", "-", "a")
-    expected = score(model, x, [*a_plus, EOS]) - score(model, x, [*a_minus, EOS])
+    expected = score(model, x, a_plus) - score(model, x, a_minus)
     assert delta_logp(model, [(x, a_plus, a_minus)]) == pytest.approx(expected,
                                                                       abs=1e-9)
 

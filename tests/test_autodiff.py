@@ -66,41 +66,48 @@ def test_elementwise_shape_mismatch():
         Tape().mul(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 1))))
 
 
-def test_embedding_lookup_gathers_rows():
-    table = Tensor(np.arange(6.0).reshape(3, 2))
-    out = Tape().embedding_lookup(table, [2, 0])
-    assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+# right-padded batch of three rows of unequal length; id 2 repeats in row 0
+GRU_IDS = np.array([[2, 5, 2, 1, 3],
+                    [4, 0, 1, 0, 0],
+                    [3, 3, 2, 5, 0]])
+GRU_LENGTHS = (5, 3, 4)
 
 
-def test_embedding_lookup_empty_ids():
-    out = Tape().embedding_lookup(Tensor(np.ones((3, 2))), [])
-    assert out.shape == (0, 2)
+@pytest.mark.parametrize("seed", range(5))
+def test_gru_sequence_matches_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    n_batch, n_hidden = GRU_IDS.shape[0], 4
+    embed = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+    w_x = Tensor(rng.uniform(-1, 1, (3, 3 * n_hidden)), requires_grad=True)
+    w_h = Tensor(rng.uniform(-1, 1, (n_hidden, 3 * n_hidden)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (1, 3 * n_hidden)), requires_grad=True)
+    params = {"embed": embed, "w_x": w_x, "w_h": w_h, "b": b}
+    w_out = Tensor(rng.uniform(-2, 2, (n_hidden, 5)))
+    # only genuine positions enter the loss, as in batch_nll
+    rows = [t * n_batch + i for i, n in enumerate(GRU_LENGTHS) for t in range(n)]
+    targets = [int(t) for t in rng.integers(0, 5, size=len(rows))]
 
-
-def test_embedding_lookup_bad_id_named():
-    with pytest.raises(IndexError, match="7"):
-        Tape().embedding_lookup(Tensor(np.ones((3, 2))), [7])
-
-
-def test_embedding_repeated_id_sums_gradient():
-    table = Tensor(np.random.default_rng(0).normal(size=(3, 2)), requires_grad=True)
-
-    def loss_fn():
+    def forward():
         tape = Tape()
-        rows = tape.embedding_lookup(table, [1, 1])
-        out, _ = _scalar_loss(tape, rows)
-        return float(out.data)
+        states = tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, n_hidden)
+        logits = tape.matmul(tape.take_rows(states, rows), w_out)
+        return tape, tape.log_softmax_nll(logits, targets)[0]
 
-    tape = Tape()
-    rows = tape.embedding_lookup(table, [1, 1])
-    out, _ = _scalar_loss(tape, rows)
-    tape.backward(out)
-    fd = central_differences(loss_fn, {"table": table})
-    assert_grads_close({"table": table.grad}, fd)
-    row = table.data[1]
-    d_row = np.exp(row) / np.exp(row).sum() - [1.0, 0.0]
-    assert np.allclose(table.grad[1], 2.0 * d_row)
-    assert np.allclose(table.grad[0], 0.0)
+    tape, loss = forward()
+    tape.backward(loss)
+    analytic = collect_grads(params)
+    fd = central_differences(lambda: float(forward()[1].data), params)
+    assert_grads_close(analytic, fd)
+
+
+@pytest.mark.parametrize("bad", [6, -1])
+def test_gru_sequence_rejects_out_of_range_id(bad):
+    ids = GRU_IDS.copy()
+    ids[1, 2] = bad
+    w = Tensor(np.zeros((3, 6)))
+    with pytest.raises(IndexError, match=rf"id {bad} out of range \[0, 6\)"):
+        Tape().gru_sequence(Tensor(np.ones((6, 3))), ids, w, Tensor(np.zeros((2, 6))),
+                            Tensor(np.zeros((1, 6))), 2)
 
 
 def test_log_softmax_nll_uniform_two_way():
@@ -187,18 +194,15 @@ def test_every_op_matches_finite_differences(seed):
     b = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     w = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
     bias = Tensor(rng.uniform(-2, 2, (1, 5)), requires_grad=True)
-    table = Tensor(rng.uniform(-2, 2, (6, 4)), requires_grad=True)
-    params = {"a": a, "b": b, "w": w, "bias": bias, "table": table}
+    params = {"a": a, "b": b, "w": w, "bias": bias}
     targets = [int(t) for t in rng.integers(0, 5, size=7)]
 
     def forward():
         tape = Tape()
-        rows = tape.embedding_lookup(table, [1, 5, 1])
         mixed = tape.mul(tape.log_sigmoid(a), b)
         mixed = tape.add(tape.mul(tape.add(mixed, a), 0.5), 0.25)
-        merged = tape.concat_rows([mixed, rows])          # 6 x 4
-        logits = tape.add_bias(tape.matmul(merged, w), bias)  # 6 x 5
-        picked = tape.take_rows(logits, [0, 2, 4, 5, 1, 3, 3])
+        logits = tape.add_bias(tape.matmul(mixed, w), bias)  # 3 x 5
+        picked = tape.take_rows(logits, [0, 2, 1, 1, 0, 2, 2])
         loss, _ = tape.log_softmax_nll(picked, targets)
         extra = tape.mul(tape.log_sigmoid(tape.mul(loss, 0.13)), -1.0)
         return tape, tape.add(loss, extra)
@@ -266,11 +270,11 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(3)
     tape = Tape()
     x = Tensor(rng.uniform(-50, 50, (4, 4)))
-    h = Tensor(rng.uniform(-50, 50, (4, 2)))
+    embed = Tensor(rng.uniform(-50, 50, (6, 4)))
     w_x = Tensor(rng.uniform(-50, 50, (4, 6)))
     w_h = Tensor(rng.uniform(-50, 50, (2, 6)))
     b = Tensor(rng.uniform(-50, 50, (1, 6)))
     for out in (tape.log_sigmoid(x), tape.add(x, x), tape.mul(x, x), tape.matmul(x, x),
-                tape.gru_cell(x, h, w_x, w_h, b, 2),
+                tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, 2),
                 tape.log_softmax_nll(tape.mul(x, 100.0), [0, 1, 2, 3])[0]):
         assert np.isfinite(out.data).all()

@@ -29,6 +29,7 @@ from symtrain.policy import (
     CONTROL_TOKENS,
     default_vocab,
     greedy_decode,
+    score,
     sequence_token_logps,
 )
 from symtrain.pool import CandidatePool, RankedSets, Trajectory
@@ -387,7 +388,7 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
 
     # hand-drive the same pipeline out of the engine's public pieces
     from symtrain.engine import (_DOM_INIT, _DOM_WARMUP, _encode_examples,
-                                 _run_epochs, _score_solution)
+                                 _run_epochs)
     from symtrain.environments import execute
     from symtrain.pool import filter_pair as fp, CandidatePool
 
@@ -403,7 +404,7 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
                 epochs=config.warmup_epochs)
     pool = CandidatePool(config.pool_cap)
     pool.update([Trajectory(t.id, t.x, t.y, tuple(witnesses[t.id]), 1,
-                            _score_solution(model, list(t.x), witnesses[t.id]),
+                            score(model, t.x, witnesses[t.id]),
                             "explore", 0, Status.OK) for t in warmup])
     pairs = explore_phase(model, held_in, config, iteration=1)
     pool.update([fp(t, tt) for t, tt in pairs])

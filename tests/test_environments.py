@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,22 @@ def test_nonground_fact_rejected():
     with pytest.raises(LogicParseError, match="variables"):
         parse_program(["fact", "p", "(", "X", ")", ".",
                        "query", "p", "(", "a", ")", "?"])
+
+
+def test_exponential_rule_join_times_out_fast():
+    # 4 facts and an 8-atom body join to 262,140 matches without the budget
+    program = []
+    for c in "abcd":
+        program += ["fact", "p", "(", c, ")", "."]
+    program += ["rule", "q", "(", "X", ")", ":-"]
+    for i, var in enumerate("XYZWVUTS"):
+        program += ([","] if i else []) + ["p", "(", var, ")"]
+    program += [".", "query", "q", "(", "a", ")", "?"]
+    assert len(program) == 76
+    start = time.perf_counter()
+    res = execute(EnvKind.LOGIC_RULES, _logic_task("true"), program)
+    assert res.status is Status.TIMEOUT and res.b == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def _random_program(rng):

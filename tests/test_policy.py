@@ -9,7 +9,6 @@ from symtrain.policy import (
     BOS,
     CONTROL_TOKENS,
     EOS,
-    PAD,
     SEP,
     CheckpointError,
     GenerationParams,
@@ -18,6 +17,7 @@ from symtrain.policy import (
     batch_nll,
     default_vocab,
     example_token_slices,
+    forward,
     greedy_decode,
     load_checkpoint,
     refine,
@@ -165,15 +165,11 @@ def test_score_bounds():
         assert 0.0 < math.exp(r * (len(a) + 1)) <= 1.0
 
 
-def test_score_invariant_to_padding_after_eos():
+def test_score_of_empty_solution_is_eos_alone():
     model = toy_model()
-    base = score(model, ["a"], ["b", "c"])
-    assert score(model, ["a"], ["b", "c", EOS, PAD, PAD]) == pytest.approx(base, abs=0)
-
-
-def test_score_rejects_empty_solution():
-    with pytest.raises(ValueError):
-        score(toy_model(), ["a"], [])
+    cond = model.vocab.encode(sample_condition(["a"]))
+    (eos_logp,) = sequence_token_logps(model, cond, [model.vocab.eos_id])
+    assert score(model, ["a"], []) == eos_logp
 
 
 def test_score_consistent_with_loss_primitive():
@@ -289,6 +285,16 @@ def test_batch_nll_gradient_matches_finite_differences():
     analytic = collect_grads(model.params)
     fd = central_differences(loss_fn, model.params)
     assert_grads_close(analytic, fd)
+
+
+def test_untaped_forward_equals_taped_states_bitwise():
+    model = toy_model(seed=4)
+    ids = np.array([[1, 4, 5, 3, 6, 2],
+                    [1, 7, 3, 8, 2, 0],
+                    [1, 9, 9, 3, 2, 0]])
+    taped = forward(model, ids, Tape())
+    assert taped.shape == (5 * 3, model.h)
+    assert np.array_equal(forward(model, ids).data, taped.data)
 
 
 # ---------------------------------------------------------------------------
