@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
 Everything is float64 and shapes are ordinary numpy shapes.  Broadcasting is
-deliberately restricted to scalar-vs-tensor (plus one explicit row-bias add),
-so every backward rule below stays short enough to audit by eye.  The GRU
+deliberately restricted to scalar-vs-tensor ``mul`` (plus one explicit row-bias
+add), so every backward rule below stays short enough to audit by eye.  The GRU
 is one recorded op for a whole id batch: its backward is a single BPTT rule
 for the sequence, not one record per timestep.
 """
@@ -55,10 +55,6 @@ def _accumulate(t: Tensor, g: Array) -> None:
         t.grad += g
 
 
-def _is_scalar_const(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 class Tape:
     """Ordered record of operations; one backward sweep per tape.
 
@@ -82,14 +78,7 @@ class Tape:
 
     # -- pointwise -----------------------------------------------------
 
-    def add(self, a: Tensor, b) -> Tensor:
-        if _is_scalar_const(b):
-            out = Tensor(a.data + float(b))
-
-            def back(g: Array, a=a) -> None:
-                _accumulate(a, g)
-
-            return self._record(out, back)
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
         out = Tensor(a.data + b.data)
@@ -101,7 +90,7 @@ class Tape:
         return self._record(out, back)
 
     def mul(self, a: Tensor, b) -> Tensor:
-        if _is_scalar_const(b):
+        if isinstance(b, (int, float)) and not isinstance(b, bool):
             c = float(b)
             out = Tensor(a.data * c)
 
@@ -225,11 +214,13 @@ class Tape:
 
         return self._record(out, back)
 
-    def log_softmax_nll(self, logits: Tensor, targets: Sequence[int]) -> tuple[Tensor, Array]:
-        """Summed negative log-likelihood of targets under row-wise softmax.
+    def log_softmax_nll(self, logits: Tensor, targets: Sequence[int],
+                        lengths: Sequence[int]) -> Tensor:
+        """Negative log-likelihood of targets under row-wise softmax, per example.
 
-        Returns the scalar loss (on tape) and the per-token log-probabilities
-        (plain array, detached), stabilized by per-row max subtraction.
+        Example i owns the next ``lengths[i]`` rows; the result holds one summed
+        NLL per example.  Log-probabilities are stabilized by per-row max
+        subtraction.
         """
         if logits.data.ndim != 2:
             raise ShapeError(f"log_softmax_nll: logits must be 2-D, got {logits.shape}")
@@ -243,19 +234,31 @@ class Tape:
         for t in targets:
             if not 0 <= t < vocab:
                 raise IndexError(f"log_softmax_nll: target {t} out of range [0, {vocab})")
+        counts = np.asarray(lengths, dtype=np.intp)
+        if counts.ndim != 1 or (counts < 1).any() or counts.sum() != n_rows:
+            raise ShapeError(f"log_softmax_nll: lengths {list(lengths)} do not "
+                             f"partition {n_rows} rows")
         idx = np.asarray(targets, dtype=np.intp)
         log_probs = log_softmax(logits.data)
-        per_token = log_probs[np.arange(n_rows), idx].copy()
-        out = Tensor(-per_token.sum())
+        per_token = log_probs[np.arange(n_rows), idx]
+        out = Tensor(-np.add.reduceat(per_token, np.cumsum(counts) - counts))
         softmax = np.exp(log_probs)
 
         def back(g: Array, logits=logits, softmax=softmax, idx=idx) -> None:
             d = softmax.copy()
             d[np.arange(len(idx)), idx] -= 1.0
-            _accumulate(logits, d * g)
+            _accumulate(logits, d * np.repeat(g, counts)[:, None])
 
-        self._record(out, back)
-        return out, per_token
+        return self._record(out, back)
+
+    def sum(self, a: Tensor) -> Tensor:
+        """Sum of every entry, as a scalar."""
+        out = Tensor(a.data.sum())
+
+        def back(g: Array, a=a) -> None:
+            _accumulate(a, np.broadcast_to(g, a.shape))
+
+        return self._record(out, back)
 
     # -- backward ------------------------------------------------------
 

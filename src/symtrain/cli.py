@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from symtrain import analysis
-from symtrain.engine import ConfigError, evaluate, run
+from symtrain.engine import ConfigError, RunConfig, evaluate, run
 from symtrain.environments import (
     EnvKind,
     generate_dataset,
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["held_in", "held_out"], default="held_in")
     p.add_argument("--with-refine", action="store_true",
                    help="allow one refinement attempt on failures")
-    p.add_argument("--max-len", type=int, default=80)
+    p.add_argument("--max-len", type=int, default=RunConfig.max_len)
 
     p = sub.add_parser("analyze", help="re-export a run's analysis series")
     p.add_argument("--run-dir", required=True)

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from symtrain import analysis
-from symtrain.autodiff import Tape, TrainingError, collect_grads, sgd_step, zero_grads
+from symtrain.autodiff import (Tape, Tensor, TrainingError, collect_grads, sgd_step,
+                               zero_grads)
 from symtrain.environments import EnvKind, TaskInstance, execute
 from symtrain.policy import (
     BOS,
@@ -29,7 +30,6 @@ from symtrain.policy import (
     PolicyModel,
     batch_nll,
     default_vocab,
-    example_token_slices,
     greedy_decode,
     refine,
     refine_condition,
@@ -39,7 +39,8 @@ from symtrain.policy import (
     score,
     sequence_token_logps,
 )
-from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair, persist
+from symtrain.pool import (DEFAULT_POOL_CAP, CandidatePool, RankedSets, Trajectory,
+                           filter_pair, persist)
 
 METHODS = ("envisions", "star_env", "sft_dpo")
 TRAIN_MODES = ("scratch", "continual")
@@ -79,7 +80,7 @@ class RunConfig:
     clip: float = 5.0
     warmup_tasks: int = 20
     warmup_epochs: int = 150
-    pool_cap: int = 64
+    pool_cap: int = DEFAULT_POOL_CAP
     seed_pool_with_warmup: bool = True
     eval_with_refine: bool = False
 
@@ -97,7 +98,8 @@ class RunConfig:
         for name, minimum in (("K", 1), ("N1", 1), ("N2", 0), ("iterations", 1),
                               ("epochs_per_iter", 1), ("batch_size", 1), ("d", 1),
                               ("h", 1), ("max_len", 1), ("context_budget", 1),
-                              ("warmup_tasks", 0), ("pool_cap", 1)):
+                              ("warmup_tasks", 0), ("warmup_epochs", 0),
+                              ("pool_cap", 1)):
             if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}")
         for name in ("lr", "temperature", "clip"):
@@ -108,6 +110,9 @@ class RunConfig:
                 raise ConfigError(f"unknown ablation {abl!r} (valid: {ABLATIONS})")
         if self.ablations and self.method != "envisions":
             raise ConfigError("ablations are only valid with method = envisions")
+        if self.method == "sft_dpo" and self.train_mode != "continual":
+            raise ConfigError("method = sft_dpo trains continually; "
+                              "set train_mode = continual")
 
     @classmethod
     def required_keys(cls) -> tuple[str, ...]:
@@ -312,55 +317,65 @@ def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], lis
                 epochs: int | None = None) -> tuple[float, float]:
     """Minibatch SGD over the tagged examples; returns final-epoch loss sums."""
     rng = np.random.default_rng(shuffle_seed)
-    l1_sum = l2_sum = 0.0
+    sums = {"L1": 0.0, "L2": 0.0}
     for _ in range(epochs if epochs is not None else config.epochs_per_iter):
         order = rng.permutation(len(examples))
-        l1_sum = l2_sum = 0.0
+        sums = {"L1": 0.0, "L2": 0.0}
         for start in range(0, len(order), config.batch_size):
             batch = [examples[int(i)] for i in order[start:start + config.batch_size]]
-            pairs = [(cond, tgt) for _, cond, tgt in batch]
             tape = Tape()
-            loss, per_token = batch_nll(model, tape, pairs)
+            nll = batch_nll(model, tape, [(cond, tgt) for _, cond, tgt in batch])
+            loss = tape.sum(nll)
             if not math.isfinite(float(loss.data)):
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
-            for (kind, _, _), (tok_start, tok_len) in zip(batch, example_token_slices(pairs)):
-                value = -float(per_token[tok_start:tok_start + tok_len].sum())
-                if kind == "L1":
-                    l1_sum += value
-                else:
-                    l2_sum += value
+            for (kind, _, _), value in zip(batch, nll.data):
+                sums[kind] += float(value)
             tape.backward(loss)
+            # grads stays alive past the next backward: freed at zero_grads, the arrays
+            # let malloc trim the heap top, which every step then page-faults back in
             grads = collect_grads(model.params)
             sgd_step(model.params, grads, config.lr, config.clip)
             zero_grads(model.params)
-    return l1_sum, l2_sum
+    return sums["L1"], sums["L2"]
 
 
 def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
                     iteration: int) -> tuple[PolicyModel, float, float]:
-    """Minimize L1 + L2 over the selected sets (fresh parameters when the
-    training mode is scratch)."""
+    """Retrain the policy on the selected sets; returns (model, L1 sum, L2 sum).
+
+    ``envisions`` and ``star_env`` minimize L1 + L2 over U1 and U2, from fresh
+    parameters when the training mode is scratch.  ``sft_dpo`` (always
+    continual) fine-tunes on U1 alone, then runs DPO on U2's pairs against a
+    frozen copy of that fine-tuned model; its L2 sum is the DPO loss.
+    """
     if not sets.u1 and not sets.u2:
         raise ValueError("train_iteration: both training sets are empty")
     if config.train_mode == "scratch":
         model = reinit(model, child_seed(config.seed, _DOM_INIT, iteration))
-    examples = _encode_examples(model, sets)
+    sft_dpo = config.method == "sft_dpo"
+    examples = _encode_examples(model, TrainingSets(sets.u1, []) if sft_dpo else sets)
     l1_sum, l2_sum = _run_epochs(model, examples, config,
                                  child_seed(config.seed, _DOM_SHUFFLE, iteration),
                                  iteration)
+    if sft_dpo:
+        l2_sum = _train_dpo_stage(model, model.clone(), sets, config, iteration)
     return model, l1_sum, l2_sum
 
 
-def dpo_pair_loss(model: PolicyModel, tape: Tape, cond: list[int], pos: list[int],
-                  neg: list[int], ref_margin: float, beta: float):
-    """-log sigmoid(beta * ((logp+ - ref+) - (logp- - ref-))) on the tape.
+def dpo_loss(model: PolicyModel, tape: Tape,
+             pairs: Sequence[tuple[list[int], list[int], list[int], float]],
+             beta: float) -> Tensor:
+    """Summed -log sigmoid(beta * ((logp+ - ref+) - (logp- - ref-))) on the tape.
 
-    ref_margin is the frozen reference model's (logp+ - logp-) for the pair.
+    Each pair is (cond, pos, neg, ref_margin), where ref_margin is the frozen
+    reference model's logp+ - logp-.  All positives go through one batch_nll
+    call and all negatives through a second.
     """
-    nll_pos, _ = batch_nll(model, tape, [(cond, pos)])
-    nll_neg, _ = batch_nll(model, tape, [(cond, neg)])
-    margin = tape.add(tape.add(tape.mul(nll_pos, -1.0), nll_neg), -ref_margin)
-    return tape.mul(tape.log_sigmoid(tape.mul(margin, beta)), -1.0)
+    nll_pos = batch_nll(model, tape, [(cond, pos) for cond, pos, _, _ in pairs])
+    nll_neg = batch_nll(model, tape, [(cond, neg) for cond, _, neg, _ in pairs])
+    neg_ref = Tensor([-ref_margin for _, _, _, ref_margin in pairs])
+    margin = tape.add(tape.add(tape.mul(nll_pos, -1.0), nll_neg), neg_ref)
+    return tape.mul(tape.sum(tape.log_sigmoid(tape.mul(margin, beta))), -1.0)
 
 
 def _train_dpo_stage(model: PolicyModel, ref: PolicyModel, sets: TrainingSets,
@@ -383,18 +398,14 @@ def _train_dpo_stage(model: PolicyModel, ref: PolicyModel, sets: TrainingSets,
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             tape = Tape()
-            batch_loss = None
-            for i in order[start:start + config.batch_size]:
-                cond, pos, neg, ref_margin = pairs[int(i)]
-                loss = dpo_pair_loss(model, tape, cond, pos, neg, ref_margin,
-                                     config.dpo_beta)
-                batch_loss = loss if batch_loss is None else tape.add(batch_loss, loss)
-            assert batch_loss is not None
-            if not math.isfinite(float(batch_loss.data)):
+            loss = dpo_loss(model, tape,
+                            [pairs[int(i)] for i in order[start:start + config.batch_size]],
+                            config.dpo_beta)
+            if not math.isfinite(float(loss.data)):
                 raise TrainingError(f"non-finite DPO loss at iteration {iteration}")
-            total += float(batch_loss.data)
-            tape.backward(batch_loss)
-            grads = collect_grads(model.params)
+            total += float(loss.data)
+            tape.backward(loss)
+            grads = collect_grads(model.params)  # held for the reason in _run_epochs
             sgd_step(model.params, grads, config.lr, config.clip)
             zero_grads(model.params)
     return total
@@ -417,7 +428,7 @@ def solve_task(model: PolicyModel, task: TaskInstance, env: str, max_len: int,
 
 
 def evaluate(model: PolicyModel, tasks: Sequence[TaskInstance], env: str,
-             max_len: int = 80, with_refine: bool = False) -> tuple[float, set[str]]:
+             max_len: int, with_refine: bool = False) -> tuple[float, set[str]]:
     """Greedy solve rate plus the set of solved task ids."""
     solved = {t.id for t in tasks
               if solve_task(model, t, env, max_len, with_refine)}
@@ -513,20 +524,10 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                 # freeze the margin probe at the first iteration with pairs
                 probe = list(sets.u2)
 
-            if not sets.u1 and not sets.u2:
-                l1_sum = l2_sum = 0.0
-            elif config.method == "sft_dpo":
-                # continual two-stage training: SFT on positives, then DPO
-                # against the SFT checkpoint as the frozen reference
-                sft_only = TrainingSets(sets.u1, [])
-                examples = _encode_examples(model, sft_only)
-                l1_sum, _ = _run_epochs(model, examples, config,
-                                        child_seed(config.seed, _DOM_SHUFFLE, iteration),
-                                        iteration)
-                ref = model.clone()
-                l2_sum = _train_dpo_stage(model, ref, sets, config, iteration)
-            else:
+            if sets.u1 or sets.u2:
                 model, l1_sum, l2_sum = train_iteration(model, sets, config, iteration)
+            else:
+                l1_sum = l2_sum = 0.0
 
             held_in_rate, solved = evaluate(model, eval_held_in, config.env,
                                             config.max_len, config.eval_with_refine)

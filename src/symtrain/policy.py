@@ -8,10 +8,11 @@ followed by the solution tokens and a terminating EOS.
 One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
 through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
 scoring and sampling's condition pass; taped, it is a single
-``Tape.gru_sequence`` record whose backward is one BPTT sweep, and it serves
-the L1/L2 and DPO losses.  Self-reward and the losses are thus built from the
-same per-token log-probabilities.  After the condition pass, sampling steps
-one token at a time with the same GRU cell.
+``Tape.gru_sequence`` record whose backward is one BPTT sweep.  On the tape,
+:func:`batch_nll` returns one summed NLL per example, and every loss (L1, L2
+and DPO) is built from that vector.  Self-reward and the losses thus come from
+the same per-token log-probabilities.  After the condition pass, sampling steps
+one token at a time with the same GRU cell; it never emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ def default_vocab() -> Vocab:
 class GenerationParams:
     """Sampling knobs: softmax temperature, length cap, candidates per call."""
 
-    temperature: float = 1.0
-    max_len: int = 80
-    k_samples: int = 5
+    temperature: float
+    max_len: int
+    k_samples: int
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -210,8 +211,11 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
 def _generate(model: PolicyModel, cond_ids: list[int], params: GenerationParams,
               rng: np.random.Generator | None) -> list[list[int]]:
     """k_samples ancestral samples (greedy when rng is None) after one shared
-    pass over the condition; EOS is consumed, not returned."""
+    pass over the condition; EOS is consumed, not returned.  PAD, BOS and SEP
+    are never emitted: a SEP inside a draft would corrupt the refine frame."""
     p = {k: t.data for k, t in model.params.items()}
+    b_out = p["b_out"].copy()
+    b_out[:, [model.vocab.pad_id, model.vocab.bos_id, model.vocab.sep_id]] = -np.inf
     h_cond = forward(model, np.asarray([cond_ids], dtype=np.intp)).data[-1:]
     samples: list[list[int]] = []
     for _ in range(params.k_samples):
@@ -219,7 +223,7 @@ def _generate(model: PolicyModel, cond_ids: list[int], params: GenerationParams,
         for _ in range(params.max_len):
             h_row, _ = gru_cell_forward(p["embed"][prev:prev + 1], h_row, p["w_x"],
                                         p["w_h"], p["b"], model.h)
-            logits = h_row @ p["w_out"] + p["b_out"]
+            logits = h_row @ p["w_out"] + b_out
             if rng is None:
                 token = int(np.argmax(logits[0]))
             else:
@@ -259,7 +263,7 @@ def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
 
 
 def greedy_decode(model: PolicyModel, condition: Sequence[str],
-                  max_len: int = 80) -> list[str]:
+                  max_len: int) -> list[str]:
     cond = model.vocab.encode([BOS, *condition, SEP])
     gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=1)
     return model.vocab.decode(_generate(model, cond, gen, rng=None)[0])
@@ -280,13 +284,11 @@ def score(model: PolicyModel, condition: Sequence[str], a: Sequence[str]) -> flo
 # losses
 
 def batch_nll(model: PolicyModel, tape: Tape,
-              examples: Sequence[tuple[list[int], list[int]]],
-              ) -> tuple[Tensor, Array]:
-    """Joint NLL over encoded (condition_ids, target_ids) examples.
+              examples: Sequence[tuple[list[int], list[int]]]) -> Tensor:
+    """NLL of each encoded (condition_ids, target_ids) example, as a (B,) tensor.
 
     Sequences are right-padded to a common length; only genuine target
-    positions are projected and enter the loss.  Per-token log-probs come
-    back in example order (use example_token_slices to split them).
+    positions are projected and enter the loss.
     """
     n_batch = len(examples)
     if n_batch == 0:
@@ -304,18 +306,7 @@ def batch_nll(model: PolicyModel, tape: Tape,
     h_rows = tape.take_rows(forward(model, ids, tape), indices)
     logits = tape.add_bias(tape.matmul(h_rows, model.params["w_out"]),
                            model.params["b_out"])
-    return tape.log_softmax_nll(logits, targets)
-
-
-def example_token_slices(examples: Sequence[tuple[list[int], list[int]]],
-                         ) -> list[tuple[int, int]]:
-    """(start, length) of each example's tokens in batch_nll's flat order."""
-    out = []
-    start = 0
-    for _, tgt in examples:
-        out.append((start, len(tgt)))
-        start += len(tgt)
-    return out
+    return tape.log_softmax_nll(logits, targets, [len(t) for _, t in examples])
 
 
 # ---------------------------------------------------------------------------

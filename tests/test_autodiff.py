@@ -16,10 +16,6 @@ from symtrain.autodiff import (
 from helpers import assert_grads_close, central_differences, mp_log_softmax_nll
 
 
-def _scalar_loss(tape, t):
-    return tape.log_softmax_nll(t, [0] * t.shape[0])
-
-
 def test_matmul_identity():
     tape = Tape()
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -44,15 +40,13 @@ def test_matmul_gradient_of_sum_wrt_left_operand():
     a = Tensor([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True)
     b = Tensor([[3.0, 0.0], [4.0, 1.0]])
 
-    def loss_fn():
+    def forward():
         tape = Tape()
-        out, _ = tape.log_softmax_nll(tape.matmul(a, b), [0, 1])
-        return float(out.data)
+        return tape, tape.sum(tape.log_softmax_nll(tape.matmul(a, b), [0, 1], [1, 1]))
 
-    tape = Tape()
-    out, _ = tape.log_softmax_nll(tape.matmul(a, b), [0, 1])
+    tape, out = forward()
     tape.backward(out)
-    fd = central_differences(loss_fn, {"a": a})
+    fd = central_differences(lambda: float(forward()[1].data), {"a": a})
     assert_grads_close({"a": a.grad}, fd)
     z = a.data @ b.data
     d_logits = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True) - np.eye(2)
@@ -91,7 +85,7 @@ def test_gru_sequence_matches_finite_differences(seed):
         tape = Tape()
         states = tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, n_hidden)
         logits = tape.matmul(tape.take_rows(states, rows), w_out)
-        return tape, tape.log_softmax_nll(logits, targets)[0]
+        return tape, tape.sum(tape.log_softmax_nll(logits, targets, GRU_LENGTHS))
 
     tape, loss = forward()
     tape.backward(loss)
@@ -112,43 +106,58 @@ def test_gru_sequence_rejects_out_of_range_id(bad):
 
 def test_log_softmax_nll_uniform_two_way():
     tape = Tape()
-    loss, per_token = tape.log_softmax_nll(Tensor([[0.0, 0.0]]), [0])
-    assert per_token[0] == pytest.approx(math.log(0.5), abs=1e-12)
-    assert float(loss.data) == pytest.approx(-math.log(0.5), abs=1e-12)
+    nll = tape.log_softmax_nll(Tensor([[0.0, 0.0]]), [0], [1])
+    assert nll.shape == (1,)
+    assert float(nll.data[0]) == pytest.approx(-math.log(0.5), abs=1e-12)
 
 
 def test_log_softmax_nll_large_logits_stable():
     tape = Tape()
-    loss, per_token = tape.log_softmax_nll(Tensor([[1000.0, 0.0]]), [0])
-    assert math.isfinite(float(loss.data))
-    assert per_token[0] == pytest.approx(0.0, abs=1e-12)
+    nll = tape.log_softmax_nll(Tensor([[1000.0, 0.0]]), [0], [1])
+    assert np.isfinite(nll.data).all()
+    assert float(nll.data[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_softmax_nll_matches_high_precision_oracle():
     rng = np.random.default_rng(7)
     logits = rng.normal(scale=3.0, size=(3, 5))
     targets = [1, 4, 0]
-    tape = Tape()
-    loss, per_token = tape.log_softmax_nll(Tensor(logits), targets)
     oracle_loss, oracle_per_token = mp_log_softmax_nll(logits, targets)
-    assert float(loss.data) == pytest.approx(oracle_loss, abs=1e-12)
-    assert per_token == pytest.approx(oracle_per_token, abs=1e-12)
+    per_token = Tape().log_softmax_nll(Tensor(logits), targets, [1] * 3)
+    assert -per_token.data == pytest.approx(oracle_per_token, abs=1e-12)
+    summed = Tape().log_softmax_nll(Tensor(logits), targets, [3])
+    assert float(summed.data[0]) == pytest.approx(oracle_loss, abs=1e-12)
+
+
+def test_log_softmax_nll_sums_each_run_of_rows():
+    rng = np.random.default_rng(8)
+    logits = rng.normal(scale=2.0, size=(6, 4))
+    targets = [3, 0, 1, 1, 2, 0]
+    per_token = Tape().log_softmax_nll(Tensor(logits), targets, [1] * 6).data
+    runs = Tape().log_softmax_nll(Tensor(logits), targets, [2, 1, 3]).data
+    expected = [per_token[:2].sum(), per_token[2], per_token[3:].sum()]
+    np.testing.assert_allclose(runs, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [[2, 2], [1, 1, 1, 1], [3, 0, 1], [3, -1, 2], []])
+def test_log_softmax_nll_rejects_lengths_that_do_not_partition_rows(lengths):
+    with pytest.raises(ShapeError, match="partition"):
+        Tape().log_softmax_nll(Tensor(np.zeros((3, 4))), [0, 1, 2], lengths)
 
 
 def test_log_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     logits = rng.normal(scale=4.0, size=(6, 9))
-    tape = Tape()
-    _, per_token = tape.log_softmax_nll(Tensor(logits), [0] * 6)
+    nll = Tape().log_softmax_nll(Tensor(logits), [0] * 6, [1] * 6)
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.all(per_token <= 0.0)
+    assert np.all(nll.data >= 0.0)
 
 
 def test_log_softmax_nll_empty_targets_rejected():
     with pytest.raises(ValueError, match="empty"):
-        Tape().log_softmax_nll(Tensor(np.zeros((0, 3))), [])
+        Tape().log_softmax_nll(Tensor(np.zeros((0, 3))), [], [])
 
 
 def test_backward_square():
@@ -180,7 +189,7 @@ def test_backward_twice_rejected():
 
 def test_backward_requires_scalar_from_this_tape():
     tape = Tape()
-    v = tape.add(Tensor(np.ones((2, 2))), 1.0)
+    v = tape.mul(Tensor(np.ones((2, 2))), 2.0)
     with pytest.raises(TapeError, match="scalar"):
         tape.backward(v)
     with pytest.raises(TapeError, match="produced"):
@@ -200,12 +209,12 @@ def test_every_op_matches_finite_differences(seed):
     def forward():
         tape = Tape()
         mixed = tape.mul(tape.log_sigmoid(a), b)
-        mixed = tape.add(tape.mul(tape.add(mixed, a), 0.5), 0.25)
+        mixed = tape.mul(tape.add(mixed, a), 0.5)
         logits = tape.add_bias(tape.matmul(mixed, w), bias)  # 3 x 5
         picked = tape.take_rows(logits, [0, 2, 1, 1, 0, 2, 2])
-        loss, _ = tape.log_softmax_nll(picked, targets)
-        extra = tape.mul(tape.log_sigmoid(tape.mul(loss, 0.13)), -1.0)
-        return tape, tape.add(loss, extra)
+        nll = tape.log_softmax_nll(picked, targets, [3, 1, 3])
+        extra = tape.mul(tape.log_sigmoid(tape.mul(nll, 0.13)), -1.0)
+        return tape, tape.sum(tape.add(nll, extra))
 
     tape, total = forward()
     tape.backward(total)
@@ -276,5 +285,6 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     b = Tensor(rng.uniform(-50, 50, (1, 6)))
     for out in (tape.log_sigmoid(x), tape.add(x, x), tape.mul(x, x), tape.matmul(x, x),
                 tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, 2),
-                tape.log_softmax_nll(tape.mul(x, 100.0), [0, 1, 2, 3])[0]):
+                tape.log_softmax_nll(tape.mul(x, 100.0), [0, 1, 2, 3], [1, 3]),
+                tape.sum(x)):
         assert np.isfinite(out.data).all()

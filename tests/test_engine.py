@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symtrain import engine
 from symtrain.autodiff import Tape, collect_grads
 from symtrain.engine import (
     ConfigError,
@@ -10,7 +11,7 @@ from symtrain.engine import (
     TrainingSets,
     build_training_sets,
     child_seed,
-    dpo_pair_loss,
+    dpo_loss,
     evaluate,
     explore_phase,
     filter_pair,
@@ -27,6 +28,7 @@ from symtrain.policy import (
     PolicyModel,
     Vocab,
     CONTROL_TOKENS,
+    batch_nll,
     default_vocab,
     greedy_decode,
     score,
@@ -89,6 +91,9 @@ def test_config_invariants():
 @pytest.mark.parametrize("field,value", [
     ("clip", -1.0), ("clip", 0.0), ("warmup_tasks", -3), ("temperature", 0.0),
     ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("context_budget", 0),
+    ("warmup_epochs", -1),
+    # tiny_config trains from scratch, which the SFT+DPO stages would ignore
+    ("method", "sft_dpo"),
 ])
 def test_config_rejects_values_that_misbehave_later(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -258,11 +263,9 @@ def test_memorizes_single_contrastive_pair():
 def test_fresh_model_first_batch_loss_near_uniform():
     vocab = Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")])  # V = 16
     model = PolicyModel(vocab, d=8, h=12, seed=3)
-    from symtrain.policy import batch_nll
     examples = [(vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS]))]
-    tape = Tape()
-    loss, _ = batch_nll(model, tape, examples)
-    assert float(loss.data) == pytest.approx(3 * math.log(16), rel=0.02)
+    (loss,) = batch_nll(model, Tape(), examples).data
+    assert float(loss) == pytest.approx(3 * math.log(16), rel=0.02)
 
 
 def test_train_iteration_requires_data():
@@ -274,39 +277,78 @@ def test_train_iteration_requires_data():
 # ---------------------------------------------------------------------------
 # DPO
 
-def test_dpo_loss_is_ln2_when_policy_equals_reference():
-    model = PolicyModel(default_vocab(), d=8, h=12, seed=4)
+def _dpo_pairs(model, ref_margins):
+    """Pairs of unequal condition and target lengths, one per reference margin."""
     vocab = model.vocab
-    cond = vocab.encode([BOS, "a", SEP])
-    pos = vocab.encode(["b", EOS])
-    neg = vocab.encode(["c", EOS])
-    ref_margin = float(sequence_token_logps(model, cond, pos).sum()
-                       - sequence_token_logps(model, cond, neg).sum())
-    tape = Tape()
-    loss = dpo_pair_loss(model, tape, cond, pos, neg, ref_margin, beta=0.1)
-    assert float(loss.data) == pytest.approx(math.log(2), abs=1e-12)
+    raw = [(["a", "b"], ["c", "d"], ["e"]),
+           (["f"], ["g"], ["h", "i", "j"]),
+           (["k", "l", "a"], ["b", "c", "d", "e"], ["f", "g"]),
+           (["h"], ["i", "j"], ["k", "l"])]
+    return [(vocab.encode([BOS, *x, SEP]), vocab.encode([*pos, EOS]),
+             vocab.encode([*neg, EOS]), margin)
+            for (x, pos, neg), margin in zip(raw, ref_margins)]
+
+
+def _toy_model(seed):
+    return PolicyModel(Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")]), d=8, h=12,
+                       seed=seed)
+
+
+def test_dpo_loss_is_ln2_when_policy_equals_reference():
+    model = _toy_model(4)
+    pairs = [(cond, pos, neg,
+              float(sequence_token_logps(model, cond, pos).sum()
+                    - sequence_token_logps(model, cond, neg).sum()))
+             for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
+    loss = dpo_loss(model, Tape(), pairs, beta=0.1)
+    assert float(loss.data) == pytest.approx(4 * math.log(2), abs=1e-12)
 
 
 def test_dpo_gradient_matches_finite_differences():
-    model = PolicyModel(Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")]),
-                        d=8, h=12, seed=5)
-    vocab = model.vocab
-    cond = vocab.encode([BOS, "a", "b", SEP])
-    pos = vocab.encode(["c", "d", EOS])
-    neg = vocab.encode(["e", EOS])
-    ref_margin = 0.37  # arbitrary frozen reference margin
+    model = _toy_model(5)
+    pairs = _dpo_pairs(model, [0.37, -1.2, 2.5, 0.0])  # arbitrary frozen margins
 
-    def loss_fn():
+    def forward_loss():
         tape = Tape()
-        loss = dpo_pair_loss(model, tape, cond, pos, neg, ref_margin, beta=0.1)
-        return float(loss.data)
+        return tape, dpo_loss(model, tape, pairs, beta=0.7)
 
-    tape = Tape()
-    loss = dpo_pair_loss(model, tape, cond, pos, neg, ref_margin, beta=0.1)
+    tape, loss = forward_loss()
     tape.backward(loss)
     analytic = collect_grads(model.params)
-    fd = central_differences(loss_fn, model.params)
+    fd = central_differences(lambda: float(forward_loss()[1].data), model.params)
     assert_grads_close(analytic, fd)
+
+
+def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
+    model = _toy_model(6)
+    pairs = _dpo_pairs(model, [0.5, -0.25, 1.5, -2.0])
+    singles = [float(dpo_loss(model, Tape(), [pair], beta=0.3).data) for pair in pairs]
+    calls = []
+
+    def counting_batch_nll(model, tape, examples):
+        calls.append(examples)
+        return batch_nll(model, tape, examples)
+
+    monkeypatch.setattr(engine, "batch_nll", counting_batch_nll)
+    batched = float(dpo_loss(model, Tape(), pairs, beta=0.3).data)
+    assert batched == pytest.approx(sum(singles), rel=0, abs=1e-12)
+    # one call for all positives, one for all negatives
+    assert [len(examples) for examples in calls] == [4, 4]
+
+
+def test_sft_dpo_trains_dpo_against_the_fine_tuned_model():
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=7)
+    x = ("a", "=", "2", ";", "sum", "a", "a")
+    sets = TrainingSets([(x, ("a", "+", "a"))],
+                        [(x, ("a", "+", "a"), ("a", "*", "a")),
+                         (x, ("a", "+", "a"), ("a",)),
+                         (x, ("2", "+", "2"), ("a", "-", "a"))])
+    config = tiny_config(method="sft_dpo", train_mode="continual", epochs_per_iter=1,
+                         batch_size=8)
+    _, l1, l2 = train_iteration(model, sets, config, iteration=1)
+    assert l1 > 0.0
+    # one DPO minibatch, scored before its step: the policy equals the reference
+    assert l2 == pytest.approx(3 * math.log(2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +410,7 @@ def test_star_env_training_sets_have_no_negatives(tiny_dataset):
 
 def test_sft_dpo_runs_and_reports(tiny_dataset):
     tasks, witnesses = tiny_dataset
-    config = tiny_config(method="sft_dpo", iterations=1)
+    config = tiny_config(method="sft_dpo", train_mode="continual", iterations=1)
     result = run(config, tasks, witnesses)
     assert len(result.reports) == 2
 

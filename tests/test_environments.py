@@ -2,9 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtrain.environments import (
     EnvKind,
+    ExecutionResult,
     Status,
     TaskInstance,
     canonical_output,
@@ -28,6 +31,7 @@ from symtrain.environments.logic import (
     forward_chain,
     parse_program,
 )
+from symtrain.policy import CONTROL_TOKENS
 from helpers import OracleFailure, ground_closure, shunting_yard_eval, walk_grid
 
 
@@ -346,6 +350,34 @@ def test_execute_is_pure():
     first = execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"])
     second = execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"])
     assert first == second
+
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+# the tokens each environment's solution grammar is built from
+GRAMMAR_TOKENS = {
+    EnvKind.EXPR_MATH: [*"0123456789", *LETTERS, *"+-*/%()"],
+    EnvKind.LOGIC_RULES: ["fact", "rule", "query", "(", ")", ",", ".", "?", ":-",
+                          *LETTERS, *LETTERS.upper()],
+    EnvKind.GRID_AGENT: ["U", "D", "L", "R"],
+}
+
+
+@pytest.mark.parametrize("env", list(EnvKind))
+def test_execute_never_raises_and_stays_fast_on_fuzzed_solutions(env):
+    tasks, _ = generate_dataset(env, 3, seed=0)
+    tasks += generate_dataset(env, 2, seed=0, split="held_out")[0]
+    tokens = st.sampled_from([*GRAMMAR_TOKENS[env], *CONTROL_TOKENS])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(tasks), st.lists(tokens, max_size=80))
+    def check(task, a):
+        start = time.perf_counter()
+        result = execute(env, task, a)
+        assert time.perf_counter() - start < 0.1
+        assert isinstance(result, ExecutionResult)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from symtrain.policy import (
     BOS,
     CONTROL_TOKENS,
     EOS,
+    PAD,
     SEP,
     CheckpointError,
     GenerationParams,
@@ -16,7 +17,6 @@ from symtrain.policy import (
     Vocab,
     batch_nll,
     default_vocab,
-    example_token_slices,
     forward,
     greedy_decode,
     load_checkpoint,
@@ -46,10 +46,17 @@ def _random_tokens(rng, vocab, n):
 
 
 def _condition_nll(model, condition, target, tape):
-    """batch_nll of one target after ``BOS condition SEP``."""
+    """NLL of one target after ``BOS condition SEP``, as a scalar on the tape."""
     vocab = model.vocab
-    return batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
-                                    vocab.encode(target))])
+    return tape.sum(batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
+                                             vocab.encode(target))]))
+
+
+def _token_nlls(model, examples):
+    """Per-token NLLs of each example: one batch_nll example per target token."""
+    singles = [([*cond, *tgt[:k]], [tgt[k]]) for cond, tgt in examples
+               for k in range(len(tgt))]
+    return batch_nll(model, Tape(), singles).data
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +88,8 @@ def test_control_tokens_absent_from_grammars():
 
 def test_sample_returns_k_sequences():
     model = toy_model()
-    out = sample(model, ["a", "b"], GenerationParams(k_samples=5, max_len=6), seed=1)
+    params = GenerationParams(temperature=1.0, max_len=6, k_samples=5)
+    out = sample(model, ["a", "b"], params, seed=1)
     assert len(out) == 5
     for seq in out:
         assert all(tok in model.vocab.tokens for tok in seq)
@@ -90,7 +98,7 @@ def test_sample_returns_k_sequences():
 
 def test_sample_fixed_seed_is_reproducible():
     model = toy_model()
-    params = GenerationParams(k_samples=4, max_len=8)
+    params = GenerationParams(temperature=1.0, max_len=8, k_samples=4)
     assert sample(model, ["a"], params, seed=9) == sample(model, ["a"], params, seed=9)
 
 
@@ -104,20 +112,20 @@ def test_tiny_temperature_matches_greedy():
 
 def test_sample_requires_input():
     with pytest.raises(ValueError):
-        sample(toy_model(), [], GenerationParams(), seed=0)
+        sample(toy_model(), [], GenerationParams(1.0, 80, 5), seed=0)
 
 
 def test_generation_params_validation():
     with pytest.raises(ValueError):
-        GenerationParams(temperature=0.0)
+        GenerationParams(temperature=0.0, max_len=80, k_samples=5)
     with pytest.raises(ValueError):
-        GenerationParams(max_len=0)
+        GenerationParams(temperature=1.0, max_len=0, k_samples=5)
 
 
 def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     model = toy_model()
     vocab = model.vocab
-    out = refine(model, ["a", "b"], ["c", "d"], GenerationParams(k_samples=2), seed=4)
+    out = refine(model, ["a", "b"], ["c", "d"], GenerationParams(1.0, 80, 2), seed=4)
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
@@ -136,12 +144,30 @@ def test_refine_condition_truncates_from_left():
 
 def test_refine_requires_previous_solution():
     with pytest.raises(ValueError):
-        refine(toy_model(), ["a"], [], GenerationParams(), seed=0)
+        refine(toy_model(), ["a"], [], GenerationParams(1.0, 80, 5), seed=0)
+
+
+def test_generation_never_emits_pad_bos_or_sep():
+    model = toy_model(seed=7)
+    vocab = model.vocab
+    # the three control tokens dwarf every other logit, SEP most of all
+    for token_id, bias in ((vocab.pad_id, 38.0), (vocab.bos_id, 39.0), (vocab.sep_id, 40.0)):
+        model.params["b_out"].data[0, token_id] = bias
+    masked = {PAD, BOS, SEP}
+    params = GenerationParams(temperature=1.0, max_len=12, k_samples=6)
+    outputs = [greedy_decode(model, ["a", "b"], 12),
+               *sample(model, ["a", "b"], params, seed=3),
+               *refine(model, ["a", "b"], ["c", "d"], params, seed=4)]
+    for seq in outputs:
+        assert not masked & set(seq), seq
+    # scoring keeps the full softmax, so SEP still takes nearly all the mass
+    cond = vocab.encode(sample_condition(["a"]))
+    assert sequence_token_logps(model, cond, [vocab.sep_id])[0] > -0.5
 
 
 def test_greedy_decode_is_deterministic():
     model = toy_model(seed=5)
-    assert greedy_decode(model, ["a", "c"]) == greedy_decode(model, ["a", "c"])
+    assert greedy_decode(model, ["a", "c"], 80) == greedy_decode(model, ["a", "c"], 80)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +204,19 @@ def test_score_consistent_with_loss_primitive():
     for _ in range(25):
         condition = _random_tokens(rng, model.vocab, int(rng.integers(1, 5)))
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 7)))
-        tape = Tape()
-        loss, per_token = _condition_nll(model, condition, [*a, EOS], tape)
-        expected = per_token.sum() / (len(a) + 1)
-        assert score(model, condition, a) == pytest.approx(expected, abs=1e-9)
-        assert float(loss.data) == pytest.approx(-per_token.sum(), abs=1e-9)
+        target = [*a, EOS]
+        loss = _condition_nll(model, condition, target, Tape())
+        cond_ids = model.vocab.encode([BOS, *condition, SEP])
+        per_token = _token_nlls(model, [(cond_ids, model.vocab.encode(target))])
+        assert score(model, condition, a) == pytest.approx(-per_token.mean(), abs=1e-9)
+        assert float(loss.data) == pytest.approx(per_token.sum(), abs=1e-9)
 
 
 def test_score_equals_negative_nll_over_length():
     model = toy_model(seed=1)
     a = ["b", "a", "d"]
     tape = Tape()
-    loss, _ = _condition_nll(model, ["c"], [*a, EOS], tape)
+    loss = _condition_nll(model, ["c"], [*a, EOS], tape)
     assert float(loss.data) == pytest.approx(-score(model, ["c"], a) * (len(a) + 1),
                                              abs=1e-9)
 
@@ -202,7 +229,7 @@ def test_nll_uniform_logits_is_log_vocab():
     model.params["w_out"].data[:] = 0.0
     model.params["b_out"].data[:] = 0.0
     tape = Tape()
-    loss, _ = _condition_nll(model, ["a"], ["b"], tape)
+    loss = _condition_nll(model, ["a"], ["b"], tape)
     assert float(loss.data) == pytest.approx(math.log(16), abs=1e-12)
 
 
@@ -218,11 +245,11 @@ def test_nll_gradient_matches_finite_differences():
 
     def loss_fn():
         tape = Tape()
-        loss, _ = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
+        loss = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
         return float(loss.data)
 
     tape = Tape()
-    loss, _ = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
+    loss = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
     tape.backward(loss)
     analytic = collect_grads(model.params)
     fd = central_differences(loss_fn, model.params)
@@ -237,17 +264,10 @@ def test_batch_nll_equals_sum_of_single_losses():
         (vocab.encode([BOS, "b", "c", SEP]), vocab.encode(["d", "e", "f", EOS])),
         (vocab.encode([BOS, "a", "c", "d", SEP]), vocab.encode(["a", EOS])),
     ]
-    tape = Tape()
-    loss, per_token = batch_nll(model, tape, examples)
-    singles = 0.0
-    for cond, tgt in examples:
-        t2 = Tape()
-        single, _ = batch_nll(model, t2, [(cond, tgt)])
-        singles += float(single.data)
-    assert float(loss.data) == pytest.approx(singles, abs=1e-9)
-    slices = example_token_slices(examples)
-    assert slices == [(0, 2), (2, 4), (6, 2)]
-    assert per_token.shape == (8,)
+    nll = batch_nll(model, Tape(), examples)
+    assert nll.shape == (3,)
+    singles = [float(batch_nll(model, Tape(), [ex]).data[0]) for ex in examples]
+    np.testing.assert_allclose(nll.data, singles, rtol=0, atol=1e-12)
 
 
 def test_sequence_token_logps_match_batch_nll_per_token():
@@ -259,11 +279,14 @@ def test_sequence_token_logps_match_batch_nll_per_token():
         (vocab.encode([BOS, "k", "l", SEP]), vocab.encode(["a", "b", EOS])),
         (vocab.encode([BOS, "c", SEP, "d", "e", SEP]), vocab.encode(["f", EOS])),
     ]
-    _, per_token = batch_nll(model, Tape(), examples)
-    for (cond, tgt), (start, length) in zip(examples, example_token_slices(examples)):
-        expected = per_token[start:start + length]
-        np.testing.assert_allclose(sequence_token_logps(model, cond, tgt), expected,
-                                   rtol=0, atol=1e-12)
+    expected = np.concatenate([sequence_token_logps(model, cond, tgt)
+                               for cond, tgt in examples])
+    np.testing.assert_allclose(-_token_nlls(model, examples), expected, rtol=0,
+                               atol=1e-12)
+    sums = [logps.sum() for logps in (sequence_token_logps(model, c, t)
+                                      for c, t in examples)]
+    np.testing.assert_allclose(-batch_nll(model, Tape(), examples).data, sums,
+                               rtol=0, atol=1e-12)
 
 
 def test_batch_nll_gradient_matches_finite_differences():
@@ -273,17 +296,16 @@ def test_batch_nll_gradient_matches_finite_differences():
         (vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS])),
         (vocab.encode([BOS, "d", "e", SEP]), vocab.encode(["f", EOS])),
     ]
+    weights = Tensor([0.7, -1.3])  # unequal weights check each example's gradient
 
-    def loss_fn():
+    def forward_loss():
         tape = Tape()
-        loss, _ = batch_nll(model, tape, examples)
-        return float(loss.data)
+        return tape, tape.sum(tape.mul(batch_nll(model, tape, examples), weights))
 
-    tape = Tape()
-    loss, _ = batch_nll(model, tape, examples)
+    tape, loss = forward_loss()
     tape.backward(loss)
     analytic = collect_grads(model.params)
-    fd = central_differences(loss_fn, model.params)
+    fd = central_differences(lambda: float(forward_loss()[1].data), model.params)
     assert_grads_close(analytic, fd)
 
 
@@ -323,7 +345,7 @@ def test_reinit_bounds_and_behavior_change():
         assert np.abs(t.data).max() <= 0.08
     # nudge the original far from init so greedy behaviour differs
     model.params["b_out"].data[0, 5] = 25.0
-    assert greedy_decode(model, ["a"]) != greedy_decode(fresh, ["a"])
+    assert greedy_decode(model, ["a"], 80) != greedy_decode(fresh, ["a"], 80)
 
 
 # ---------------------------------------------------------------------------
