@@ -1,9 +1,15 @@
-"""Run analysis: exploration/stability/margin/diversity series and exports."""
+"""Run analysis: the per-iteration quantities and the series exports.
+
+``engine.run`` computes exploratory ability, stability, the delta-log-p
+margin and pool diversity once per iteration and stores them on that
+iteration's ``IterationReport``.  The analysis series is a projection of
+those reports: ``export_series`` writes the ``CSV_COLUMNS`` of each report
+dict as CSV or JSON.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,40 +51,21 @@ def diversity(pool: CandidatePool) -> int:
     return sum(1 for t in pool.all_entries() if t.b == 1)
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
-    iteration: int
-    held_in_rate: float
-    held_out_rate: float
-    exploratory_ability: float | None
-    stability: float | None
-    delta_logp: float | None
-    diversity: int
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_COLUMNS}
-
-
 def _cell(value) -> str:
     return "" if value is None else repr(value) if isinstance(value, float) else str(value)
 
 
-def export_series(rows: Sequence[AnalysisRow], path: str | Path,
-                  format: str = "csv") -> Path:
-    """Write the per-iteration series as CSV (fixed header) or JSON."""
+def export_series(rows: Sequence[dict], path: str | Path, format: str = "csv") -> Path:
+    """Write the CSV_COLUMNS of each report dict as CSV (fixed header) or JSON."""
     path = Path(path)
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_cell(getattr(row, c)) for c in CSV_COLUMNS) for row in rows]
+        lines += [",".join(_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
         path.write_text("\n".join(lines) + "\n")
     elif format == "json":
-        path.write_text(json.dumps([row.as_dict() for row in rows],
+        path.write_text(json.dumps([{c: row[c] for c in CSV_COLUMNS} for row in rows],
                                    sort_keys=True, indent=2) + "\n")
     else:
         raise ValueError(f"unknown export format {format!r}")
     return path
 
-
-def load_series_json(path: str | Path) -> list[AnalysisRow]:
-    rows = json.loads(Path(path).read_text())
-    return [AnalysisRow(**{c: row[c] for c in CSV_COLUMNS}) for row in rows]

@@ -32,11 +32,10 @@ class TrainingError(RuntimeError):
 class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: Array | None = None
 
     @property
@@ -44,7 +43,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _accumulate(t: Tensor, g: Array) -> None:

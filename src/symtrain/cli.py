@@ -108,13 +108,13 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _find_series(run_dir: Path) -> tuple[dict, list[analysis.AnalysisRow]]:
+def _find_series(run_dir: Path) -> tuple[dict, list[dict]]:
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"{run_dir} has no summary.json")
     summary = json.loads(summary_path.read_text())
     stem = f"analysis_{summary['method']}_{summary['seed']}"
-    return summary, analysis.load_series_json(run_dir / f"{stem}.json")
+    return summary, json.loads((run_dir / f"{stem}.json").read_text())
 
 
 def _cmd_analyze(args) -> int:
@@ -144,7 +144,7 @@ def _cmd_compare(args) -> int:
         cells = [str(i)]
         for _, _, rows in loaded:
             if i < len(rows):
-                cells += [repr(rows[i].held_in_rate), repr(rows[i].held_out_rate)]
+                cells += [repr(rows[i]["held_in_rate"]), repr(rows[i]["held_out_rate"])]
             else:
                 cells += ["", ""]
         lines.append(",".join(cells))

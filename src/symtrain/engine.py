@@ -4,8 +4,12 @@ One iteration is: explore (sample K solutions per task, optionally refine
 each once), grade everything in the environment, self-score, filter each
 explored/refined pair, fold survivors into the candidate pool, select
 positive-only and positive-negative training sets, and retrain the policy
-(from scratch by default).  Everything is a pure function of (config,
-dataset): all randomness derives from the config seed.
+(from scratch by default).  The warmup (iteration 0) and every iteration end
+the same way: evaluate both splits and record one ``IterationReport``, which
+carries the solve rates and the analysis quantities.  ``reports.jsonl``
+streams those records; the analysis exports are a projection of them.
+Everything is a pure function of (config, dataset): all randomness derives
+from the config seed.
 """
 
 from __future__ import annotations
@@ -148,6 +152,13 @@ class TrainingSets:
 
 @dataclass(frozen=True)
 class IterationReport:
+    """The one record of an iteration; iteration 0 closes the warmup.
+
+    The last four fields are the analysis quantities (see ``analysis``).
+    ``stability`` is None at iteration 0, and ``delta_logp`` is None until an
+    iteration has selected U2 pairs to probe.
+    """
+
     iteration: int
     solved_task_ids: tuple[str, ...]
     new_trajectory_count: int
@@ -156,25 +167,21 @@ class IterationReport:
     loss_total: float
     held_in_rate: float
     held_out_rate: float
+    exploratory_ability: float
+    stability: float | None
+    delta_logp: float | None
+    diversity: int
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "solved_task_ids": list(self.solved_task_ids),
-            "new_trajectory_count": self.new_trajectory_count,
-            "loss_l1": self.loss_l1,
-            "loss_l2": self.loss_l2,
-            "loss_total": self.loss_total,
-            "held_in_rate": self.held_in_rate,
-            "held_out_rate": self.held_out_rate,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["solved_task_ids"] = list(self.solved_task_ids)
+        return out
 
 
 @dataclass
 class RunResult:
     config: RunConfig
     reports: list[IterationReport]
-    series: list[analysis.AnalysisRow]
     model: PolicyModel
     pool: CandidatePool
     warmup_task_ids: tuple[str, ...]
@@ -243,54 +250,42 @@ def _l2_on(config: RunConfig) -> bool:
 # ---------------------------------------------------------------------------
 # selection
 
-def select_u1(sets: RankedSets, n1: int, no_self_reward: bool = False,
-              rng: np.random.Generator | None = None) -> list[Trajectory]:
-    """Top-n1 positives by reward rank, or a seeded random subset when the
-    self-reward ranking is ablated."""
-    take = min(n1, len(sets.s_plus))
-    if take == 0:
-        return []
-    if not no_self_reward:
-        return list(sets.s_plus[:take])
-    assert rng is not None
-    idx = rng.choice(len(sets.s_plus), size=take, replace=False)
-    return [sets.s_plus[int(i)] for i in idx]
+def select_u1(sets: RankedSets, n1: int) -> list[Trajectory]:
+    """The n1 top-ranked positives."""
+    return list(sets.s_plus[:n1])
 
 
 def select_u2(sets: RankedSets, n1: int, n2: int, u1: Sequence[Trajectory],
-              no_self_reward: bool = False, rng: np.random.Generator | None = None,
               ) -> list[tuple[Trajectory, Trajectory]]:
     """Positive-negative pairs: pair m uses the positive ranked m + |U1| and
     the negative ranked m, for m up to min(n2, |S+| - n1, |S-|)."""
     m_max = min(n2, len(sets.s_plus) - n1, len(sets.s_minus))
-    if m_max <= 0:
-        return []
-    if not no_self_reward:
-        return [(sets.s_plus[m + len(u1) - 1], sets.s_minus[m - 1])
-                for m in range(1, m_max + 1)]
-    assert rng is not None
-    used = {t.a for t in u1}
-    remaining = [t for t in sets.s_plus if t.a not in used]
-    pos_idx = rng.choice(len(remaining), size=m_max, replace=False)
-    neg_idx = rng.choice(len(sets.s_minus), size=m_max, replace=False)
-    return [(remaining[int(i)], sets.s_minus[int(j)])
-            for i, j in zip(pos_idx, neg_idx)]
+    return [(sets.s_plus[m + len(u1) - 1], sets.s_minus[m - 1])
+            for m in range(1, m_max + 1)]
 
 
 def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
                         config: RunConfig, iteration: int) -> TrainingSets:
-    no_reward = "no_self_reward" in config.ablations
+    """U1 and U2 sliced from each task's ranked pool sets, in task order.
+
+    Under ``no_self_reward`` each task's S+ and S- are first put in a random
+    order drawn from one seeded stream per iteration, so the same slicing
+    takes uniform random subsets instead of the reward-ranked ones.
+    """
     rng = (np.random.default_rng(child_seed(config.seed, _DOM_SELECT, iteration))
-           if no_reward else None)
+           if "no_self_reward" in config.ablations else None)
     u1_entries: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     u2_entries: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
     for task in tasks:
         sets = pool.ranked_sets(task.id)
-        u1 = select_u1(sets, config.N1, no_reward, rng)
+        if rng is not None:
+            sets = RankedSets([sets.s_plus[i] for i in rng.permutation(len(sets.s_plus))],
+                              [sets.s_minus[i] for i in rng.permutation(len(sets.s_minus))])
+        u1 = select_u1(sets, config.N1)
         assert all(t.b == 1 for t in u1)
         u1_entries += [(t.x, t.a) for t in u1]
         if _l2_on(config) and config.N2 > 0:
-            pairs = select_u2(sets, config.N1, config.N2, u1, no_reward, rng)
+            pairs = select_u2(sets, config.N1, config.N2, u1)
             assert all(p.b == 1 and n.b == 0 for p, n in pairs)
             u2_entries += [(p.x, p.a, n.a) for p, n in pairs]
     return TrainingSets(u1_entries, u2_entries)
@@ -345,8 +340,8 @@ def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
 
     ``envisions`` and ``star_env`` minimize L1 + L2 over U1 and U2, from fresh
     parameters when the training mode is scratch.  ``sft_dpo`` (always
-    continual) fine-tunes on U1 alone, then runs DPO on U2's pairs against a
-    frozen copy of that fine-tuned model; its L2 sum is the DPO loss.
+    continual) fine-tunes on U1 alone, then runs DPO on U2's pairs with that
+    fine-tuned model as the reference; its L2 sum is the DPO loss.
     """
     if not sets.u1 and not sets.u2:
         raise ValueError("train_iteration: both training sets are empty")
@@ -358,7 +353,7 @@ def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
                                  child_seed(config.seed, _DOM_SHUFFLE, iteration),
                                  iteration)
     if sft_dpo:
-        l2_sum = _train_dpo_stage(model, model.clone(), sets, config, iteration)
+        l2_sum = _train_dpo_stage(model, sets, config, iteration)
     return model, l1_sum, l2_sum
 
 
@@ -378,16 +373,18 @@ def dpo_loss(model: PolicyModel, tape: Tape,
     return tape.mul(tape.sum(tape.log_sigmoid(tape.mul(margin, beta))), -1.0)
 
 
-def _train_dpo_stage(model: PolicyModel, ref: PolicyModel, sets: TrainingSets,
-                     config: RunConfig, iteration: int) -> float:
+def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
+                     iteration: int) -> float:
     vocab = model.vocab
     pairs = []
+    # the reference is the model as it enters this stage: every margin is taken
+    # before the first DPO step
     for x, a_plus, a_minus in sets.u2:
         cond = vocab.encode([BOS, *x, SEP])
         pos = vocab.encode([*a_plus, EOS])
         neg = vocab.encode([*a_minus, EOS])
-        ref_margin = float(sequence_token_logps(ref, cond, pos).sum()
-                           - sequence_token_logps(ref, cond, neg).sum())
+        ref_margin = float(sequence_token_logps(model, cond, pos).sum()
+                           - sequence_token_logps(model, cond, neg).sum())
         pairs.append((cond, pos, neg, ref_margin))
     if not pairs:
         return 0.0
@@ -464,7 +461,25 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         out_path.mkdir(parents=True, exist_ok=True)
         reports_fh = (out_path / "reports.jsonl").open("w")
 
-    def emit(report: IterationReport) -> None:
+    reports: list[IterationReport] = []
+    universe = {t.id for t in eval_held_in}
+
+    def close(iteration: int, model: PolicyModel, pool: CandidatePool, new_count: int,
+              l1_sum: float, l2_sum: float,
+              probe: Sequence[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]],
+              ) -> None:
+        """Evaluate both splits, then record, stream and announce the report."""
+        held_in_rate, solved = evaluate(model, eval_held_in, config.env,
+                                        config.max_len, config.eval_with_refine)
+        held_out_rate, _ = evaluate(model, held_out, config.env,
+                                    config.max_len, config.eval_with_refine)
+        solved_before = {task_id for r in reports for task_id in r.solved_task_ids}
+        report = IterationReport(
+            iteration, tuple(sorted(solved)), new_count, l1_sum, l2_sum,
+            l1_sum + l2_sum, held_in_rate, held_out_rate,
+            analysis.exploratory_ability(solved, solved_before, universe),
+            analysis.stability(solved, set(reports[-1].solved_task_ids)) if reports else None,
+            analysis.delta_logp(model, probe), analysis.diversity(pool))
         reports.append(report)
         if reports_fh is not None:
             reports_fh.write(json.dumps(report.as_dict(), sort_keys=True) + "\n")
@@ -474,8 +489,6 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                      f"held_out={report.held_out_rate:.4f} "
                      f"new_traj={report.new_trajectory_count}")
 
-    reports: list[IterationReport] = []
-    series: list[analysis.AnalysisRow] = []
     try:
         model = PolicyModel(default_vocab(), config.d, config.h,
                             seed=child_seed(config.seed, _DOM_INIT, 0),
@@ -498,19 +511,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                     t.id, t.x, t.y, a, res.b, score(model, t.x, a),
                     "explore", 0, res.status))
             seeded = pool.update(witness_trajs)
-
-        held_in_rate, solved = evaluate(model, eval_held_in, config.env,
-                                        config.max_len, config.eval_with_refine)
-        held_out_rate, _ = evaluate(model, held_out, config.env,
-                                    config.max_len, config.eval_with_refine)
-        universe = {t.id for t in eval_held_in}
-        solved_history = [solved]
-        emit(IterationReport(0, tuple(sorted(solved)), seeded,
-                             warm_l1, 0.0, warm_l1, held_in_rate, held_out_rate))
-        series.append(analysis.AnalysisRow(
-            0, held_in_rate, held_out_rate,
-            analysis.exploratory_ability(solved, set(), universe), None, None,
-            analysis.diversity(pool)))
+        close(0, model, pool, seeded, warm_l1, 0.0, [])
 
         probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
         for iteration in range(1, config.iterations + 1):
@@ -528,22 +529,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                 model, l1_sum, l2_sum = train_iteration(model, sets, config, iteration)
             else:
                 l1_sum = l2_sum = 0.0
-
-            held_in_rate, solved = evaluate(model, eval_held_in, config.env,
-                                            config.max_len, config.eval_with_refine)
-            held_out_rate, _ = evaluate(model, held_out, config.env,
-                                        config.max_len, config.eval_with_refine)
-            solved_before = set().union(*solved_history)
-            emit(IterationReport(iteration, tuple(sorted(solved)), new_count,
-                                 l1_sum, l2_sum, l1_sum + l2_sum,
-                                 held_in_rate, held_out_rate))
-            series.append(analysis.AnalysisRow(
-                iteration, held_in_rate, held_out_rate,
-                analysis.exploratory_ability(solved, solved_before, universe),
-                analysis.stability(solved, solved_history[-1]),
-                analysis.delta_logp(model, probe),
-                analysis.diversity(pool)))
-            solved_history.append(solved)
+            close(iteration, model, pool, new_count, l1_sum, l2_sum, probe)
     finally:
         if reports_fh is not None:
             reports_fh.close()
@@ -555,8 +541,9 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                                   "method": config.method, "seed": config.seed})
         persist(pool, out_path / "pool.jsonl")
         stem = f"analysis_{config.method}_{config.seed}"
-        analysis.export_series(series, out_path / f"{stem}.csv", "csv")
-        analysis.export_series(series, out_path / f"{stem}.json", "json")
+        rows = [r.as_dict() for r in reports]
+        analysis.export_series(rows, out_path / f"{stem}.csv", "csv")
+        analysis.export_series(rows, out_path / f"{stem}.json", "json")
         summary = {
             "config": config.as_dict(),
             "method": config.method,
@@ -568,9 +555,9 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
             "n_held_out": len(held_out),
             "final_held_in_rate": reports[-1].held_in_rate,
             "final_held_out_rate": reports[-1].held_out_rate,
-            "final_diversity": series[-1].diversity,
+            "final_diversity": reports[-1].diversity,
         }
         (out_path / "summary.json").write_text(json.dumps(summary, sort_keys=True,
                                                           indent=2) + "\n")
-    return RunResult(config, reports, series, model, pool, warmup_ids)
+    return RunResult(config, reports, model, pool, warmup_ids)
 

@@ -34,13 +34,11 @@ class ExprTimeout(ValueError):
 @dataclass(frozen=True)
 class Num:
     value: int
-    offset: int
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class BinOp:
     op: str
     left: "Node"
     right: "Node"
-    offset: int
 
 
 Node = Num | Var | BinOp
@@ -115,17 +112,17 @@ class _Parser:
     def expression(self) -> Node:
         node = self.term()
         while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "+-":
-            op, _, off = self.tok[1], self.tok[0], self.tok[2]
+            op = self.tok[1]
             self._advance()
-            node = BinOp(op, node, self.term(), off)
+            node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.factor()
         while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "*/%":
-            op, off = self.tok[1], self.tok[2]
+            op = self.tok[1]
             self._advance()
-            node = BinOp(op, node, self.factor(), off)
+            node = BinOp(op, node, self.factor())
         return node
 
     def factor(self) -> Node:
@@ -135,10 +132,10 @@ class _Parser:
         kind, text, off = tok
         if kind == "int":
             self._advance()
-            return Num(int(text), off)
+            return Num(int(text))
         if kind == "ident":
             self._advance()
-            return Var(text, off)
+            return Var(text)
         if kind == "(":
             self._advance()
             node = self.expression()
@@ -152,7 +149,7 @@ class _Parser:
 
 
 def parse_expr(tokens: Sequence[str]) -> Node:
-    """Parse a token sequence into an AST; offsets refer to the joined source."""
+    """Parse a token sequence into an AST; error offsets index the joined source."""
     return _Parser(tokens_to_source(tokens)).parse()
 
 

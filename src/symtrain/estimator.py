@@ -10,10 +10,8 @@ clones and composes with that ecosystem while staying a thin wrapper around
 from __future__ import annotations
 
 import inspect
-from typing import Sequence
 
-from symtrain.engine import RunConfig, run
-from symtrain.environments import TaskInstance, execute
+from symtrain.engine import RunConfig, evaluate, run
 from symtrain.policy import greedy_decode
 from symtrain.validation import check_tasks, check_witnesses
 
@@ -97,7 +95,6 @@ class SymbolicSelfTrainer(BaseEstimator):
         self.model_ = result.model
         self.pool_ = result.pool
         self.reports_ = result.reports
-        self.series_ = result.series
         self.warmup_task_ids_ = result.warmup_task_ids
         self.held_in_rate_ = result.reports[-1].held_in_rate
         self.held_out_rate_ = result.reports[-1].held_out_rate
@@ -119,10 +116,4 @@ class SymbolicSelfTrainer(BaseEstimator):
         """Fraction of tasks whose decoded solution executes to the expected
         output."""
         self._check_fitted()
-        tasks = check_tasks(X)
-        if not tasks:
-            return 0.0
-        solved = 0
-        for task, joined in zip(tasks, self.predict(tasks)):
-            solved += execute(self.env, task, joined.split()).b
-        return solved / len(tasks)
+        return evaluate(self.model_, check_tasks(X), self.env, self.max_len)[0]

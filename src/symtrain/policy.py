@@ -17,7 +17,6 @@ one token at a time with the same GRU cell; it never emits PAD, BOS or SEP.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from dataclasses import dataclass
@@ -139,7 +138,7 @@ class PolicyModel:
         v, d, h = len(self.vocab), self.d, self.h
 
         def uniform(*shape: int) -> Tensor:
-            return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape), requires_grad=True)
+            return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
 
         return {
             "embed": uniform(v, d),
@@ -149,13 +148,6 @@ class PolicyModel:
             "w_out": uniform(h, v),
             "b_out": uniform(1, v),
         }
-
-    def clone(self) -> "PolicyModel":
-        """Deep parameter copy."""
-        twin = copy.copy(self)
-        twin.params = {k: Tensor(t.data.copy(), requires_grad=True)
-                       for k, t in self.params.items()}
-        return twin
 
 
 def reinit(model: PolicyModel, seed: int) -> PolicyModel:
@@ -351,7 +343,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             shape = tuple(rec["shape"])
             if arr.size != int(np.prod(shape)):
                 raise CheckpointError(f"parameter {name}: value count mismatch")
-            model.params[name] = Tensor(arr.reshape(shape), requires_grad=True)
+            model.params[name] = Tensor(arr.reshape(shape))
         metadata = payload.get("metadata", {})
     except CheckpointError:
         raise

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from symtrain.analysis import (
-    AnalysisRow,
     CSV_COLUMNS,
     delta_logp,
     diversity,
     export_series,
     exploratory_ability,
-    load_series_json,
     stability,
 )
 from symtrain.autodiff import Tape, collect_grads, sgd_step, zero_grads
+from symtrain.engine import IterationReport
 from symtrain.environments import Status
 from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
@@ -113,8 +112,10 @@ def test_diversity_counts_unique_correct_entries():
 
 def _rows():
     return [
-        AnalysisRow(0, 0.1, 0.05, 0.1, None, None, 3),
-        AnalysisRow(1, 0.3, 0.1, 0.25, 0.9, 0.41, 7),
+        IterationReport(0, ("t1",), 3, 2.5, 0.0, 2.5, 0.1, 0.05,
+                        0.1, None, None, 3).as_dict(),
+        IterationReport(1, ("t1", "t2"), 4, 1.5, 0.5, 2.0, 0.3, 0.1,
+                        0.25, 0.9, 0.41, 7).as_dict(),
     ]
 
 
@@ -131,8 +132,8 @@ def test_csv_export_header_and_rows(tmp_path):
 def test_json_export_roundtrip(tmp_path):
     rows = _rows()
     path = export_series(rows, tmp_path / "a.json", "json")
-    assert load_series_json(path) == rows
     parsed = json.loads(path.read_text())
+    assert parsed == [{c: row[c] for c in CSV_COLUMNS} for row in rows]
     assert parsed[0]["stability"] is None
     assert list(parsed[0]) == sorted(CSV_COLUMNS)
 

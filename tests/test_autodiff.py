@@ -37,7 +37,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_gradient_of_sum_wrt_left_operand():
     # the loss is the sum of the rows' NLLs, so dL/d(a @ b) = softmax - onehot
-    a = Tensor([[1.0, 2.0], [-1.0, 0.5]], requires_grad=True)
+    a = Tensor([[1.0, 2.0], [-1.0, 0.5]])
     b = Tensor([[3.0, 0.0], [4.0, 1.0]])
 
     def forward():
@@ -71,10 +71,10 @@ GRU_LENGTHS = (5, 3, 4)
 def test_gru_sequence_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     n_batch, n_hidden = GRU_IDS.shape[0], 4
-    embed = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
-    w_x = Tensor(rng.uniform(-1, 1, (3, 3 * n_hidden)), requires_grad=True)
-    w_h = Tensor(rng.uniform(-1, 1, (n_hidden, 3 * n_hidden)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, (1, 3 * n_hidden)), requires_grad=True)
+    embed = Tensor(rng.uniform(-1, 1, (6, 3)))
+    w_x = Tensor(rng.uniform(-1, 1, (3, 3 * n_hidden)))
+    w_h = Tensor(rng.uniform(-1, 1, (n_hidden, 3 * n_hidden)))
+    b = Tensor(rng.uniform(-1, 1, (1, 3 * n_hidden)))
     params = {"embed": embed, "w_x": w_x, "w_h": w_h, "b": b}
     w_out = Tensor(rng.uniform(-2, 2, (n_hidden, 5)))
     # only genuine positions enter the loss, as in batch_nll
@@ -161,7 +161,7 @@ def test_log_softmax_nll_empty_targets_rejected():
 
 
 def test_backward_square():
-    x = Tensor(3.0, requires_grad=True)
+    x = Tensor(3.0)
     tape = Tape()
     y = tape.mul(x, x)
     tape.backward(y)
@@ -169,8 +169,8 @@ def test_backward_square():
 
 
 def test_backward_unused_parameter_gets_zero():
-    x = Tensor(3.0, requires_grad=True)
-    p = Tensor(1.0, requires_grad=True)
+    x = Tensor(3.0)
+    p = Tensor(1.0)
     tape = Tape()
     y = tape.mul(x, x)
     tape.backward(y)
@@ -179,7 +179,7 @@ def test_backward_unused_parameter_gets_zero():
 
 
 def test_backward_twice_rejected():
-    x = Tensor(2.0, requires_grad=True)
+    x = Tensor(2.0)
     tape = Tape()
     y = tape.mul(x, x)
     tape.backward(y)
@@ -199,10 +199,10 @@ def test_backward_requires_scalar_from_this_tape():
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-    b = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-    w = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
-    bias = Tensor(rng.uniform(-2, 2, (1, 5)), requires_grad=True)
+    a = Tensor(rng.uniform(-2, 2, (3, 4)))
+    b = Tensor(rng.uniform(-2, 2, (3, 4)))
+    w = Tensor(rng.uniform(-2, 2, (4, 5)))
+    bias = Tensor(rng.uniform(-2, 2, (1, 5)))
     params = {"a": a, "b": b, "w": w, "bias": bias}
     targets = [int(t) for t in rng.integers(0, 5, size=7)]
 
@@ -233,13 +233,13 @@ def test_log_sigmoid_values_and_stability():
 
 
 def test_sgd_step_plain_update():
-    p = Tensor(1.0, requires_grad=True)
+    p = Tensor(1.0)
     sgd_step({"p": p}, {"p": np.asarray(0.5)}, lr=0.1, clip=math.inf)
     assert float(p.data) == pytest.approx(0.95)
 
 
 def test_sgd_step_global_norm_clip():
-    p = Tensor(np.zeros(4), requires_grad=True)
+    p = Tensor(np.zeros(4))
     g = np.full(4, 5.0)  # global norm 10
     sgd_step({"p": p}, {"p": g}, lr=1.0, clip=1.0)
     # effective gradient is scaled by clip / norm = 0.1
@@ -247,7 +247,7 @@ def test_sgd_step_global_norm_clip():
 
 
 def test_sgd_step_rejects_nonfinite_named():
-    p = Tensor(1.0, requires_grad=True)
+    p = Tensor(1.0)
     with pytest.raises(TrainingError, match="p"):
         sgd_step({"p": p}, {"p": np.asarray(math.nan)}, lr=0.1)
 
@@ -260,7 +260,7 @@ def test_sgd_step_rejects_bad_lr():
 @pytest.mark.parametrize("clip", [-1.0, 0.0])
 def test_sgd_step_rejects_nonpositive_clip(clip):
     # a negative clip would flip the step: p=1, grad=+2, lr=0.1 gives 1.1
-    p = Tensor(1.0, requires_grad=True)
+    p = Tensor(1.0)
     with pytest.raises(ValueError, match="clip"):
         sgd_step({"p": p}, {"p": np.asarray(2.0)}, lr=0.1, clip=clip)
     assert float(p.data) == 1.0
@@ -268,7 +268,7 @@ def test_sgd_step_rejects_nonpositive_clip(clip):
 
 def test_sgd_converges_on_quadratic():
     # f(p) = (p - 2.5)^2 has its analytic minimum at 2.5
-    p = Tensor(-4.0, requires_grad=True)
+    p = Tensor(-4.0)
     for _ in range(100):
         g = 2.0 * (p.data - 2.5)
         sgd_step({"p": p}, {"p": g}, lr=0.2, clip=math.inf)

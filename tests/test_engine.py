@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from symtrain import engine
+from symtrain.analysis import CSV_COLUMNS, export_series
 from symtrain.autodiff import Tape, collect_grads
 from symtrain.engine import (
     ConfigError,
@@ -116,12 +118,39 @@ def test_u1_takes_exactly_top_n1():
     assert u1 == sets.s_plus[:10]
 
 
-def test_u1_random_selection_is_reproducible():
-    sets = ranked(12, 0)
-    a = select_u1(sets, 10, no_self_reward=True, rng=np.random.default_rng(5))
-    b = select_u1(sets, 10, no_self_reward=True, rng=np.random.default_rng(5))
-    assert a == b and len(a) == 10
-    assert a != sets.s_plus[:10]  # seeded shuffle differs from rank order
+def _pool_of(tasks, n_pos, n_neg):
+    pool = CandidatePool()
+    for task in tasks:
+        pool.update([make_traj(task=task.id, a=(f"p{i}",), b=1, r=-0.1 * (i + 1))
+                     for i in range(n_pos)]
+                    + [make_traj(task=task.id, a=(f"n{i}",), b=0, r=-0.1 * (i + 1))
+                       for i in range(n_neg)])
+    return pool
+
+
+def test_no_self_reward_selection_is_a_seeded_permutation():
+    from symtrain.environments import TaskInstance
+    tasks = [TaskInstance(f"t{i}", ("x",), "y") for i in range(3)]
+    pool = _pool_of(tasks, 14, 6)
+    config = tiny_config(N1=10, N2=3, ablations=["no_self_reward"])
+    sets = build_training_sets(pool, tasks, config, iteration=2)
+    assert sets == build_training_sets(pool, tasks, config, iteration=2)
+    ranked_sets = build_training_sets(pool, tasks, tiny_config(N1=10, N2=3), iteration=2)
+    assert sets != ranked_sets
+    assert (len(sets.u1), len(sets.u2)) == (len(ranked_sets.u1), len(ranked_sets.u2))
+
+    # the same ranked slicing, applied to each task's S+ and S- in seeded order
+    rng = np.random.default_rng(child_seed(config.seed, engine._DOM_SELECT, 2))
+    u1, u2 = [], []
+    for task in tasks:
+        ranked_pool = pool.ranked_sets(task.id)
+        pos = [ranked_pool.s_plus[i] for i in rng.permutation(len(ranked_pool.s_plus))]
+        neg = [ranked_pool.s_minus[i] for i in rng.permutation(len(ranked_pool.s_minus))]
+        ref_u1, ref_u2 = reference_selection(pos, neg, config.N1, config.N2)
+        u1 += [(t.x, t.a) for t in ref_u1]
+        u2 += [(p.x, p.a, n.a) for p, n in ref_u2]
+        assert not {p.a for p, _ in ref_u2} & {t.a for t in ref_u1}
+    assert (sets.u1, sets.u2) == (u1, u2)
 
 
 def test_u2_spec_index_arithmetic():
@@ -368,14 +397,14 @@ def test_run_is_deterministic(tiny_dataset):
     a = run(tiny_config(), tasks, witnesses)
     b = run(tiny_config(), tasks, witnesses)
     assert a.reports == b.reports
-    assert a.series == b.series
 
 
 def test_run_report_stream_shape(tiny_dataset):
     tasks, witnesses = tiny_dataset
     result = run(tiny_config(iterations=2), tasks, witnesses)
     assert [r.iteration for r in result.reports] == [0, 1, 2]
-    assert len(result.series) == 3
+    assert (result.reports[0].stability, result.reports[0].delta_logp) == (None, None)
+    assert all(r.stability is not None for r in result.reports[1:])
     for report in result.reports:
         assert 0.0 <= report.held_in_rate <= 1.0
         assert 0.0 <= report.held_out_rate <= 1.0
@@ -385,8 +414,21 @@ def test_run_report_stream_shape(tiny_dataset):
 def test_pool_accumulates_across_iterations(tiny_dataset):
     tasks, witnesses = tiny_dataset
     result = run(tiny_config(iterations=2), tasks, witnesses)
-    diversities = [row.diversity for row in result.series]
+    diversities = [report.diversity for report in result.reports]
     assert all(b >= a for a, b in zip(diversities, diversities[1:]))
+
+
+def test_analysis_exports_project_the_report_stream(tiny_dataset, tmp_path):
+    tasks, witnesses = tiny_dataset
+    result = run(tiny_config(), tasks, witnesses, out_dir=tmp_path / "run")
+    lines = [json.loads(line)
+             for line in (tmp_path / "run" / "reports.jsonl").read_text().splitlines()]
+    assert lines == [r.as_dict() for r in result.reports]
+    assert all(set(CSV_COLUMNS) <= set(line) for line in lines)
+    for fmt in ("csv", "json"):
+        mine = export_series(lines, tmp_path / f"series.{fmt}", fmt)
+        assert mine.read_bytes() == \
+            (tmp_path / "run" / f"analysis_envisions_0.{fmt}").read_bytes()
 
 
 def test_star_env_matches_fully_ablated_envisions(tiny_dataset):
