@@ -5,7 +5,6 @@ from symtrain.environments import EnvKind, ExecutionResult, TaskInstance, execut
 from symtrain.pool import CandidatePool, Trajectory, filter_pair
 from symtrain.policy import GenerationParams, PolicyModel, Vocab, default_vocab
 from symtrain.engine import IterationReport, RunConfig, run
-from symtrain.estimator import SymbolicSelfTrainer
 
 __all__ = [
     "CandidatePool",
@@ -15,7 +14,6 @@ __all__ = [
     "IterationReport",
     "PolicyModel",
     "RunConfig",
-    "SymbolicSelfTrainer",
     "Tape",
     "TaskInstance",
     "Tensor",

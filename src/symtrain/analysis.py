@@ -1,23 +1,16 @@
-"""Run analysis: the per-iteration quantities and the series exports.
+"""Run analysis: the four per-iteration quantities.
 
 ``engine.run`` computes exploratory ability, stability, the delta-log-p
 margin and pool diversity once per iteration and stores them on that
-iteration's ``IterationReport``.  The analysis series is a projection of
-those reports: ``export_series`` writes the ``CSV_COLUMNS`` of each report
-dict as CSV or JSON.
+iteration's ``IterationReport``, so each ``reports.jsonl`` line carries them.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Sequence
 
 from symtrain.policy import PolicyModel, score
 from symtrain.pool import CandidatePool
-
-CSV_COLUMNS = ("iteration", "held_in_rate", "held_out_rate",
-               "exploratory_ability", "stability", "delta_logp", "diversity")
 
 
 def exploratory_ability(solved_now: set[str], solved_before: set[str],
@@ -49,23 +42,3 @@ def delta_logp(model: PolicyModel,
 def diversity(pool: CandidatePool) -> int:
     """Number of distinct correct (task, solution) entries across the pool."""
     return sum(1 for t in pool.all_entries() if t.b == 1)
-
-
-def _cell(value) -> str:
-    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
-
-
-def export_series(rows: Sequence[dict], path: str | Path, format: str = "csv") -> Path:
-    """Write the CSV_COLUMNS of each report dict as CSV (fixed header) or JSON."""
-    path = Path(path)
-    if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(_cell(row[c]) for c in CSV_COLUMNS) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-    elif format == "json":
-        path.write_text(json.dumps([{c: row[c] for c in CSV_COLUMNS} for row in rows],
-                                   sort_keys=True, indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown export format {format!r}")
-    return path
-

@@ -1,4 +1,4 @@
-"""Command-line entry point: gen-data, run, eval, analyze, compare.
+"""Command-line entry point: gen-data, run, eval and compare.
 
 Exit codes: 0 success, 1 runtime/io failure, 2 usage or configuration error.
 """
@@ -10,7 +10,6 @@ import json
 import sys
 from pathlib import Path
 
-from symtrain import analysis
 from symtrain.engine import ConfigError, RunConfig, evaluate, run
 from symtrain.environments import (
     EnvKind,
@@ -56,11 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow one refinement attempt on failures")
     p.add_argument("--max-len", type=int, default=RunConfig.max_len)
 
-    p = sub.add_parser("analyze", help="re-export a run's analysis series")
-    p.add_argument("--run-dir", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("compare", help="merge several runs' curves into one CSV")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
@@ -84,10 +78,21 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    from symtrain.validation import load_config
+def _load_config(path: str) -> RunConfig:
+    """Parse and validate a JSON run configuration file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return RunConfig.from_dict(raw)
 
-    config = load_config(args.config)
+
+def _cmd_run(args) -> int:
+    config = _load_config(args.config)
     tasks = load_dataset(args.dataset)
     witnesses = load_witnesses(witness_path(args.dataset))
     run(config, tasks, witnesses, out_dir=args.out_dir, progress=print)
@@ -102,25 +107,11 @@ def _cmd_eval(args) -> int:
         tasks = [t for t in tasks if t.id not in exclude]
     if not tasks:
         raise UsageError(f"no {args.split} tasks to evaluate")
-    env = tasks[0].env
-    rate, _ = evaluate(model, tasks, env, args.max_len, args.with_refine)
+    envs = sorted({t.env for t in tasks})
+    if len(envs) > 1:
+        raise UsageError(f"the {args.split} tasks mix envs {envs}")
+    rate, _ = evaluate(model, tasks, envs[0], args.max_len, args.with_refine)
     print(rate)
-    return EXIT_OK
-
-
-def _find_series(run_dir: Path) -> tuple[dict, list[dict]]:
-    summary_path = run_dir / "summary.json"
-    if not summary_path.exists():
-        raise FileNotFoundError(f"{run_dir} has no summary.json")
-    summary = json.loads(summary_path.read_text())
-    stem = f"analysis_{summary['method']}_{summary['seed']}"
-    return summary, json.loads((run_dir / f"{stem}.json").read_text())
-
-
-def _cmd_analyze(args) -> int:
-    _, rows = _find_series(Path(args.run_dir))
-    analysis.export_series(rows, args.out, args.format)
-    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -128,8 +119,10 @@ def _cmd_compare(args) -> int:
     if len(args.runs) < 2:
         raise UsageError("compare needs at least two run directories")
     loaded = []
-    for run_dir in args.runs:
-        summary, rows = _find_series(Path(run_dir))
+    for run_dir in map(Path, args.runs):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        rows = [json.loads(line)
+                for line in (run_dir / "reports.jsonl").read_text().splitlines()]
         loaded.append((summary["method"], summary["seed"], rows))
     lengths = {len(rows) for _, _, rows in loaded}
     if len(lengths) > 1:
@@ -157,7 +150,6 @@ _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "run": _cmd_run,
     "eval": _cmd_eval,
-    "analyze": _cmd_analyze,
     "compare": _cmd_compare,
 }
 

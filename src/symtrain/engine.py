@@ -7,9 +7,11 @@ positive-only and positive-negative training sets, and retrain the policy
 (from scratch by default).  The warmup (iteration 0) and every iteration end
 the same way: evaluate both splits and record one ``IterationReport``, which
 carries the solve rates and the analysis quantities.  ``reports.jsonl``
-streams those records; the analysis exports are a projection of them.
-Everything is a pure function of (config, dataset): all randomness derives
-from the config seed.
+streams those records, one line each.  Before any of it, ``run`` rejects a
+dataset that no run could grade correctly: a duplicate task id, a task of
+another env, no held_in task, a witness for an unknown task id or a warmup
+task without one.  Everything is a pure function of (config, dataset): all
+randomness derives from the config seed.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ class RunConfig:
     eval_with_refine: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ablations, (list, tuple)) or \
+                not all(isinstance(abl, str) for abl in self.ablations):
+            raise ConfigError("ablations must be a list of strings")
         object.__setattr__(self, "ablations", tuple(self.ablations))
         try:
             EnvKind(self.env)
@@ -103,12 +108,18 @@ class RunConfig:
                               ("epochs_per_iter", 1), ("batch_size", 1), ("d", 1),
                               ("h", 1), ("max_len", 1), ("context_budget", 1),
                               ("warmup_tasks", 0), ("warmup_epochs", 0),
-                              ("pool_cap", 1)):
-            if getattr(self, name) < minimum:
-                raise ConfigError(f"{name} must be >= {minimum}")
-        for name in ("lr", "temperature", "clip"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+                              ("pool_cap", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise ConfigError(f"{name} must be an integer >= {minimum}")
+        for name in ("lr", "temperature", "clip", "dpo_beta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or not value > 0:
+                raise ConfigError(f"{name} must be a positive number")
+        for name in ("seed_pool_with_warmup", "eval_with_refine"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false")
         for abl in self.ablations:
             if abl not in ABLATIONS:
                 raise ConfigError(f"unknown ablation {abl!r} (valid: {ABLATIONS})")
@@ -441,13 +452,27 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         progress: Callable[[str], None] | None = None) -> RunResult:
     """Warmup, then iterate explore/filter/select/train/evaluate.
 
-    Writes reports.jsonl (streamed per iteration), summary.json, the final
-    checkpoint and pool, and the analysis exports when out_dir is given.
+    Raises ValueError, naming the first offender, on a duplicate task id, a
+    task whose env is not ``config.env``, a dataset without held_in tasks, a
+    witness for a task id not in the dataset, or a warmup task without a
+    witness.  Writes reports.jsonl (streamed per iteration), summary.json and
+    the final checkpoint and pool when out_dir is given.
     """
+    ids: set[str] = set()
+    for t in dataset:
+        if t.id in ids:
+            raise ValueError(f"duplicate task id {t.id!r}")
+        if t.env != config.env:
+            raise ValueError(f"task {t.id!r} is a {t.env} task, "
+                             f"but the config's env is {config.env}")
+        ids.add(t.id)
     held_in = [t for t in dataset if t.split == "held_in"]
     held_out = [t for t in dataset if t.split == "held_out"]
     if not held_in:
         raise ValueError("dataset has no held_in tasks")
+    unknown = [task_id for task_id in witnesses if task_id not in ids]
+    if unknown:
+        raise ValueError(f"witness for unknown task id {unknown[0]!r}")
     n_warm = min(config.warmup_tasks, len(held_in))
     warmup = held_in[:n_warm]
     eval_held_in = held_in[n_warm:]
@@ -540,10 +565,6 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                         metadata={"warmup_task_ids": list(warmup_ids),
                                   "method": config.method, "seed": config.seed})
         persist(pool, out_path / "pool.jsonl")
-        stem = f"analysis_{config.method}_{config.seed}"
-        rows = [r.as_dict() for r in reports]
-        analysis.export_series(rows, out_path / f"{stem}.csv", "csv")
-        analysis.export_series(rows, out_path / f"{stem}.json", "json")
         summary = {
             "config": config.as_dict(),
             "method": config.method,

@@ -1,18 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 
 from symtrain.analysis import (
-    CSV_COLUMNS,
     delta_logp,
     diversity,
-    export_series,
     exploratory_ability,
     stability,
 )
 from symtrain.autodiff import Tape, collect_grads, sgd_step, zero_grads
-from symtrain.engine import IterationReport
 from symtrain.environments import Status
 from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
@@ -108,36 +103,3 @@ def test_diversity_counts_unique_correct_entries():
     before = diversity(pool)
     pool.update([_traj("t1", ("a",), 1)])  # duplicate collapses upstream
     assert diversity(pool) == before
-
-
-def _rows():
-    return [
-        IterationReport(0, ("t1",), 3, 2.5, 0.0, 2.5, 0.1, 0.05,
-                        0.1, None, None, 3).as_dict(),
-        IterationReport(1, ("t1", "t2"), 4, 1.5, 0.5, 2.0, 0.3, 0.1,
-                        0.25, 0.9, 0.41, 7).as_dict(),
-    ]
-
-
-def test_csv_export_header_and_rows(tmp_path):
-    path = export_series(_rows(), tmp_path / "a.csv", "csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,held_in_rate,held_out_rate," \
-                       "exploratory_ability,stability,delta_logp,diversity"
-    assert lines[1] == "0,0.1,0.05,0.1,,,3"
-    assert lines[2] == "1,0.3,0.1,0.25,0.9,0.41,7"
-    assert len(lines) == 3  # iterations + 1 rows
-
-
-def test_json_export_roundtrip(tmp_path):
-    rows = _rows()
-    path = export_series(rows, tmp_path / "a.json", "json")
-    parsed = json.loads(path.read_text())
-    assert parsed == [{c: row[c] for c in CSV_COLUMNS} for row in rows]
-    assert parsed[0]["stability"] is None
-    assert list(parsed[0]) == sorted(CSV_COLUMNS)
-
-
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        export_series(_rows(), tmp_path / "a.xml", "xml")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symtrain.cli import main
+from symtrain.environments import EnvKind, generate_dataset, load_dataset, write_dataset
 
 
 def _cfg(tmp_path, **over):
@@ -33,9 +34,8 @@ def test_gen_data_round_trips_through_run(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "iter=0 held_in=" in printed and "iter=1 held_in=" in printed
-    for name in ("reports.jsonl", "summary.json", "checkpoint.json", "pool.jsonl",
-                 "analysis_envisions_0.csv", "analysis_envisions_0.json"):
-        assert (out_dir / name).exists(), name
+    assert sorted(p.name for p in out_dir.iterdir()) == \
+        ["checkpoint.json", "pool.jsonl", "reports.jsonl", "summary.json"]
 
 
 def test_gen_data_same_seed_byte_identical(tmp_path):
@@ -75,6 +75,22 @@ def test_run_missing_config_key_names_it(tmp_path, capsys):
     assert "K" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read config"),
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+])
+def test_run_unreadable_config_is_usage_error(tmp_path, capsys, content, message):
+    data = _gen(tmp_path)
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    code = main(["run", "--config", str(bad), "--dataset", str(data),
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_accepts_all_ablation_names(tmp_path):
     data = _gen(tmp_path)
     cfg = _cfg(tmp_path, ablations=["no_self_refine", "no_self_reward",
@@ -88,7 +104,8 @@ def test_run_star_env_method(tmp_path):
     cfg = _cfg(tmp_path, method="star_env")
     assert main(["run", "--config", str(cfg), "--dataset", str(data),
                  "--out-dir", str(tmp_path / "run")]) == 0
-    assert (tmp_path / "run" / "analysis_star_env_0.csv").exists()
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["method"] == "star_env"
 
 
 @pytest.fixture()
@@ -143,12 +160,17 @@ def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_analyze_re_exports_series(finished_run, tmp_path):
-    _, out_dir = finished_run
-    out = out_dir / "re-export.csv"
-    assert main(["analyze", "--run-dir", str(out_dir), "--format", "csv",
-                 "--out", str(out)]) == 0
-    assert out.read_bytes() == (out_dir / "analysis_envisions_0.csv").read_bytes()
+def test_eval_mixed_env_split_is_usage_error(finished_run, tmp_path, capsys):
+    data, out_dir = finished_run
+    grid, _ = generate_dataset(EnvKind.GRID_AGENT, 1, seed=0, split="held_out")
+    tasks = load_dataset(data) + grid
+    mixed = tmp_path / "mixed.jsonl"
+    write_dataset(tasks, {t.id: ["a"] for t in tasks}, mixed)  # eval reads no witness
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+                 "--dataset", str(mixed), "--split", "held_out"])
+    assert code == 2
+    assert "mix envs" in capsys.readouterr().err
 
 
 def test_compare_merges_runs(tmp_path):
@@ -165,6 +187,12 @@ def test_compare_merges_runs(tmp_path):
     header = merged.read_text().splitlines()[0].split(",")
     assert header == ["iteration", "envisions_0_held_in", "envisions_0_held_out",
                       "star_env_1_held_in", "star_env_1_held_out"]
+    reports = [[json.loads(line) for line in (d / "reports.jsonl").read_text().splitlines()]
+               for d in (dir_a, dir_b)]
+    rows = [",".join([str(i)] + [repr(r[i][key]) for r in reports
+                                 for key in ("held_in_rate", "held_out_rate")])
+            for i in range(len(reports[0]))]
+    assert merged.read_text() == "\n".join([",".join(header), *rows]) + "\n"
 
 
 def test_compare_single_run_is_usage_error(tmp_path, capsys):

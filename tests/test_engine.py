@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from symtrain import engine
-from symtrain.analysis import CSV_COLUMNS, export_series
 from symtrain.autodiff import Tape, collect_grads
 from symtrain.engine import (
     ConfigError,
@@ -93,7 +92,9 @@ def test_config_invariants():
 @pytest.mark.parametrize("field,value", [
     ("clip", -1.0), ("clip", 0.0), ("warmup_tasks", -3), ("temperature", 0.0),
     ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("context_budget", 0),
-    ("warmup_epochs", -1),
+    ("warmup_epochs", -1), ("K", 2.5), ("iterations", 1.5), ("K", True),
+    ("seed", -1), ("dpo_beta", -0.1), ("ablations", "no_L2"),
+    ("eval_with_refine", "false"), ("seed_pool_with_warmup", 1),
     # tiny_config trains from scratch, which the SFT+DPO stages would ignore
     ("method", "sft_dpo"),
 ])
@@ -418,17 +419,35 @@ def test_pool_accumulates_across_iterations(tiny_dataset):
     assert all(b >= a for a, b in zip(diversities, diversities[1:]))
 
 
-def test_analysis_exports_project_the_report_stream(tiny_dataset, tmp_path):
+def test_every_report_line_carries_the_analysis_quantities(tiny_dataset, tmp_path):
     tasks, witnesses = tiny_dataset
     result = run(tiny_config(), tasks, witnesses, out_dir=tmp_path / "run")
     lines = [json.loads(line)
              for line in (tmp_path / "run" / "reports.jsonl").read_text().splitlines()]
     assert lines == [r.as_dict() for r in result.reports]
-    assert all(set(CSV_COLUMNS) <= set(line) for line in lines)
-    for fmt in ("csv", "json"):
-        mine = export_series(lines, tmp_path / f"series.{fmt}", fmt)
-        assert mine.read_bytes() == \
-            (tmp_path / "run" / f"analysis_envisions_0.{fmt}").read_bytes()
+    quantities = {"exploratory_ability", "stability", "delta_logp", "diversity"}
+    assert all(quantities <= set(line) for line in lines)
+    assert not list((tmp_path / "run").glob("analysis_*"))
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("duplicate", "duplicate task id 'expr_math-held_in-0-0000'"),
+    ("other_env", "task 'logic_rules-held_in-0-0000' is a logic_rules task"),
+    ("unknown_witness", "witness for unknown task id 'nope'"),
+])
+def test_run_rejects_a_dataset_it_cannot_grade(tiny_dataset, fault, message):
+    tasks, witnesses = tiny_dataset
+    witnesses = dict(witnesses)
+    if fault == "duplicate":
+        tasks = tasks + [tasks[0]]
+    elif fault == "other_env":
+        logic, logic_w = generate_dataset(EnvKind.LOGIC_RULES, 1, seed=0)
+        tasks = tasks + logic
+        witnesses.update(logic_w)
+    else:
+        witnesses["nope"] = ["a"]
+    with pytest.raises(ValueError, match=message):
+        run(tiny_config(), tasks, witnesses)
 
 
 def test_star_env_matches_fully_ablated_envisions(tiny_dataset):
