@@ -12,6 +12,7 @@ from pathlib import Path
 
 from symtrain.engine import ConfigError, RunConfig, evaluate, run
 from symtrain.environments import (
+    SPLITS,
     EnvKind,
     generate_dataset,
     load_dataset,
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint's greedy solve rate")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=["held_in", "held_out"], default="held_in")
+    p.add_argument("--split", choices=SPLITS, default="held_in")
     p.add_argument("--with-refine", action="store_true",
                    help="allow one refinement attempt on failures")
     p.add_argument("--max-len", type=int, default=RunConfig.max_len)
@@ -110,6 +111,10 @@ def _cmd_eval(args) -> int:
     envs = sorted({t.env for t in tasks})
     if len(envs) > 1:
         raise UsageError(f"the {args.split} tasks mix envs {envs}")
+    trained_on = metadata.get("env")  # absent from checkpoints of older runs
+    if trained_on is not None and trained_on != envs[0]:
+        raise UsageError(f"the checkpoint was trained on {trained_on}, "
+                         f"but the {args.split} tasks are {envs[0]} tasks")
     rate, _ = evaluate(model, tasks, envs[0], args.max_len, args.with_refine)
     print(rate)
     return EXIT_OK

@@ -29,21 +29,22 @@ from symtrain.autodiff import (Tape, Tensor, TrainingError, collect_grads, sgd_s
                                zero_grads)
 from symtrain.environments import EnvKind, TaskInstance, execute
 from symtrain.policy import (
-    BOS,
-    EOS,
-    SEP,
+    DEFAULT_CONTEXT_BUDGET,
+    DEFAULT_D,
+    DEFAULT_H,
     GenerationParams,
     PolicyModel,
     batch_nll,
+    condition_ids,
     default_vocab,
     greedy_decode,
     refine,
-    refine_condition,
     reinit,
     sample,
     save_checkpoint,
     score,
     sequence_token_logps,
+    target_ids,
 )
 from symtrain.pool import (DEFAULT_POOL_CAP, CandidatePool, RankedSets, Trajectory,
                            filter_pair, persist)
@@ -77,11 +78,11 @@ class RunConfig:
     lr: float
     dpo_beta: float
     seed: int
-    d: int = 32
-    h: int = 64
+    d: int = DEFAULT_D
+    h: int = DEFAULT_H
     temperature: float = 1.0
     max_len: int = 80
-    context_budget: int = 192
+    context_budget: int = DEFAULT_CONTEXT_BUDGET
     batch_size: int = 8
     clip: float = 5.0
     warmup_tasks: int = 20
@@ -212,26 +213,29 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
     gen = GenerationParams(config.temperature, config.max_len, config.K)
     refine_gen = GenerationParams(config.temperature, config.max_len, 1)
     refine_on = _self_refine_on(config)
-    x = list(task.x)
-    samples = sample(model, x, gen,
+    samples = sample(model, task.x, gen,
                      seed=child_seed(config.seed, _DOM_SAMPLE, iteration, task_index))
     pairs: list[tuple[Trajectory, Trajectory | None]] = []
     for k, a in enumerate(samples):
-        res = execute(config.env, task, a)
-        t = Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                       score(model, x, a), "explore", iteration, res.status)
+        t = _candidate(model, task, config, a, "explore", iteration)
         t_tilde = None
         if refine_on and a:  # an empty draft cannot prompt a refinement
-            a_ref = refine(model, x, a, refine_gen,
+            a_ref = refine(model, task.x, a, refine_gen,
                            seed=child_seed(config.seed, _DOM_REFINE, iteration,
                                            task_index, k))[0]
-            res_ref = execute(config.env, task, a_ref)
-            cond_ref, _ = refine_condition(x, a, model.context_budget)
-            r_ref = score(model, cond_ref[1:-1], a_ref)
-            t_tilde = Trajectory(task.id, task.x, task.y, tuple(a_ref), res_ref.b,
-                                 r_ref, "refine", iteration, res_ref.status)
+            t_tilde = _candidate(model, task, config, a_ref, "refine", iteration, a_prev=a)
         pairs.append((t, t_tilde))
     return pairs
+
+
+def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
+               a: Sequence[str], source: str, iteration: int,
+               a_prev: Sequence[str] | None = None) -> Trajectory:
+    """Execute and self-score one solution; a refinement of the draft a_prev is
+    scored in the refine frame it was drawn from."""
+    res = execute(config.env, task, a)
+    return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
+                      score(model, task.x, a, a_prev), source, iteration, res.status)
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
@@ -307,15 +311,10 @@ def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
 
 def _encode_examples(model: PolicyModel, sets: TrainingSets,
                      ) -> list[tuple[str, list[int], list[int]]]:
-    vocab = model.vocab
-    out: list[tuple[str, list[int], list[int]]] = []
-    for x, a_plus in sets.u1:
-        cond = vocab.encode([BOS, *x, SEP])
-        out.append(("L1", cond, vocab.encode([*a_plus, EOS])))
-    for x, a_plus, a_minus in sets.u2:
-        cond_tokens, _ = refine_condition(list(x), list(a_minus), model.context_budget)
-        out.append(("L2", vocab.encode(cond_tokens), vocab.encode([*a_plus, EOS])))
-    return out
+    return ([("L1", condition_ids(model, x), target_ids(model, a_plus))
+             for x, a_plus in sets.u1]
+            + [("L2", condition_ids(model, x, a_minus), target_ids(model, a_plus))
+               for x, a_plus, a_minus in sets.u2])
 
 
 def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], list[int]]],
@@ -386,14 +385,12 @@ def dpo_loss(model: PolicyModel, tape: Tape,
 
 def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
                      iteration: int) -> float:
-    vocab = model.vocab
     pairs = []
     # the reference is the model as it enters this stage: every margin is taken
     # before the first DPO step
     for x, a_plus, a_minus in sets.u2:
-        cond = vocab.encode([BOS, *x, SEP])
-        pos = vocab.encode([*a_plus, EOS])
-        neg = vocab.encode([*a_minus, EOS])
+        cond = condition_ids(model, x)
+        pos, neg = target_ids(model, a_plus), target_ids(model, a_minus)
         ref_margin = float(sequence_token_logps(model, cond, pos).sum()
                            - sequence_token_logps(model, cond, neg).sum())
         pairs.append((cond, pos, neg, ref_margin))
@@ -424,14 +421,11 @@ def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
 
 def solve_task(model: PolicyModel, task: TaskInstance, env: str, max_len: int,
                with_refine: bool = False) -> bool:
-    a = greedy_decode(model, list(task.x), max_len)
+    a = greedy_decode(model, task.x, max_len)
     if execute(env, task, a).b == 1:
         return True
     if with_refine and a:
-        cond_tokens, _ = refine_condition(list(task.x), a, model.context_budget)
-        a2 = greedy_decode(model, cond_tokens[1:-1], max_len)
-        if execute(env, task, a2).b == 1:
-            return True
+        return execute(env, task, greedy_decode(model, task.x, max_len, a)).b == 1
     return False
 
 
@@ -528,14 +522,8 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                                  epochs=config.warmup_epochs)
         seeded = 0
         if config.seed_pool_with_warmup:
-            witness_trajs = []
-            for t in warmup:
-                a = tuple(witnesses[t.id])
-                res = execute(config.env, t, a)
-                witness_trajs.append(Trajectory(
-                    t.id, t.x, t.y, a, res.b, score(model, t.x, a),
-                    "explore", 0, res.status))
-            seeded = pool.update(witness_trajs)
+            seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0)
+                                  for t in warmup])
         close(0, model, pool, seeded, warm_l1, 0.0, [])
 
         probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
@@ -562,7 +550,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     warmup_ids = tuple(t.id for t in warmup)
     if out_path is not None:
         save_checkpoint(model, out_path / "checkpoint.json",
-                        metadata={"warmup_task_ids": list(warmup_ids),
+                        metadata={"warmup_task_ids": list(warmup_ids), "env": config.env,
                                   "method": config.method, "seed": config.seed})
         persist(pool, out_path / "pool.jsonl")
         summary = {

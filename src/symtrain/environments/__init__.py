@@ -15,6 +15,7 @@ from symtrain.environments.generate import (
 from symtrain.environments.grid import run_grid
 from symtrain.environments.logic import run_logic
 from symtrain.environments.types import (
+    SPLITS,
     EnvKind,
     ExecutionResult,
     Status,
@@ -25,6 +26,7 @@ from symtrain.environments.types import (
 )
 
 __all__ = [
+    "SPLITS",
     "EnvKind",
     "ExecutionResult",
     "Status",

@@ -20,7 +20,7 @@ import numpy as np
 
 from symtrain.environments.expr import ExprRuntimeError, eval_expr, parse_expr
 from symtrain.environments.grid import MOVES, GridSpec
-from symtrain.environments.types import EnvKind, TaskInstance
+from symtrain.environments.types import SPLITS, EnvKind, TaskInstance
 
 # operand magnitude ranges (inclusive) per split
 EXPR_RANGES = {"held_in": (1, 99), "held_out": (100, 999)}
@@ -33,7 +33,6 @@ _OP_WORDS = {"sum": "+", "diff": "-", "prod": "*", "quot": "/", "mod": "%"}
 _NESTED_OPS = ["sum", "diff", "prod", "mod"]
 
 _ENV_INDEX = {EnvKind.EXPR_MATH: 0, EnvKind.LOGIC_RULES: 1, EnvKind.GRID_AGENT: 2}
-_SPLIT_INDEX = {"held_in": 0, "held_out": 1}
 
 
 def _digits(n: int) -> list[str]:
@@ -176,11 +175,11 @@ def generate_dataset(env: EnvKind, n: int, seed: int, split: str = "held_in",
     """Generate n solvable tasks plus a witness solution per task id."""
     if n <= 0:
         raise ValueError(f"dataset size must be positive, got {n}")
-    if split not in _SPLIT_INDEX:
+    if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
     env = EnvKind(env)
     rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _ENV_INDEX[env], _SPLIT_INDEX[split]]))
+        np.random.SeedSequence([seed, _ENV_INDEX[env], SPLITS.index(split)]))
     gen = _GENERATORS[env]
     tasks: list[TaskInstance] = []
     witnesses: dict[str, list[str]] = {}

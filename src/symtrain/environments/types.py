@@ -13,6 +13,9 @@ class EnvKind(str, Enum):
     GRID_AGENT = "grid_agent"
 
 
+SPLITS = ("held_in", "held_out")
+
+
 class Status(str, Enum):
     OK = "ok"
     PARSE_ERROR = "parse_error"
@@ -33,6 +36,9 @@ class TaskInstance:
     def __post_init__(self) -> None:
         if not self.y:
             raise ValueError(f"task {self.id!r}: expected output y must be non-empty")
+        if self.split not in SPLITS:
+            raise ValueError(f"task {self.id!r}: split must be one of {SPLITS}, "
+                             f"got {self.split!r}")
         object.__setattr__(self, "x", tuple(self.x))
 
 

@@ -1,9 +1,10 @@
 """Autoregressive token policy: embedding + single-layer GRU + projection.
 
-The same conditioning format is used for generation and training so that
-refinement behaviour can be learned from contrastive pairs: plain generation
-conditions on ``BOS x SEP`` and refinement on ``BOS x SEP a_prev SEP``, both
-followed by the solution tokens and a terminating EOS.
+Every step conditions on one of two frames, and :func:`condition_ids` alone
+builds them: ``BOS x SEP`` to solve task x, and ``BOS x SEP a_prev SEP`` to
+refine the draft a_prev.  Generation, self-reward and training share the
+frames, so refinement can be learned from contrastive pairs.  The target after
+either frame is the solution and EOS (:func:`target_ids`).
 
 One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
 through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
@@ -37,6 +38,7 @@ CHECKPOINT_FORMAT = "symtrain-checkpoint"
 CHECKPOINT_VERSION = 2
 
 INIT_SCALE = 0.08  # parameters drawn uniform in [-INIT_SCALE, INIT_SCALE]
+DEFAULT_D, DEFAULT_H, DEFAULT_CONTEXT_BUDGET = 32, 64, 192
 
 
 class CheckpointError(RuntimeError):
@@ -125,8 +127,8 @@ class PolicyModel:
     along the 3h column axis.
     """
 
-    def __init__(self, vocab: Vocab, d: int = 32, h: int = 64, seed: int = 0,
-                 context_budget: int = 192):
+    def __init__(self, vocab: Vocab, d: int = DEFAULT_D, h: int = DEFAULT_H, seed: int = 0,
+                 context_budget: int = DEFAULT_CONTEXT_BUDGET):
         self.vocab = vocab
         self.d = d
         self.h = h
@@ -158,18 +160,27 @@ def reinit(model: PolicyModel, seed: int) -> PolicyModel:
 # ---------------------------------------------------------------------------
 # conditioning
 
-def sample_condition(x: Sequence[str]) -> list[str]:
-    return [BOS, *x, SEP]
+def _draft_room(model: PolicyModel, x: Sequence[str]) -> int:
+    """Draft tokens the context budget leaves beside ``BOS x SEP ... SEP``."""
+    return max(0, model.context_budget - len(x) - 3)
 
 
-def refine_condition(x: Sequence[str], a_prev: Sequence[str],
-                     context_budget: int) -> tuple[list[str], bool]:
-    """BOS x SEP a_prev SEP, truncating a_prev from the left when over budget."""
-    frame = len(x) + 3
-    keep = max(0, context_budget - frame)
-    truncated = len(a_prev) > keep
-    a_prev = list(a_prev)[-keep:] if keep else []
-    return [BOS, *x, SEP, *a_prev, SEP], truncated
+def condition_ids(model: PolicyModel, x: Sequence[str],
+                  a_prev: Sequence[str] | None = None) -> list[int]:
+    """The encoded frame ``BOS x SEP``, or ``BOS x SEP a_prev SEP`` given a draft.
+
+    The draft is cut from the left to fit the context budget; when x alone
+    fills the budget none of it is left, and the frame is ``BOS x SEP SEP``.
+    """
+    frame = [BOS, *x, SEP]
+    if a_prev is not None:
+        frame += [*a_prev[max(0, len(a_prev) - _draft_room(model, x)):], SEP]
+    return model.vocab.encode(frame)
+
+
+def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
+    """The encoded target ``a EOS``."""
+    return model.vocab.encode([*a, EOS])
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +246,8 @@ def sample(model: PolicyModel, x: Sequence[str], params: GenerationParams,
     """Draw k_samples solutions for input x; deterministic under the seed."""
     if not x:
         raise ValueError("sample: input x must be non-empty")
-    cond = model.vocab.encode(sample_condition(x))
-    return [model.vocab.decode(ids) for ids in
-            _generate(model, cond, params, np.random.default_rng(seed))]
+    return [model.vocab.decode(ids) for ids in _generate(
+        model, condition_ids(model, x), params, np.random.default_rng(seed))]
 
 
 def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
@@ -245,31 +255,31 @@ def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
     """Draw k_samples refinements of a previous solution."""
     if not a_prev:
         raise ValueError("refine: previous solution must be non-empty")
-    cond_tokens, truncated = refine_condition(x, a_prev, model.context_budget)
-    if truncated:
+    if len(a_prev) > _draft_room(model, x):
         log.warning("refine conditioning truncated to context budget %d",
                     model.context_budget)
-    cond = model.vocab.encode(cond_tokens)
-    return [model.vocab.decode(ids) for ids in
-            _generate(model, cond, params, np.random.default_rng(seed))]
+    return [model.vocab.decode(ids) for ids in _generate(
+        model, condition_ids(model, x, a_prev), params, np.random.default_rng(seed))]
 
 
-def greedy_decode(model: PolicyModel, condition: Sequence[str],
-                  max_len: int) -> list[str]:
-    cond = model.vocab.encode([BOS, *condition, SEP])
+def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
+                  a_prev: Sequence[str] | None = None) -> list[str]:
+    """The greedy solution for x, or the greedy refinement of the draft a_prev."""
     gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=1)
-    return model.vocab.decode(_generate(model, cond, gen, rng=None)[0])
+    return model.vocab.decode(_generate(model, condition_ids(model, x, a_prev), gen,
+                                        rng=None)[0])
 
 
-def score(model: PolicyModel, condition: Sequence[str], a: Sequence[str]) -> float:
+def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
+          a_prev: Sequence[str] | None = None) -> float:
     """Length-normalized log-probability of ``a`` followed by EOS (nats per token).
 
-    The terminating EOS always contributes, so an empty solution scores EOS
-    alone.  The condition is framed as ``BOS condition SEP``.
+    ``a`` is scored for x, or as a refinement of the draft a_prev.  The
+    terminating EOS always contributes, so an empty solution scores EOS alone.
     """
-    target = model.vocab.encode([*a, EOS])
-    cond_ids = model.vocab.encode([BOS, *condition, SEP])
-    return float(sequence_token_logps(model, cond_ids, target).sum() / len(target))
+    target = target_ids(model, a)
+    return float(sequence_token_logps(model, condition_ids(model, x, a_prev),
+                                      target).sum() / len(target))
 
 
 # ---------------------------------------------------------------------------

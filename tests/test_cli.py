@@ -173,6 +173,32 @@ def test_eval_mixed_env_split_is_usage_error(finished_run, tmp_path, capsys):
     assert "mix envs" in capsys.readouterr().err
 
 
+def test_eval_on_another_env_is_usage_error(finished_run, tmp_path, capsys):
+    _, out_dir = finished_run
+    grid = tmp_path / "grid.jsonl"
+    assert main(["gen-data", "--env", "grid_agent", "--n-train", "2",
+                 "--n-held-out", "2", "--out", str(grid)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+                 "--dataset", str(grid), "--split", "held_out"])
+    assert code == 2
+    assert "trained on expr_math" in capsys.readouterr().err
+
+
+def test_run_rejects_an_unknown_split(tmp_path, capsys):
+    data = _gen(tmp_path)
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["split"] = "heldin"
+    lines[2] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--config", str(_cfg(tmp_path)), "--dataset", str(data),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'heldin'" in err
+
+
 def test_compare_merges_runs(tmp_path):
     data = _gen(tmp_path)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symtrain import engine
-from symtrain.autodiff import Tape, collect_grads
+from symtrain.autodiff import Tape, TrainingError, collect_grads
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -286,7 +286,7 @@ def test_memorizes_single_contrastive_pair():
                          train_mode="continual")
     model, l1, l2 = train_iteration(model, sets, config, iteration=1)
     assert l1 == 0.0
-    refined = greedy_decode(model, [*x, SEP, *a_minus], max_len=8)
+    refined = greedy_decode(model, x, max_len=8, a_prev=a_minus)
     assert tuple(refined) == a_plus
 
 
@@ -379,6 +379,23 @@ def test_sft_dpo_trains_dpo_against_the_fine_tuned_model():
     assert l1 > 0.0
     # one DPO minibatch, scored before its step: the policy equals the reference
     assert l2 == pytest.approx(3 * math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("method, message", [("envisions", "non-finite loss"),
+                                             ("sft_dpo", "non-finite DPO loss")])
+def test_non_finite_loss_raises_training_error(method, message, value):
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=7)
+    model.params["b_out"].data[0, model.vocab.eos_id] = value
+    x = ("a", "=", "2", ";", "sum", "a", "a")
+    # with no U1, sft_dpo's first loss is its DPO stage's
+    sets = (TrainingSets([(x, ("a", "+", "a"))], []) if method == "envisions"
+            else TrainingSets([], [(x, ("a", "+", "a"), ("a",))]))
+    config = tiny_config(method=method, train_mode="continual", epochs_per_iter=1)
+    # the loss guard, not sgd_step's gradient check, must be what stops the step
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingError, match=f"^{message} at iteration 3$"):
+        train_iteration(model, sets, config, iteration=3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ from symtrain.policy import (
     PolicyModel,
     Vocab,
     batch_nll,
+    condition_ids,
     default_vocab,
     forward,
     greedy_decode,
     load_checkpoint,
     refine,
-    refine_condition,
     reinit,
     sample,
-    sample_condition,
     save_checkpoint,
     score,
     sequence_token_logps,
@@ -129,17 +128,27 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
-    cond, truncated = refine_condition(["a", "b"], ["c", "d"], 48)
-    assert cond == [BOS, "a", "b", SEP, "c", "d", SEP]
-    assert not truncated
-    assert vocab.decode(vocab.encode(cond)) == cond
+    assert vocab.decode(condition_ids(model, ["a", "b"])) == [BOS, "a", "b", SEP]
+    assert vocab.decode(condition_ids(model, ["a", "b"], ["c", "d"])) == \
+        [BOS, "a", "b", SEP, "c", "d", SEP]
 
 
-def test_refine_condition_truncates_from_left():
-    cond, truncated = refine_condition(["a"], list("bcdefg"), context_budget=8)
-    assert truncated
+def test_refine_condition_truncates_from_left(caplog):
+    model = PolicyModel(toy_vocab(), d=8, h=12, seed=0, context_budget=8)
+    vocab = model.vocab
     # frame is BOS a SEP ... SEP = 4 tokens, leaving 4 of the previous draft
-    assert cond == [BOS, "a", SEP, "d", "e", "f", "g", SEP]
+    assert vocab.decode(condition_ids(model, ["a"], list("bcdefg"))) == \
+        [BOS, "a", SEP, "d", "e", "f", "g", SEP]
+    assert vocab.decode(condition_ids(model, ["a"], list("bcde"))) == \
+        [BOS, "a", SEP, "b", "c", "d", "e", SEP]
+    # x alone fills the budget: nothing of the draft is left
+    assert vocab.decode(condition_ids(model, list("abcdefgh"), ["c"])) == \
+        [BOS, *"abcdefgh", SEP, SEP]
+    params = GenerationParams(1.0, 4, 1)
+    refine(model, ["a"], list("bcde"), params, seed=0)
+    assert not caplog.records
+    refine(model, ["a"], list("bcdefg"), params, seed=0)
+    assert "truncated to context budget 8" in caplog.text
 
 
 def test_refine_requires_previous_solution():
@@ -161,7 +170,7 @@ def test_generation_never_emits_pad_bos_or_sep():
     for seq in outputs:
         assert not masked & set(seq), seq
     # scoring keeps the full softmax, so SEP still takes nearly all the mass
-    cond = vocab.encode(sample_condition(["a"]))
+    cond = condition_ids(model, ["a"])
     assert sequence_token_logps(model, cond, [vocab.sep_id])[0] > -0.5
 
 
@@ -176,9 +185,10 @@ def test_greedy_decode_is_deterministic():
 def test_score_is_mean_per_token_logp_with_eos():
     model = toy_model()
     a = ["a", "b", "c"]
-    cond = model.vocab.encode(sample_condition(["d"]))
-    logps = sequence_token_logps(model, cond, model.vocab.encode([*a, EOS]))
-    assert score(model, ["d"], a) == pytest.approx(logps.sum() / 4, abs=1e-12)
+    vocab = model.vocab
+    for frame, a_prev in (([BOS, "d", SEP], None), ([BOS, "d", SEP, "e", "f", SEP], ["e", "f"])):
+        logps = sequence_token_logps(model, vocab.encode(frame), vocab.encode([*a, EOS]))
+        assert score(model, ["d"], a, a_prev) == pytest.approx(logps.sum() / 4, abs=1e-12)
 
 
 def test_score_bounds():
@@ -193,7 +203,7 @@ def test_score_bounds():
 
 def test_score_of_empty_solution_is_eos_alone():
     model = toy_model()
-    cond = model.vocab.encode(sample_condition(["a"]))
+    cond = condition_ids(model, ["a"])
     (eos_logp,) = sequence_token_logps(model, cond, [model.vocab.eos_id])
     assert score(model, ["a"], []) == eos_logp
 
