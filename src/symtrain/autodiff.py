@@ -297,14 +297,15 @@ def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
 
 
 def gru_sequence_forward(x_steps: Array, w_x: Array, w_h: Array, b: Array,
-                         n_hidden: int, caches: list | None = None) -> Array:
-    """GRU over inputs ``x_steps[S, B, d]`` from a zero state.
+                         n_hidden: int, caches: list | None = None,
+                         h0: Array | None = None) -> Array:
+    """GRU over inputs ``x_steps[S, B, d]`` from the state ``h0[B, h]`` (zero by default).
 
     Returns the S*B x h states, row ``t*B + i`` after step t of row i, and
     appends each step's gate cache to ``caches`` when one is given.
     """
     n_steps, n_batch = x_steps.shape[:2]
-    h = np.zeros((n_batch, n_hidden))
+    h = np.zeros((n_batch, n_hidden)) if h0 is None else h0
     states = np.empty((n_steps * n_batch, n_hidden))
     for t in range(n_steps):
         h, cache = gru_cell_forward(x_steps[t], h, w_x, w_h, b, n_hidden)

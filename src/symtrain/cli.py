@@ -29,6 +29,16 @@ class UsageError(Exception):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symtrain",
@@ -54,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="held_in")
     p.add_argument("--with-refine", action="store_true",
                    help="allow one refinement attempt on failures")
-    p.add_argument("--max-len", type=int, default=RunConfig.max_len)
+    p.add_argument("--max-len", type=_positive_int, default=RunConfig.max_len)
 
     p = sub.add_parser("compare", help="merge several runs' curves into one CSV")
     p.add_argument("--runs", nargs="+", required=True)

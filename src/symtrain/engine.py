@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from symtrain import analysis
-from symtrain.autodiff import (Tape, Tensor, TrainingError, collect_grads, sgd_step,
+from symtrain.autodiff import (Array, Tape, Tensor, TrainingError, collect_grads, sgd_step,
                                zero_grads)
 from symtrain.environments import EnvKind, TaskInstance, execute
 from symtrain.policy import (
@@ -37,6 +37,7 @@ from symtrain.policy import (
     batch_nll,
     condition_ids,
     default_vocab,
+    frame_state,
     greedy_decode,
     refine,
     reinit,
@@ -210,32 +211,42 @@ def child_seed(*keys: int) -> int:
 def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
                  iteration: int, task_index: int,
                  ) -> list[tuple[Trajectory, Trajectory | None]]:
-    gen = GenerationParams(config.temperature, config.max_len, config.K)
-    refine_gen = GenerationParams(config.temperature, config.max_len, 1)
-    refine_on = _self_refine_on(config)
-    samples = sample(model, task.x, gen,
+    """Sample K drafts, refine the non-empty ones as one batch, and execute and
+    self-score every candidate from the task's shared frame state.
+
+    Draft k's refinement draws from its own stream, keyed by k, so it does not
+    depend on which other drafts are refined with it.
+    """
+    samples = sample(model, task.x, GenerationParams(config.temperature, config.max_len,
+                                                     config.K),
                      seed=child_seed(config.seed, _DOM_SAMPLE, iteration, task_index))
-    pairs: list[tuple[Trajectory, Trajectory | None]] = []
-    for k, a in enumerate(samples):
-        t = _candidate(model, task, config, a, "explore", iteration)
-        t_tilde = None
-        if refine_on and a:  # an empty draft cannot prompt a refinement
-            a_ref = refine(model, task.x, a, refine_gen,
-                           seed=child_seed(config.seed, _DOM_REFINE, iteration,
-                                           task_index, k))[0]
-            t_tilde = _candidate(model, task, config, a_ref, "refine", iteration, a_prev=a)
-        pairs.append((t, t_tilde))
-    return pairs
+    start = frame_state(model, task.x)
+    explored = [_candidate(model, task, config, a, "explore", iteration, start)
+                for a in samples]
+    refined: list[Trajectory | None] = [None] * len(samples)
+    # an empty draft cannot prompt a refinement
+    drafts = [k for k, a in enumerate(samples) if a] if _self_refine_on(config) else []
+    if drafts:
+        refinements = refine(
+            model, task.x, [samples[k] for k in drafts],
+            GenerationParams(config.temperature, config.max_len, len(drafts)),
+            seeds=[child_seed(config.seed, _DOM_REFINE, iteration, task_index, k)
+                   for k in drafts])
+        for k, a_ref in zip(drafts, refinements):
+            refined[k] = _candidate(model, task, config, a_ref, "refine", iteration, start,
+                                    a_prev=samples[k])
+    return list(zip(explored, refined))
 
 
 def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
-               a: Sequence[str], source: str, iteration: int,
+               a: Sequence[str], source: str, iteration: int, start: Array | None = None,
                a_prev: Sequence[str] | None = None) -> Trajectory:
     """Execute and self-score one solution; a refinement of the draft a_prev is
-    scored in the refine frame it was drawn from."""
+    scored in the refine frame it was drawn from.  ``start``, when given, is the
+    task's frame state, from which scoring starts."""
     res = execute(config.env, task, a)
     return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                      score(model, task.x, a, a_prev), source, iteration, res.status)
+                      score(model, task.x, a, a_prev, start), source, iteration, res.status)
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],

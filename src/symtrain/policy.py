@@ -8,12 +8,21 @@ either frame is the solution and EOS (:func:`target_ids`).
 
 One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
 through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
-scoring and sampling's condition pass; taped, it is a single
-``Tape.gru_sequence`` record whose backward is one BPTT sweep.  On the tape,
-:func:`batch_nll` returns one summed NLL per example, and every loss (L1, L2
-and DPO) is built from that vector.  Self-reward and the losses thus come from
-the same per-token log-probabilities.  After the condition pass, sampling steps
-one token at a time with the same GRU cell; it never emits PAD, BOS or SEP.
+scoring; taped, it is a single ``Tape.gru_sequence`` record whose backward is
+one BPTT sweep.  On the tape, :func:`batch_nll` returns one summed NLL per
+example, and every loss (L1, L2 and DPO) is built from that vector.
+Self-reward and the losses thus come from the same per-token
+log-probabilities.
+
+Generation steps all rows of a call together as one batch.  ``sample`` runs
+``BOS x SEP`` once and repeats that state per row; ``refine`` runs all its
+refine frames in one right-padded pass.  Then every row steps with the same
+GRU cell, and a row leaves the batch when it emits EOS.  Each row draws its
+tokens by inverse CDF from uniforms of its own seeded stream, so its tokens do
+not depend on which rows share its batch.  Greedy decoding is the same
+generator at one row.  No row ever emits PAD, BOS or SEP.  Every frame of x
+starts with ``BOS x SEP``, so :func:`score` can start from that shared state
+(:func:`frame_state`) and step only the tokens after it.
 """
 
 from __future__ import annotations
@@ -105,7 +114,8 @@ def default_vocab() -> Vocab:
 
 @dataclass
 class GenerationParams:
-    """Sampling knobs: softmax temperature, length cap, candidates per call."""
+    """Sampling knobs: softmax temperature, length cap, and ``k_samples``, the
+    rows one call draws (``refine`` draws one per draft)."""
 
     temperature: float
     max_len: int
@@ -201,85 +211,147 @@ def forward(model: PolicyModel, ids: Array, tape: Tape | None = None) -> Tensor:
     return tape.gru_sequence(p["embed"], inputs, p["w_x"], p["w_h"], p["b"], model.h)
 
 
+def _frame_states(model: PolicyModel, frames: Sequence[list[int]]) -> Array:
+    """The (B, h) GRU states after each encoded frame, from one right-padded pass."""
+    n_batch = len(frames)
+    # forward steps every column but the last, so one PAD column follows the frames
+    ids = np.full((n_batch, max(map(len, frames)) + 1), model.vocab.pad_id, dtype=np.intp)
+    for i, frame in enumerate(frames):
+        ids[i, :len(frame)] = frame
+    states = forward(model, ids).data
+    return states[[(len(frame) - 1) * n_batch + i for i, frame in enumerate(frames)]]
+
+
+def frame_state(model: PolicyModel, x: Sequence[str]) -> Array:
+    """The (1, h) GRU state after the task frame ``BOS x SEP``."""
+    return _frame_states(model, [condition_ids(model, x)])
+
+
 def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
-                         target_ids: Sequence[int]) -> Array:
-    """Log-probability of each target token given the condition prefix."""
+                         target_ids: Sequence[int], start: Array | None = None) -> Array:
+    """Log-probability of each target token given the condition prefix.
+
+    Given ``start``, the (1, h) state after the first tokens of the condition,
+    ``cond_ids`` holds only the condition tokens after those, and only they and
+    the target are stepped.
+    """
     tgt = np.asarray(target_ids, dtype=np.intp)
     ids = np.asarray([[*cond_ids, *target_ids]], dtype=np.intp)
-    h_rows = forward(model, ids).data[len(cond_ids) - 1:]
-    logits = h_rows @ model.params["w_out"].data + model.params["b_out"].data
+    p = model.params
+    if start is None:
+        h_rows = forward(model, ids).data[len(cond_ids) - 1:]
+    else:
+        steps = gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
+                                     p["w_h"].data, p["b"].data, model.h, h0=start)
+        h_rows = np.vstack([start, steps])[len(cond_ids):]
+    logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
 
-def _generate(model: PolicyModel, cond_ids: list[int], params: GenerationParams,
-              rng: np.random.Generator | None) -> list[list[int]]:
-    """k_samples ancestral samples (greedy when rng is None) after one shared
-    pass over the condition; EOS is consumed, not returned.  PAD, BOS and SEP
-    are never emitted: a SEP inside a draft would corrupt the refine frame."""
+def _draw_tokens(logits: Array, u: Array) -> Array:
+    """One token per row by inverse CDF: row i takes the first token whose
+    cumulative weight reaches ``1 - u[i]`` of the row's total.
+
+    With u in [0, 1) the threshold is positive and at most the total, so a
+    token of weight zero (a masked logit) is never drawn.
+    """
+    cdf = np.cumsum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1)
+    return (cdf < ((1.0 - u) * cdf[:, -1])[:, None]).sum(axis=1)
+
+
+def _generate(model: PolicyModel, states: Array, params: GenerationParams,
+              rngs: Sequence[np.random.Generator] | None) -> list[list[int]]:
+    """One solution per row of ``states``, the (B, h) states after each row's frame.
+
+    Greedy when rngs is None.  Otherwise row i draws its t-th token with the
+    t-th uniform of its own stream ``rngs[i]``.  EOS is consumed, not returned.
+    PAD, BOS and SEP are never emitted: a SEP inside a draft would corrupt the
+    refine frame.
+    """
     p = {k: t.data for k, t in model.params.items()}
     b_out = p["b_out"].copy()
     b_out[:, [model.vocab.pad_id, model.vocab.bos_id, model.vocab.sep_id]] = -np.inf
-    h_cond = forward(model, np.asarray([cond_ids], dtype=np.intp)).data[-1:]
-    samples: list[list[int]] = []
-    for _ in range(params.k_samples):
-        h_row, prev, out = h_cond, cond_ids[-1], []
-        for _ in range(params.max_len):
-            h_row, _ = gru_cell_forward(p["embed"][prev:prev + 1], h_row, p["w_x"],
-                                        p["w_h"], p["b"], model.h)
-            logits = h_row @ p["w_out"] + b_out
-            if rng is None:
-                token = int(np.argmax(logits[0]))
-            else:
-                probs = np.exp(log_softmax(logits / params.temperature))[0]
-                probs = probs / probs.sum()
-                token = int(rng.choice(len(probs), p=probs))
-            if token == model.vocab.eos_id:
-                break
-            out.append(token)
-            prev = token
-        samples.append(out)
-    return samples
+    if rngs is not None:
+        uniforms = np.stack([rng.random(params.max_len) for rng in rngs])
+    rows = np.arange(len(states))
+    h = states
+    out: list[list[int]] = [[] for _ in rows]
+    for t in range(params.max_len):
+        logits = h @ p["w_out"] + b_out
+        if rngs is None:
+            tokens = logits.argmax(axis=1)
+        else:
+            tokens = _draw_tokens(logits / params.temperature, uniforms[rows, t])
+        ids = tokens.tolist()
+        if model.vocab.eos_id in ids:
+            going = tokens != model.vocab.eos_id
+            rows, h, tokens = rows[going], h[going], tokens[going]
+            ids = tokens.tolist()
+        for i, token in zip(rows.tolist(), ids):
+            out[i].append(token)
+        if not ids or t == params.max_len - 1:
+            break
+        h, _ = gru_cell_forward(p["embed"][tokens], h, p["w_x"], p["w_h"], p["b"], model.h)
+    return out
 
 
 def sample(model: PolicyModel, x: Sequence[str], params: GenerationParams,
            seed: int) -> list[list[str]]:
-    """Draw k_samples solutions for input x; deterministic under the seed."""
+    """Draw k_samples solutions for input x; deterministic under the seed.
+
+    Row k draws from the k-th stream spawned from the seed, so the first rows
+    are the same however many are drawn.
+    """
     if not x:
         raise ValueError("sample: input x must be non-empty")
-    return [model.vocab.decode(ids) for ids in _generate(
-        model, condition_ids(model, x), params, np.random.default_rng(seed))]
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(params.k_samples)]
+    states = np.repeat(frame_state(model, x), params.k_samples, axis=0)
+    return [model.vocab.decode(ids) for ids in _generate(model, states, params, rngs)]
 
 
-def refine(model: PolicyModel, x: Sequence[str], a_prev: Sequence[str],
-           params: GenerationParams, seed: int) -> list[list[str]]:
-    """Draw k_samples refinements of a previous solution."""
-    if not a_prev:
-        raise ValueError("refine: previous solution must be non-empty")
-    if len(a_prev) > _draft_room(model, x):
-        log.warning("refine conditioning truncated to context budget %d",
-                    model.context_budget)
+def refine(model: PolicyModel, x: Sequence[str], drafts: Sequence[Sequence[str]],
+           params: GenerationParams, seeds: Sequence[int]) -> list[list[str]]:
+    """Draw one refinement of each draft; draft i draws from the stream seeds[i].
+
+    ``params.k_samples`` must equal the number of drafts.
+    """
+    if not len(drafts) == len(seeds) == params.k_samples:
+        raise ValueError(f"refine: {len(drafts)} drafts, {len(seeds)} seeds and "
+                         f"k_samples={params.k_samples} must agree")
+    if not all(drafts):
+        raise ValueError("refine: previous solutions must be non-empty")
+    truncated = sum(len(a) > _draft_room(model, x) for a in drafts)
+    if truncated:
+        log.warning("refine conditioning of %d draft(s) truncated to context budget %d",
+                    truncated, model.context_budget)
+    states = _frame_states(model, [condition_ids(model, x, a) for a in drafts])
     return [model.vocab.decode(ids) for ids in _generate(
-        model, condition_ids(model, x, a_prev), params, np.random.default_rng(seed))]
+        model, states, params, [np.random.default_rng(s) for s in seeds])]
 
 
 def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
                   a_prev: Sequence[str] | None = None) -> list[str]:
     """The greedy solution for x, or the greedy refinement of the draft a_prev."""
     gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=1)
-    return model.vocab.decode(_generate(model, condition_ids(model, x, a_prev), gen,
-                                        rng=None)[0])
+    states = _frame_states(model, [condition_ids(model, x, a_prev)])
+    return model.vocab.decode(_generate(model, states, gen, rngs=None)[0])
 
 
 def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
-          a_prev: Sequence[str] | None = None) -> float:
+          a_prev: Sequence[str] | None = None, start: Array | None = None) -> float:
     """Length-normalized log-probability of ``a`` followed by EOS (nats per token).
 
     ``a`` is scored for x, or as a refinement of the draft a_prev.  The
     terminating EOS always contributes, so an empty solution scores EOS alone.
+    Given ``start``, the :func:`frame_state` of x, only the tokens after
+    ``BOS x SEP`` are stepped; the score is the same.
     """
     target = target_ids(model, a)
-    return float(sequence_token_logps(model, condition_ids(model, x, a_prev),
-                                      target).sum() / len(target))
+    cond = condition_ids(model, x, a_prev)
+    if start is not None:
+        cond = cond[len(x) + 2:]
+    return float(sequence_token_logps(model, cond, target, start).sum() / len(target))
 
 
 # ---------------------------------------------------------------------------

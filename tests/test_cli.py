@@ -153,6 +153,17 @@ def test_eval_with_refine_never_lowers_rate(finished_run, capsys):
     assert refined >= base
 
 
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_eval_max_len_below_one_is_usage_error(finished_run, capsys, max_len):
+    data, out_dir = finished_run
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+              "--dataset", str(data), "--max-len", max_len])
+    assert exc.value.code == 2
+    assert "--max-len: must be >= 1" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     data = _gen(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "missing.json"),

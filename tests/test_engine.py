@@ -250,7 +250,7 @@ def test_untrained_model_failures_become_zero_feedback(expr_setup):
         assert t.r <= 0.0
 
 
-def test_explore_is_deterministic_and_worker_invariant(expr_setup):
+def test_explore_is_deterministic_and_independent_of_batch_makeup(expr_setup):
     tasks, _, model = expr_setup
     config = tiny_config(K=2)
     first = explore_phase(model, tasks, config, iteration=1)
@@ -259,6 +259,10 @@ def test_explore_is_deterministic_and_worker_invariant(expr_setup):
     # a task's candidates depend on its position only, not on the tasks after it
     prefix = explore_phase(model, tasks[:3], config, iteration=1)
     assert prefix == first[:3 * config.K]
+    # draft k and its refinement do not depend on how many drafts share the batch
+    wider = explore_phase(model, tasks, tiny_config(K=5), iteration=1)
+    assert [pair for i in range(len(tasks)) for pair in wider[5 * i:5 * i + 2]] == first
+    assert any(t_tilde is not None for _, t_tilde in first)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from symtrain.autodiff import Tape, Tensor, collect_grads
+from symtrain.autodiff import Tape, Tensor, collect_grads, log_softmax
+from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
     CONTROL_TOKENS,
     EOS,
     PAD,
     SEP,
+    DEFAULT_CONTEXT_BUDGET,
     CheckpointError,
     GenerationParams,
     PolicyModel,
     Vocab,
     batch_nll,
     condition_ids,
+    _draw_tokens,
+    _frame_states,
     default_vocab,
     forward,
+    frame_state,
     greedy_decode,
     load_checkpoint,
     refine,
@@ -124,7 +129,8 @@ def test_generation_params_validation():
 def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     model = toy_model()
     vocab = model.vocab
-    out = refine(model, ["a", "b"], ["c", "d"], GenerationParams(1.0, 80, 2), seed=4)
+    out = refine(model, ["a", "b"], [["c", "d"], ["e"]], GenerationParams(1.0, 80, 2),
+                 seeds=[4, 5])
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
@@ -144,16 +150,24 @@ def test_refine_condition_truncates_from_left(caplog):
     # x alone fills the budget: nothing of the draft is left
     assert vocab.decode(condition_ids(model, list("abcdefgh"), ["c"])) == \
         [BOS, *"abcdefgh", SEP, SEP]
-    params = GenerationParams(1.0, 4, 1)
-    refine(model, ["a"], list("bcde"), params, seed=0)
+    params = GenerationParams(1.0, 4, 2)
+    refine(model, ["a"], [list("bcde"), list("bc")], params, seeds=[0, 1])
     assert not caplog.records
-    refine(model, ["a"], list("bcdefg"), params, seed=0)
-    assert "truncated to context budget 8" in caplog.text
+    refine(model, ["a"], [list("bcdefg"), list("bc")], params, seeds=[0, 1])
+    assert "1 draft(s) truncated to context budget 8" in caplog.text
 
 
 def test_refine_requires_previous_solution():
-    with pytest.raises(ValueError):
-        refine(toy_model(), ["a"], [], GenerationParams(1.0, 80, 5), seed=0)
+    with pytest.raises(ValueError, match="non-empty"):
+        refine(toy_model(), ["a"], [["b"], []], GenerationParams(1.0, 80, 2), seeds=[0, 1])
+
+
+def test_refine_draws_one_refinement_per_draft():
+    params = GenerationParams(1.0, 80, 2)
+    with pytest.raises(ValueError, match="must agree"):
+        refine(toy_model(), ["a"], [["b"]], params, seeds=[0])
+    with pytest.raises(ValueError, match="must agree"):
+        refine(toy_model(), ["a"], [["b"], ["c"]], params, seeds=[0])
 
 
 def test_generation_never_emits_pad_bos_or_sep():
@@ -166,12 +180,74 @@ def test_generation_never_emits_pad_bos_or_sep():
     params = GenerationParams(temperature=1.0, max_len=12, k_samples=6)
     outputs = [greedy_decode(model, ["a", "b"], 12),
                *sample(model, ["a", "b"], params, seed=3),
-               *refine(model, ["a", "b"], ["c", "d"], params, seed=4)]
+               *refine(model, ["a", "b"], [["c", "d"]] * 6, params, seeds=range(6))]
     for seq in outputs:
         assert not masked & set(seq), seq
     # scoring keeps the full softmax, so SEP still takes nearly all the mass
     cond = condition_ids(model, ["a"])
     assert sequence_token_logps(model, cond, [vocab.sep_id])[0] > -0.5
+
+
+def test_sample_rows_do_not_depend_on_how_many_are_drawn():
+    model = toy_model(seed=11)
+    for seed in range(5):
+        more = sample(model, ["a", "b"], GenerationParams(1.0, 12, 8), seed=seed)
+        assert more[:3] == sample(model, ["a", "b"], GenerationParams(1.0, 12, 3), seed=seed)
+
+
+def test_refinement_does_not_depend_on_the_other_drafts():
+    model = toy_model(seed=12)
+    drafts = [["c", "d"], ["e"], list("fghijk"), ["a", "a", "b"]]
+    seeds = [101, 7, 33, 4]
+    together = refine(model, ["a", "b"], drafts, GenerationParams(1.0, 12, 4), seeds)
+    alone = [refine(model, ["a", "b"], [a], GenerationParams(1.0, 12, 1), [seed])[0]
+             for a, seed in zip(drafts, seeds)]
+    assert together == alone
+
+
+def test_batched_refine_frames_give_the_row_by_row_token_logps():
+    model = toy_model(seed=13)
+    vocab = model.vocab
+    rng = np.random.default_rng(3)
+    x = ["a", "b", "c"]
+    drafts = [_random_tokens(rng, vocab, n) for n in (1, 9, 4, 30, 2)]  # 30 is cut
+    frames = [condition_ids(model, x, a) for a in drafts]
+    states = _frame_states(model, frames)
+    for i, cond in enumerate(frames):
+        target = vocab.encode([*_random_tokens(rng, vocab, 6), EOS])
+        np.testing.assert_allclose(
+            sequence_token_logps(model, [], target, start=states[i:i + 1]),
+            sequence_token_logps(model, cond, target), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_first_token_frequencies_follow_the_tempered_softmax(temperature):
+    model = toy_model(seed=14)
+    vocab = model.vocab
+    # spread the logits so that drawing a neighbouring token moves a lot of mass
+    model.params["b_out"].data[:] = np.random.default_rng(0).normal(0.0, 2.0, len(vocab))
+    n_draws = 20_000
+    drawn = sample(model, ["a", "b"], GenerationParams(temperature, 1, n_draws), seed=5)
+    ids = [vocab.encode(a)[0] if a else vocab.eos_id for a in drawn]
+    frequencies = np.bincount(ids, minlength=len(vocab)) / n_draws
+    logits = frame_state(model, ["a", "b"]) @ model.params["w_out"].data \
+        + model.params["b_out"].data
+    logits[:, [vocab.pad_id, vocab.bos_id, vocab.sep_id]] = -np.inf
+    expected = np.exp(log_softmax(logits / temperature))[0]
+    assert 0.5 * np.abs(frequencies - expected).sum() < 0.02
+
+
+def test_inverse_cdf_never_draws_a_zero_probability_token():
+    logits = np.random.default_rng(1).normal(0.0, 3.0, (4, 16))
+    # masked tokens at both ends and inside, as PAD, BOS and SEP are masked
+    masked = [0, 1, 3, 9, 15]
+    logits[:, masked] = -np.inf
+    for u in (0.0, 1e-300, 0.5, np.nextafter(1.0, 0.0)):
+        tokens = _draw_tokens(logits, np.full(4, u))
+        assert not set(tokens.tolist()) & set(masked), u
+    # u -> 1 draws the first allowed token and u -> 0 the last one
+    assert _draw_tokens(logits, np.full(4, np.nextafter(1.0, 0.0))).tolist() == [2] * 4
+    assert _draw_tokens(logits, np.zeros(4)).tolist() == [14] * 4
 
 
 def test_greedy_decode_is_deterministic():
@@ -189,6 +265,25 @@ def test_score_is_mean_per_token_logp_with_eos():
     for frame, a_prev in (([BOS, "d", SEP], None), ([BOS, "d", SEP, "e", "f", SEP], ["e", "f"])):
         logps = sequence_token_logps(model, vocab.encode(frame), vocab.encode([*a, EOS]))
         assert score(model, ["d"], a, a_prev) == pytest.approx(logps.sum() / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("env", list(EnvKind))
+def test_score_from_the_frame_state_equals_the_full_forward(env):
+    tasks, _ = generate_dataset(env, 5, seed=2)
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=6)
+    rng = np.random.default_rng(0)
+    for task in tasks:
+        start = frame_state(model, task.x)
+        # room for 4 draft tokens, none (BOS x SEP SEP), or the default budget
+        for budget in (len(task.x) + 7, len(task.x) + 3, DEFAULT_CONTEXT_BUDGET):
+            model.context_budget = budget
+            for n_a in (0, 1, 8):
+                a = _random_tokens(rng, model.vocab, n_a)
+                for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
+                    if a_prev is not None and budget < DEFAULT_CONTEXT_BUDGET:
+                        assert len(condition_ids(model, task.x, a_prev)) == budget
+                    assert abs(score(model, task.x, a, a_prev, start=start)
+                               - score(model, task.x, a, a_prev)) <= 1e-12
 
 
 def test_score_bounds():
