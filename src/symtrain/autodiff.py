@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Everything is float64 and shapes are ordinary numpy shapes.  Broadcasting is
-deliberately restricted to scalar-vs-tensor ``mul`` (plus one explicit row-bias
-add), so every backward rule below stays short enough to audit by eye.  The GRU
-is one recorded op for a whole id batch: its backward is a single BPTT rule
-for the sequence, not one record per timestep.
+Everything is float64 and shapes are ordinary numpy shapes.  Apart from the
+output layer's bias row, no op broadcasts one tensor against another: ``add``
+takes equal shapes and ``mul`` scales by a number, so every backward rule
+below stays short enough to audit by eye.  Two ops carry the model.  The GRU
+is one record for a whole id batch, and its backward is a single BPTT rule
+for the sequence, not one record per timestep.  The output layer is one record
+too: it picks the state rows that predict targets, projects them to logits and
+returns each example's summed NLL.
 """
 
 from __future__ import annotations
@@ -88,22 +91,13 @@ class Tape:
 
         return self._record(out, back)
 
-    def mul(self, a: Tensor, b) -> Tensor:
-        if isinstance(b, (int, float)) and not isinstance(b, bool):
-            c = float(b)
-            out = Tensor(a.data * c)
+    def mul(self, a: Tensor, c: float) -> Tensor:
+        """Scale every entry by the number c."""
+        c = float(c)
+        out = Tensor(a.data * c)
 
-            def back(g: Array, a=a, c=c) -> None:
-                _accumulate(a, g * c)
-
-            return self._record(out, back)
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-        out = Tensor(a.data * b.data)
-
-        def back(g: Array, a=a, b=b) -> None:
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
+        def back(g: Array, a=a, c=c) -> None:
+            _accumulate(a, g * c)
 
         return self._record(out, back)
 
@@ -124,29 +118,6 @@ class Tape:
         return self._record(out, back)
 
     # -- structural ----------------------------------------------------
-
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def back(g: Array, a=a, b=b) -> None:
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-
-        return self._record(out, back)
-
-    def add_bias(self, a: Tensor, bias: Tensor) -> Tensor:
-        """Add a 1 x N bias row to every row of an M x N tensor."""
-        if a.data.ndim != 2 or bias.shape != (1, a.shape[1]):
-            raise ShapeError(f"add_bias: {a.shape} + {bias.shape}")
-        out = Tensor(a.data + bias.data)
-
-        def back(g: Array, a=a, bias=bias) -> None:
-            _accumulate(a, g)
-            _accumulate(bias, g.sum(axis=0, keepdims=True))
-
-        return self._record(out, back)
 
     def gru_sequence(self, embed: Tensor, ids: Array, w_x: Tensor, w_h: Tensor,
                      b: Tensor, n_hidden: int) -> Tensor:
@@ -198,55 +169,51 @@ class Tape:
 
         return self._record(out, back)
 
-    def take_rows(self, a: Tensor, indices: Sequence[int]) -> Tensor:
-        if a.data.ndim != 2:
-            raise ShapeError(f"take_rows: need 2-D tensor, got {a.shape}")
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if len(idx) and (idx.min() < 0 or idx.max() >= a.shape[0]):
-            raise IndexError("take_rows: index out of range")
-        out = Tensor(a.data[idx])
+    def output_nll(self, states: Tensor, rows: Sequence[int], w_out: Tensor,
+                   b_out: Tensor, targets: Sequence[int], lengths: Sequence[int]) -> Tensor:
+        """Summed NLL of each example's targets under the output layer.
 
-        def back(g: Array, a=a, idx=idx) -> None:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-        return self._record(out, back)
-
-    def log_softmax_nll(self, logits: Tensor, targets: Sequence[int],
-                        lengths: Sequence[int]) -> Tensor:
-        """Negative log-likelihood of targets under row-wise softmax, per example.
-
-        Example i owns the next ``lengths[i]`` rows; the result holds one summed
-        NLL per example.  Log-probabilities are stabilized by per-row max
-        subtraction.
+        Row ``states[rows[k]]`` predicts ``targets[k]`` through the logits
+        ``states[rows[k]] @ w_out + b_out``; example i owns the next
+        ``lengths[i]`` of those rows.  The log-softmax subtracts each row's max.
         """
-        if logits.data.ndim != 2:
-            raise ShapeError(f"log_softmax_nll: logits must be 2-D, got {logits.shape}")
-        n_rows, vocab = logits.shape
+        if states.data.ndim != 2 or w_out.data.ndim != 2 or \
+                states.shape[1] != w_out.shape[0]:
+            raise ShapeError(f"output_nll: incompatible shapes {states.shape} x {w_out.shape}")
+        vocab = w_out.shape[1]
+        if b_out.shape != (1, vocab):
+            raise ShapeError(f"output_nll: bias {b_out.shape} for {vocab} logits")
+        idx = np.asarray(list(rows), dtype=np.intp)
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(states.data)):
+            raise IndexError("output_nll: row index out of range")
         targets = list(targets)
         if not targets:
-            raise ValueError("log_softmax_nll: empty targets")
-        if len(targets) != n_rows:
-            raise ShapeError(
-                f"log_softmax_nll: {n_rows} logit rows vs {len(targets)} targets")
+            raise ValueError("output_nll: empty targets")
+        if len(targets) != len(idx):
+            raise ShapeError(f"output_nll: {len(idx)} rows vs {len(targets)} targets")
         for t in targets:
             if not 0 <= t < vocab:
-                raise IndexError(f"log_softmax_nll: target {t} out of range [0, {vocab})")
+                raise IndexError(f"output_nll: target {t} out of range [0, {vocab})")
         counts = np.asarray(lengths, dtype=np.intp)
-        if counts.ndim != 1 or (counts < 1).any() or counts.sum() != n_rows:
-            raise ShapeError(f"log_softmax_nll: lengths {list(lengths)} do not "
-                             f"partition {n_rows} rows")
-        idx = np.asarray(targets, dtype=np.intp)
-        log_probs = log_softmax(logits.data)
-        per_token = log_probs[np.arange(n_rows), idx]
+        if counts.ndim != 1 or (counts < 1).any() or counts.sum() != len(idx):
+            raise ShapeError(f"output_nll: lengths {list(lengths)} do not "
+                             f"partition {len(idx)} rows")
+        tgt = np.asarray(targets, dtype=np.intp)
+        picked = states.data[idx]
+        log_probs = log_softmax(picked @ w_out.data + b_out.data)
+        per_token = log_probs[np.arange(len(tgt)), tgt]
         out = Tensor(-np.add.reduceat(per_token, np.cumsum(counts) - counts))
         softmax = np.exp(log_probs)
 
-        def back(g: Array, logits=logits, softmax=softmax, idx=idx) -> None:
-            d = softmax.copy()
-            d[np.arange(len(idx)), idx] -= 1.0
-            _accumulate(logits, d * np.repeat(g, counts)[:, None])
+        def back(g: Array, states=states, w_out=w_out, b_out=b_out) -> None:
+            d_logits = softmax.copy()
+            d_logits[np.arange(len(tgt)), tgt] -= 1.0
+            d_logits *= np.repeat(g, counts)[:, None]
+            _accumulate(b_out, d_logits.sum(axis=0, keepdims=True))
+            _accumulate(w_out, picked.T @ d_logits)
+            if states.grad is None:
+                states.grad = np.zeros_like(states.data)
+            np.add.at(states.grad, idx, d_logits @ w_out.data.T)
 
         return self._record(out, back)
 

@@ -136,8 +136,15 @@ def _cmd_compare(args) -> int:
     loaded = []
     for run_dir in map(Path, args.runs):
         summary = json.loads((run_dir / "summary.json").read_text())
+        if not isinstance(summary, dict) or not {"method", "seed"} <= summary.keys():
+            raise UsageError(f"{run_dir / 'summary.json'} is not a run summary: "
+                             "it needs a method and a seed")
         rows = [json.loads(line)
                 for line in (run_dir / "reports.jsonl").read_text().splitlines()]
+        if not all(isinstance(row, dict) and {"held_in_rate", "held_out_rate"} <= row.keys()
+                   for row in rows):
+            raise UsageError(f"{run_dir / 'reports.jsonl'} is not a run's reports: "
+                             "every line needs a held_in_rate and a held_out_rate")
         loaded.append((summary["method"], summary["seed"], rows))
     lengths = {len(rows) for _, _, rows in loaded}
     if len(lengths) > 1:

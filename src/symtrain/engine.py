@@ -328,30 +328,48 @@ def _encode_examples(model: PolicyModel, sets: TrainingSets,
                for x, a_plus, a_minus in sets.u2])
 
 
-def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], list[int]]],
-                config: RunConfig, shuffle_seed: int, iteration: int,
-                epochs: int | None = None) -> tuple[float, float]:
-    """Minibatch SGD over the tagged examples; returns final-epoch loss sums."""
-    rng = np.random.default_rng(shuffle_seed)
-    sums = {"L1": 0.0, "L2": 0.0}
-    for _ in range(epochs if epochs is not None else config.epochs_per_iter):
-        order = rng.permutation(len(examples))
-        sums = {"L1": 0.0, "L2": 0.0}
+def _sgd_epochs(model: PolicyModel, items: Sequence, losses: Callable[[Tape, list], Tensor],
+                config: RunConfig, rng: np.random.Generator, epochs: int, iteration: int,
+                what: str) -> list[tuple[list, Array]]:
+    """Minibatch SGD over ``epochs`` shuffled passes of the items.
+
+    ``losses(tape, batch)`` gives each item's loss as a (B,) tensor; a step
+    descends their sum, and ``what`` names it if it is not finite.  Returns
+    the final epoch's minibatches with their losses, in visit order.
+    """
+    visited: list[tuple[list, Array]] = []
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
+        visited = []
         for start in range(0, len(order), config.batch_size):
-            batch = [examples[int(i)] for i in order[start:start + config.batch_size]]
+            batch = [items[int(i)] for i in order[start:start + config.batch_size]]
             tape = Tape()
-            nll = batch_nll(model, tape, [(cond, tgt) for _, cond, tgt in batch])
-            loss = tape.sum(nll)
+            per_item = losses(tape, batch)
+            loss = tape.sum(per_item)
             if not math.isfinite(float(loss.data)):
-                raise TrainingError(f"non-finite loss at iteration {iteration}")
-            for (kind, _, _), value in zip(batch, nll.data):
-                sums[kind] += float(value)
+                raise TrainingError(f"non-finite {what} at iteration {iteration}")
+            visited.append((batch, per_item.data))
             tape.backward(loss)
             # grads stays alive past the next backward: freed at zero_grads, the arrays
             # let malloc trim the heap top, which every step then page-faults back in
             grads = collect_grads(model.params)
             sgd_step(model.params, grads, config.lr, config.clip)
             zero_grads(model.params)
+    return visited
+
+
+def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], list[int]]],
+                config: RunConfig, shuffle_seed: int, iteration: int,
+                epochs: int | None = None) -> tuple[float, float]:
+    """Minibatch SGD on the tagged examples' NLL; returns final-epoch loss sums."""
+    sums = {"L1": 0.0, "L2": 0.0}
+    for batch, values in _sgd_epochs(
+            model, examples,
+            lambda tape, batch: batch_nll(model, tape, [(c, t) for _, c, t in batch]),
+            config, np.random.default_rng(shuffle_seed),
+            epochs if epochs is not None else config.epochs_per_iter, iteration, "loss"):
+        for (kind, _, _), value in zip(batch, values):
+            sums[kind] += float(value)
     return sums["L1"], sums["L2"]
 
 
@@ -381,7 +399,8 @@ def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
 def dpo_loss(model: PolicyModel, tape: Tape,
              pairs: Sequence[tuple[list[int], list[int], list[int], float]],
              beta: float) -> Tensor:
-    """Summed -log sigmoid(beta * ((logp+ - ref+) - (logp- - ref-))) on the tape.
+    """-log sigmoid(beta * ((logp+ - ref+) - (logp- - ref-))) of each pair, as a
+    (B,) tensor on the tape.
 
     Each pair is (cond, pos, neg, ref_margin), where ref_margin is the frozen
     reference model's logp+ - logp-.  All positives go through one batch_nll
@@ -391,7 +410,7 @@ def dpo_loss(model: PolicyModel, tape: Tape,
     nll_neg = batch_nll(model, tape, [(cond, neg) for cond, _, neg, _ in pairs])
     neg_ref = Tensor([-ref_margin for _, _, _, ref_margin in pairs])
     margin = tape.add(tape.add(tape.mul(nll_pos, -1.0), nll_neg), neg_ref)
-    return tape.mul(tape.sum(tape.log_sigmoid(tape.mul(margin, beta))), -1.0)
+    return tape.mul(tape.log_sigmoid(tape.mul(margin, beta)), -1.0)
 
 
 def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
@@ -405,25 +424,12 @@ def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
         ref_margin = float(sequence_token_logps(model, cond, pos).sum()
                            - sequence_token_logps(model, cond, neg).sum())
         pairs.append((cond, pos, neg, ref_margin))
-    if not pairs:
-        return 0.0
-    rng = np.random.default_rng(child_seed(config.seed, _DOM_SHUFFLE, iteration, 1))
     total = 0.0
-    for _ in range(config.epochs_per_iter):
-        order = rng.permutation(len(pairs))
-        total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            tape = Tape()
-            loss = dpo_loss(model, tape,
-                            [pairs[int(i)] for i in order[start:start + config.batch_size]],
-                            config.dpo_beta)
-            if not math.isfinite(float(loss.data)):
-                raise TrainingError(f"non-finite DPO loss at iteration {iteration}")
-            total += float(loss.data)
-            tape.backward(loss)
-            grads = collect_grads(model.params)  # held for the reason in _run_epochs
-            sgd_step(model.params, grads, config.lr, config.clip)
-            zero_grads(model.params)
+    for _, values in _sgd_epochs(
+            model, pairs, lambda tape, batch: dpo_loss(model, tape, batch, config.dpo_beta),
+            config, np.random.default_rng(child_seed(config.seed, _DOM_SHUFFLE, iteration, 1)),
+            config.epochs_per_iter, iteration, "DPO loss"):
+        total += float(values.sum())
     return total
 
 

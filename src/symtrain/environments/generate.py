@@ -212,6 +212,21 @@ def write_dataset(tasks: Sequence[TaskInstance], witnesses: dict[str, list[str]]
     return path, side
 
 
+def read_record(line: str, strings: Sequence[str]) -> dict:
+    """The JSON object on one line of a JSON Lines file.
+
+    Raises KeyError or ValueError unless the line is an object whose
+    ``strings`` fields are all strings.
+    """
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got a {type(rec).__name__}")
+    for key in strings:
+        if not isinstance(rec[key], str):
+            raise ValueError(f"field {key!r} must be a string, got {rec[key]!r}")
+    return rec
+
+
 def load_dataset(path: str | Path) -> list[TaskInstance]:
     tasks = []
     with Path(path).open() as fh:
@@ -219,7 +234,7 @@ def load_dataset(path: str | Path) -> list[TaskInstance]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = read_record(line, ("id", "x", "y", "split", "env"))
                 tasks.append(TaskInstance(rec["id"], tuple(rec["x"].split()),
                                           rec["y"], rec["split"], rec["env"]))
             except (KeyError, ValueError) as exc:
@@ -234,7 +249,7 @@ def load_witnesses(path: str | Path) -> dict[str, list[str]]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = read_record(line, ("id", "a"))
                 out[rec["id"]] = rec["a"].split()
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"{path}: bad witness record on line {line_no}: {exc}")

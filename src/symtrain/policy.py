@@ -9,10 +9,11 @@ either frame is the solution and EOS (:func:`target_ids`).
 One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
 through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
 scoring; taped, it is a single ``Tape.gru_sequence`` record whose backward is
-one BPTT sweep.  On the tape, :func:`batch_nll` returns one summed NLL per
-example, and every loss (L1, L2 and DPO) is built from that vector.
-Self-reward and the losses thus come from the same per-token
-log-probabilities.
+one BPTT sweep.  On the tape, :func:`batch_nll` adds one ``Tape.output_nll``
+record, which projects only the states that predict target tokens and
+returns one summed NLL per example.  Every loss (L1, L2 and DPO) is built
+from that vector.  Self-reward and the losses thus come from the same
+per-token log-probabilities.
 
 Generation steps all rows of a call together as one batch.  ``sample`` runs
 ``BOS x SEP`` once and repeats that state per row; ``refine`` runs all its
@@ -231,19 +232,17 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
                          target_ids: Sequence[int], start: Array | None = None) -> Array:
     """Log-probability of each target token given the condition prefix.
 
-    Given ``start``, the (1, h) state after the first tokens of the condition,
-    ``cond_ids`` holds only the condition tokens after those, and only they and
-    the target are stepped.
+    The GRU steps ``cond_ids`` and the target from the zero state, or from
+    ``start``, the (1, h) state after the first tokens of the condition; then
+    ``cond_ids`` holds only the condition tokens after those.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
     ids = np.asarray([[*cond_ids, *target_ids]], dtype=np.intp)
     p = model.params
-    if start is None:
-        h_rows = forward(model, ids).data[len(cond_ids) - 1:]
-    else:
-        steps = gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
-                                     p["w_h"].data, p["b"].data, model.h, h0=start)
-        h_rows = np.vstack([start, steps])[len(cond_ids):]
+    h0 = np.zeros((1, model.h)) if start is None else start
+    steps = gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
+                                 p["w_h"].data, p["b"].data, model.h, h0=h0)
+    h_rows = np.vstack([h0, steps])[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
@@ -377,10 +376,8 @@ def batch_nll(model: PolicyModel, tape: Tape,
         ids[i, :len(cond) + len(tgt)] = [*cond, *tgt]
         indices += [(len(cond) - 1 + k) * n_batch + i for k in range(len(tgt))]
         targets += tgt
-    h_rows = tape.take_rows(forward(model, ids, tape), indices)
-    logits = tape.add_bias(tape.matmul(h_rows, model.params["w_out"]),
-                           model.params["b_out"])
-    return tape.log_softmax_nll(logits, targets, [len(t) for _, t in examples])
+    return tape.output_nll(forward(model, ids, tape), indices, model.params["w_out"],
+                           model.params["b_out"], targets, [len(t) for _, t in examples])
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +417,25 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
     try:
         model = PolicyModel(Vocab(payload["vocab"]), payload["d"], payload["h"],
                             context_budget=payload["context_budget"])
-        for name, rec in payload["params"].items():
-            arr = np.asarray(rec["values"], dtype=np.float64)
-            shape = tuple(rec["shape"])
+        params = payload["params"]
+        if not isinstance(params, dict):
+            raise CheckpointError(f"{path}: params must be an object")
+        odd = sorted(set(params) ^ set(model.params))
+        if odd:
+            raise CheckpointError(f"{path}: parameter {odd[0]!r} is "
+                                  f"{'unknown' if odd[0] in params else 'missing'}")
+        for name, tensor in model.params.items():
+            arr = np.asarray(params[name]["values"], dtype=np.float64)
+            shape = tuple(params[name]["shape"])
+            if shape != tensor.shape:
+                raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
+                                      f"expected {tensor.shape}")
             if arr.size != int(np.prod(shape)):
                 raise CheckpointError(f"parameter {name}: value count mismatch")
-            model.params[name] = Tensor(arr.reshape(shape))
+            tensor.data = arr.reshape(shape)
         metadata = payload.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise CheckpointError(f"{path}: metadata must be an object")
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

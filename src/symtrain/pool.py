@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from symtrain.environments.generate import read_record
 from symtrain.environments.types import Status
 
 DEFAULT_POOL_CAP = 64
@@ -183,7 +184,8 @@ def load(path: str | Path, cap_per_task: int = DEFAULT_POOL_CAP) -> CandidatePoo
             if not line.strip():
                 continue
             try:
-                pool.update([_from_record(json.loads(line))])
+                pool.update([_from_record(read_record(
+                    line, ("task_id", "x", "y", "a", "source", "status")))])
             except (KeyError, ValueError, TypeError) as exc:
                 raise PoolLoadError(f"{path}: malformed trajectory on line {line_no}: {exc}")
     return pool

@@ -16,33 +16,30 @@ from symtrain.autodiff import (
 from helpers import assert_grads_close, central_differences, mp_log_softmax_nll
 
 
-def test_matmul_identity():
-    tape = Tape()
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    eye = Tensor(np.eye(2))
-    out = tape.matmul(a, eye)
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_matmul_row_times_column():
-    tape = Tape()
-    out = tape.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.data.tolist() == [[11.0]]
+def _softmax_nll(logits, targets, lengths):
+    """output_nll with the identity projection: the given rows are the logits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n_rows, width = logits.shape
+    return Tape().output_nll(Tensor(logits), range(n_rows), Tensor(np.eye(width)),
+                           Tensor(np.zeros((1, width))), targets, lengths)
 
 
 def test_matmul_shape_error_names_both_shapes():
+    # the output layer's projection is its one matmul
     with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 1\)"):
-        Tape().matmul(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 1))))
+        Tape().output_nll(Tensor(np.ones((2, 2))), [0], Tensor(np.ones((3, 1))),
+                          Tensor(np.zeros((1, 1))), [0], [1])
 
 
 def test_matmul_gradient_of_sum_wrt_left_operand():
     # the loss is the sum of the rows' NLLs, so dL/d(a @ b) = softmax - onehot
     a = Tensor([[1.0, 2.0], [-1.0, 0.5]])
     b = Tensor([[3.0, 0.0], [4.0, 1.0]])
+    zero = Tensor(np.zeros((1, 2)))
 
     def forward():
         tape = Tape()
-        return tape, tape.sum(tape.log_softmax_nll(tape.matmul(a, b), [0, 1], [1, 1]))
+        return tape, tape.sum(tape.output_nll(a, [0, 1], b, zero, [0, 1], [1, 1]))
 
     tape, out = forward()
     tape.backward(out)
@@ -53,11 +50,52 @@ def test_matmul_gradient_of_sum_wrt_left_operand():
     assert np.allclose(a.grad, d_logits @ b.data.T)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_output_nll_matches_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    states = Tensor(rng.uniform(-2, 2, (5, 3)))
+    w_out = Tensor(rng.uniform(-2, 2, (3, 6)))
+    b_out = Tensor(rng.uniform(-2, 2, (1, 6)))
+    params = {"states": states, "w_out": w_out, "b_out": b_out}
+    rows = [4, 0, 4, 2, 2, 2, 1]  # rows 4 and 2 are picked more than once
+    targets = [int(t) for t in rng.integers(0, 6, size=len(rows))]
+
+    def forward():
+        tape = Tape()
+        nll = tape.output_nll(states, rows, w_out, b_out, targets, [2, 1, 4])
+        # nonlinear in each example's NLL, so each example's gradient is weighted apart
+        return tape, tape.sum(tape.log_sigmoid(tape.mul(nll, -0.4)))
+
+    tape, loss = forward()
+    tape.backward(loss)
+    analytic = collect_grads(params)
+    fd = central_differences(lambda: float(forward()[1].data), params)
+    assert_grads_close(analytic, fd)
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (dict(states=np.ones(3)), ShapeError, "incompatible"),
+    (dict(b_out=np.zeros((1, 3))), ShapeError, "bias"),
+    (dict(rows=[0, 5]), IndexError, "row index"),
+    (dict(rows=[0, -1]), IndexError, "row index"),
+    (dict(targets=[0]), ShapeError, "2 rows vs 1 targets"),
+    (dict(targets=[0, 4]), IndexError, r"target 4 out of range \[0, 4\)"),
+])
+def test_output_nll_rejects_inputs_that_do_not_fit(fault, error, message):
+    args = dict(states=np.ones((5, 3)), rows=[0, 4], w_out=np.ones((3, 4)),
+                b_out=np.zeros((1, 4)), targets=[1, 3], lengths=[2])
+    args.update(fault)
+    with pytest.raises(error, match=message):
+        Tape().output_nll(Tensor(args["states"]), args["rows"], Tensor(args["w_out"]),
+                          Tensor(args["b_out"]), args["targets"], args["lengths"])
+
+
 def test_elementwise_shape_mismatch():
     with pytest.raises(ShapeError):
         Tape().add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))))
-    with pytest.raises(ShapeError):
-        Tape().mul(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 1))))
+    # mul scales by a number; there is no tensor x tensor product
+    with pytest.raises(TypeError):
+        Tape().mul(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
 
 
 # right-padded batch of three rows of unequal length; id 2 repeats in row 0
@@ -77,6 +115,7 @@ def test_gru_sequence_matches_finite_differences(seed):
     b = Tensor(rng.uniform(-1, 1, (1, 3 * n_hidden)))
     params = {"embed": embed, "w_x": w_x, "w_h": w_h, "b": b}
     w_out = Tensor(rng.uniform(-2, 2, (n_hidden, 5)))
+    b_out = Tensor(rng.uniform(-2, 2, (1, 5)))
     # only genuine positions enter the loss, as in batch_nll
     rows = [t * n_batch + i for i, n in enumerate(GRU_LENGTHS) for t in range(n)]
     targets = [int(t) for t in rng.integers(0, 5, size=len(rows))]
@@ -84,8 +123,8 @@ def test_gru_sequence_matches_finite_differences(seed):
     def forward():
         tape = Tape()
         states = tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, n_hidden)
-        logits = tape.matmul(tape.take_rows(states, rows), w_out)
-        return tape, tape.sum(tape.log_softmax_nll(logits, targets, GRU_LENGTHS))
+        nll = tape.output_nll(states, rows, w_out, b_out, targets, GRU_LENGTHS)
+        return tape, tape.sum(nll)
 
     tape, loss = forward()
     tape.backward(loss)
@@ -105,15 +144,13 @@ def test_gru_sequence_rejects_out_of_range_id(bad):
 
 
 def test_log_softmax_nll_uniform_two_way():
-    tape = Tape()
-    nll = tape.log_softmax_nll(Tensor([[0.0, 0.0]]), [0], [1])
+    nll = _softmax_nll([[0.0, 0.0]], [0], [1])
     assert nll.shape == (1,)
     assert float(nll.data[0]) == pytest.approx(-math.log(0.5), abs=1e-12)
 
 
 def test_log_softmax_nll_large_logits_stable():
-    tape = Tape()
-    nll = tape.log_softmax_nll(Tensor([[1000.0, 0.0]]), [0], [1])
+    nll = _softmax_nll([[1000.0, 0.0]], [0], [1])
     assert np.isfinite(nll.data).all()
     assert float(nll.data[0]) == pytest.approx(0.0, abs=1e-12)
 
@@ -123,9 +160,9 @@ def test_log_softmax_nll_matches_high_precision_oracle():
     logits = rng.normal(scale=3.0, size=(3, 5))
     targets = [1, 4, 0]
     oracle_loss, oracle_per_token = mp_log_softmax_nll(logits, targets)
-    per_token = Tape().log_softmax_nll(Tensor(logits), targets, [1] * 3)
+    per_token = _softmax_nll(logits, targets, [1] * 3)
     assert -per_token.data == pytest.approx(oracle_per_token, abs=1e-12)
-    summed = Tape().log_softmax_nll(Tensor(logits), targets, [3])
+    summed = _softmax_nll(logits, targets, [3])
     assert float(summed.data[0]) == pytest.approx(oracle_loss, abs=1e-12)
 
 
@@ -133,8 +170,8 @@ def test_log_softmax_nll_sums_each_run_of_rows():
     rng = np.random.default_rng(8)
     logits = rng.normal(scale=2.0, size=(6, 4))
     targets = [3, 0, 1, 1, 2, 0]
-    per_token = Tape().log_softmax_nll(Tensor(logits), targets, [1] * 6).data
-    runs = Tape().log_softmax_nll(Tensor(logits), targets, [2, 1, 3]).data
+    per_token = _softmax_nll(logits, targets, [1] * 6).data
+    runs = _softmax_nll(logits, targets, [2, 1, 3]).data
     expected = [per_token[:2].sum(), per_token[2], per_token[3:].sum()]
     np.testing.assert_allclose(runs, expected, rtol=0, atol=1e-12)
 
@@ -142,13 +179,13 @@ def test_log_softmax_nll_sums_each_run_of_rows():
 @pytest.mark.parametrize("lengths", [[2, 2], [1, 1, 1, 1], [3, 0, 1], [3, -1, 2], []])
 def test_log_softmax_nll_rejects_lengths_that_do_not_partition_rows(lengths):
     with pytest.raises(ShapeError, match="partition"):
-        Tape().log_softmax_nll(Tensor(np.zeros((3, 4))), [0, 1, 2], lengths)
+        _softmax_nll(np.zeros((3, 4)), [0, 1, 2], lengths)
 
 
 def test_log_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     logits = rng.normal(scale=4.0, size=(6, 9))
-    nll = Tape().log_softmax_nll(Tensor(logits), [0] * 6, [1] * 6)
+    nll = _softmax_nll(logits, [0] * 6, [1] * 6)
     z = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
@@ -157,22 +194,22 @@ def test_log_softmax_rows_sum_to_one():
 
 def test_log_softmax_nll_empty_targets_rejected():
     with pytest.raises(ValueError, match="empty"):
-        Tape().log_softmax_nll(Tensor(np.zeros((0, 3))), [], [])
+        _softmax_nll(np.zeros((0, 3)), [], [])
 
 
-def test_backward_square():
+def test_backward_accumulates_an_input_used_twice():
     x = Tensor(3.0)
     tape = Tape()
-    y = tape.mul(x, x)
+    y = tape.add(tape.mul(x, 3.0), x)
     tape.backward(y)
-    assert float(x.grad) == pytest.approx(6.0)
+    assert float(x.grad) == pytest.approx(4.0)
 
 
 def test_backward_unused_parameter_gets_zero():
     x = Tensor(3.0)
     p = Tensor(1.0)
     tape = Tape()
-    y = tape.mul(x, x)
+    y = tape.mul(x, 2.0)
     tape.backward(y)
     grads = collect_grads({"x": x, "p": p})
     assert np.all(grads["p"] == 0.0)
@@ -181,7 +218,7 @@ def test_backward_unused_parameter_gets_zero():
 def test_backward_twice_rejected():
     x = Tensor(2.0)
     tape = Tape()
-    y = tape.mul(x, x)
+    y = tape.mul(x, 2.0)
     tape.backward(y)
     with pytest.raises(TapeError):
         tape.backward(y)
@@ -208,11 +245,9 @@ def test_every_op_matches_finite_differences(seed):
 
     def forward():
         tape = Tape()
-        mixed = tape.mul(tape.log_sigmoid(a), b)
+        mixed = tape.add(tape.log_sigmoid(a), b)
         mixed = tape.mul(tape.add(mixed, a), 0.5)
-        logits = tape.add_bias(tape.matmul(mixed, w), bias)  # 3 x 5
-        picked = tape.take_rows(logits, [0, 2, 1, 1, 0, 2, 2])
-        nll = tape.log_softmax_nll(picked, targets, [3, 1, 3])
+        nll = tape.output_nll(mixed, [0, 2, 1, 1, 0, 2, 2], w, bias, targets, [3, 1, 3])
         extra = tape.mul(tape.log_sigmoid(tape.mul(nll, 0.13)), -1.0)
         return tape, tape.sum(tape.add(nll, extra))
 
@@ -283,8 +318,9 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     w_x = Tensor(rng.uniform(-50, 50, (4, 6)))
     w_h = Tensor(rng.uniform(-50, 50, (2, 6)))
     b = Tensor(rng.uniform(-50, 50, (1, 6)))
-    for out in (tape.log_sigmoid(x), tape.add(x, x), tape.mul(x, x), tape.matmul(x, x),
+    for out in (tape.log_sigmoid(x), tape.add(x, x), tape.mul(x, 3.0),
                 tape.gru_sequence(embed, GRU_IDS, w_x, w_h, b, 2),
-                tape.log_softmax_nll(tape.mul(x, 100.0), [0, 1, 2, 3], [1, 3]),
+                tape.output_nll(tape.mul(x, 100.0), [0, 1, 2, 3], x,
+                                Tensor(np.zeros((1, 4))), [0, 1, 2, 3], [1, 3]),
                 tape.sum(x)):
         assert np.isfinite(out.data).all()

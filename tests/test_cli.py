@@ -164,6 +164,18 @@ def test_eval_max_len_below_one_is_usage_error(finished_run, capsys, max_len):
     assert "--max-len: must be >= 1" in capsys.readouterr().err
 
 
+def test_eval_checkpoint_with_list_metadata_exits_1(finished_run, capsys):
+    data, out_dir = finished_run
+    path = out_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["metadata"] = [1]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--dataset", str(data)])
+    assert code == 1
+    assert "metadata must be an object" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     data = _gen(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "missing.json"),
@@ -210,6 +222,21 @@ def test_run_rejects_an_unknown_split(tmp_path, capsys):
     assert "line 3" in err and "'heldin'" in err
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '{"id": "t", "x": 5, "y": "1", '
+                                  '"split": "held_in", "env": "expr_math"}'],
+                         ids=["list", "x_not_a_string"])
+def test_run_on_a_malformed_dataset_line_prints_one_error(tmp_path, capsys, line):
+    data = _gen(tmp_path)
+    data.write_text(data.read_text() + line + "\n")
+    capsys.readouterr()
+    code = main(["run", "--config", str(_cfg(tmp_path)), "--dataset", str(data),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 9" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_compare_merges_runs(tmp_path):
     data = _gen(tmp_path)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -236,6 +263,28 @@ def test_compare_single_run_is_usage_error(tmp_path, capsys):
     code = main(["compare", "--runs", str(tmp_path), "--out",
                  str(tmp_path / "m.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("summary.json", json.dumps({"seed": 0}), "is not a run summary"),
+    ("summary.json", json.dumps({"method": "envisions"}), "is not a run summary"),
+    ("summary.json", "[1]", "is not a run summary"),
+    ("reports.jsonl", json.dumps({"held_out_rate": 0.0}) + "\n", "is not a run's reports"),
+    ("reports.jsonl", "[0.0, 0.0]\n", "is not a run's reports"),
+], ids=["no_method", "no_seed", "summary_list", "no_held_in_rate", "report_list"])
+def test_compare_on_files_that_are_not_a_run_is_usage_error(finished_run, capsys, name,
+                                                            content, message):
+    _, out_dir = finished_run
+    other = out_dir.parent / "other"
+    other.mkdir()
+    for file in ("summary.json", "reports.jsonl"):
+        (other / file).write_text((out_dir / file).read_text())
+    (other / name).write_text(content)
+    capsys.readouterr()
+    code = main(["compare", "--runs", str(out_dir), str(other),
+                 "--out", str(out_dir.parent / "m.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_compare_pads_mismatched_iterations(tmp_path, capsys):

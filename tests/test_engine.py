@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from symtrain import engine
-from symtrain.autodiff import Tape, TrainingError, collect_grads
+from symtrain.autodiff import Tape, TrainingError, collect_grads, sgd_step
 from symtrain.engine import (
     ConfigError,
     RunConfig,
     TrainingSets,
+    _encode_examples,
+    _run_epochs,
+    _train_dpo_stage,
     build_training_sets,
     child_seed,
     dpo_loss,
@@ -308,6 +311,28 @@ def test_train_iteration_requires_data():
         train_iteration(model, TrainingSets([], []), tiny_config(), 1)
 
 
+def test_sft_and_dpo_take_one_step_per_minibatch(monkeypatch):
+    steps = []
+
+    def counting_sgd_step(*args, **kwargs):
+        steps.append(1)
+        return sgd_step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sgd_step", counting_sgd_step)
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=2)
+    x = ("a", "=", "2", ";", "sum", "a", "a")
+    sets = TrainingSets([(x, ("a", "+", "a"))] * 5,
+                        [(x, ("a", "+", "a"), ("a",)), (x, ("a",), ("2",))] * 3)
+    config = tiny_config(method="sft_dpo", train_mode="continual", epochs_per_iter=2,
+                         batch_size=2)
+    examples = _encode_examples(model, sets)
+    _run_epochs(model, examples, config, shuffle_seed=0, iteration=1, epochs=3)
+    assert len(steps) == 3 * math.ceil(len(examples) / 2)  # 11 examples: 18 steps
+    steps.clear()
+    _train_dpo_stage(model, sets, config, iteration=1)
+    assert len(steps) == 2 * math.ceil(6 / 2)
+
+
 # ---------------------------------------------------------------------------
 # DPO
 
@@ -335,7 +360,8 @@ def test_dpo_loss_is_ln2_when_policy_equals_reference():
                     - sequence_token_logps(model, cond, neg).sum()))
              for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
     loss = dpo_loss(model, Tape(), pairs, beta=0.1)
-    assert float(loss.data) == pytest.approx(4 * math.log(2), abs=1e-12)
+    assert loss.shape == (4,)
+    np.testing.assert_allclose(loss.data, math.log(2), rtol=0, atol=1e-12)
 
 
 def test_dpo_gradient_matches_finite_differences():
@@ -344,7 +370,7 @@ def test_dpo_gradient_matches_finite_differences():
 
     def forward_loss():
         tape = Tape()
-        return tape, dpo_loss(model, tape, pairs, beta=0.7)
+        return tape, tape.sum(dpo_loss(model, tape, pairs, beta=0.7))
 
     tape, loss = forward_loss()
     tape.backward(loss)
@@ -356,7 +382,7 @@ def test_dpo_gradient_matches_finite_differences():
 def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
     model = _toy_model(6)
     pairs = _dpo_pairs(model, [0.5, -0.25, 1.5, -2.0])
-    singles = [float(dpo_loss(model, Tape(), [pair], beta=0.3).data) for pair in pairs]
+    singles = [dpo_loss(model, Tape(), [pair], beta=0.3).data[0] for pair in pairs]
     calls = []
 
     def counting_batch_nll(model, tape, examples):
@@ -364,8 +390,9 @@ def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
         return batch_nll(model, tape, examples)
 
     monkeypatch.setattr(engine, "batch_nll", counting_batch_nll)
-    batched = float(dpo_loss(model, Tape(), pairs, beta=0.3).data)
-    assert batched == pytest.approx(sum(singles), rel=0, abs=1e-12)
+    batched = dpo_loss(model, Tape(), pairs, beta=0.3).data
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
+    assert batched.sum() == pytest.approx(sum(singles), rel=0, abs=1e-12)
     # one call for all positives, one for all negatives
     assert [len(examples) for examples in calls] == [4, 4]
 

@@ -425,6 +425,25 @@ def test_dataset_roundtrip(tmp_path):
     assert loaded_w == {k: list(v) for k, v in witnesses.items()}
 
 
+@pytest.mark.parametrize("loader, line, message", [
+    (load_dataset, "[1, 2]", "expected a JSON object, got a list"),
+    (load_dataset, '{"id": "t", "x": 5, "y": "1", "split": "held_in", "env": "expr_math"}',
+     "'x' must be a string"),
+    (load_dataset, '{"id": "t", "x": "a", "y": 1, "split": "held_in", "env": "expr_math"}',
+     "'y' must be a string"),
+    (load_witnesses, '"a b"', "expected a JSON object, got a str"),
+    (load_witnesses, '{"id": "t", "a": ["a", "b"]}', "'a' must be a string"),
+], ids=["dataset_list", "dataset_x", "dataset_y", "witness_str", "witness_a"])
+def test_loaders_reject_malformed_lines_by_line_number(tmp_path, loader, line, message):
+    tasks, witnesses = generate_dataset(EnvKind.EXPR_MATH, 2, seed=0)
+    path = tmp_path / "data.jsonl"
+    write_dataset(tasks, witnesses, path)
+    target = path if loader is load_dataset else witness_path(path)
+    target.write_text(target.read_text() + line + "\n")
+    with pytest.raises(ValueError, match=f"on line 3: .*{message}"):
+        loader(target)
+
+
 def test_gen_rejects_nonpositive_count():
     with pytest.raises(ValueError):
         generate_dataset(EnvKind.EXPR_MATH, 0, seed=0)

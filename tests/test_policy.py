@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symtrain.autodiff import Tape, Tensor, collect_grads, log_softmax
+from symtrain.autodiff import Tape, collect_grads, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -213,11 +213,17 @@ def test_batched_refine_frames_give_the_row_by_row_token_logps():
     drafts = [_random_tokens(rng, vocab, n) for n in (1, 9, 4, 30, 2)]  # 30 is cut
     frames = [condition_ids(model, x, a) for a in drafts]
     states = _frame_states(model, frames)
+    p = {k: t.data for k, t in model.params.items()}
     for i, cond in enumerate(frames):
         target = vocab.encode([*_random_tokens(rng, vocab, 6), EOS])
+        logps = sequence_token_logps(model, cond, target)
         np.testing.assert_allclose(
             sequence_token_logps(model, [], target, start=states[i:i + 1]),
-            sequence_token_logps(model, cond, target), rtol=0, atol=1e-12)
+            logps, rtol=0, atol=1e-12)
+        # from the zero state, the rows are forward's own
+        rows = forward(model, np.asarray([[*cond, *target]])).data[len(cond) - 1:]
+        assert np.array_equal(
+            logps, log_softmax(rows @ p["w_out"] + p["b_out"])[np.arange(len(target)), target])
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -401,11 +407,12 @@ def test_batch_nll_gradient_matches_finite_differences():
         (vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS])),
         (vocab.encode([BOS, "d", "e", SEP]), vocab.encode(["f", EOS])),
     ]
-    weights = Tensor([0.7, -1.3])  # unequal weights check each example's gradient
 
     def forward_loss():
         tape = Tape()
-        return tape, tape.sum(tape.mul(batch_nll(model, tape, examples), weights))
+        # nonlinear in each example's NLL, so each example's gradient is weighted apart
+        return tape, tape.sum(tape.log_sigmoid(tape.mul(batch_nll(model, tape, examples),
+                                                        -0.7)))
 
     tape, loss = forward_loss()
     tape.backward(loss)
@@ -493,3 +500,21 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda payload: payload["params"].pop("w_out"), "'w_out' is missing"),
+    (lambda payload: payload["params"].update(extra=payload["params"]["b"]),
+     "'extra' is unknown"),
+    (lambda payload: payload["params"].update(embed={"shape": [3, 8], "values": [0.0] * 24}),
+     r"'embed' has shape \(3, 8\), expected \(16, 8\)"),
+    (lambda payload: payload.update(params=list(payload["params"].values())),
+     "params must be an object"),
+], ids=["missing", "extra", "mis_shaped", "params_list"])
+def test_checkpoint_parameters_must_fit_the_model(tmp_path, fault, message):
+    path = tmp_path / "model.json"
+    save_checkpoint(toy_model(), path)
+    payload = json.loads(path.read_text())
+    fault(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)

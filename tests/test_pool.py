@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,19 @@ def test_corrupt_line_reports_line_number(tmp_path):
     persist(pool, path)
     path.write_text(path.read_text() + "{not json\n")
     with pytest.raises(PoolLoadError, match="line 2"):
+        load(path)
+
+
+@pytest.mark.parametrize("field, value", [("x", 5), ("a", ["a", "b"]), ("task_id", None)])
+def test_non_string_field_reports_line_number(tmp_path, field, value):
+    pool = CandidatePool()
+    pool.update([make()])
+    path = tmp_path / "pool.jsonl"
+    persist(pool, path)
+    record = json.loads(path.read_text())
+    record[field] = value
+    path.write_text(path.read_text() + json.dumps(record) + "\n")
+    with pytest.raises(PoolLoadError, match=f"line 2: field '{field}' must be a string"):
         load(path)
 
 
