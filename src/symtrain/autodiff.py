@@ -304,8 +304,9 @@ def global_norm(grads: Mapping[str, Array]) -> float:
 
 
 def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, Array],
-             lr: float, clip: float = math.inf) -> Mapping[str, Tensor]:
-    """In-place SGD update with global-norm gradient clipping."""
+             lr: float, clip: float) -> Mapping[str, Tensor]:
+    """In-place SGD update with global-norm gradient clipping; ``clip=math.inf``
+    never clips."""
     if lr <= 0:
         raise ValueError(f"sgd_step: lr must be positive, got {lr}")
     if clip <= 0:
@@ -314,7 +315,7 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, Array],
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     norm = global_norm(grads)
-    scale = clip / norm if math.isfinite(clip) and norm > clip else 1.0
+    scale = clip / norm if norm > clip else 1.0
     for name, t in params.items():
         g = grads.get(name)
         if g is not None:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from symtrain.engine import ConfigError, RunConfig, evaluate, run
 from symtrain.environments import (
+    MAX_SOLUTION_LEN,
     SPLITS,
     EnvKind,
     generate_dataset,
@@ -29,13 +30,16 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
+def _max_len(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_SOLUTION_LEN:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SOLUTION_LEN}, "
+                                         f"the longest solution execute grades, got {value}")
     return value
 
 
@@ -64,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="held_in")
     p.add_argument("--with-refine", action="store_true",
                    help="allow one refinement attempt on failures")
-    p.add_argument("--max-len", type=_positive_int, default=RunConfig.max_len)
+    p.add_argument("--max-len", type=_max_len, default=RunConfig.max_len)
 
     p = sub.add_parser("compare", help="merge several runs' curves into one CSV")
     p.add_argument("--runs", nargs="+", required=True)

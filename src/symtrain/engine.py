@@ -9,9 +9,10 @@ the same way: evaluate both splits and record one ``IterationReport``, which
 carries the solve rates and the analysis quantities.  ``reports.jsonl``
 streams those records, one line each.  Before any of it, ``run`` rejects a
 dataset that no run could grade correctly: a duplicate task id, a task of
-another env, no held_in task, a witness for an unknown task id or a warmup
-task without one.  Everything is a pure function of (config, dataset): all
-randomness derives from the config seed.
+another env, a task whose x has a token outside the vocabulary or that its env
+cannot read, no held_in task, a witness for an unknown task id or with a token
+outside the vocabulary, or a warmup task without one.  Everything is a pure
+function of (config, dataset): all randomness derives from the config seed.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 from symtrain import analysis
 from symtrain.autodiff import (Array, Tape, Tensor, TrainingError, collect_grads, sgd_step,
                                zero_grads)
-from symtrain.environments import EnvKind, TaskInstance, execute
+from symtrain.environments import (MAX_SOLUTION_LEN, EnvKind, TaskInstance, check_task,
+                                   execute)
 from symtrain.policy import (
-    DEFAULT_CONTEXT_BUDGET,
     DEFAULT_D,
     DEFAULT_H,
     GenerationParams,
@@ -83,7 +84,6 @@ class RunConfig:
     h: int = DEFAULT_H
     temperature: float = 1.0
     max_len: int = 80
-    context_budget: int = DEFAULT_CONTEXT_BUDGET
     batch_size: int = 8
     clip: float = 5.0
     warmup_tasks: int = 20
@@ -108,12 +108,15 @@ class RunConfig:
             raise ConfigError(f"train_mode must be one of {TRAIN_MODES}")
         for name, minimum in (("K", 1), ("N1", 1), ("N2", 0), ("iterations", 1),
                               ("epochs_per_iter", 1), ("batch_size", 1), ("d", 1),
-                              ("h", 1), ("max_len", 1), ("context_budget", 1),
+                              ("h", 1), ("max_len", 1),
                               ("warmup_tasks", 0), ("warmup_epochs", 0),
                               ("pool_cap", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                 raise ConfigError(f"{name} must be an integer >= {minimum}")
+        if self.max_len > MAX_SOLUTION_LEN:
+            raise ConfigError(f"max_len must be <= {MAX_SOLUTION_LEN}, "
+                              "the longest solution execute grades")
         for name in ("lr", "temperature", "clip", "dpo_beta"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
@@ -464,11 +467,14 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     """Warmup, then iterate explore/filter/select/train/evaluate.
 
     Raises ValueError, naming the first offender, on a duplicate task id, a
-    task whose env is not ``config.env``, a dataset without held_in tasks, a
-    witness for a task id not in the dataset, or a warmup task without a
-    witness.  Writes reports.jsonl (streamed per iteration), summary.json and
-    the final checkpoint and pool when out_dir is given.
+    task whose env is not ``config.env``, a task whose x has a token outside
+    the vocabulary or that the env cannot read, a dataset without held_in
+    tasks, a witness for a task id not in the dataset or with a token outside
+    the vocabulary, or a warmup task without a witness.  Writes reports.jsonl
+    (streamed per iteration), summary.json and the final checkpoint and pool
+    when out_dir is given.
     """
+    vocab = default_vocab()
     ids: set[str] = set()
     for t in dataset:
         if t.id in ids:
@@ -476,14 +482,23 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         if t.env != config.env:
             raise ValueError(f"task {t.id!r} is a {t.env} task, "
                              f"but the config's env is {config.env}")
+        try:
+            vocab.encode(t.x)
+            check_task(config.env, t)
+        except ValueError as exc:
+            raise ValueError(f"task {t.id!r}: {exc}") from exc
         ids.add(t.id)
     held_in = [t for t in dataset if t.split == "held_in"]
     held_out = [t for t in dataset if t.split == "held_out"]
     if not held_in:
         raise ValueError("dataset has no held_in tasks")
-    unknown = [task_id for task_id in witnesses if task_id not in ids]
-    if unknown:
-        raise ValueError(f"witness for unknown task id {unknown[0]!r}")
+    for task_id, witness in witnesses.items():
+        if task_id not in ids:
+            raise ValueError(f"witness for unknown task id {task_id!r}")
+        try:
+            vocab.encode(witness)
+        except ValueError as exc:
+            raise ValueError(f"witness of task {task_id!r}: {exc}") from exc
     n_warm = min(config.warmup_tasks, len(held_in))
     warmup = held_in[:n_warm]
     eval_held_in = held_in[n_warm:]
@@ -526,9 +541,8 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                      f"new_traj={report.new_trajectory_count}")
 
     try:
-        model = PolicyModel(default_vocab(), config.d, config.h,
-                            seed=child_seed(config.seed, _DOM_INIT, 0),
-                            context_budget=config.context_budget)
+        model = PolicyModel(vocab, config.d, config.h,
+                            seed=child_seed(config.seed, _DOM_INIT, 0))
         pool = CandidatePool(config.pool_cap)
 
         # warmup: behaviour-clone the witness solutions of the seed tasks

@@ -15,6 +15,7 @@ from symtrain.environments.generate import (
 from symtrain.environments.grid import run_grid
 from symtrain.environments.logic import run_logic
 from symtrain.environments.types import (
+    MAX_SOLUTION_LEN,
     SPLITS,
     EnvKind,
     ExecutionResult,
@@ -26,6 +27,7 @@ from symtrain.environments.types import (
 )
 
 __all__ = [
+    "MAX_SOLUTION_LEN",
     "SPLITS",
     "EnvKind",
     "ExecutionResult",
@@ -33,6 +35,7 @@ __all__ = [
     "TaskEncodingError",
     "TaskInstance",
     "canonical_output",
+    "check_task",
     "execute",
     "generate_dataset",
     "graded",
@@ -56,11 +59,22 @@ def execute(env: EnvKind | str, task: TaskInstance, a: Sequence[str]) -> Executi
     """Run a candidate solution in its environment.
 
     Pure in (env, task, a); every failure mode of the solution is encoded in
-    the result status with b=0 rather than raised.  An empty solution parses
-    as nothing and is graded accordingly (a grid agent that stays put is
-    legal; the other environments report a parse failure).
+    the result status with b=0 rather than raised.  A solution longer than
+    ``MAX_SOLUTION_LEN`` tokens times out before the environment's runner
+    starts.  That is the one bound on a solution's work: within it every
+    runner ends fast without a budget of its own.
     """
     env = EnvKind(env)
-    if not a and env is not EnvKind.GRID_AGENT:
-        return graded(Status.PARSE_ERROR, None, task.y)
+    if len(a) > MAX_SOLUTION_LEN:
+        return graded(Status.TIMEOUT, None, task.y)
     return _RUNNERS[env](a, task)
+
+
+def check_task(env: EnvKind | str, task: TaskInstance) -> None:
+    """Raise TaskEncodingError if env cannot read task.x.
+
+    Each runner reads what it needs of x before it reads the solution (logic
+    programs state their own facts, so logic_rules reads none of it), so
+    grading the empty solution reads x alone.
+    """
+    _RUNNERS[EnvKind(env)]((), task)

@@ -5,6 +5,11 @@ Solutions are token sequences over digits, single-letter identifiers,
 (digits fuse into multi-digit integers) and parse errors carry the byte
 offset into that string.  Division is exact integer division: a non-zero
 remainder is a runtime failure, which keeps every output a canonical integer.
+
+``execute`` grades solutions of at most ``MAX_SOLUTION_LEN`` (256) tokens, and
+that bound is the evaluator's too: the parser then nests at most 127
+parentheses (about 381 frames), the AST has at most 256 nodes, and every
+value has at most 256 digits.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from typing import Sequence
 
 from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
 
-EVAL_STEP_BUDGET = 10_000
-
 
 class ExprParseError(ValueError):
     def __init__(self, offset: int, message: str):
@@ -24,10 +27,6 @@ class ExprParseError(ValueError):
 
 
 class ExprRuntimeError(ValueError):
-    pass
-
-
-class ExprTimeout(ValueError):
     pass
 
 
@@ -53,17 +52,10 @@ Node = Num | Var | BinOp
 _OPS = "+-*/%"
 
 
-def tokens_to_source(tokens: Sequence[str]) -> str:
-    return "".join(tokens)
-
-
 @dataclass
 class _Lexer:
     src: str
     pos: int = 0
-
-    def peek(self) -> str | None:
-        return self.src[self.pos] if self.pos < len(self.src) else None
 
     def next_token(self) -> tuple[str, str, int] | None:
         """Return (kind, text, offset) or None at end of input."""
@@ -150,46 +142,36 @@ class _Parser:
 
 def parse_expr(tokens: Sequence[str]) -> Node:
     """Parse a token sequence into an AST; error offsets index the joined source."""
-    return _Parser(tokens_to_source(tokens)).parse()
+    return _Parser("".join(tokens)).parse()
 
 
-def eval_expr(node: Node, bindings: dict[str, int],
-              budget: int = EVAL_STEP_BUDGET) -> int:
-    steps = 0
-
-    def go(n: Node) -> int:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise ExprTimeout(f"evaluation exceeded {budget} steps")
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Var):
-            if n.name not in bindings:
-                raise ExprRuntimeError(f"unbound identifier {n.name!r}")
-            return bindings[n.name]
-        left = go(n.left)
-        right = go(n.right)
-        if n.op == "+":
-            return left + right
-        if n.op == "-":
-            return left - right
-        if n.op == "*":
-            return left * right
-        if n.op == "/":
-            if right == 0:
-                raise ExprRuntimeError("division by zero")
-            q, rem = divmod(left, right)
-            if rem != 0:
-                raise ExprRuntimeError(f"inexact division {left}/{right}")
-            return q
-        if n.op == "%":
-            if right == 0:
-                raise ExprRuntimeError("modulo by zero")
-            return left % right
-        raise ExprRuntimeError(f"unknown operator {n.op!r}")
-
-    return go(node)
+def eval_expr(node: Node, bindings: dict[str, int]) -> int:
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if node.name not in bindings:
+            raise ExprRuntimeError(f"unbound identifier {node.name!r}")
+        return bindings[node.name]
+    left = eval_expr(node.left, bindings)
+    right = eval_expr(node.right, bindings)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if right == 0:
+            raise ExprRuntimeError("division by zero")
+        q, rem = divmod(left, right)
+        if rem != 0:
+            raise ExprRuntimeError(f"inexact division {left}/{right}")
+        return q
+    if node.op == "%":
+        if right == 0:
+            raise ExprRuntimeError("modulo by zero")
+        return left % right
+    raise ExprRuntimeError(f"unknown operator {node.op!r}")
 
 
 def parse_task_input(x: Sequence[str]) -> tuple[dict[str, int], list[str]]:
@@ -229,8 +211,6 @@ def run_expr(a: Sequence[str], task: TaskInstance):
         return graded(Status.PARSE_ERROR, None, task.y)
     try:
         value = eval_expr(node, bindings)
-    except ExprTimeout:
-        return graded(Status.TIMEOUT, None, task.y)
     except ExprRuntimeError:
         return graded(Status.RUNTIME_ERROR, None, task.y)
     return graded(Status.OK, str(value), task.y)

@@ -3,7 +3,8 @@
 The task input encodes a rows x cols board with a start cell, a goal cell and
 wall cells; a solution is a sequence of ``U D L R`` moves.  Walking into a
 wall or off the board is a no-op.  The execution output is the final cell as
-``"row,col"`` and feedback compares it to the goal encoded in y.
+``"row,col"`` and feedback compares it to the goal encoded in y.  ``execute``
+bounds a solution at ``MAX_SOLUTION_LEN`` (256) moves.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
-
-ACTION_BUDGET = 256
 
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 
@@ -81,7 +80,5 @@ def run_grid(actions: Sequence[str], task: TaskInstance):
     actions = list(actions)
     if any(a not in MOVES for a in actions):
         return graded(Status.PARSE_ERROR, None, task.y)
-    if len(actions) > ACTION_BUDGET:
-        return graded(Status.TIMEOUT, None, task.y)
     r, c = simulate(spec, actions)
     return graded(Status.OK, f"{r},{c}", task.y)

@@ -10,7 +10,8 @@ Lowercase names are predicates/constants, single uppercase letters are
 variables.  Facts must be ground, rules must be safe (head variables appear
 in the body), and a program carries exactly one query.  Inference iterates
 all rules to a fixpoint over the program's constants; the query's truth
-value is the output.
+value is the output.  ``MATCH_BUDGET`` bounds the work of inference, and
+``execute`` bounds a program at ``MAX_SOLUTION_LEN`` (256) tokens.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from typing import Iterator, Sequence
 
 from symtrain.environments.types import Status, TaskInstance, graded
 
-FIXPOINT_BUDGET = 1_000
-# atom-against-fact matches per forward_chain: a rule body of n atoms joins
-# exponentially in n, so the fixpoint budget alone does not bound the work
+# atom-against-fact matches per forward_chain.  A rule body of n atoms joins
+# exponentially in n, and this budget also ends every run within 141 rounds:
+# each round that does not reach the fixpoint adds a fact, so round r starts
+# with at least r facts (round 1 continues only if some body matched a fact),
+# and every rule matches its first body atom against each of them; rounds
+# 1..141 thus take at least 141 * 142 / 2 = 10,011 matches
 MATCH_BUDGET = 10_000
 
 
@@ -180,12 +184,12 @@ def _substitute(atom: Atom, bindings: dict[str, str]) -> Atom:
                                  for a in atom.args))
 
 
-def forward_chain(program: Program, budget: int = FIXPOINT_BUDGET) -> set[Atom]:
-    """Iterate all rules to a fixpoint; raises LogicTimeout past the budget of
-    rounds or past MATCH_BUDGET atom matches."""
+def forward_chain(program: Program) -> set[Atom]:
+    """Iterate all rules to a fixpoint; raises LogicTimeout past MATCH_BUDGET
+    atom matches."""
     facts = set(program.facts)
     matches = itertools.count(1)
-    for _ in range(budget):
+    while True:
         new: set[Atom] = set()
         for rule in program.rules:
             for bindings in _body_matches(rule.body, facts, {}, matches):
@@ -195,7 +199,6 @@ def forward_chain(program: Program, budget: int = FIXPOINT_BUDGET) -> set[Atom]:
         if not new:
             return facts
         facts |= new
-    raise LogicTimeout(f"no fixpoint within {budget} iterations")
 
 
 def run_logic(program_tokens: Sequence[str], task: TaskInstance):

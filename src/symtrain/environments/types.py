@@ -15,6 +15,10 @@ class EnvKind(str, Enum):
 
 SPLITS = ("held_in", "held_out")
 
+# the one bound on a solution: execute grades a longer one TIMEOUT unrun, and
+# the generation length cap max_len may not exceed it
+MAX_SOLUTION_LEN = 256
+
 
 class Status(str, Enum):
     OK = "ok"
@@ -34,12 +38,14 @@ class TaskInstance:
     env: str = EnvKind.EXPR_MATH.value
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x", tuple(self.x))
+        if not self.x:
+            raise ValueError(f"task {self.id!r}: input x must be non-empty")
         if not self.y:
             raise ValueError(f"task {self.id!r}: expected output y must be non-empty")
         if self.split not in SPLITS:
             raise ValueError(f"task {self.id!r}: split must be one of {SPLITS}, "
                              f"got {self.split!r}")
-        object.__setattr__(self, "x", tuple(self.x))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Every step conditions on one of two frames, and :func:`condition_ids` alone
 builds them: ``BOS x SEP`` to solve task x, and ``BOS x SEP a_prev SEP`` to
 refine the draft a_prev.  Generation, self-reward and training share the
 frames, so refinement can be learned from contrastive pairs.  The target after
-either frame is the solution and EOS (:func:`target_ids`).
+either frame is the solution and EOS (:func:`target_ids`).  A frame is never
+cut: a GRU has no context window, and a draft is at most ``max_len`` tokens,
+which the run configuration bounds by the longest solution ``execute`` grades.
 
 One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
 through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
@@ -29,7 +31,6 @@ starts with ``BOS x SEP``, so :func:`score` can start from that shared state
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -39,16 +40,14 @@ import numpy as np
 from symtrain.autodiff import (Array, Tape, Tensor, gru_cell_forward, gru_sequence_forward,
                                log_softmax)
 
-log = logging.getLogger(__name__)
-
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
 
 CHECKPOINT_FORMAT = "symtrain-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 INIT_SCALE = 0.08  # parameters drawn uniform in [-INIT_SCALE, INIT_SCALE]
-DEFAULT_D, DEFAULT_H, DEFAULT_CONTEXT_BUDGET = 32, 64, 192
+DEFAULT_D, DEFAULT_H = 32, 64
 
 
 class CheckpointError(RuntimeError):
@@ -138,12 +137,10 @@ class PolicyModel:
     along the 3h column axis.
     """
 
-    def __init__(self, vocab: Vocab, d: int = DEFAULT_D, h: int = DEFAULT_H, seed: int = 0,
-                 context_budget: int = DEFAULT_CONTEXT_BUDGET):
+    def __init__(self, vocab: Vocab, d: int = DEFAULT_D, h: int = DEFAULT_H, seed: int = 0):
         self.vocab = vocab
         self.d = d
         self.h = h
-        self.context_budget = context_budget
         self.params = self._init_params(seed)
 
     def _init_params(self, seed: int) -> dict[str, Tensor]:
@@ -165,27 +162,18 @@ class PolicyModel:
 
 def reinit(model: PolicyModel, seed: int) -> PolicyModel:
     """Fresh parameters from the init distribution; vocabulary unchanged."""
-    return PolicyModel(model.vocab, model.d, model.h, seed, model.context_budget)
+    return PolicyModel(model.vocab, model.d, model.h, seed)
 
 
 # ---------------------------------------------------------------------------
 # conditioning
 
-def _draft_room(model: PolicyModel, x: Sequence[str]) -> int:
-    """Draft tokens the context budget leaves beside ``BOS x SEP ... SEP``."""
-    return max(0, model.context_budget - len(x) - 3)
-
-
 def condition_ids(model: PolicyModel, x: Sequence[str],
                   a_prev: Sequence[str] | None = None) -> list[int]:
-    """The encoded frame ``BOS x SEP``, or ``BOS x SEP a_prev SEP`` given a draft.
-
-    The draft is cut from the left to fit the context budget; when x alone
-    fills the budget none of it is left, and the frame is ``BOS x SEP SEP``.
-    """
+    """The encoded frame ``BOS x SEP``, or ``BOS x SEP a_prev SEP`` given a draft."""
     frame = [BOS, *x, SEP]
     if a_prev is not None:
-        frame += [*a_prev[max(0, len(a_prev) - _draft_room(model, x)):], SEP]
+        frame += [*a_prev, SEP]
     return model.vocab.encode(frame)
 
 
@@ -320,10 +308,6 @@ def refine(model: PolicyModel, x: Sequence[str], drafts: Sequence[Sequence[str]]
                          f"k_samples={params.k_samples} must agree")
     if not all(drafts):
         raise ValueError("refine: previous solutions must be non-empty")
-    truncated = sum(len(a) > _draft_room(model, x) for a in drafts)
-    if truncated:
-        log.warning("refine conditioning of %d draft(s) truncated to context budget %d",
-                    truncated, model.context_budget)
     states = _frame_states(model, [condition_ids(model, x, a) for a in drafts])
     return [model.vocab.decode(ids) for ids in _generate(
         model, states, params, [np.random.default_rng(s) for s in seeds])]
@@ -391,7 +375,6 @@ def save_checkpoint(model: PolicyModel, path: str | Path,
         "version": CHECKPOINT_VERSION,
         "d": model.d,
         "h": model.h,
-        "context_budget": model.context_budget,
         "vocab": model.vocab.tokens,
         "params": {k: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
                    for k, t in model.params.items()},
@@ -415,8 +398,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             f"checkpoint version {payload.get('version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})")
     try:
-        model = PolicyModel(Vocab(payload["vocab"]), payload["d"], payload["h"],
-                            context_budget=payload["context_budget"])
+        model = PolicyModel(Vocab(payload["vocab"]), payload["d"], payload["h"])
         params = payload["params"]
         if not isinstance(params, dict):
             raise CheckpointError(f"{path}: params must be an object")

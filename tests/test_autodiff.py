@@ -284,12 +284,12 @@ def test_sgd_step_global_norm_clip():
 def test_sgd_step_rejects_nonfinite_named():
     p = Tensor(1.0)
     with pytest.raises(TrainingError, match="p"):
-        sgd_step({"p": p}, {"p": np.asarray(math.nan)}, lr=0.1)
+        sgd_step({"p": p}, {"p": np.asarray(math.nan)}, lr=0.1, clip=math.inf)
 
 
 def test_sgd_step_rejects_bad_lr():
     with pytest.raises(ValueError):
-        sgd_step({}, {}, lr=0.0)
+        sgd_step({}, {}, lr=0.0, clip=1.0)
 
 
 @pytest.mark.parametrize("clip", [-1.0, 0.0])

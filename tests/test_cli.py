@@ -164,6 +164,25 @@ def test_eval_max_len_below_one_is_usage_error(finished_run, capsys, max_len):
     assert "--max-len: must be >= 1" in capsys.readouterr().err
 
 
+def test_eval_max_len_over_the_bound_is_usage_error(finished_run, capsys):
+    data, out_dir = finished_run
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+              "--dataset", str(data), "--max-len", "257"])
+    assert exc.value.code == 2
+    assert "--max-len: must be <= 256" in capsys.readouterr().err
+
+
+def test_run_max_len_over_the_bound_is_usage_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    code = main(["run", "--config", str(_cfg(tmp_path, max_len=257)), "--dataset", str(data),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "max_len must be <= 256" in capsys.readouterr().err
+
+
 def test_eval_checkpoint_with_list_metadata_exits_1(finished_run, capsys):
     data, out_dir = finished_run
     path = out_dir / "checkpoint.json"
@@ -220,6 +239,35 @@ def test_run_rejects_an_unknown_split(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 3" in err and "'heldin'" in err
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("x_token", "task 'expr_math-held_in-0-0003': token 'hello' not in vocabulary"),
+    ("witness_token", "witness of task 'expr_math-held_in-0-0000': "
+                      "token 'hello' not in vocabulary"),
+    ("x_layout", "task 'expr_math-held_in-0-0003': x has no query after bindings"),
+])
+def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, defect,
+                                                              message):
+    data = _gen(tmp_path)
+    path = data.with_name("data.witness.jsonl") if defect == "witness_token" else data
+    line = 0 if defect == "witness_token" else 3  # a warmup witness, an eval task
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[line])
+    if defect == "x_token":
+        record["x"] += " hello"
+    elif defect == "witness_token":
+        record["a"] = "hello"
+    else:
+        record["x"] = "a = 2 ;"
+    lines[line] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["run", "--config", str(_cfg(tmp_path)), "--dataset", str(data),
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # rejected before warmup wrote anything
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", '{"id": "t", "x": 5, "y": "1", '

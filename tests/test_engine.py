@@ -94,7 +94,7 @@ def test_config_invariants():
 
 @pytest.mark.parametrize("field,value", [
     ("clip", -1.0), ("clip", 0.0), ("warmup_tasks", -3), ("temperature", 0.0),
-    ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("context_budget", 0),
+    ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("max_len", 257),
     ("warmup_epochs", -1), ("K", 2.5), ("iterations", 1.5), ("K", True),
     ("seed", -1), ("dpo_beta", -0.1), ("ablations", "no_L2"),
     ("eval_with_refine", "false"), ("seed_pool_with_warmup", 1),
@@ -547,8 +547,7 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
     held_out = [t for t in tasks if t.split == "held_out"]
     warmup, eval_tasks = held_in[:2], held_in[2:]
     model = PolicyModel(default_vocab(), config.d, config.h,
-                        seed=child_seed(config.seed, _DOM_INIT, 0),
-                        context_budget=config.context_budget)
+                        seed=child_seed(config.seed, _DOM_INIT, 0))
     warm = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in warmup], [])
     _run_epochs(model, _encode_examples(model, warm), config,
                 child_seed(config.seed, _DOM_WARMUP), 0,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtrain.environments import (
+    MAX_SOLUTION_LEN,
     EnvKind,
     ExecutionResult,
     Status,
@@ -336,10 +337,38 @@ def test_grid_simulator_matches_reference_on_200_sequences():
         assert simulate(spec, actions) == walk_grid(rows, cols, start, walls, actions)
 
 
-def test_grid_over_budget_times_out():
+# ---------------------------------------------------------------------------
+# the solution-length bound
+
+def test_solutions_at_the_bound_grade_without_raising():
+    task = _expr_task(["a", "=", "2", ";", "q"], "128")
+    nested = ["("] * 127 + ["4", "2"] + [")"] * 127
+    chain = ["1", *["+", "1"] * 127]
+    assert len(nested) == MAX_SOLUTION_LEN and len(chain) == MAX_SOLUTION_LEN - 1
+    assert execute(EnvKind.EXPR_MATH, task, nested) == ExecutionResult(Status.OK, "42", 0)
+    assert execute(EnvKind.EXPR_MATH, task, chain) == ExecutionResult(Status.OK, "128", 1)
     x = ["grid", "3", "3", ";", "start", "0", "0", ";", "goal", "0", "2"]
-    res = execute(EnvKind.GRID_AGENT, _grid_task(x, "0,2"), ["R"] * 300)
-    assert res.status is Status.TIMEOUT and res.b == 0
+    assert execute(EnvKind.GRID_AGENT, _grid_task(x, "0,2"), ["R"] * MAX_SOLUTION_LEN) == \
+        ExecutionResult(Status.OK, "0,2", 1)
+
+
+def test_solutions_over_the_bound_time_out():
+    grid_x = ["grid", "3", "3", ";", "start", "0", "0", ";", "goal", "0", "2"]
+    cases = {
+        EnvKind.EXPR_MATH: (_expr_task(["a", "=", "2", ";", "q"], "2"), [
+            lambda n: ["("] * (n // 2) + ["1"] + [")"] * (n - n // 2 - 1),
+            lambda n: ["1", *["+", "1"] * n][:n]]),
+        EnvKind.LOGIC_RULES: (_logic_task("true"), [
+            lambda n: (["rule", "q", "(", "X", ")", ":-"]
+                       + [",", "p", "(", "X", ")"] * n)[:n]]),
+        EnvKind.GRID_AGENT: (_grid_task(grid_x, "0,2"), [lambda n: ["R"] * n]),
+    }
+    for env, (task, builders) in cases.items():
+        for build in builders:
+            for n in (MAX_SOLUTION_LEN + 1, 2_000):
+                a = build(n)
+                assert len(a) == n
+                assert execute(env, task, a) == ExecutionResult(Status.TIMEOUT, None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +399,7 @@ def test_execute_never_raises_and_stays_fast_on_fuzzed_solutions(env):
     tokens = st.sampled_from([*GRAMMAR_TOKENS[env], *CONTROL_TOKENS])
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(tasks), st.lists(tokens, max_size=80))
+    @given(st.sampled_from(tasks), st.lists(tokens, max_size=MAX_SOLUTION_LEN))
     def check(task, a):
         start = time.perf_counter()
         result = execute(env, task, a)
@@ -411,6 +440,12 @@ def test_every_witness_executes_correctly(env, split):
     for t in tasks:
         res = execute(env, t, witnesses[t.id])
         assert res.b == 1, f"witness for {t.id} failed: {res}"
+
+
+@pytest.mark.parametrize("x,y,field", [((), "1", "input x"), (("1",), "", "output y")])
+def test_task_instance_rejects_an_empty_x_or_y(x, y, field):
+    with pytest.raises(ValueError, match=f"task 't': .*{field} must be non-empty"):
+        TaskInstance("t", x, y)
 
 
 def test_dataset_roundtrip(tmp_path):

@@ -12,7 +12,6 @@ from symtrain.policy import (
     EOS,
     PAD,
     SEP,
-    DEFAULT_CONTEXT_BUDGET,
     CheckpointError,
     GenerationParams,
     PolicyModel,
@@ -41,7 +40,7 @@ def toy_vocab():
 
 
 def toy_model(seed=0, d=8, h=12):
-    return PolicyModel(toy_vocab(), d=d, h=h, seed=seed, context_budget=48)
+    return PolicyModel(toy_vocab(), d=d, h=h, seed=seed)
 
 
 def _random_tokens(rng, vocab, n):
@@ -137,24 +136,10 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     assert vocab.decode(condition_ids(model, ["a", "b"])) == [BOS, "a", "b", SEP]
     assert vocab.decode(condition_ids(model, ["a", "b"], ["c", "d"])) == \
         [BOS, "a", "b", SEP, "c", "d", SEP]
-
-
-def test_refine_condition_truncates_from_left(caplog):
-    model = PolicyModel(toy_vocab(), d=8, h=12, seed=0, context_budget=8)
-    vocab = model.vocab
-    # frame is BOS a SEP ... SEP = 4 tokens, leaving 4 of the previous draft
-    assert vocab.decode(condition_ids(model, ["a"], list("bcdefg"))) == \
-        [BOS, "a", SEP, "d", "e", "f", "g", SEP]
-    assert vocab.decode(condition_ids(model, ["a"], list("bcde"))) == \
-        [BOS, "a", SEP, "b", "c", "d", "e", SEP]
-    # x alone fills the budget: nothing of the draft is left
-    assert vocab.decode(condition_ids(model, list("abcdefgh"), ["c"])) == \
-        [BOS, *"abcdefgh", SEP, SEP]
-    params = GenerationParams(1.0, 4, 2)
-    refine(model, ["a"], [list("bcde"), list("bc")], params, seeds=[0, 1])
-    assert not caplog.records
-    refine(model, ["a"], [list("bcdefg"), list("bc")], params, seeds=[0, 1])
-    assert "1 draft(s) truncated to context budget 8" in caplog.text
+    # no frame is cut, however long the draft
+    long_draft = ["c"] * 300
+    assert vocab.decode(condition_ids(model, ["a", "b"], long_draft)) == \
+        [BOS, "a", "b", SEP, *long_draft, SEP]
 
 
 def test_refine_requires_previous_solution():
@@ -280,16 +265,11 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
     rng = np.random.default_rng(0)
     for task in tasks:
         start = frame_state(model, task.x)
-        # room for 4 draft tokens, none (BOS x SEP SEP), or the default budget
-        for budget in (len(task.x) + 7, len(task.x) + 3, DEFAULT_CONTEXT_BUDGET):
-            model.context_budget = budget
-            for n_a in (0, 1, 8):
-                a = _random_tokens(rng, model.vocab, n_a)
-                for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
-                    if a_prev is not None and budget < DEFAULT_CONTEXT_BUDGET:
-                        assert len(condition_ids(model, task.x, a_prev)) == budget
-                    assert abs(score(model, task.x, a, a_prev, start=start)
-                               - score(model, task.x, a, a_prev)) <= 1e-12
+        for n_a in (0, 1, 8):
+            a = _random_tokens(rng, model.vocab, n_a)
+            for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
+                assert abs(score(model, task.x, a, a_prev, start=start)
+                           - score(model, task.x, a, a_prev)) <= 1e-12
 
 
 def test_score_bounds():
@@ -490,7 +470,8 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     payload = json.loads(path.read_text())
-    for version in (1, 99):  # version 1 carried an rng stream the policy no longer has
+    # version 1 carried an rng stream the policy no longer has, version 2 a context budget
+    for version in (1, 2, 99):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
