@@ -1,6 +1,6 @@
 """Self-training for small symbolic sequence policies in executable environments."""
 
-from symtrain.autodiff import Tape, Tensor, sgd_step
+from symtrain.autodiff import Param, Tape, sgd_step
 from symtrain.environments import EnvKind, ExecutionResult, TaskInstance, execute, generate_dataset
 from symtrain.pool import CandidatePool, Trajectory, filter_pair
 from symtrain.policy import GenerationParams, PolicyModel, Vocab, default_vocab
@@ -12,11 +12,11 @@ __all__ = [
     "ExecutionResult",
     "GenerationParams",
     "IterationReport",
+    "Param",
     "PolicyModel",
     "RunConfig",
     "Tape",
     "TaskInstance",
-    "Tensor",
     "Trajectory",
     "Vocab",
     "default_vocab",

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from symtrain.engine import ConfigError, RunConfig, evaluate, run
+from symtrain.engine import ConfigError, RunConfig, check_tasks, evaluate, run
 from symtrain.environments import (
     MAX_SOLUTION_LEN,
     SPLITS,
@@ -129,6 +129,7 @@ def _cmd_eval(args) -> int:
     if trained_on is not None and trained_on != envs[0]:
         raise UsageError(f"the checkpoint was trained on {trained_on}, "
                          f"but the {args.split} tasks are {envs[0]} tasks")
+    check_tasks(tasks, envs[0], model.vocab)
     rate, _ = evaluate(model, tasks, envs[0], args.max_len, args.with_refine)
     print(rate)
     return EXIT_OK

@@ -4,15 +4,14 @@ One iteration is: explore (sample K solutions per task, optionally refine
 each once), grade everything in the environment, self-score, filter each
 explored/refined pair, fold survivors into the candidate pool, select
 positive-only and positive-negative training sets, and retrain the policy
-(from scratch by default).  The warmup (iteration 0) and every iteration end
+(from scratch by default); every loss is a weighted sum of per-example NLLs
+(see :func:`dpo_loss`).  The warmup (iteration 0) and every iteration end
 the same way: evaluate both splits and record one ``IterationReport``, which
 carries the solve rates and the analysis quantities.  ``reports.jsonl``
 streams those records, one line each.  Before any of it, ``run`` rejects a
-dataset that no run could grade correctly: a duplicate task id, a task of
-another env, a task whose x has a token outside the vocabulary or that its env
-cannot read, no held_in task, a witness for an unknown task id or with a token
-outside the vocabulary, or a warmup task without one.  Everything is a pure
-function of (config, dataset): all randomness derives from the config seed.
+dataset that no run could grade correctly (:func:`check_tasks` and the
+witness checks in :func:`run`).  Everything is a pure function of (config,
+dataset): all randomness derives from the config seed.
 """
 
 from __future__ import annotations
@@ -26,15 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from symtrain import analysis
-from symtrain.autodiff import (Array, Tape, Tensor, TrainingError, collect_grads, sgd_step,
+from symtrain.autodiff import (Array, Tape, TrainingError, keep_freed_memory, sgd_step,
                                zero_grads)
 from symtrain.environments import (MAX_SOLUTION_LEN, EnvKind, TaskInstance, check_task,
                                    execute)
 from symtrain.policy import (
+    CONTROL_TOKENS,
     DEFAULT_D,
     DEFAULT_H,
     GenerationParams,
     PolicyModel,
+    Vocab,
     batch_nll,
     condition_ids,
     default_vocab,
@@ -331,15 +332,21 @@ def _encode_examples(model: PolicyModel, sets: TrainingSets,
                for x, a_plus, a_minus in sets.u2])
 
 
-def _sgd_epochs(model: PolicyModel, items: Sequence, losses: Callable[[Tape, list], Tensor],
+def _sgd_epochs(model: PolicyModel, items: Sequence,
+                losses: Callable[[Tape, list], tuple[Array, list[Array]]],
                 config: RunConfig, rng: np.random.Generator, epochs: int, iteration: int,
                 what: str) -> list[tuple[list, Array]]:
     """Minibatch SGD over ``epochs`` shuffled passes of the items.
 
-    ``losses(tape, batch)`` gives each item's loss as a (B,) tensor; a step
-    descends their sum, and ``what`` names it if it is not finite.  Returns
+    ``losses(tape, batch)`` records the batch's NLL forwards on the tape and
+    returns each item's loss as a (B,) array, plus one weight vector per record
+    such that ``sum_i w_i nll_i`` has the summed loss's gradient.  A step
+    descends the summed loss; ``what`` names it if it is not finite.  Returns
     the final epoch's minibatches with their losses, in visit order.
     """
+    keep_freed_memory()
+    params = model.params
+    grads = {name: p.grad for name, p in params.items()}
     visited: list[tuple[list, Array]] = []
     for _ in range(epochs):
         order = rng.permutation(len(items))
@@ -347,17 +354,13 @@ def _sgd_epochs(model: PolicyModel, items: Sequence, losses: Callable[[Tape, lis
         for start in range(0, len(order), config.batch_size):
             batch = [items[int(i)] for i in order[start:start + config.batch_size]]
             tape = Tape()
-            per_item = losses(tape, batch)
-            loss = tape.sum(per_item)
-            if not math.isfinite(float(loss.data)):
+            values, weights = losses(tape, batch)
+            if not math.isfinite(float(values.sum())):
                 raise TrainingError(f"non-finite {what} at iteration {iteration}")
-            visited.append((batch, per_item.data))
-            tape.backward(loss)
-            # grads stays alive past the next backward: freed at zero_grads, the arrays
-            # let malloc trim the heap top, which every step then page-faults back in
-            grads = collect_grads(model.params)
-            sgd_step(model.params, grads, config.lr, config.clip)
-            zero_grads(model.params)
+            visited.append((batch, values))
+            zero_grads(params)
+            tape.backward(weights)
+            sgd_step(params, grads, config.lr, config.clip)
     return visited
 
 
@@ -365,11 +368,14 @@ def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], lis
                 config: RunConfig, shuffle_seed: int, iteration: int,
                 epochs: int | None = None) -> tuple[float, float]:
     """Minibatch SGD on the tagged examples' NLL; returns final-epoch loss sums."""
+
+    def losses(tape: Tape, batch: list) -> tuple[Array, list[Array]]:
+        nll = batch_nll(model, tape, [(c, t) for _, c, t in batch])
+        return nll, [np.ones(len(nll))]
+
     sums = {"L1": 0.0, "L2": 0.0}
     for batch, values in _sgd_epochs(
-            model, examples,
-            lambda tape, batch: batch_nll(model, tape, [(c, t) for _, c, t in batch]),
-            config, np.random.default_rng(shuffle_seed),
+            model, examples, losses, config, np.random.default_rng(shuffle_seed),
             epochs if epochs is not None else config.epochs_per_iter, iteration, "loss"):
         for (kind, _, _), value in zip(batch, values):
             sums[kind] += float(value)
@@ -399,21 +405,35 @@ def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
     return model, l1_sum, l2_sum
 
 
-def dpo_loss(model: PolicyModel, tape: Tape,
-             pairs: Sequence[tuple[list[int], list[int], list[int], float]],
-             beta: float) -> Tensor:
-    """-log sigmoid(beta * ((logp+ - ref+) - (logp- - ref-))) of each pair, as a
-    (B,) tensor on the tape.
+def dpo_loss(nll_pos: Array, nll_neg: Array, ref_margins: Array,
+             beta: float) -> tuple[Array, Array]:
+    """Each pair's DPO loss and the weight of its positive's NLL in the gradient.
 
-    Each pair is (cond, pos, neg, ref_margin), where ref_margin is the frozen
-    reference model's logp+ - logp-.  All positives go through one batch_nll
-    call and all negatives through a second.
+    The loss is ``-log sigmoid(beta * m)`` with the margin ``m = (nll- - nll+)
+    - ref_margin``, where ref_margin is the frozen reference model's
+    logp+ - logp-.  Its gradient is ``w+ grad(nll+) + w- grad(nll-)`` with
+    ``w+ = -w- = beta * sigmoid(-beta * m)`` (Rafailov et al. 2023, section 4).
+    Both use branches in which every exp() argument is non-positive.
     """
+    x = ((nll_neg - nll_pos) - ref_margins) * beta
+    e_neg = np.exp(-np.maximum(x, 0.0))
+    e_pos = np.exp(np.minimum(x, 0.0))
+    log_sig = np.where(x >= 0, -np.log1p(e_neg), x - np.log1p(e_pos))
+    sig_neg = np.where(x >= 0, e_neg / (1.0 + e_neg), 1.0 / (1.0 + e_pos))
+    return -log_sig, beta * sig_neg
+
+
+def _dpo_losses(model: PolicyModel, tape: Tape,
+                pairs: Sequence[tuple[list[int], list[int], list[int], float]],
+                beta: float) -> tuple[Array, list[Array]]:
+    """The pairs' DPO losses and the weights of their positives' and negatives'
+    NLLs.  Each pair is (cond, pos, neg, ref_margin); all positives go through
+    one batch_nll call and all negatives through a second."""
     nll_pos = batch_nll(model, tape, [(cond, pos) for cond, pos, _, _ in pairs])
     nll_neg = batch_nll(model, tape, [(cond, neg) for cond, _, neg, _ in pairs])
-    neg_ref = Tensor([-ref_margin for _, _, _, ref_margin in pairs])
-    margin = tape.add(tape.add(tape.mul(nll_pos, -1.0), nll_neg), neg_ref)
-    return tape.mul(tape.log_sigmoid(tape.mul(margin, beta)), -1.0)
+    values, w_pos = dpo_loss(nll_pos, nll_neg,
+                             np.array([ref_margin for _, _, _, ref_margin in pairs]), beta)
+    return values, [w_pos, -w_pos]
 
 
 def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
@@ -429,7 +449,7 @@ def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
         pairs.append((cond, pos, neg, ref_margin))
     total = 0.0
     for _, values in _sgd_epochs(
-            model, pairs, lambda tape, batch: dpo_loss(model, tape, batch, config.dpo_beta),
+            model, pairs, lambda tape, batch: _dpo_losses(model, tape, batch, config.dpo_beta),
             config, np.random.default_rng(child_seed(config.seed, _DOM_SHUFFLE, iteration, 1)),
             config.epochs_per_iter, iteration, "DPO loss"):
         total += float(values.sum())
@@ -461,33 +481,46 @@ def evaluate(model: PolicyModel, tasks: Sequence[TaskInstance], env: str,
 # ---------------------------------------------------------------------------
 # the loop
 
+def _check_tokens(vocab: Vocab, tokens: Sequence[str]) -> None:
+    """Reject a control token (it would corrupt a frame) or an unknown token."""
+    for tok in (tok for tok in tokens if tok in CONTROL_TOKENS):
+        raise ValueError(f"control token {tok!r} is reserved for the frames")
+    vocab.encode(tokens)
+
+
+def check_tasks(tasks: Sequence[TaskInstance], env: str, vocab: Vocab) -> None:
+    """Raise ValueError, naming the first offending task, on a duplicate task
+    id, a task of an env other than ``env``, or a task whose x has a control
+    token, a token outside ``vocab`` or a layout the env cannot read."""
+    ids: set[str] = set()
+    for t in tasks:
+        if t.id in ids:
+            raise ValueError(f"duplicate task id {t.id!r}")
+        if t.env != env:
+            raise ValueError(f"task {t.id!r} is a {t.env} task, not {env}")
+        try:
+            _check_tokens(vocab, t.x)
+            check_task(env, t)
+        except ValueError as exc:
+            raise ValueError(f"task {t.id!r}: {exc}") from exc
+        ids.add(t.id)
+
+
 def run(config: RunConfig, dataset: Sequence[TaskInstance],
         witnesses: dict[str, list[str]], out_dir: str | Path | None = None,
         progress: Callable[[str], None] | None = None) -> RunResult:
     """Warmup, then iterate explore/filter/select/train/evaluate.
 
-    Raises ValueError, naming the first offender, on a duplicate task id, a
-    task whose env is not ``config.env``, a task whose x has a token outside
-    the vocabulary or that the env cannot read, a dataset without held_in
-    tasks, a witness for a task id not in the dataset or with a token outside
-    the vocabulary, or a warmup task without a witness.  Writes reports.jsonl
-    (streamed per iteration), summary.json and the final checkpoint and pool
-    when out_dir is given.
+    Raises ValueError, naming the first offender, on a task :func:`check_tasks`
+    rejects, a dataset without held_in tasks, a witness for a task id not in
+    the dataset or with a control token or a token outside the vocabulary, or a
+    warmup task without a witness.  Writes reports.jsonl (streamed per
+    iteration), summary.json and the final checkpoint and pool when out_dir is
+    given.
     """
     vocab = default_vocab()
-    ids: set[str] = set()
-    for t in dataset:
-        if t.id in ids:
-            raise ValueError(f"duplicate task id {t.id!r}")
-        if t.env != config.env:
-            raise ValueError(f"task {t.id!r} is a {t.env} task, "
-                             f"but the config's env is {config.env}")
-        try:
-            vocab.encode(t.x)
-            check_task(config.env, t)
-        except ValueError as exc:
-            raise ValueError(f"task {t.id!r}: {exc}") from exc
-        ids.add(t.id)
+    check_tasks(dataset, config.env, vocab)
+    ids = {t.id for t in dataset}
     held_in = [t for t in dataset if t.split == "held_in"]
     held_out = [t for t in dataset if t.split == "held_out"]
     if not held_in:
@@ -496,7 +529,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         if task_id not in ids:
             raise ValueError(f"witness for unknown task id {task_id!r}")
         try:
-            vocab.encode(witness)
+            _check_tokens(vocab, witness)
         except ValueError as exc:
             raise ValueError(f"witness of task {task_id!r}: {exc}") from exc
     n_warm = min(config.warmup_tasks, len(held_in))

@@ -8,14 +8,14 @@ either frame is the solution and EOS (:func:`target_ids`).  A frame is never
 cut: a GRU has no context window, and a draft is at most ``max_len`` tokens,
 which the run configuration bounds by the longest solution ``execute`` grades.
 
-One batched forward pass (:func:`forward`) runs the GRU over a whole id batch
-through :func:`~symtrain.autodiff.gru_sequence_forward`.  Untaped, it serves
-scoring; taped, it is a single ``Tape.gru_sequence`` record whose backward is
-one BPTT sweep.  On the tape, :func:`batch_nll` adds one ``Tape.output_nll``
-record, which projects only the states that predict target tokens and
-returns one summed NLL per example.  Every loss (L1, L2 and DPO) is built
-from that vector.  Self-reward and the losses thus come from the same
-per-token log-probabilities.
+One batched forward pass runs the GRU over a whole id batch: :func:`forward`
+for frame states, and :func:`batch_nll` for training.  ``batch_nll`` keeps the
+gate caches, projects only the states that predict target tokens and returns
+one summed NLL per example.  It records the forward on a
+:class:`~symtrain.autodiff.Tape` as one record, whose backward is the output
+layer's rule followed by one BPTT sweep.  Every loss (L1, L2 and DPO) is a
+weighted sum of that vector.  Self-reward and the losses thus come from the
+same per-token log-probabilities.
 
 Generation steps all rows of a call together as one batch.  ``sample`` runs
 ``BOS x SEP`` once and repeats that state per row; ``refine`` runs all its
@@ -37,8 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from symtrain.autodiff import (Array, Tape, Tensor, gru_cell_forward, gru_sequence_forward,
-                               log_softmax)
+from symtrain.autodiff import (Array, Param, Tape, gru_cell_forward, gru_sequence,
+                               gru_sequence_backward, gru_sequence_forward, log_softmax,
+                               output_nll, output_nll_backward)
 
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
@@ -131,7 +132,7 @@ class GenerationParams:
 
 
 class PolicyModel:
-    """GRU policy: parameter tensors plus hyperparameters.
+    """GRU policy: parameters plus hyperparameters.
 
     Gate layout inside the fused weight matrices is ``[update | reset | cand]``
     along the 3h column axis.
@@ -143,12 +144,12 @@ class PolicyModel:
         self.h = h
         self.params = self._init_params(seed)
 
-    def _init_params(self, seed: int) -> dict[str, Tensor]:
+    def _init_params(self, seed: int) -> dict[str, Param]:
         rng = np.random.default_rng(seed)
         v, d, h = len(self.vocab), self.d, self.h
 
-        def uniform(*shape: int) -> Tensor:
-            return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
+        def uniform(*shape: int) -> Param:
+            return Param(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
 
         return {
             "embed": uniform(v, d),
@@ -185,19 +186,15 @@ def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def forward(model: PolicyModel, ids: Array, tape: Tape | None = None) -> Tensor:
+def forward(model: PolicyModel, ids: Array) -> Array:
     """GRU hidden states over a right-padded id batch ``ids[B, T]``.
 
     Returns the (T-1)*B x h states after each of the first T-1 tokens; row
-    ``t*B + i`` is the state that predicts ``ids[i, t+1]``.  With a tape the
-    states are recorded for backpropagation, otherwise they are plain values.
+    ``t*B + i`` is the state that predicts ``ids[i, t+1]``.
     """
     p = model.params
-    inputs = ids[:, :-1]
-    if tape is None:
-        return Tensor(gru_sequence_forward(p["embed"].data[inputs.T], p["w_x"].data,
-                                           p["w_h"].data, p["b"].data, model.h))
-    return tape.gru_sequence(p["embed"], inputs, p["w_x"], p["w_h"], p["b"], model.h)
+    return gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
+                                p["w_h"].data, p["b"].data, model.h)
 
 
 def _frame_states(model: PolicyModel, frames: Sequence[list[int]]) -> Array:
@@ -207,7 +204,7 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]]) -> Array:
     ids = np.full((n_batch, max(map(len, frames)) + 1), model.vocab.pad_id, dtype=np.intp)
     for i, frame in enumerate(frames):
         ids[i, :len(frame)] = frame
-    states = forward(model, ids).data
+    states = forward(model, ids)
     return states[[(len(frame) - 1) * n_batch + i for i, frame in enumerate(frames)]]
 
 
@@ -341,11 +338,13 @@ def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
 # losses
 
 def batch_nll(model: PolicyModel, tape: Tape,
-              examples: Sequence[tuple[list[int], list[int]]]) -> Tensor:
-    """NLL of each encoded (condition_ids, target_ids) example, as a (B,) tensor.
+              examples: Sequence[tuple[list[int], list[int]]]) -> Array:
+    """NLL of each encoded (condition_ids, target_ids) example, as a (B,) array.
 
     Sequences are right-padded to a common length; only genuine target
-    positions are projected and enter the loss.
+    positions are projected and enter the loss.  The forward is one record
+    on the tape, whose backward adds ``sum_i w_i grad(nll_i)`` into the
+    model's gradient buffers.
     """
     n_batch = len(examples)
     if n_batch == 0:
@@ -360,8 +359,16 @@ def batch_nll(model: PolicyModel, tape: Tape,
         ids[i, :len(cond) + len(tgt)] = [*cond, *tgt]
         indices += [(len(cond) - 1 + k) * n_batch + i for k in range(len(tgt))]
         targets += tgt
-    return tape.output_nll(forward(model, ids, tape), indices, model.params["w_out"],
-                           model.params["b_out"], targets, [len(t) for _, t in examples])
+    p = model.params
+    caches: list = []
+    states = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
+                          p["b"].data, model.h, caches)
+    nll, cache = output_nll(states, indices, p["w_out"].data, p["b_out"].data, targets,
+                            [len(t) for _, t in examples])
+    tape.record(n_batch, lambda w: gru_sequence_backward(
+        output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids[:, :-1], states, caches,
+        p["embed"], p["w_x"], p["w_h"], p["b"]))
+    return nll
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def save_checkpoint(model: PolicyModel, path: str | Path,
         "d": model.d,
         "h": model.h,
         "vocab": model.vocab.tokens,
-        "params": {k: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+        "params": {k: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
                    for k, t in model.params.items()},
         "metadata": metadata or {},
     }
@@ -409,9 +416,9 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
         for name, tensor in model.params.items():
             arr = np.asarray(params[name]["values"], dtype=np.float64)
             shape = tuple(params[name]["shape"])
-            if shape != tensor.shape:
+            if shape != tensor.data.shape:
                 raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
-                                      f"expected {tensor.shape}")
+                                      f"expected {tensor.data.shape}")
             if arr.size != int(np.prod(shape)):
                 raise CheckpointError(f"parameter {name}: value count mismatch")
             tensor.data = arr.reshape(shape)

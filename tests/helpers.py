@@ -16,14 +16,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from mpmath import mp, mpf
 
-from symtrain.autodiff import Tensor
+from symtrain.autodiff import Param
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
 
 
 def central_differences(loss_fn: Callable[[], float],
-                        params: Mapping[str, Tensor],
+                        params: Mapping[str, Param],
                         h: float = FD_STEP) -> dict[str, np.ndarray]:
     """Central finite differences of loss_fn wrt every parameter entry."""
     grads: dict[str, np.ndarray] = {}
@@ -67,6 +67,14 @@ def mp_log_softmax_nll(logits: np.ndarray, targets: Sequence[int],
             log_z = m + mp.log(mp.fsum(mp.e**(v - m) for v in row))
             per_token.append(float(row[target] - log_z))
         return -float(mp.fsum(per_token)), per_token
+
+
+def mp_dpo_loss(x: float, beta: float, dps: int = 50) -> tuple[float, float]:
+    """High-precision DPO loss ``-log sigmoid(x)`` at ``x = beta * m`` and its
+    positive's weight ``beta * sigmoid(-x)``."""
+    with mp.workdps(dps):
+        x = mpf(float(x))
+        return float(mp.log1p(mp.exp(-x))), float(beta / (1 + mp.exp(x)))
 
 
 # ---------------------------------------------------------------------------

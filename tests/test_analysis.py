@@ -7,7 +7,7 @@ from symtrain.analysis import (
     exploratory_ability,
     stability,
 )
-from symtrain.autodiff import Tape, collect_grads, sgd_step, zero_grads
+from symtrain.autodiff import Tape, sgd_step, zero_grads
 from symtrain.environments import Status
 from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
@@ -79,9 +79,10 @@ def test_margin_grows_after_training_on_positive():
     example = (model.vocab.encode([BOS, *x, SEP]), model.vocab.encode([*a_plus, EOS]))
     for _ in range(40):
         tape = Tape()
-        loss = tape.sum(batch_nll(model, tape, [example]))
-        tape.backward(loss)
-        sgd_step(model.params, collect_grads(model.params), lr=0.2, clip=1.0)
+        batch_nll(model, tape, [example])
+        tape.backward([np.ones(1)])
+        sgd_step(model.params, {name: p.grad for name, p in model.params.items()},
+                 lr=0.2, clip=1.0)
         zero_grads(model.params)
     assert delta_logp(model, pairs) > before
 

@@ -246,6 +246,7 @@ def test_run_rejects_an_unknown_split(tmp_path, capsys):
     ("witness_token", "witness of task 'expr_math-held_in-0-0000': "
                       "token 'hello' not in vocabulary"),
     ("x_layout", "task 'expr_math-held_in-0-0003': x has no query after bindings"),
+    ("x_control", "task 'expr_math-held_in-0-0003': control token '<sep>'"),
 ])
 def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, defect,
                                                               message):
@@ -256,6 +257,8 @@ def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, d
     record = json.loads(lines[line])
     if defect == "x_token":
         record["x"] += " hello"
+    elif defect == "x_control":
+        record["x"] += " <sep> <eos>"
     elif defect == "witness_token":
         record["a"] = "hello"
     else:
@@ -268,6 +271,24 @@ def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, d
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # rejected before warmup wrote anything
+
+
+@pytest.mark.parametrize("suffix,message", [
+    (" hello", "task 'expr_math-held_out-0-0001': token 'hello' not in vocabulary"),
+    (" <sep> <eos>", "task 'expr_math-held_out-0-0001': control token '<sep>'"),
+])
+def test_eval_rejects_a_bad_task_naming_it(finished_run, capsys, suffix, message):
+    data, out_dir = finished_run
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[-1])  # the second held_out task
+    record["x"] += suffix
+    lines[-1] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+                 "--dataset", str(data), "--split", "held_out", "--max-len", "10"])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", '{"id": "t", "x": 5, "y": "1", '

@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from symtrain import engine
-from symtrain.autodiff import Tape, TrainingError, collect_grads, sgd_step
+from symtrain.autodiff import Tape, TrainingError, sgd_step
 from symtrain.engine import (
     ConfigError,
     RunConfig,
     TrainingSets,
+    _dpo_losses,
     _encode_examples,
     _run_epochs,
     _train_dpo_stage,
@@ -39,7 +42,8 @@ from symtrain.policy import (
     sequence_token_logps,
 )
 from symtrain.pool import CandidatePool, RankedSets, Trajectory
-from helpers import assert_grads_close, central_differences, reference_selection
+from helpers import (assert_grads_close, central_differences, mp_dpo_loss,
+                     reference_selection)
 
 
 def tiny_config(**over):
@@ -301,7 +305,7 @@ def test_fresh_model_first_batch_loss_near_uniform():
     vocab = Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")])  # V = 16
     model = PolicyModel(vocab, d=8, h=12, seed=3)
     examples = [(vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS]))]
-    (loss,) = batch_nll(model, Tape(), examples).data
+    (loss,) = batch_nll(model, Tape(), examples)
     assert float(loss) == pytest.approx(3 * math.log(16), rel=0.02)
 
 
@@ -359,30 +363,71 @@ def test_dpo_loss_is_ln2_when_policy_equals_reference():
               float(sequence_token_logps(model, cond, pos).sum()
                     - sequence_token_logps(model, cond, neg).sum()))
              for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
-    loss = dpo_loss(model, Tape(), pairs, beta=0.1)
+    loss, (w_pos, w_neg) = _dpo_losses(model, Tape(), pairs, beta=0.1)
     assert loss.shape == (4,)
-    np.testing.assert_allclose(loss.data, math.log(2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loss, math.log(2), rtol=0, atol=1e-12)
+    # at a zero margin the weight is beta * sigmoid(0)
+    np.testing.assert_allclose(w_pos, 0.05, rtol=0, atol=1e-12)
+    assert np.array_equal(w_neg, -w_pos)
+
+
+def test_dpo_loss_values_and_stability():
+    # margins of both signs, up to |beta * m| = 800, where exp(-x) would overflow
+    for beta in (0.1, 0.7):
+        m = np.array([0.0, 3.0, -3.0, 800.0 / beta, -800.0 / beta, 40.0, -40.0])
+        nll_pos = np.array([2.0, 1.5, 4.0, 0.5, 7.0, 1.0, 3.0])
+        ref = np.array([0.25, -1.0, 2.0, 0.0, 0.0, -0.5, 0.5])
+        nll_neg = nll_pos + m + ref
+        loss, w_pos = dpo_loss(nll_pos, nll_neg, ref, beta)
+        assert np.isfinite(loss).all() and np.isfinite(w_pos).all()
+        x = beta * ((nll_neg - nll_pos) - ref)
+        for k in range(len(m)):
+            oracle_loss, oracle_w = mp_dpo_loss(x[k], beta)
+            assert loss[k] == pytest.approx(oracle_loss, rel=1e-12, abs=1e-300)
+            assert w_pos[k] == pytest.approx(oracle_w, rel=1e-12, abs=1e-300)
+        assert loss[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert loss[3] == 0.0 and w_pos[3] == 0.0
+        assert loss[4] == pytest.approx(800.0, rel=1e-12) and w_pos[4] == beta
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.7])
+def test_dpo_weight_matches_finite_differences_of_the_loss(beta):
+    rng = np.random.default_rng(int(beta * 10))
+    ref = rng.uniform(-2, 2, 8)
+    nll_pos = rng.uniform(0.5, 6, 8)
+    # margins beta * m of both signs, two of them near +-800
+    m = np.array([-6.0, -2.0, -0.3, 0.0, 0.4, 5.0, 800.0 / beta, -800.0 / beta])
+    nll_neg = nll_pos + m + ref
+    _, w_pos = dpo_loss(nll_pos, nll_neg, ref, beta)
+    h = 1e-5
+    for k in range(len(m)):
+        step = np.zeros(len(m))
+        step[k] = h
+        d_pos = (dpo_loss(nll_pos + step, nll_neg, ref, beta)[0][k]
+                 - dpo_loss(nll_pos - step, nll_neg, ref, beta)[0][k]) / (2 * h)
+        d_neg = (dpo_loss(nll_pos, nll_neg + step, ref, beta)[0][k]
+                 - dpo_loss(nll_pos, nll_neg - step, ref, beta)[0][k]) / (2 * h)
+        assert d_pos == pytest.approx(w_pos[k], rel=1e-6, abs=1e-9)
+        assert d_neg == pytest.approx(-w_pos[k], rel=1e-6, abs=1e-9)
 
 
 def test_dpo_gradient_matches_finite_differences():
     model = _toy_model(5)
     pairs = _dpo_pairs(model, [0.37, -1.2, 2.5, 0.0])  # arbitrary frozen margins
-
-    def forward_loss():
-        tape = Tape()
-        return tape, tape.sum(dpo_loss(model, tape, pairs, beta=0.7))
-
-    tape, loss = forward_loss()
-    tape.backward(loss)
-    analytic = collect_grads(model.params)
-    fd = central_differences(lambda: float(forward_loss()[1].data), model.params)
+    tape = Tape()
+    _, weights = _dpo_losses(model, tape, pairs, beta=0.7)
+    assert len(tape) == 2
+    tape.backward(weights)
+    analytic = {name: p.grad for name, p in model.params.items()}
+    fd = central_differences(
+        lambda: float(_dpo_losses(model, Tape(), pairs, beta=0.7)[0].sum()), model.params)
     assert_grads_close(analytic, fd)
 
 
 def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
     model = _toy_model(6)
     pairs = _dpo_pairs(model, [0.5, -0.25, 1.5, -2.0])
-    singles = [dpo_loss(model, Tape(), [pair], beta=0.3).data[0] for pair in pairs]
+    singles = [_dpo_losses(model, Tape(), [pair], beta=0.3) for pair in pairs]
     calls = []
 
     def counting_batch_nll(model, tape, examples):
@@ -390,9 +435,13 @@ def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
         return batch_nll(model, tape, examples)
 
     monkeypatch.setattr(engine, "batch_nll", counting_batch_nll)
-    batched = dpo_loss(model, Tape(), pairs, beta=0.3).data
-    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-12)
-    assert batched.sum() == pytest.approx(sum(singles), rel=0, abs=1e-12)
+    batched, (w_pos, w_neg) = _dpo_losses(model, Tape(), pairs, beta=0.3)
+    np.testing.assert_allclose(batched, [loss[0] for loss, _ in singles], rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(w_pos, [w[0][0] for _, w in singles], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w_neg, [w[1][0] for _, w in singles], rtol=0, atol=1e-12)
+    assert batched.sum() == pytest.approx(sum(loss[0] for loss, _ in singles), rel=0,
+                                          abs=1e-12)
     # one call for all positives, one for all negatives
     assert [len(examples) for examples in calls] == [4, 4]
 
@@ -482,6 +531,10 @@ def test_every_report_line_carries_the_analysis_quantities(tiny_dataset, tmp_pat
     ("duplicate", "duplicate task id 'expr_math-held_in-0-0000'"),
     ("other_env", "task 'logic_rules-held_in-0-0000' is a logic_rules task"),
     ("unknown_witness", "witness for unknown task id 'nope'"),
+    # a control token inside x or a witness would corrupt the frame BOS x SEP a SEP
+    ("x_control", "task 'expr_math-held_in-0-0000': control token '<sep>'"),
+    ("witness_control",
+     "witness of task 'expr_math-held_in-0-0001': control token '<pad>'"),
 ])
 def test_run_rejects_a_dataset_it_cannot_grade(tiny_dataset, fault, message):
     tasks, witnesses = tiny_dataset
@@ -492,10 +545,36 @@ def test_run_rejects_a_dataset_it_cannot_grade(tiny_dataset, fault, message):
         logic, logic_w = generate_dataset(EnvKind.LOGIC_RULES, 1, seed=0)
         tasks = tasks + logic
         witnesses.update(logic_w)
+    elif fault == "x_control":
+        tasks = [dataclasses.replace(tasks[0], x=(*tasks[0].x, "<sep>", "<eos>")),
+                 *tasks[1:]]
+    elif fault == "witness_control":
+        witnesses[tasks[1].id] = ["<pad>", *witnesses[tasks[1].id]]
     else:
         witnesses["nope"] = ["a"]
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         run(tiny_config(), tasks, witnesses)
+
+
+def test_run_without_seeding_the_pool_starts_it_empty(tiny_dataset, monkeypatch):
+    tasks, witnesses = tiny_dataset
+    sizes = []
+    update = CandidatePool.update
+
+    def recording_update(self, filtered):
+        sizes.append(len(self))
+        return update(self, filtered)
+
+    monkeypatch.setattr(CandidatePool, "update", recording_update)
+    seeded = run(tiny_config(iterations=1), tasks, witnesses)
+    assert seeded.reports[0].new_trajectory_count == 2  # the two warmup witnesses
+    assert sizes == [0, 2]
+    sizes.clear()
+    result = run(tiny_config(iterations=1, seed_pool_with_warmup=False), tasks, witnesses)
+    assert result.reports[0].new_trajectory_count == 0
+    # the warmup adds nothing: the one update is iteration 1's, into an empty pool
+    assert sizes == [0]
+    assert all(t.iteration == 1 for t in result.pool.all_entries())
 
 
 def test_star_env_matches_fully_ablated_envisions(tiny_dataset):

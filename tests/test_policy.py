@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symtrain.autodiff import Tape, collect_grads, log_softmax
+from symtrain.autodiff import Tape, gru_sequence, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -49,17 +49,18 @@ def _random_tokens(rng, vocab, n):
 
 
 def _condition_nll(model, condition, target, tape):
-    """NLL of one target after ``BOS condition SEP``, as a scalar on the tape."""
+    """NLL of one target after ``BOS condition SEP``, recorded on the tape."""
     vocab = model.vocab
-    return tape.sum(batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
-                                             vocab.encode(target))]))
+    (nll,) = batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
+                                      vocab.encode(target))])
+    return float(nll)
 
 
 def _token_nlls(model, examples):
     """Per-token NLLs of each example: one batch_nll example per target token."""
     singles = [([*cond, *tgt[:k]], [tgt[k]]) for cond, tgt in examples
                for k in range(len(tgt))]
-    return batch_nll(model, Tape(), singles).data
+    return batch_nll(model, Tape(), singles)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def test_batched_refine_frames_give_the_row_by_row_token_logps():
             sequence_token_logps(model, [], target, start=states[i:i + 1]),
             logps, rtol=0, atol=1e-12)
         # from the zero state, the rows are forward's own
-        rows = forward(model, np.asarray([[*cond, *target]])).data[len(cond) - 1:]
+        rows = forward(model, np.asarray([[*cond, *target]]))[len(cond) - 1:]
         assert np.array_equal(
             logps, log_softmax(rows @ p["w_out"] + p["b_out"])[np.arange(len(target)), target])
 
@@ -300,7 +301,7 @@ def test_score_consistent_with_loss_primitive():
         cond_ids = model.vocab.encode([BOS, *condition, SEP])
         per_token = _token_nlls(model, [(cond_ids, model.vocab.encode(target))])
         assert score(model, condition, a) == pytest.approx(-per_token.mean(), abs=1e-9)
-        assert float(loss.data) == pytest.approx(per_token.sum(), abs=1e-9)
+        assert loss == pytest.approx(per_token.sum(), abs=1e-9)
 
 
 def test_score_equals_negative_nll_over_length():
@@ -308,7 +309,7 @@ def test_score_equals_negative_nll_over_length():
     a = ["b", "a", "d"]
     tape = Tape()
     loss = _condition_nll(model, ["c"], [*a, EOS], tape)
-    assert float(loss.data) == pytest.approx(-score(model, ["c"], a) * (len(a) + 1),
+    assert loss == pytest.approx(-score(model, ["c"], a) * (len(a) + 1),
                                              abs=1e-9)
 
 
@@ -321,7 +322,7 @@ def test_nll_uniform_logits_is_log_vocab():
     model.params["b_out"].data[:] = 0.0
     tape = Tape()
     loss = _condition_nll(model, ["a"], ["b"], tape)
-    assert float(loss.data) == pytest.approx(math.log(16), abs=1e-12)
+    assert loss == pytest.approx(math.log(16), abs=1e-12)
 
 
 def test_nll_rejects_empty_target_and_unknown_token():
@@ -335,14 +336,12 @@ def test_nll_gradient_matches_finite_differences():
     model = toy_model(seed=12)
 
     def loss_fn():
-        tape = Tape()
-        loss = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
-        return float(loss.data)
+        return _condition_nll(model, ["a", "b"], ["c", "d", EOS], Tape())
 
     tape = Tape()
-    loss = _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
-    tape.backward(loss)
-    analytic = collect_grads(model.params)
+    _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
+    tape.backward([np.ones(1)])
+    analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(loss_fn, model.params)
     assert_grads_close(analytic, fd)
 
@@ -357,8 +356,8 @@ def test_batch_nll_equals_sum_of_single_losses():
     ]
     nll = batch_nll(model, Tape(), examples)
     assert nll.shape == (3,)
-    singles = [float(batch_nll(model, Tape(), [ex]).data[0]) for ex in examples]
-    np.testing.assert_allclose(nll.data, singles, rtol=0, atol=1e-12)
+    singles = [float(batch_nll(model, Tape(), [ex])[0]) for ex in examples]
+    np.testing.assert_allclose(nll, singles, rtol=0, atol=1e-12)
 
 
 def test_sequence_token_logps_match_batch_nll_per_token():
@@ -376,7 +375,7 @@ def test_sequence_token_logps_match_batch_nll_per_token():
                                atol=1e-12)
     sums = [logps.sum() for logps in (sequence_token_logps(model, c, t)
                                       for c, t in examples)]
-    np.testing.assert_allclose(-batch_nll(model, Tape(), examples).data, sums,
+    np.testing.assert_allclose(-batch_nll(model, Tape(), examples), sums,
                                rtol=0, atol=1e-12)
 
 
@@ -388,16 +387,15 @@ def test_batch_nll_gradient_matches_finite_differences():
         (vocab.encode([BOS, "d", "e", SEP]), vocab.encode(["f", EOS])),
     ]
 
-    def forward_loss():
-        tape = Tape()
-        # nonlinear in each example's NLL, so each example's gradient is weighted apart
-        return tape, tape.sum(tape.log_sigmoid(tape.mul(batch_nll(model, tape, examples),
-                                                        -0.7)))
-
-    tape, loss = forward_loss()
-    tape.backward(loss)
-    analytic = collect_grads(model.params)
-    fd = central_differences(lambda: float(forward_loss()[1].data), model.params)
+    # non-unit weights of both signs, so each example's gradient is weighted apart
+    w = np.array([0.7, -1.3])
+    tape = Tape()
+    batch_nll(model, tape, examples)
+    assert len(tape) == 1
+    tape.backward([w])
+    analytic = {name: p.grad for name, p in model.params.items()}
+    fd = central_differences(lambda: float(w @ batch_nll(model, Tape(), examples)),
+                             model.params)
     assert_grads_close(analytic, fd)
 
 
@@ -406,9 +404,13 @@ def test_untaped_forward_equals_taped_states_bitwise():
     ids = np.array([[1, 4, 5, 3, 6, 2],
                     [1, 7, 3, 8, 2, 0],
                     [1, 9, 9, 3, 2, 0]])
-    taped = forward(model, ids, Tape())
-    assert taped.shape == (5 * 3, model.h)
-    assert np.array_equal(forward(model, ids).data, taped.data)
+    p = model.params
+    caches = []
+    # the states batch_nll computes and backpropagates through
+    taped = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
+                         p["b"].data, model.h, caches)
+    assert taped.shape == (5 * 3, model.h) and len(caches) == 5
+    assert np.array_equal(forward(model, ids), taped)
 
 
 # ---------------------------------------------------------------------------
