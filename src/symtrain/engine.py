@@ -40,7 +40,8 @@ from symtrain.policy import (
     condition_ids,
     default_vocab,
     frame_state,
-    greedy_decode,
+    greedy_batch,
+    greedy_decode,  # not called here: bench/tracing.py wraps engine.greedy_decode
     refine,
     reinit,
     sample,
@@ -216,15 +217,17 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
                  iteration: int, task_index: int,
                  ) -> list[tuple[Trajectory, Trajectory | None]]:
     """Sample K drafts, refine the non-empty ones as one batch, and execute and
-    self-score every candidate from the task's shared frame state.
+    self-score every candidate.
 
-    Draft k's refinement draws from its own stream, keyed by k, so it does not
-    depend on which other drafts are refined with it.
+    The task frame ``BOS x SEP`` is stepped once: sampling, refinement and
+    scoring all start from its state.  Draft k's refinement draws from its own
+    stream, keyed by k, so it does not depend on which other drafts are refined
+    with it.
     """
-    samples = sample(model, task.x, GenerationParams(config.temperature, config.max_len,
-                                                     config.K),
-                     seed=child_seed(config.seed, _DOM_SAMPLE, iteration, task_index))
     start = frame_state(model, task.x)
+    samples = sample(model, start, GenerationParams(config.temperature, config.max_len,
+                                                    config.K),
+                     seed=child_seed(config.seed, _DOM_SAMPLE, iteration, task_index))
     explored = [_candidate(model, task, config, a, "explore", iteration, start)
                 for a in samples]
     refined: list[Trajectory | None] = [None] * len(samples)
@@ -232,7 +235,7 @@ def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
     drafts = [k for k, a in enumerate(samples) if a] if _self_refine_on(config) else []
     if drafts:
         refinements = refine(
-            model, task.x, [samples[k] for k in drafts],
+            model, start, [samples[k] for k in drafts],
             GenerationParams(config.temperature, config.max_len, len(drafts)),
             seeds=[child_seed(config.seed, _DOM_REFINE, iteration, task_index, k)
                    for k in drafts])
@@ -459,21 +462,22 @@ def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def solve_task(model: PolicyModel, task: TaskInstance, env: str, max_len: int,
-               with_refine: bool = False) -> bool:
-    a = greedy_decode(model, task.x, max_len)
-    if execute(env, task, a).b == 1:
-        return True
-    if with_refine and a:
-        return execute(env, task, greedy_decode(model, task.x, max_len, a)).b == 1
-    return False
-
-
 def evaluate(model: PolicyModel, tasks: Sequence[TaskInstance], env: str,
              max_len: int, with_refine: bool = False) -> tuple[float, set[str]]:
-    """Greedy solve rate plus the set of solved task ids."""
-    solved = {t.id for t in tasks
-              if solve_task(model, t, env, max_len, with_refine)}
+    """Greedy solve rate plus the set of solved task ids.
+
+    Every task's greedy solution comes from one batched greedy pass over the
+    task frames.  With ``with_refine``, each unsolved task with a non-empty
+    output gets one more try: one more batched pass greedily refines those
+    outputs in their refine frames.
+    """
+    outputs = greedy_batch(model, [condition_ids(model, t.x) for t in tasks], max_len)
+    solved = {t.id for t, a in zip(tasks, outputs) if execute(env, t, a).b == 1}
+    if with_refine:
+        retry = [(t, a) for t, a in zip(tasks, outputs) if a and t.id not in solved]
+        refined = greedy_batch(model, [condition_ids(model, t.x, a) for t, a in retry],
+                               max_len)
+        solved |= {t.id for (t, _), a in zip(retry, refined) if execute(env, t, a).b == 1}
     rate = len(solved) / len(tasks) if tasks else 0.0
     return rate, solved
 

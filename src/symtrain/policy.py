@@ -1,31 +1,35 @@
 """Autoregressive token policy: embedding + single-layer GRU + projection.
 
 Every step conditions on one of two frames, and :func:`condition_ids` alone
-builds them: ``BOS x SEP`` to solve task x, and ``BOS x SEP a_prev SEP`` to
-refine the draft a_prev.  Generation, self-reward and training share the
-frames, so refinement can be learned from contrastive pairs.  The target after
-either frame is the solution and EOS (:func:`target_ids`).  A frame is never
-cut: a GRU has no context window, and a draft is at most ``max_len`` tokens,
-which the run configuration bounds by the longest solution ``execute`` grades.
+builds them: the task frame ``BOS x SEP`` to solve task x, and the refine frame
+``BOS x SEP a_prev SEP``, the task frame followed by the draft's tail
+``a_prev SEP`` (:func:`draft_ids`), to refine the draft a_prev.  Generation,
+self-reward and training share the frames, so refinement can be learned from
+contrastive pairs.  The target after either frame is the solution and EOS
+(:func:`target_ids`).  A frame is never cut: a GRU has no context window, and a
+draft is at most ``max_len`` tokens, which the run configuration bounds by the
+longest solution ``execute`` grades.
 
 One batched forward pass runs the GRU over a whole id batch: :func:`forward`
-for frame states, and :func:`batch_nll` for training.  ``batch_nll`` keeps the
-gate caches, projects only the states that predict target tokens and returns
-one summed NLL per example.  It records the forward on a
-:class:`~symtrain.autodiff.Tape` as one record, whose backward is the output
-layer's rule followed by one BPTT sweep.  Every loss (L1, L2 and DPO) is a
-weighted sum of that vector.  Self-reward and the losses thus come from the
-same per-token log-probabilities.
+for frame states, from the zero state or from given states, and
+:func:`batch_nll` for training.  ``batch_nll`` keeps the gate caches, projects
+only the states that predict target tokens and returns one summed NLL per
+example.  It records the forward on a :class:`~symtrain.autodiff.Tape` as one
+record, whose backward is the output layer's rule followed by one BPTT sweep.
+Every loss (L1, L2 and DPO) is a weighted sum of that vector.  Self-reward and
+the losses thus come from the same per-token log-probabilities.
 
-Generation steps all rows of a call together as one batch.  ``sample`` runs
-``BOS x SEP`` once and repeats that state per row; ``refine`` runs all its
-refine frames in one right-padded pass.  Then every row steps with the same
-GRU cell, and a row leaves the batch when it emits EOS.  Each row draws its
-tokens by inverse CDF from uniforms of its own seeded stream, so its tokens do
-not depend on which rows share its batch.  Greedy decoding is the same
-generator at one row.  No row ever emits PAD, BOS or SEP.  Every frame of x
-starts with ``BOS x SEP``, so :func:`score` can start from that shared state
-(:func:`frame_state`) and step only the tokens after it.
+Generation steps all rows of a call together as one batch.  Every frame of x
+starts with the task frame, so its state (:func:`frame_state`) is computed
+once per task and shared: ``sample`` repeats it per row, ``refine`` repeats it
+per draft and steps all the drafts' tails in one right-padded pass, and
+:func:`score` steps only the tokens after it.  :func:`greedy_batch` runs the
+frames of many tasks, of any lengths, in one right-padded pass from the zero
+state; :func:`greedy_decode` is its one-row case.  Then every row steps with
+the same GRU cell, and a row leaves the batch when it emits EOS.  Each sampled
+row draws its tokens by inverse CDF from uniforms of its own seeded stream,
+and a greedy row takes the argmax, so a row's tokens do not depend on which
+rows share its batch.  No row ever emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -116,7 +120,8 @@ def default_vocab() -> Vocab:
 @dataclass
 class GenerationParams:
     """Sampling knobs: softmax temperature, length cap, and ``k_samples``, the
-    rows one call draws (``refine`` draws one per draft)."""
+    rows one call draws (``refine`` draws one per draft, ``greedy_batch`` one per
+    frame)."""
 
     temperature: float
     max_len: int
@@ -172,10 +177,15 @@ def reinit(model: PolicyModel, seed: int) -> PolicyModel:
 def condition_ids(model: PolicyModel, x: Sequence[str],
                   a_prev: Sequence[str] | None = None) -> list[int]:
     """The encoded frame ``BOS x SEP``, or ``BOS x SEP a_prev SEP`` given a draft."""
-    frame = [BOS, *x, SEP]
+    frame = model.vocab.encode([BOS, *x, SEP])
     if a_prev is not None:
-        frame += [*a_prev, SEP]
-    return model.vocab.encode(frame)
+        frame += draft_ids(model, a_prev)
+    return frame
+
+
+def draft_ids(model: PolicyModel, a_prev: Sequence[str]) -> list[int]:
+    """The encoded tail ``a_prev SEP`` that turns the task frame into a refine frame."""
+    return model.vocab.encode([*a_prev, SEP])
 
 
 def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
@@ -186,30 +196,35 @@ def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def forward(model: PolicyModel, ids: Array) -> Array:
-    """GRU hidden states over a right-padded id batch ``ids[B, T]``.
+def forward(model: PolicyModel, ids: Array, start: Array | None = None) -> Array:
+    """GRU hidden states over a right-padded id batch ``ids[B, T]``, from the
+    zero state or from ``start``, the (B, h) states the rows continue.
 
     Returns the (T-1)*B x h states after each of the first T-1 tokens; row
     ``t*B + i`` is the state that predicts ``ids[i, t+1]``.
     """
     p = model.params
     return gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
-                                p["w_h"].data, p["b"].data, model.h)
+                                p["w_h"].data, p["b"].data, model.h, h0=start)
 
 
-def _frame_states(model: PolicyModel, frames: Sequence[list[int]]) -> Array:
-    """The (B, h) GRU states after each encoded frame, from one right-padded pass."""
+def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
+                  start: Array | None = None) -> Array:
+    """The (B, h) GRU states after each encoded frame, from one right-padded pass
+    from the zero state or from ``start``, the (B, h) states the frames continue."""
     n_batch = len(frames)
     # forward steps every column but the last, so one PAD column follows the frames
     ids = np.full((n_batch, max(map(len, frames)) + 1), model.vocab.pad_id, dtype=np.intp)
     for i, frame in enumerate(frames):
         ids[i, :len(frame)] = frame
-    states = forward(model, ids)
+    states = forward(model, ids, start)
     return states[[(len(frame) - 1) * n_batch + i for i, frame in enumerate(frames)]]
 
 
 def frame_state(model: PolicyModel, x: Sequence[str]) -> Array:
     """The (1, h) GRU state after the task frame ``BOS x SEP``."""
+    if not x:
+        raise ValueError("frame_state: input x must be non-empty")
     return _frame_states(model, [condition_ids(model, x)])
 
 
@@ -279,43 +294,58 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     return out
 
 
-def sample(model: PolicyModel, x: Sequence[str], params: GenerationParams,
+def sample(model: PolicyModel, start: Array, params: GenerationParams,
            seed: int) -> list[list[str]]:
-    """Draw k_samples solutions for input x; deterministic under the seed.
+    """Draw k_samples solutions for a task from ``start``, its :func:`frame_state`;
+    deterministic under the seed.
 
     Row k draws from the k-th stream spawned from the seed, so the first rows
     are the same however many are drawn.
     """
-    if not x:
-        raise ValueError("sample: input x must be non-empty")
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(params.k_samples)]
-    states = np.repeat(frame_state(model, x), params.k_samples, axis=0)
+    states = np.repeat(start, params.k_samples, axis=0)
     return [model.vocab.decode(ids) for ids in _generate(model, states, params, rngs)]
 
 
-def refine(model: PolicyModel, x: Sequence[str], drafts: Sequence[Sequence[str]],
+def refine(model: PolicyModel, start: Array, drafts: Sequence[Sequence[str]],
            params: GenerationParams, seeds: Sequence[int]) -> list[list[str]]:
-    """Draw one refinement of each draft; draft i draws from the stream seeds[i].
+    """Draw one refinement of each draft for a task whose :func:`frame_state` is
+    ``start``; draft i draws from the stream seeds[i].
 
-    ``params.k_samples`` must equal the number of drafts.
+    All the drafts' tails ``a_prev SEP`` step from ``start`` in one right-padded
+    pass.  ``params.k_samples`` must equal the number of drafts.
     """
     if not len(drafts) == len(seeds) == params.k_samples:
         raise ValueError(f"refine: {len(drafts)} drafts, {len(seeds)} seeds and "
                          f"k_samples={params.k_samples} must agree")
     if not all(drafts):
         raise ValueError("refine: previous solutions must be non-empty")
-    states = _frame_states(model, [condition_ids(model, x, a) for a in drafts])
+    states = _frame_states(model, [draft_ids(model, a) for a in drafts],
+                           np.repeat(start, len(drafts), axis=0))
     return [model.vocab.decode(ids) for ids in _generate(
         model, states, params, [np.random.default_rng(s) for s in seeds])]
 
 
+def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
+                 max_len: int) -> list[list[str]]:
+    """The greedy solution after each encoded frame (see :func:`condition_ids`).
+
+    All frames go through one right-padded pass and one batched generation.
+    An empty list of frames returns ``[]`` without generating.
+    """
+    if not frames:
+        return []
+    gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=len(frames))
+    return [model.vocab.decode(ids)
+            for ids in _generate(model, _frame_states(model, frames), gen, rngs=None)]
+
+
 def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
                   a_prev: Sequence[str] | None = None) -> list[str]:
-    """The greedy solution for x, or the greedy refinement of the draft a_prev."""
-    gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=1)
-    states = _frame_states(model, [condition_ids(model, x, a_prev)])
-    return model.vocab.decode(_generate(model, states, gen, rngs=None)[0])
+    """The greedy solution for x, or the greedy refinement of the draft a_prev:
+    the one-row case of :func:`greedy_batch`."""
+    return greedy_batch(model, [condition_ids(model, x, a_prev)], max_len)[0]
 
 
 def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
@@ -328,9 +358,10 @@ def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
     ``BOS x SEP`` are stepped; the score is the same.
     """
     target = target_ids(model, a)
-    cond = condition_ids(model, x, a_prev)
-    if start is not None:
-        cond = cond[len(x) + 2:]
+    if start is None:
+        cond = condition_ids(model, x, a_prev)
+    else:
+        cond = [] if a_prev is None else draft_ids(model, a_prev)
     return float(sequence_token_logps(model, cond, target, start).sum() / len(target))
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from symtrain import engine
+from symtrain import engine, policy
 from symtrain.autodiff import Tape, TrainingError, sgd_step
 from symtrain.engine import (
     ConfigError,
@@ -27,7 +27,7 @@ from symtrain.engine import (
     select_u2,
     train_iteration,
 )
-from symtrain.environments import EnvKind, Status, generate_dataset
+from symtrain.environments import EnvKind, Status, execute, generate_dataset
 from symtrain.policy import (
     BOS,
     EOS,
@@ -476,6 +476,58 @@ def test_non_finite_loss_raises_training_error(method, message, value):
     with np.errstate(invalid="ignore"), \
             pytest.raises(TrainingError, match=f"^{message} at iteration 3$"):
         train_iteration(model, sets, config, iteration=3)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+@pytest.fixture(scope="module")
+def partly_trained():
+    """A grid_agent model behaviour-cloned on half of 16 tasks: it solves some
+    tasks but not all, and greedy refinement solves some that it misses."""
+    tasks, witnesses = generate_dataset(EnvKind.GRID_AGENT, 16, seed=0)
+    model = PolicyModel(default_vocab(), d=16, h=24, seed=1)
+    sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in tasks[:8]], [])
+    config = tiny_config(env="grid_agent", train_mode="continual", epochs_per_iter=40,
+                         lr=0.5, batch_size=2, max_len=40)
+    model, _, _ = train_iteration(model, sets, config, iteration=1)
+    return tasks, model
+
+
+def test_evaluate_solves_what_a_per_task_greedy_loop_solves(partly_trained):
+    tasks, model = partly_trained
+    assert len({len(t.x) for t in tasks}) > 1  # the batch is right-padded
+    plain, refined = set(), set()
+    for t in tasks:
+        a = greedy_decode(model, t.x, 40)
+        if execute("grid_agent", t, a).b == 1:
+            plain.add(t.id)
+        elif a and execute("grid_agent", t, greedy_decode(model, t.x, 40, a)).b == 1:
+            refined.add(t.id)
+    assert plain and refined and len(plain | refined) < len(tasks)
+    for with_refine, solved in ((False, plain), (True, plain | refined)):
+        assert evaluate(model, tasks, "grid_agent", 40, with_refine) == \
+            (len(solved) / len(tasks), solved)
+
+
+def test_empty_splits_evaluate_to_zero_without_generating(tiny_dataset, monkeypatch):
+    generate = policy._generate
+
+    def generate_rows(model, states, params, rngs):
+        assert len(states) > 0, "generation called on zero rows"
+        return generate(model, states, params, rngs)
+
+    monkeypatch.setattr(policy, "_generate", generate_rows)
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=0)
+    for with_refine in (False, True):
+        assert evaluate(model, [], "expr_math", 12, with_refine) == (0.0, set())
+    # the warmup takes every held_in task and there are no held_out tasks, so
+    # both evaluation batches are empty at every iteration
+    tasks, witnesses = tiny_dataset
+    held_in = [t for t in tasks if t.split == "held_in"]
+    config = tiny_config(warmup_tasks=len(held_in) + 1, iterations=1, eval_with_refine=True)
+    result = run(config, held_in, {t.id: witnesses[t.id] for t in held_in})
+    assert [(r.held_in_rate, r.held_out_rate) for r in result.reports] == [(0.0, 0.0)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ from symtrain.policy import (
     condition_ids,
     _draw_tokens,
     _frame_states,
+    _generate,
     default_vocab,
+    draft_ids,
     forward,
     frame_state,
+    greedy_batch,
     greedy_decode,
     load_checkpoint,
     refine,
@@ -93,7 +96,7 @@ def test_control_tokens_absent_from_grammars():
 def test_sample_returns_k_sequences():
     model = toy_model()
     params = GenerationParams(temperature=1.0, max_len=6, k_samples=5)
-    out = sample(model, ["a", "b"], params, seed=1)
+    out = sample(model, frame_state(model, ["a", "b"]), params, seed=1)
     assert len(out) == 5
     for seq in out:
         assert all(tok in model.vocab.tokens for tok in seq)
@@ -103,20 +106,22 @@ def test_sample_returns_k_sequences():
 def test_sample_fixed_seed_is_reproducible():
     model = toy_model()
     params = GenerationParams(temperature=1.0, max_len=8, k_samples=4)
-    assert sample(model, ["a"], params, seed=9) == sample(model, ["a"], params, seed=9)
+    start = frame_state(model, ["a"])
+    assert sample(model, start, params, seed=9) == sample(model, start, params, seed=9)
 
 
 def test_tiny_temperature_matches_greedy():
     model = toy_model(seed=3)
     params = GenerationParams(temperature=1e-6, max_len=10, k_samples=3)
     greedy = greedy_decode(model, ["a", "b"], max_len=10)
-    for seq in sample(model, ["a", "b"], params, seed=0):
+    for seq in sample(model, frame_state(model, ["a", "b"]), params, seed=0):
         assert seq == greedy
 
 
 def test_sample_requires_input():
-    with pytest.raises(ValueError):
-        sample(toy_model(), [], GenerationParams(1.0, 80, 5), seed=0)
+    model = toy_model()
+    with pytest.raises(ValueError, match="non-empty"):
+        sample(model, frame_state(model, []), GenerationParams(1.0, 80, 5), seed=0)
 
 
 def test_generation_params_validation():
@@ -129,8 +134,8 @@ def test_generation_params_validation():
 def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     model = toy_model()
     vocab = model.vocab
-    out = refine(model, ["a", "b"], [["c", "d"], ["e"]], GenerationParams(1.0, 80, 2),
-                 seeds=[4, 5])
+    out = refine(model, frame_state(model, ["a", "b"]), [["c", "d"], ["e"]],
+                 GenerationParams(1.0, 80, 2), seeds=[4, 5])
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
@@ -145,15 +150,19 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
 
 def test_refine_requires_previous_solution():
     with pytest.raises(ValueError, match="non-empty"):
-        refine(toy_model(), ["a"], [["b"], []], GenerationParams(1.0, 80, 2), seeds=[0, 1])
+        model = toy_model()
+        refine(model, frame_state(model, ["a"]), [["b"], []], GenerationParams(1.0, 80, 2),
+               seeds=[0, 1])
 
 
 def test_refine_draws_one_refinement_per_draft():
+    model = toy_model()
+    start = frame_state(model, ["a"])
     params = GenerationParams(1.0, 80, 2)
     with pytest.raises(ValueError, match="must agree"):
-        refine(toy_model(), ["a"], [["b"]], params, seeds=[0])
+        refine(model, start, [["b"]], params, seeds=[0])
     with pytest.raises(ValueError, match="must agree"):
-        refine(toy_model(), ["a"], [["b"], ["c"]], params, seeds=[0])
+        refine(model, start, [["b"], ["c"]], params, seeds=[0])
 
 
 def test_generation_never_emits_pad_bos_or_sep():
@@ -164,9 +173,12 @@ def test_generation_never_emits_pad_bos_or_sep():
         model.params["b_out"].data[0, token_id] = bias
     masked = {PAD, BOS, SEP}
     params = GenerationParams(temperature=1.0, max_len=12, k_samples=6)
+    start = frame_state(model, ["a", "b"])
     outputs = [greedy_decode(model, ["a", "b"], 12),
-               *sample(model, ["a", "b"], params, seed=3),
-               *refine(model, ["a", "b"], [["c", "d"]] * 6, params, seeds=range(6))]
+               *greedy_batch(model, [condition_ids(model, ["a"]),
+                                     condition_ids(model, ["a", "b", "c"], ["d"])], 12),
+               *sample(model, start, params, seed=3),
+               *refine(model, start, [["c", "d"]] * 6, params, seeds=range(6))]
     for seq in outputs:
         assert not masked & set(seq), seq
     # scoring keeps the full softmax, so SEP still takes nearly all the mass
@@ -176,17 +188,19 @@ def test_generation_never_emits_pad_bos_or_sep():
 
 def test_sample_rows_do_not_depend_on_how_many_are_drawn():
     model = toy_model(seed=11)
+    start = frame_state(model, ["a", "b"])
     for seed in range(5):
-        more = sample(model, ["a", "b"], GenerationParams(1.0, 12, 8), seed=seed)
-        assert more[:3] == sample(model, ["a", "b"], GenerationParams(1.0, 12, 3), seed=seed)
+        more = sample(model, start, GenerationParams(1.0, 12, 8), seed=seed)
+        assert more[:3] == sample(model, start, GenerationParams(1.0, 12, 3), seed=seed)
 
 
 def test_refinement_does_not_depend_on_the_other_drafts():
     model = toy_model(seed=12)
     drafts = [["c", "d"], ["e"], list("fghijk"), ["a", "a", "b"]]
     seeds = [101, 7, 33, 4]
-    together = refine(model, ["a", "b"], drafts, GenerationParams(1.0, 12, 4), seeds)
-    alone = [refine(model, ["a", "b"], [a], GenerationParams(1.0, 12, 1), [seed])[0]
+    start = frame_state(model, ["a", "b"])
+    together = refine(model, start, drafts, GenerationParams(1.0, 12, 4), seeds)
+    alone = [refine(model, start, [a], GenerationParams(1.0, 12, 1), [seed])[0]
              for a, seed in zip(drafts, seeds)]
     assert together == alone
 
@@ -219,10 +233,11 @@ def test_first_token_frequencies_follow_the_tempered_softmax(temperature):
     # spread the logits so that drawing a neighbouring token moves a lot of mass
     model.params["b_out"].data[:] = np.random.default_rng(0).normal(0.0, 2.0, len(vocab))
     n_draws = 20_000
-    drawn = sample(model, ["a", "b"], GenerationParams(temperature, 1, n_draws), seed=5)
+    start = frame_state(model, ["a", "b"])
+    drawn = sample(model, start, GenerationParams(temperature, 1, n_draws), seed=5)
     ids = [vocab.encode(a)[0] if a else vocab.eos_id for a in drawn]
     frequencies = np.bincount(ids, minlength=len(vocab)) / n_draws
-    logits = frame_state(model, ["a", "b"]) @ model.params["w_out"].data \
+    logits = start @ model.params["w_out"].data \
         + model.params["b_out"].data
     logits[:, [vocab.pad_id, vocab.bos_id, vocab.sep_id]] = -np.inf
     expected = np.exp(log_softmax(logits / temperature))[0]
@@ -247,6 +262,24 @@ def test_greedy_decode_is_deterministic():
     assert greedy_decode(model, ["a", "c"], 80) == greedy_decode(model, ["a", "c"], 80)
 
 
+def test_batched_greedy_rows_equal_their_one_row_decodes():
+    model = toy_model(seed=2)
+    # large weights make the greedy outputs depend on the frame and end at different steps
+    for param in model.params.values():
+        param.data *= 20.0
+    rng = np.random.default_rng(4)
+    frames = []
+    for n_x in (1, 3, 7, 12):
+        x = _random_tokens(rng, model.vocab, n_x)
+        frames += [(x, None), (x, _random_tokens(rng, model.vocab, 1 + n_x % 5))]
+    alone = [greedy_decode(model, x, 12, a_prev) for x, a_prev in frames]
+    assert len({len(a) for a in alone}) > 2
+    together = greedy_batch(model, [condition_ids(model, x, a_prev) for x, a_prev in frames],
+                            12)
+    assert together == alone
+    assert greedy_batch(model, [], 12) == []
+
+
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -263,6 +296,9 @@ def test_score_is_mean_per_token_logp_with_eos():
 def test_score_from_the_frame_state_equals_the_full_forward(env):
     tasks, _ = generate_dataset(env, 5, seed=2)
     model = PolicyModel(default_vocab(), d=8, h=12, seed=6)
+    # large weights make the drawn tokens depend on the state they start from
+    for param in model.params.values():
+        param.data *= 20.0
     rng = np.random.default_rng(0)
     for task in tasks:
         start = frame_state(model, task.x)
@@ -271,6 +307,26 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
             for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
                 assert abs(score(model, task.x, a, a_prev, start=start)
                            - score(model, task.x, a, a_prev)) <= 1e-12
+        # sample and refine, started from the shared state, draw what the full
+        # frames draw, stepped from the zero state as one batch
+        drafts = [_random_tokens(rng, model.vocab, n) for n in (1, 10, 4)]
+        full = _frame_states(model, [condition_ids(model, task.x, a) for a in drafts])
+        np.testing.assert_allclose(
+            _frame_states(model, [draft_ids(model, a) for a in drafts],
+                          np.repeat(start, len(drafts), axis=0)), full, rtol=0, atol=1e-12)
+        task_frames = _frame_states(model, [condition_ids(model, task.x)] * len(drafts))
+        np.testing.assert_allclose(np.repeat(start, len(drafts), axis=0), task_frames,
+                                   rtol=0, atol=1e-12)
+        params = GenerationParams(1.0, 12, len(drafts))
+        for seed in range(3):
+            seeds = [seed * 10 + k for k in range(len(drafts))]
+            rngs = [np.random.default_rng(s) for s in seeds]
+            assert refine(model, start, drafts, params, seeds) == \
+                [model.vocab.decode(ids) for ids in _generate(model, full, params, rngs)]
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(len(drafts))]
+            assert sample(model, start, params, seed) == \
+                [model.vocab.decode(ids) for ids in _generate(model, task_frames, params, rngs)]
 
 
 def test_score_bounds():
