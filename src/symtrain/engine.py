@@ -39,7 +39,7 @@ from symtrain.policy import (
     batch_nll,
     condition_ids,
     default_vocab,
-    frame_state,
+    frame_states,
     greedy_batch,
     greedy_decode,  # not called here: bench/tracing.py wraps engine.greedy_decode
     refine,
@@ -213,38 +213,6 @@ def child_seed(*keys: int) -> int:
 # ---------------------------------------------------------------------------
 # exploration
 
-def explore_task(model: PolicyModel, task: TaskInstance, config: RunConfig,
-                 iteration: int, task_index: int,
-                 ) -> list[tuple[Trajectory, Trajectory | None]]:
-    """Sample K drafts, refine the non-empty ones as one batch, and execute and
-    self-score every candidate.
-
-    The task frame ``BOS x SEP`` is stepped once: sampling, refinement and
-    scoring all start from its state.  Draft k's refinement draws from its own
-    stream, keyed by k, so it does not depend on which other drafts are refined
-    with it.
-    """
-    start = frame_state(model, task.x)
-    samples = sample(model, start, GenerationParams(config.temperature, config.max_len,
-                                                    config.K),
-                     seed=child_seed(config.seed, _DOM_SAMPLE, iteration, task_index))
-    explored = [_candidate(model, task, config, a, "explore", iteration, start)
-                for a in samples]
-    refined: list[Trajectory | None] = [None] * len(samples)
-    # an empty draft cannot prompt a refinement
-    drafts = [k for k, a in enumerate(samples) if a] if _self_refine_on(config) else []
-    if drafts:
-        refinements = refine(
-            model, start, [samples[k] for k in drafts],
-            GenerationParams(config.temperature, config.max_len, len(drafts)),
-            seeds=[child_seed(config.seed, _DOM_REFINE, iteration, task_index, k)
-                   for k in drafts])
-        for k, a_ref in zip(drafts, refinements):
-            refined[k] = _candidate(model, task, config, a_ref, "refine", iteration, start,
-                                    a_prev=samples[k])
-    return list(zip(explored, refined))
-
-
 def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
                a: Sequence[str], source: str, iteration: int, start: Array | None = None,
                a_prev: Sequence[str] | None = None) -> Trajectory:
@@ -259,13 +227,44 @@ def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
                   config: RunConfig, iteration: int,
                   ) -> list[tuple[Trajectory, Trajectory | None]]:
-    """Sample, refine, execute and score candidates for every task, in task order.
+    """Sample K drafts per task, refine the non-empty ones, and execute and
+    self-score every candidate; the pairs come in task order.
 
-    Task i draws from its own seed stream, keyed by its position i, so a
-    task's candidates do not depend on the tasks explored after it.
+    All tasks go through three batched passes: one over the task frames
+    ``BOS x SEP``, one ``sample`` call over tasks x K rows, and one ``refine``
+    call over every non-empty draft.  Each candidate is scored from its task's
+    frame state.  Draft k of task i draws from the k-th stream spawned from the
+    seed keyed by (iteration, i), and its refinement from the seed keyed by
+    (iteration, i, k), so a task's candidates do not depend on the other tasks
+    or drafts in the batch.
     """
-    return [pair for i, task in enumerate(tasks)
-            for pair in explore_task(model, task, config, iteration, i)]
+    if not tasks:
+        return []
+    starts = frame_states(model, [task.x for task in tasks])
+
+    def candidate(j: int, a: Sequence[str], source: str,
+                  a_prev: Sequence[str] | None = None) -> Trajectory:
+        i = j // config.K  # row j holds draft j % K of task i
+        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
+                          a_prev)
+
+    seeds = [s for i in range(len(tasks)) for s in np.random.SeedSequence(
+        child_seed(config.seed, _DOM_SAMPLE, iteration, i)).spawn(config.K)]
+    samples = sample(model, np.repeat(starts, config.K, axis=0),
+                     GenerationParams(config.temperature, config.max_len, len(seeds)), seeds)
+    explored = [candidate(j, a, "explore") for j, a in enumerate(samples)]
+    refined: list[Trajectory | None] = [None] * len(samples)
+    # an empty draft cannot prompt a refinement
+    drafts = [j for j, a in enumerate(samples) if a] if _self_refine_on(config) else []
+    if drafts:
+        refinements = refine(
+            model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
+            GenerationParams(config.temperature, config.max_len, len(drafts)),
+            seeds=[child_seed(config.seed, _DOM_REFINE, iteration, *divmod(j, config.K))
+                   for j in drafts])
+        for j, a_ref in zip(drafts, refinements):
+            refined[j] = candidate(j, a_ref, "refine", samples[j])
+    return list(zip(explored, refined))
 
 
 def _self_refine_on(config: RunConfig) -> bool:

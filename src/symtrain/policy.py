@@ -11,25 +11,28 @@ draft is at most ``max_len`` tokens, which the run configuration bounds by the
 longest solution ``execute`` grades.
 
 One batched forward pass runs the GRU over a whole id batch: :func:`forward`
-for frame states, from the zero state or from given states, and
-:func:`batch_nll` for training.  ``batch_nll`` keeps the gate caches, projects
+for the state after every token, from the zero state or from given states,
+and :func:`batch_nll` for training.  ``batch_nll`` keeps the gate caches, projects
 only the states that predict target tokens and returns one summed NLL per
 example.  It records the forward on a :class:`~symtrain.autodiff.Tape` as one
 record, whose backward is the output layer's rule followed by one BPTT sweep.
 Every loss (L1, L2 and DPO) is a weighted sum of that vector.  Self-reward and
 the losses thus come from the same per-token log-probabilities.
 
-Generation steps all rows of a call together as one batch.  Every frame of x
-starts with the task frame, so its state (:func:`frame_state`) is computed
-once per task and shared: ``sample`` repeats it per row, ``refine`` repeats it
-per draft and steps all the drafts' tails in one right-padded pass, and
-:func:`score` steps only the tokens after it.  :func:`greedy_batch` runs the
-frames of many tasks, of any lengths, in one right-padded pass from the zero
-state; :func:`greedy_decode` is its one-row case.  Then every row steps with
-the same GRU cell, and a row leaves the batch when it emits EOS.  Each sampled
-row draws its tokens by inverse CDF from uniforms of its own seeded stream,
-and a greedy row takes the argmax, so a row's tokens do not depend on which
-rows share its batch.  No row ever emits PAD, BOS or SEP.
+Generation steps all rows of a call together as one batch, each from its
+own state and with its own seed, so one call can serve the rows of many tasks.
+Every frame of x starts with the task frame, so its state is computed once per
+task: :func:`frame_states` steps the task frames of many tasks in one pass,
+keeping only each row's state at the end of its frame.  ``sample`` draws one
+row per given state, ``refine`` steps every draft's tail ``a_prev SEP`` from
+its task's state in one right-padded pass, and :func:`score` steps only the
+tokens after the task frame.  :func:`greedy_batch` runs the frames of many
+tasks, of any lengths, in one right-padded pass from the zero state;
+:func:`greedy_decode` is its one-row case.  Then every row steps with the same
+GRU cell, and a row leaves the batch when it emits EOS.  Each sampled row
+draws its tokens by inverse CDF from uniforms of its own seeded stream, and a
+greedy row takes the argmax, so a row's tokens do not depend on which rows
+share its batch.  No row ever emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ def default_vocab() -> Vocab:
 @dataclass
 class GenerationParams:
     """Sampling knobs: softmax temperature, length cap, and ``k_samples``, the
-    rows one call draws (``refine`` draws one per draft, ``greedy_batch`` one per
-    frame)."""
+    rows of one call: one per state for ``sample``, one per draft for ``refine``
+    and one per frame for ``greedy_batch``."""
 
     temperature: float
     max_len: int
@@ -211,21 +214,35 @@ def forward(model: PolicyModel, ids: Array, start: Array | None = None) -> Array
 def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
                   start: Array | None = None) -> Array:
     """The (B, h) GRU states after each encoded frame, from one right-padded pass
-    from the zero state or from ``start``, the (B, h) states the frames continue."""
-    n_batch = len(frames)
-    # forward steps every column but the last, so one PAD column follows the frames
-    ids = np.full((n_batch, max(map(len, frames)) + 1), model.vocab.pad_id, dtype=np.intp)
-    for i, frame in enumerate(frames):
-        ids[i, :len(frame)] = frame
-    states = forward(model, ids, start)
-    return states[[(len(frame) - 1) * n_batch + i for i, frame in enumerate(frames)]]
+    from the zero state or from ``start``, the (B, h) states the frames continue.
+
+    The rows run longest first, and a row leaves the batch at the end of its
+    frame, so only each row's last state is kept.
+    """
+    p = {k: t.data for k, t in model.params.items()}
+    lengths = np.array([len(frame) for frame in frames], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    n_steps = int(lengths.max(initial=0))
+    ids = np.full((n_steps, len(frames)), model.vocab.pad_id, dtype=np.intp)
+    for row, i in enumerate(order.tolist()):
+        ids[:lengths[i], row] = frames[i]
+    # going[t]: how many rows, a prefix of the sorted batch, have a token t
+    going = [int((lengths > t).sum()) for t in range(n_steps)] + [0]
+    h = np.zeros((len(frames), model.h)) if start is None else start[order]
+    out = np.empty((len(frames), model.h))
+    for t in range(n_steps):
+        n, done = going[t], going[t + 1]
+        h = gru_cell_forward(p["embed"][ids[t, :n]], h[:n], p["w_x"], p["w_h"], p["b"],
+                             model.h)[0]
+        out[order[done:n]] = h[done:]
+    return out
 
 
-def frame_state(model: PolicyModel, x: Sequence[str]) -> Array:
-    """The (1, h) GRU state after the task frame ``BOS x SEP``."""
-    if not x:
-        raise ValueError("frame_state: input x must be non-empty")
-    return _frame_states(model, [condition_ids(model, x)])
+def frame_states(model: PolicyModel, xs: Sequence[Sequence[str]]) -> Array:
+    """The (B, h) GRU states after each task frame ``BOS x SEP``, from one pass."""
+    if not all(xs):
+        raise ValueError("frame_states: every input x must be non-empty")
+    return _frame_states(model, [condition_ids(model, x) for x in xs])
 
 
 def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
@@ -240,9 +257,7 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
     ids = np.asarray([[*cond_ids, *target_ids]], dtype=np.intp)
     p = model.params
     h0 = np.zeros((1, model.h)) if start is None else start
-    steps = gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
-                                 p["w_h"].data, p["b"].data, model.h, h0=h0)
-    h_rows = np.vstack([h0, steps])[len(cond_ids):]
+    h_rows = np.vstack([h0, forward(model, ids, h0)])[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
@@ -290,39 +305,43 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
             out[i].append(token)
         if not ids or t == params.max_len - 1:
             break
-        h, _ = gru_cell_forward(p["embed"][tokens], h, p["w_x"], p["w_h"], p["b"], model.h)
+        # keep only h: a gate cache held into the next step adds to its peak memory
+        h = gru_cell_forward(p["embed"][tokens], h, p["w_x"], p["w_h"], p["b"], model.h)[0]
     return out
 
 
-def sample(model: PolicyModel, start: Array, params: GenerationParams,
-           seed: int) -> list[list[str]]:
-    """Draw k_samples solutions for a task from ``start``, its :func:`frame_state`;
-    deterministic under the seed.
+def _rows_agree(what: str, params: GenerationParams, **rows: Sequence) -> None:
+    if any(len(v) != params.k_samples for v in rows.values()):
+        raise ValueError(f"{what}: " + ", ".join(f"{len(v)} {k}" for k, v in rows.items())
+                         + f" and k_samples={params.k_samples} must agree")
 
-    Row k draws from the k-th stream spawned from the seed, so the first rows
-    are the same however many are drawn.
+
+def sample(model: PolicyModel, states: Array, params: GenerationParams,
+           seeds: Sequence[int | np.random.SeedSequence]) -> list[list[str]]:
+    """Draw one solution from each row of ``states``, the (B, h) task-frame
+    states (see :func:`frame_states`); row i draws from the stream seeds[i].
+
+    ``params.k_samples`` must equal the number of rows.
     """
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(params.k_samples)]
-    states = np.repeat(start, params.k_samples, axis=0)
-    return [model.vocab.decode(ids) for ids in _generate(model, states, params, rngs)]
+    _rows_agree("sample", params, states=states, seeds=seeds)
+    return [model.vocab.decode(ids) for ids in _generate(
+        model, states, params, [np.random.default_rng(s) for s in seeds])]
 
 
-def refine(model: PolicyModel, start: Array, drafts: Sequence[Sequence[str]],
-           params: GenerationParams, seeds: Sequence[int]) -> list[list[str]]:
-    """Draw one refinement of each draft for a task whose :func:`frame_state` is
-    ``start``; draft i draws from the stream seeds[i].
+def refine(model: PolicyModel, states: Array, drafts: Sequence[Sequence[str]],
+           params: GenerationParams,
+           seeds: Sequence[int | np.random.SeedSequence]) -> list[list[str]]:
+    """Draw one refinement of each draft; draft i continues from states[i], the
+    task-frame state of its task (see :func:`frame_states`), and draws from the
+    stream seeds[i].
 
-    All the drafts' tails ``a_prev SEP`` step from ``start`` in one right-padded
-    pass.  ``params.k_samples`` must equal the number of drafts.
+    All the drafts' tails ``a_prev SEP`` step in one right-padded pass.
+    ``params.k_samples`` must equal the number of drafts.
     """
-    if not len(drafts) == len(seeds) == params.k_samples:
-        raise ValueError(f"refine: {len(drafts)} drafts, {len(seeds)} seeds and "
-                         f"k_samples={params.k_samples} must agree")
+    _rows_agree("refine", params, states=states, drafts=drafts, seeds=seeds)
     if not all(drafts):
         raise ValueError("refine: previous solutions must be non-empty")
-    states = _frame_states(model, [draft_ids(model, a) for a in drafts],
-                           np.repeat(start, len(drafts), axis=0))
+    states = _frame_states(model, [draft_ids(model, a) for a in drafts], states)
     return [model.vocab.decode(ids) for ids in _generate(
         model, states, params, [np.random.default_rng(s) for s in seeds])]
 
@@ -354,8 +373,9 @@ def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
 
     ``a`` is scored for x, or as a refinement of the draft a_prev.  The
     terminating EOS always contributes, so an empty solution scores EOS alone.
-    Given ``start``, the :func:`frame_state` of x, only the tokens after
-    ``BOS x SEP`` are stepped; the score is the same.
+    Given ``start``, the (1, h) state after ``BOS x SEP`` (a row of
+    :func:`frame_states`), only the tokens after it are stepped; the score is
+    the same.
     """
     target = target_ids(model, a)
     if start is None:

@@ -32,12 +32,16 @@ from symtrain.policy import (
     BOS,
     EOS,
     SEP,
+    GenerationParams,
     PolicyModel,
     Vocab,
     CONTROL_TOKENS,
     batch_nll,
     default_vocab,
+    frame_states,
     greedy_decode,
+    refine,
+    sample,
     score,
     sequence_token_logps,
 )
@@ -270,6 +274,68 @@ def test_explore_is_deterministic_and_independent_of_batch_makeup(expr_setup):
     wider = explore_phase(model, tasks, tiny_config(K=5), iteration=1)
     assert [pair for i in range(len(tasks)) for pair in wider[5 * i:5 * i + 2]] == first
     assert any(t_tilde is not None for _, t_tilde in first)
+
+
+def _explore_task_by_task(model, tasks, config, iteration):
+    """What explore_phase computes, one task per sample call and per refine call."""
+    pairs = []
+    for i, task in enumerate(tasks):
+        start = frame_states(model, [task.x])
+
+        def candidate(a, source, a_prev=None):
+            res = execute(config.env, task, a)
+            return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
+                              score(model, task.x, a, a_prev, start), source, iteration,
+                              res.status)
+
+        samples = sample(model, np.repeat(start, config.K, axis=0),
+                         GenerationParams(config.temperature, config.max_len, config.K),
+                         np.random.SeedSequence(
+                             child_seed(config.seed, engine._DOM_SAMPLE, iteration, i)
+                         ).spawn(config.K))
+        refined = [None] * config.K
+        drafts = ([k for k, a in enumerate(samples) if a]
+                  if "no_self_refine" not in config.ablations else [])
+        if drafts:
+            refinements = refine(
+                model, np.repeat(start, len(drafts), axis=0), [samples[k] for k in drafts],
+                GenerationParams(config.temperature, config.max_len, len(drafts)),
+                [child_seed(config.seed, engine._DOM_REFINE, iteration, i, k) for k in drafts])
+            for k, a_ref in zip(drafts, refinements):
+                refined[k] = candidate(a_ref, "refine", samples[k])
+        pairs += zip([candidate(a, "explore") for a in samples], refined)
+    return pairs
+
+
+@pytest.fixture(scope="module", params=[EnvKind.EXPR_MATH, EnvKind.GRID_AGENT])
+def cloned(request):
+    """A model behaviour-cloned on half of 12 tasks, so exploration solves some."""
+    tasks, witnesses = generate_dataset(request.param, 12, seed=1)
+    config = tiny_config(env=request.param.value, train_mode="continual",
+                         epochs_per_iter=30, lr=0.5, batch_size=2, max_len=40)
+    sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in tasks[:6]], [])
+    model, _, _ = train_iteration(PolicyModel(default_vocab(), d=16, h=24, seed=2), sets,
+                                  config, iteration=1)
+    return tasks, model
+
+
+@pytest.mark.parametrize("ablations", [[], ["no_self_refine"]])
+def test_explore_phase_equals_a_per_task_loop(cloned, ablations):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40, ablations=ablations)
+    batched = explore_phase(model, tasks, config, iteration=3)
+    alone = _explore_task_by_task(model, tasks, config, iteration=3)
+
+    def key(t):
+        return None if t is None else (t.task_id, t.a, t.b, t.status, t.source)
+
+    assert len(batched) == len(tasks) * config.K
+    assert [(key(t), key(u)) for t, u in batched] == [(key(t), key(u)) for t, u in alone]
+    for pair, pair_alone in zip(batched, alone):
+        for t, t_alone in zip(pair, pair_alone):
+            assert t is None or abs(t.r - t_alone.r) <= 1e-12
+    assert any(t.b == 1 for pair in batched for t in pair if t is not None)
+    assert any(t_tilde is not None for _, t_tilde in batched) == (not ablations)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from symtrain.policy import (
     default_vocab,
     draft_ids,
     forward,
-    frame_state,
+    frame_states,
     greedy_batch,
     greedy_decode,
     load_checkpoint,
@@ -49,6 +49,20 @@ def toy_model(seed=0, d=8, h=12):
 def _random_tokens(rng, vocab, n):
     grammar = vocab.tokens[len(CONTROL_TOKENS):]
     return [str(rng.choice(grammar)) for _ in range(n)]
+
+
+def _sample_task(model, x, params, seed):
+    """Draw params.k_samples rows for one task, row k from the k-th stream
+    spawned from the seed."""
+    n = params.k_samples
+    return sample(model, np.repeat(frame_states(model, [x]), n, axis=0), params,
+                  np.random.SeedSequence(seed).spawn(n))
+
+
+def _refine_task(model, x, drafts, params, seeds):
+    """Refine every draft of one task."""
+    return refine(model, np.repeat(frame_states(model, [x]), len(drafts), axis=0), drafts,
+                  params, seeds)
 
 
 def _condition_nll(model, condition, target, tape):
@@ -96,7 +110,7 @@ def test_control_tokens_absent_from_grammars():
 def test_sample_returns_k_sequences():
     model = toy_model()
     params = GenerationParams(temperature=1.0, max_len=6, k_samples=5)
-    out = sample(model, frame_state(model, ["a", "b"]), params, seed=1)
+    out = _sample_task(model, ["a", "b"], params, seed=1)
     assert len(out) == 5
     for seq in out:
         assert all(tok in model.vocab.tokens for tok in seq)
@@ -106,22 +120,21 @@ def test_sample_returns_k_sequences():
 def test_sample_fixed_seed_is_reproducible():
     model = toy_model()
     params = GenerationParams(temperature=1.0, max_len=8, k_samples=4)
-    start = frame_state(model, ["a"])
-    assert sample(model, start, params, seed=9) == sample(model, start, params, seed=9)
+    assert _sample_task(model, ["a"], params, 9) == _sample_task(model, ["a"], params, 9)
 
 
 def test_tiny_temperature_matches_greedy():
     model = toy_model(seed=3)
     params = GenerationParams(temperature=1e-6, max_len=10, k_samples=3)
     greedy = greedy_decode(model, ["a", "b"], max_len=10)
-    for seq in sample(model, frame_state(model, ["a", "b"]), params, seed=0):
+    for seq in _sample_task(model, ["a", "b"], params, seed=0):
         assert seq == greedy
 
 
 def test_sample_requires_input():
     model = toy_model()
     with pytest.raises(ValueError, match="non-empty"):
-        sample(model, frame_state(model, []), GenerationParams(1.0, 80, 5), seed=0)
+        frame_states(model, [["a"], []])
 
 
 def test_generation_params_validation():
@@ -134,8 +147,8 @@ def test_generation_params_validation():
 def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     model = toy_model()
     vocab = model.vocab
-    out = refine(model, frame_state(model, ["a", "b"]), [["c", "d"], ["e"]],
-                 GenerationParams(1.0, 80, 2), seeds=[4, 5])
+    out = _refine_task(model, ["a", "b"], [["c", "d"], ["e"]], GenerationParams(1.0, 80, 2),
+                       seeds=[4, 5])
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
@@ -151,18 +164,29 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
 def test_refine_requires_previous_solution():
     with pytest.raises(ValueError, match="non-empty"):
         model = toy_model()
-        refine(model, frame_state(model, ["a"]), [["b"], []], GenerationParams(1.0, 80, 2),
-               seeds=[0, 1])
+        _refine_task(model, ["a"], [["b"], []], GenerationParams(1.0, 80, 2), seeds=[0, 1])
 
 
 def test_refine_draws_one_refinement_per_draft():
     model = toy_model()
-    start = frame_state(model, ["a"])
+    states = np.repeat(frame_states(model, [["a"]]), 2, axis=0)
     params = GenerationParams(1.0, 80, 2)
     with pytest.raises(ValueError, match="must agree"):
-        refine(model, start, [["b"]], params, seeds=[0])
+        refine(model, states[:1], [["b"]], params, seeds=[0])
     with pytest.raises(ValueError, match="must agree"):
-        refine(model, start, [["b"], ["c"]], params, seeds=[0])
+        refine(model, states, [["b"], ["c"]], params, seeds=[0])
+    with pytest.raises(ValueError, match="must agree"):
+        refine(model, states[:1], [["b"], ["c"]], params, seeds=[0, 1])
+
+
+def test_sample_draws_one_row_per_state_and_seed():
+    model = toy_model()
+    states = np.repeat(frame_states(model, [["a"]]), 2, axis=0)
+    params = GenerationParams(1.0, 80, 2)
+    with pytest.raises(ValueError, match="must agree"):
+        sample(model, states, params, seeds=[0])
+    with pytest.raises(ValueError, match="must agree"):
+        sample(model, states[:1], params, seeds=[0, 1])
 
 
 def test_generation_never_emits_pad_bos_or_sep():
@@ -173,12 +197,11 @@ def test_generation_never_emits_pad_bos_or_sep():
         model.params["b_out"].data[0, token_id] = bias
     masked = {PAD, BOS, SEP}
     params = GenerationParams(temperature=1.0, max_len=12, k_samples=6)
-    start = frame_state(model, ["a", "b"])
     outputs = [greedy_decode(model, ["a", "b"], 12),
                *greedy_batch(model, [condition_ids(model, ["a"]),
                                      condition_ids(model, ["a", "b", "c"], ["d"])], 12),
-               *sample(model, start, params, seed=3),
-               *refine(model, start, [["c", "d"]] * 6, params, seeds=range(6))]
+               *_sample_task(model, ["a", "b"], params, seed=3),
+               *_refine_task(model, ["a", "b"], [["c", "d"]] * 6, params, seeds=range(6))]
     for seq in outputs:
         assert not masked & set(seq), seq
     # scoring keeps the full softmax, so SEP still takes nearly all the mass
@@ -188,21 +211,60 @@ def test_generation_never_emits_pad_bos_or_sep():
 
 def test_sample_rows_do_not_depend_on_how_many_are_drawn():
     model = toy_model(seed=11)
-    start = frame_state(model, ["a", "b"])
     for seed in range(5):
-        more = sample(model, start, GenerationParams(1.0, 12, 8), seed=seed)
-        assert more[:3] == sample(model, start, GenerationParams(1.0, 12, 3), seed=seed)
+        more = _sample_task(model, ["a", "b"], GenerationParams(1.0, 12, 8), seed)
+        assert more[:3] == _sample_task(model, ["a", "b"], GenerationParams(1.0, 12, 3), seed)
 
 
 def test_refinement_does_not_depend_on_the_other_drafts():
     model = toy_model(seed=12)
     drafts = [["c", "d"], ["e"], list("fghijk"), ["a", "a", "b"]]
     seeds = [101, 7, 33, 4]
-    start = frame_state(model, ["a", "b"])
-    together = refine(model, start, drafts, GenerationParams(1.0, 12, 4), seeds)
-    alone = [refine(model, start, [a], GenerationParams(1.0, 12, 1), [seed])[0]
+    together = _refine_task(model, ["a", "b"], drafts, GenerationParams(1.0, 12, 4), seeds)
+    alone = [_refine_task(model, ["a", "b"], [a], GenerationParams(1.0, 12, 1), [seed])[0]
              for a, seed in zip(drafts, seeds)]
     assert together == alone
+
+
+def test_rows_of_a_mixed_batch_equal_each_tasks_rows_drawn_alone():
+    model = toy_model(seed=15)
+    # large weights make the drawn tokens depend on the state they start from
+    for param in model.params.values():
+        param.data *= 5.0
+    xs = [["a", "b"], list("cdefghi")]
+    k = 4
+    starts = frame_states(model, xs)
+    owner = [0, 1, 1, 0, 1, 0, 0, 1]
+    seeds = [np.random.SeedSequence(7 + i).spawn(k) for i in range(2)]
+    row_seeds = [seeds[i][owner[:j].count(i)] for j, i in enumerate(owner)]
+    params = GenerationParams(1.0, 12, len(owner))
+    mixed = sample(model, starts[owner], params, row_seeds)
+    for i, x in enumerate(xs):
+        alone = _sample_task(model, x, GenerationParams(1.0, 12, k), 7 + i)
+        assert [a for a, o in zip(mixed, owner) if o == i] == alone
+    drafts = [a or ["b"] for a in mixed]
+    refine_seeds = [100 + j for j in range(len(owner))]
+    mixed = refine(model, starts[owner], drafts, params, refine_seeds)
+    for i, x in enumerate(xs):
+        rows = [j for j, o in enumerate(owner) if o == i]
+        alone = _refine_task(model, x, [drafts[j] for j in rows],
+                             GenerationParams(1.0, 12, len(rows)),
+                             [refine_seeds[j] for j in rows])
+        assert [mixed[j] for j in rows] == alone
+
+
+def test_frame_states_are_forwards_states_at_the_frame_ends():
+    model = toy_model(seed=16)
+    rng = np.random.default_rng(5)
+    frames = [model.vocab.encode(_random_tokens(rng, model.vocab, n)) for n in (3, 1, 9, 4, 9)]
+    ids = np.full((len(frames), 10), model.vocab.pad_id, dtype=np.intp)
+    for i, frame in enumerate(frames):
+        ids[i, :len(frame)] = frame
+    ends = [(len(frame) - 1) * len(frames) + i for i, frame in enumerate(frames)]
+    for start in (None, rng.uniform(-1.0, 1.0, (len(frames), model.h))):
+        np.testing.assert_allclose(_frame_states(model, frames, start),
+                                   forward(model, ids, start)[ends], rtol=0, atol=1e-12)
+    assert _frame_states(model, []).shape == (0, model.h)
 
 
 def test_batched_refine_frames_give_the_row_by_row_token_logps():
@@ -233,8 +295,8 @@ def test_first_token_frequencies_follow_the_tempered_softmax(temperature):
     # spread the logits so that drawing a neighbouring token moves a lot of mass
     model.params["b_out"].data[:] = np.random.default_rng(0).normal(0.0, 2.0, len(vocab))
     n_draws = 20_000
-    start = frame_state(model, ["a", "b"])
-    drawn = sample(model, start, GenerationParams(temperature, 1, n_draws), seed=5)
+    start = frame_states(model, [["a", "b"]])
+    drawn = _sample_task(model, ["a", "b"], GenerationParams(temperature, 1, n_draws), seed=5)
     ids = [vocab.encode(a)[0] if a else vocab.eos_id for a in drawn]
     frequencies = np.bincount(ids, minlength=len(vocab)) / n_draws
     logits = start @ model.params["w_out"].data \
@@ -301,7 +363,7 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
         param.data *= 20.0
     rng = np.random.default_rng(0)
     for task in tasks:
-        start = frame_state(model, task.x)
+        start = frame_states(model, [task.x])
         for n_a in (0, 1, 8):
             a = _random_tokens(rng, model.vocab, n_a)
             for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
@@ -321,11 +383,11 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
         for seed in range(3):
             seeds = [seed * 10 + k for k in range(len(drafts))]
             rngs = [np.random.default_rng(s) for s in seeds]
-            assert refine(model, start, drafts, params, seeds) == \
+            assert _refine_task(model, task.x, drafts, params, seeds) == \
                 [model.vocab.decode(ids) for ids in _generate(model, full, params, rngs)]
             rngs = [np.random.default_rng(s)
                     for s in np.random.SeedSequence(seed).spawn(len(drafts))]
-            assert sample(model, start, params, seed) == \
+            assert _sample_task(model, task.x, params, seed) == \
                 [model.vocab.decode(ids) for ids in _generate(model, task_frames, params, rngs)]
 
 
