@@ -29,10 +29,14 @@ its task's state in one right-padded pass, and :func:`score` steps only the
 tokens after the task frame.  :func:`greedy_batch` runs the frames of many
 tasks, of any lengths, in one right-padded pass from the zero state;
 :func:`greedy_decode` is its one-row case.  Then every row steps with the same
-GRU cell, and a row leaves the batch when it emits EOS.  Each sampled row
-draws its tokens by inverse CDF from uniforms of its own seeded stream, and a
-greedy row takes the argmax, so a row's tokens do not depend on which rows
-share its batch.  No row ever emits PAD, BOS or SEP.
+GRU step (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when
+it emits EOS.  A call computes the input product ``x @ w_x + b`` of the whole
+vocabulary once (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks
+up its rows' inputs, as :func:`forward` and ``batch_nll`` compute theirs for
+all steps in one product.  Each sampled row draws its tokens by inverse CDF
+from uniforms of its own seeded stream, and a greedy row takes the argmax, so
+a row's tokens do not depend on which rows share its batch.  No row ever
+emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -44,9 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from symtrain.autodiff import (Array, Param, Tape, gru_cell_forward, gru_sequence,
-                               gru_sequence_backward, gru_sequence_forward, log_softmax,
-                               output_nll, output_nll_backward)
+from symtrain.autodiff import (Array, Param, Tape, gru_sequence, gru_sequence_backward,
+                               gru_inputs, gru_step, log_softmax, output_nll,
+                               output_nll_backward)
 
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
@@ -207,8 +211,8 @@ def forward(model: PolicyModel, ids: Array, start: Array | None = None) -> Array
     ``t*B + i`` is the state that predicts ``ids[i, t+1]``.
     """
     p = model.params
-    return gru_sequence_forward(p["embed"].data[ids[:, :-1].T], p["w_x"].data,
-                                p["w_h"].data, p["b"].data, model.h, h0=start)
+    return gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
+                        p["b"].data, model.h, start)[0]
 
 
 def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
@@ -228,13 +232,13 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
         ids[:lengths[i], row] = frames[i]
     # going[t]: how many rows, a prefix of the sorted batch, have a token t
     going = [int((lengths > t).sum()) for t in range(n_steps)] + [0]
+    xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     h = np.zeros((len(frames), model.h)) if start is None else start[order]
     out = np.empty((len(frames), model.h))
     for t in range(n_steps):
         n, done = going[t], going[t + 1]
-        h = gru_cell_forward(p["embed"][ids[t, :n]], h[:n], p["w_x"], p["w_h"], p["b"],
-                             model.h)[0]
-        out[order[done:n]] = h[done:]
+        gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], p["w_h"], out=h[:n])
+        out[order[done:n]] = h[done:n]
     return out
 
 
@@ -287,6 +291,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     b_out[:, [model.vocab.pad_id, model.vocab.bos_id, model.vocab.sep_id]] = -np.inf
     if rngs is not None:
         uniforms = np.stack([rng.random(params.max_len) for rng in rngs])
+    xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     rows = np.arange(len(states))
     h = states
     out: list[list[int]] = [[] for _ in rows]
@@ -305,8 +310,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
             out[i].append(token)
         if not ids or t == params.max_len - 1:
             break
-        # keep only h: a gate cache held into the next step adds to its peak memory
-        h = gru_cell_forward(p["embed"][tokens], h, p["w_x"], p["w_h"], p["b"], model.h)[0]
+        h = gru_step(np.take(xb, tokens, axis=1), h, p["w_h"])
     return out
 
 
@@ -411,14 +415,13 @@ def batch_nll(model: PolicyModel, tape: Tape,
         indices += [(len(cond) - 1 + k) * n_batch + i for k in range(len(tgt))]
         targets += tgt
     p = model.params
-    caches: list = []
-    states = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
-                          p["b"].data, model.h, caches)
+    states, gru_cache = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data,
+                                     p["w_h"].data, p["b"].data, model.h)
     nll, cache = output_nll(states, indices, p["w_out"].data, p["b_out"].data, targets,
                             [len(t) for _, t in examples])
     tape.record(n_batch, lambda w: gru_sequence_backward(
-        output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids[:, :-1], states, caches,
-        p["embed"], p["w_x"], p["w_h"], p["b"]))
+        output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids[:, :-1], states,
+        gru_cache, p["embed"], p["w_x"], p["w_h"], p["b"]))
     return nll
 
 

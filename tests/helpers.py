@@ -2,9 +2,9 @@
 
 Each oracle deliberately takes a different algorithmic route than the
 implementation it checks: finite differences for gradients, high-precision
-arithmetic for the loss, shunting-yard evaluation for expressions, ground
-instantiation for the rule engine, and a literal step-by-step walk for the
-grid.
+arithmetic for the loss, one GRU step at a time for the batched GRU kernels,
+shunting-yard evaluation for expressions, ground instantiation for the rule
+engine, and a literal step-by-step walk for the grid.
 """
 
 from __future__ import annotations
@@ -241,3 +241,60 @@ def reference_selection(positives: list, negatives: list, n1: int, n2: int):
     for m in range(1, max(0, m_max) + 1):
         u2.append((positives[m + len(u1) - 1], negatives[m - 1]))
     return u1, u2
+
+
+# ---------------------------------------------------------------------------
+# GRU reference: each step's input product, gates and BPTT computed whole
+# inside the time loop, with the embedding gradient as a scatter-add
+
+def reference_gru(embed: np.ndarray, ids: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
+                  b: np.ndarray, h0: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """The S*B x h states of a GRU over ``ids[B, S]`` from ``h0`` (zero by
+    default), row ``t*B + i`` after ``ids[i, t]``, and each step's
+    (z, r, n, h_prev @ w_h's candidate columns)."""
+    nh = w_h.shape[0]
+    h = np.zeros((ids.shape[0], nh)) if h0 is None else h0
+    states, caches = [], []
+    for t in range(ids.shape[1]):
+        xw = embed[ids[:, t]] @ w_x
+        hw = h @ w_h
+        zr = 0.5 * (np.tanh(0.5 * ((xw[:, :2 * nh] + hw[:, :2 * nh]) + b[:, :2 * nh]))
+                    + 1.0)
+        z, r = zr[:, :nh], zr[:, nh:]
+        hw_n = hw[:, 2 * nh:]
+        n = np.tanh((xw[:, 2 * nh:] + r * hw_n) + b[:, 2 * nh:])
+        h = (z * h) + ((z * -1.0 + 1.0) * n)
+        states.append(h)
+        caches.append((z, r, n, hw_n))
+    return np.concatenate(states).reshape(-1, nh), caches
+
+
+def reference_gru_backward(g: np.ndarray, ids: np.ndarray, states: np.ndarray,
+                           caches: list, embed: np.ndarray, w_x: np.ndarray,
+                           w_h: np.ndarray) -> dict[str, np.ndarray]:
+    """The gradient of ``sum(g * states)`` for :func:`reference_gru`'s
+    forward from the zero state, by one reversed sweep."""
+    n_batch, nh = ids.shape[0], w_h.shape[0]
+    d_pre = np.empty((len(states), 3 * nh))
+    d_h = np.zeros((n_batch, nh))
+    for t in range(len(caches) - 1, -1, -1):
+        rows = slice(t * n_batch, (t + 1) * n_batch)
+        z, r, n, hw_n = caches[t]
+        h_prev = states[rows.start - n_batch:rows.start] if t else 0.0
+        g_t = g[rows] + d_h
+        dn_pre = (g_t * (1.0 - z)) * (1.0 - n * n)
+        d = d_pre[rows]
+        d[:, :nh] = (g_t * (h_prev - n)) * (z * (1.0 - z))
+        d[:, nh:2 * nh] = (dn_pre * hw_n) * (r * (1.0 - r))
+        d[:, 2 * nh:] = dn_pre
+        d_hw = np.concatenate([d[:, :2 * nh], dn_pre * r], axis=1)
+        d_h = g_t * z + d_hw @ w_h.T
+    d_embed = np.zeros_like(embed)
+    np.add.at(d_embed, ids.T.reshape(-1), d_pre @ w_x.T)
+    grads = {"embed": d_embed,
+             "w_x": embed[ids.T].reshape(len(states), -1).T @ d_pre,
+             "b": d_pre.sum(axis=0, keepdims=True)}
+    for t, (_, r, _, _) in enumerate(caches):
+        d_pre[t * n_batch:(t + 1) * n_batch, 2 * nh:] *= r
+    grads["w_h"] = states[:-n_batch].T @ d_pre[n_batch:]
+    return grads

@@ -9,6 +9,7 @@ from symtrain.autodiff import (
     Tape,
     TapeError,
     TrainingError,
+    gru_cell_forward,
     gru_sequence,
     gru_sequence_backward,
     output_nll,
@@ -16,7 +17,8 @@ from symtrain.autodiff import (
     sgd_step,
     zero_grads,
 )
-from helpers import assert_grads_close, central_differences, mp_log_softmax_nll
+from helpers import (assert_grads_close, central_differences, mp_log_softmax_nll,
+                     reference_gru, reference_gru_backward)
 
 
 def _softmax_nll(logits, targets, lengths):
@@ -71,8 +73,8 @@ def test_matmul_gradient_of_sum_wrt_left_operand():
 @pytest.mark.parametrize("seed", range(3))
 def test_output_nll_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    params = _output_params(rng, 5, 3, 6)
-    rows = [4, 0, 4, 2, 2, 2, 1]  # rows 4 and 2 are picked more than once
+    params = _output_params(rng, 9, 3, 6)
+    rows = [4, 0, 8, 2, 6, 5, 1]  # out of order, and rows 3 and 7 predict nothing
     targets = [int(t) for t in rng.integers(0, 6, size=len(rows))]
     lengths = [2, 1, 4]
     # non-unit weights of both signs, so each example's gradient is weighted apart
@@ -92,6 +94,7 @@ def test_output_nll_matches_finite_differences(seed):
     (dict(rows=[0, -1]), IndexError, "row index"),
     (dict(targets=[0]), ShapeError, "2 rows vs 1 targets"),
     (dict(targets=[0, 4]), IndexError, r"target 4 out of range \[0, 4\)"),
+    (dict(rows=[4, 4]), ValueError, "more than once"),
 ])
 def test_output_nll_rejects_inputs_that_do_not_fit(fault, error, message):
     args = dict(states=np.ones((5, 3)), rows=[0, 4], w_out=np.ones((3, 4)),
@@ -125,12 +128,11 @@ def _record_nll(tape, p, ids, lengths, targets):
     predict a target.  The forward is one record on the tape."""
     n_batch = ids.shape[0]
     rows = [t * n_batch + i for i, n in enumerate(lengths) for t in range(n)]
-    caches: list = []
-    states = gru_sequence(p["embed"].data, ids, p["w_x"].data, p["w_h"].data, p["b"].data,
-                          p["w_h"].data.shape[0], caches)
+    states, gru_cache = gru_sequence(p["embed"].data, ids, p["w_x"].data, p["w_h"].data,
+                                     p["b"].data, p["w_h"].data.shape[0])
     nll, cache = output_nll(states, rows, p["w_out"].data, p["b_out"].data, targets, lengths)
     tape.record(n_batch, lambda w: gru_sequence_backward(
-        output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids, states, caches,
+        output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids, states, gru_cache,
         p["embed"], p["w_x"], p["w_h"], p["b"]))
     return nll
 
@@ -148,6 +150,55 @@ def test_gru_sequence_matches_finite_differences(seed):
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, targets)
     tape.backward([np.ones(len(GRU_LENGTHS))])
     assert_grads_close(_grads(params), central_differences(loss, params))
+
+
+def _assert_close_to_reference(actual, reference, rtol=1e-12):
+    """Equal to the reference within rtol of its largest entry: the batched
+    kernels sum in another order, which moves entries that cancel."""
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max(initial=0.0) <= rtol * np.abs(reference).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n_batch", [1, 2, 8])
+@pytest.mark.parametrize("n_steps", [1, 2, 40])
+@pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates gates: r reaches 0 exactly
+def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
+    rng = np.random.default_rng(n_batch * 100 + n_steps)
+    params = _gru_params(rng)
+    for p in params.values():
+        p.data *= scale
+    p = {name: t.data for name, t in params.items()}
+    ids = rng.integers(0, 6, (n_batch, n_steps))
+    h0 = rng.uniform(-1, 1, (n_batch, GRU_HIDDEN))
+    states, _ = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN, h0)
+    _assert_close_to_reference(states, reference_gru(p["embed"], ids, p["w_x"], p["w_h"],
+                                                     p["b"], h0)[0])
+    # the backward runs from the zero state, as batch_nll trains
+    states, cache = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN)
+    ref_states, ref_caches = reference_gru(p["embed"], ids, p["w_x"], p["w_h"], p["b"])
+    _assert_close_to_reference(states, ref_states)
+    if scale > 1.0 and n_batch * n_steps >= 80:
+        assert (cache.gates[:, 1] == 0.0).any()
+    g = rng.uniform(-2, 2, states.shape)  # non-unit upstream gradients of both signs
+    gru_sequence_backward(g, ids, states, cache, params["embed"], params["w_x"],
+                          params["w_h"], params["b"])
+    expected = reference_gru_backward(g, ids, ref_states, ref_caches, p["embed"], p["w_x"],
+                                      p["w_h"])
+    for name, grad in expected.items():
+        _assert_close_to_reference(params[name].grad, grad)
+
+
+def test_gru_cell_forward_is_one_step_from_given_inputs():
+    # the bench's GRU probe calls it so, and unpacks (h, cache)
+    rng = np.random.default_rng(9)
+    params = _gru_params(rng)
+    x, h = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, GRU_HIDDEN))
+    h_new, cache = gru_cell_forward(x, h, params["w_x"].data, params["w_h"].data,
+                                    params["b"].data, GRU_HIDDEN)
+    assert h_new.shape == (5, GRU_HIDDEN) and cache.gates.shape == (1, 3, 5, GRU_HIDDEN)
+    # row i of x is the embedding of id i
+    _assert_close_to_reference(h_new, reference_gru(x, np.arange(5)[:, None], params["w_x"].data,
+                                                    params["w_h"].data, params["b"].data, h)[0])
 
 
 @pytest.mark.parametrize("bad", [6, -1])
@@ -366,10 +417,9 @@ def test_forward_ops_stay_finite_on_finite_inputs():
     nll, cache = output_nll(x * 100.0, [0, 1, 2, 3], x, np.zeros((1, 4)), [0, 1, 2, 3],
                             [1, 3])
     d_states = output_nll_backward(np.ones(2), cache, params["w_out"], params["b_out"])
-    caches: list = []
-    states = gru_sequence(params["embed"].data, GRU_IDS, params["w_x"].data,
-                          params["w_h"].data, params["b"].data, 2, caches)
-    gru_sequence_backward(np.ones_like(states), GRU_IDS, states, caches, params["embed"],
+    states, gru_cache = gru_sequence(params["embed"].data, GRU_IDS, params["w_x"].data,
+                                     params["w_h"].data, params["b"].data, 2)
+    gru_sequence_backward(np.ones_like(states), GRU_IDS, states, gru_cache, params["embed"],
                           params["w_x"], params["w_h"], params["b"])
     for out in (nll, d_states, states, *_grads(params).values()):
         assert np.isfinite(out).all()

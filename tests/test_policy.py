@@ -408,6 +408,19 @@ def test_score_of_empty_solution_is_eos_alone():
     assert score(model, ["a"], []) == eos_logp
 
 
+def test_a_zero_step_forward_has_no_states():
+    model = toy_model(seed=3)
+    p = {k: t.data for k, t in model.params.items()}
+    # one column: the only token predicts nothing, so no step runs
+    assert forward(model, np.array([[1], [2]])).shape == (0, model.h)
+    start = frame_states(model, [["a", "b"]])
+    assert forward(model, np.array([[model.vocab.eos_id]]), start).shape == (0, model.h)
+    # an empty solution scored from the frame state is EOS alone, predicted by
+    # that state with no step taken
+    eos_logp = log_softmax(start @ p["w_out"] + p["b_out"])[0, model.vocab.eos_id]
+    assert score(model, ["a", "b"], [], start=start) == pytest.approx(eos_logp, abs=1e-12)
+
+
 def test_score_consistent_with_loss_primitive():
     model = toy_model(seed=8)
     rng = np.random.default_rng(31)
@@ -523,11 +536,11 @@ def test_untaped_forward_equals_taped_states_bitwise():
                     [1, 7, 3, 8, 2, 0],
                     [1, 9, 9, 3, 2, 0]])
     p = model.params
-    caches = []
     # the states batch_nll computes and backpropagates through
-    taped = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
-                         p["b"].data, model.h, caches)
-    assert taped.shape == (5 * 3, model.h) and len(caches) == 5
+    taped, cache = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
+                                p["b"].data, model.h)
+    assert taped.shape == (5 * 3, model.h)
+    assert cache.gates.shape == (5, 3, 3, model.h) and cache.hw_n.shape == (5, 3, model.h)
     assert np.array_equal(forward(model, ids), taped)
 
 
