@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from symtrain.policy import PolicyModel, score
+from symtrain.policy import PolicyModel, frame_states, score
 from symtrain.pool import CandidatePool
 
 
@@ -30,12 +30,18 @@ def stability(solved_now: set[str], solved_prev_iter: set[str]) -> float:
 def delta_logp(model: PolicyModel,
                pairs: Sequence[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]],
                ) -> float | None:
-    """Mean reward margin score(x -> a+) - score(x -> a-) in nats per token."""
+    """Mean reward margin score(x -> a+) - score(x -> a-) in nats per token.
+
+    Both solutions of a pair are scored from the frame state of its x, as
+    exploration scores its candidates, so the margin is in the units of r.
+    """
     if not pairs:
         return None
+    starts = frame_states(model, [x for x, _, _ in pairs])
     total = 0.0
-    for x, a_plus, a_minus in pairs:
-        total += score(model, x, a_plus) - score(model, x, a_minus)
+    for i, (_, a_plus, a_minus) in enumerate(pairs):
+        start = starts[i:i + 1]
+        total += score(model, start, a_plus) - score(model, start, a_minus)
     return total / len(pairs)
 
 

@@ -214,14 +214,14 @@ def child_seed(*keys: int) -> int:
 # exploration
 
 def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
-               a: Sequence[str], source: str, iteration: int, start: Array | None = None,
+               a: Sequence[str], source: str, iteration: int, start: Array,
                a_prev: Sequence[str] | None = None) -> Trajectory:
-    """Execute and self-score one solution; a refinement of the draft a_prev is
-    scored in the refine frame it was drawn from.  ``start``, when given, is the
-    task's frame state, from which scoring starts."""
+    """Execute and self-score one solution from ``start``, the task's frame
+    state; a refinement of the draft a_prev is scored in the refine frame it
+    was drawn from."""
     res = execute(config.env, task, a)
     return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                      score(model, task.x, a, a_prev, start), source, iteration, res.status)
+                      score(model, start, a, a_prev), source, iteration, res.status)
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
@@ -589,8 +589,11 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                                  epochs=config.warmup_epochs)
         seeded = 0
         if config.seed_pool_with_warmup:
-            seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0)
-                                  for t in warmup])
+            # scored as exploration scores a candidate, from the task's frame state
+            starts = frame_states(model, [t.x for t in warmup])
+            seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0,
+                                             starts[i:i + 1])
+                                  for i, t in enumerate(warmup)])
         close(0, model, pool, seeded, warm_l1, 0.0, [])
 
         probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []

@@ -10,14 +10,15 @@ contrastive pairs.  The target after either frame is the solution and EOS
 draft is at most ``max_len`` tokens, which the run configuration bounds by the
 longest solution ``execute`` grades.
 
-One batched forward pass runs the GRU over a whole id batch: :func:`forward`
-for the state after every token, from the zero state or from given states,
-and :func:`batch_nll` for training.  ``batch_nll`` keeps the gate caches, projects
-only the states that predict target tokens and returns one summed NLL per
-example.  It records the forward on a :class:`~symtrain.autodiff.Tape` as one
-record, whose backward is the output layer's rule followed by one BPTT sweep.
-Every loss (L1, L2 and DPO) is a weighted sum of that vector.  Self-reward and
-the losses thus come from the same per-token log-probabilities.
+One batched forward pass (:func:`~symtrain.autodiff.gru_sequence`) runs the
+GRU over a whole id batch: :func:`sequence_token_logps` for the log-probability
+of each target token, and :func:`batch_nll` for training.  ``batch_nll`` keeps
+the gate caches, projects only the states that predict target tokens and
+returns one summed NLL per example.  It records the forward on a
+:class:`~symtrain.autodiff.Tape` as one record, whose backward is the output
+layer's rule followed by one BPTT sweep.  Every loss (L1, L2 and DPO) is a
+weighted sum of that vector.  Self-reward and the losses thus come from the
+same per-token log-probabilities.
 
 Generation steps all rows of a call together as one batch, each from its
 own state and with its own seed, so one call can serve the rows of many tasks.
@@ -25,18 +26,20 @@ Every frame of x starts with the task frame, so its state is computed once per
 task: :func:`frame_states` steps the task frames of many tasks in one pass,
 keeping only each row's state at the end of its frame.  ``sample`` draws one
 row per given state, ``refine`` steps every draft's tail ``a_prev SEP`` from
-its task's state in one right-padded pass, and :func:`score` steps only the
-tokens after the task frame.  :func:`greedy_batch` runs the frames of many
+its task's state in one right-padded pass, and :func:`score`, the self-reward,
+continues from a task-frame state and steps only the tokens after it.  A
+solution of a task is thus scored by one computation, whether exploration drew
+it or it is a warmup witness.  :func:`greedy_batch` runs the frames of many
 tasks, of any lengths, in one right-padded pass from the zero state;
 :func:`greedy_decode` is its one-row case.  Then every row steps with the same
 GRU step (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when
 it emits EOS.  A call computes the input product ``x @ w_x + b`` of the whole
 vocabulary once (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks
-up its rows' inputs, as :func:`forward` and ``batch_nll`` compute theirs for
-all steps in one product.  Each sampled row draws its tokens by inverse CDF
-from uniforms of its own seeded stream, and a greedy row takes the argmax, so
-a row's tokens do not depend on which rows share its batch.  No row ever
-emits PAD, BOS or SEP.
+up its rows' inputs, as ``sequence_token_logps`` and ``batch_nll`` compute
+theirs for all steps in one product.  Each sampled row draws its tokens by
+inverse CDF from uniforms of its own seeded stream, and a greedy row takes the
+argmax, so a row's tokens do not depend on which rows share its batch.  No row
+ever emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -203,18 +206,6 @@ def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
 # ---------------------------------------------------------------------------
 # forward pass
 
-def forward(model: PolicyModel, ids: Array, start: Array | None = None) -> Array:
-    """GRU hidden states over a right-padded id batch ``ids[B, T]``, from the
-    zero state or from ``start``, the (B, h) states the rows continue.
-
-    Returns the (T-1)*B x h states after each of the first T-1 tokens; row
-    ``t*B + i`` is the state that predicts ``ids[i, t+1]``.
-    """
-    p = model.params
-    return gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
-                        p["b"].data, model.h, start)[0]
-
-
 def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
                   start: Array | None = None) -> Array:
     """The (B, h) GRU states after each encoded frame, from one right-padded pass
@@ -253,15 +244,18 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
                          target_ids: Sequence[int], start: Array | None = None) -> Array:
     """Log-probability of each target token given the condition prefix.
 
-    The GRU steps ``cond_ids`` and the target from the zero state, or from
-    ``start``, the (1, h) state after the first tokens of the condition; then
-    ``cond_ids`` holds only the condition tokens after those.
+    The GRU steps ``cond_ids`` and the target from the zero state, as
+    ``batch_nll`` does (the DPO reference margins), or from ``start``, the
+    (1, h) state after the first tokens of the condition; then ``cond_ids``
+    holds only the condition tokens after those.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
-    ids = np.asarray([[*cond_ids, *target_ids]], dtype=np.intp)
+    ids = np.asarray([[*cond_ids, *target_ids[:-1]]], dtype=np.intp)
     p = model.params
     h0 = np.zeros((1, model.h)) if start is None else start
-    h_rows = np.vstack([h0, forward(model, ids, h0)])[len(cond_ids):]
+    states, _ = gru_sequence(p["embed"].data, ids, p["w_x"].data, p["w_h"].data,
+                             p["b"].data, model.h, h0)
+    h_rows = np.vstack([h0, states])[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
@@ -371,21 +365,17 @@ def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
     return greedy_batch(model, [condition_ids(model, x, a_prev)], max_len)[0]
 
 
-def score(model: PolicyModel, x: Sequence[str], a: Sequence[str],
-          a_prev: Sequence[str] | None = None, start: Array | None = None) -> float:
+def score(model: PolicyModel, start: Array, a: Sequence[str],
+          a_prev: Sequence[str] | None = None) -> float:
     """Length-normalized log-probability of ``a`` followed by EOS (nats per token).
 
-    ``a`` is scored for x, or as a refinement of the draft a_prev.  The
+    Scoring continues from ``start``, the (1, h) state after a task frame
+    ``BOS x SEP`` (a row of :func:`frame_states`): ``a`` is scored for x, or,
+    after the tail ``a_prev SEP``, as a refinement of the draft a_prev.  The
     terminating EOS always contributes, so an empty solution scores EOS alone.
-    Given ``start``, the (1, h) state after ``BOS x SEP`` (a row of
-    :func:`frame_states`), only the tokens after it are stepped; the score is
-    the same.
     """
     target = target_ids(model, a)
-    if start is None:
-        cond = condition_ids(model, x, a_prev)
-    else:
-        cond = [] if a_prev is None else draft_ids(model, a_prev)
+    cond = [] if a_prev is None else draft_ids(model, a_prev)
     return float(sequence_token_logps(model, cond, target, start).sum() / len(target))
 
 

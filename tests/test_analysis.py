@@ -61,11 +61,12 @@ def test_delta_logp_empty_is_null():
 
 
 def test_delta_logp_units_match_reward_difference():
-    from symtrain.policy import score
+    from symtrain.policy import frame_states, score
     model = PolicyModel(default_vocab(), d=8, h=12, seed=2)
     x = ("a", "=", "3", ";", "sum", "a", "a")
     a_plus, a_minus = ("a", "+", "a"), ("a", "-", "a")
-    expected = score(model, x, a_plus) - score(model, x, a_minus)
+    start = frame_states(model, [x])
+    expected = score(model, start, a_plus) - score(model, start, a_minus)
     assert delta_logp(model, [(x, a_plus, a_minus)]) == pytest.approx(expected,
                                                                       abs=1e-9)
 

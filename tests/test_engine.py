@@ -285,7 +285,7 @@ def _explore_task_by_task(model, tasks, config, iteration):
         def candidate(a, source, a_prev=None):
             res = execute(config.env, task, a)
             return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                              score(model, task.x, a, a_prev, start), source, iteration,
+                              score(model, start, a, a_prev), source, iteration,
                               res.status)
 
         samples = sample(model, np.repeat(start, config.K, axis=0),
@@ -750,9 +750,10 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
                 child_seed(config.seed, _DOM_WARMUP), 0,
                 epochs=config.warmup_epochs)
     pool = CandidatePool(config.pool_cap)
+    starts = frame_states(model, [t.x for t in warmup])
     pool.update([Trajectory(t.id, t.x, t.y, tuple(witnesses[t.id]), 1,
-                            score(model, t.x, witnesses[t.id]),
-                            "explore", 0, Status.OK) for t in warmup])
+                            score(model, starts[i:i + 1], witnesses[t.id]),
+                            "explore", 0, Status.OK) for i, t in enumerate(warmup)])
     pairs = explore_phase(model, held_in, config, iteration=1)
     pool.update([fp(t, tt) for t, tt in pairs])
     sets = build_training_sets(pool, held_in, config, iteration=1)
@@ -762,6 +763,29 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
 
     assert result.reports[-1].held_in_rate == rate
     assert result.reports[-1].held_out_rate == out_rate
+
+
+def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):
+    tasks, witnesses = tiny_dataset
+    config = tiny_config()
+    held_in = [t for t in tasks if t.split == "held_in"]
+    warmup = held_in[:config.warmup_tasks]
+    model = PolicyModel(default_vocab(), config.d, config.h, seed=5)
+    pool = CandidatePool(config.pool_cap)
+    # run seeds the pool from the warmup tasks' frame states
+    starts = frame_states(model, [t.x for t in warmup])
+    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
+                                starts[i:i + 1]) for i, t in enumerate(warmup)]
+    pool.update(seeded)
+    # exploration scores the same witness from a frame state of a larger batch
+    wide = frame_states(model, [t.x for t in reversed(held_in)])[::-1]
+    again = [engine._candidate(model, t, config, witnesses[t.id], "explore", 1,
+                               wide[i:i + 1]) for i, t in enumerate(warmup)]
+    for old, new in zip(seeded, again):
+        assert abs(new.r - old.r) <= 1e-12 * abs(old.r)
+    assert pool.update(again) == 0
+    assert sorted(pool.all_entries(), key=lambda t: t.task_id) == \
+        sorted(seeded, key=lambda t: t.task_id)
 
 
 def test_run_rejects_dataset_without_held_in():

@@ -23,7 +23,6 @@ from symtrain.policy import (
     _generate,
     default_vocab,
     draft_ids,
-    forward,
     frame_states,
     greedy_batch,
     greedy_decode,
@@ -63,6 +62,14 @@ def _refine_task(model, x, drafts, params, seeds):
     """Refine every draft of one task."""
     return refine(model, np.repeat(frame_states(model, [x]), len(drafts), axis=0), drafts,
                   params, seeds)
+
+
+def _gru_states(model, ids, start=None):
+    """The GRU states after each of the first T-1 tokens of ``ids[B, T]``, from
+    the zero state or from ``start``; row ``t*B + i`` predicts ``ids[i, t+1]``."""
+    p = {k: t.data for k, t in model.params.items()}
+    return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h,
+                        start)[0]
 
 
 def _condition_nll(model, condition, target, tape):
@@ -263,7 +270,7 @@ def test_frame_states_are_forwards_states_at_the_frame_ends():
     ends = [(len(frame) - 1) * len(frames) + i for i, frame in enumerate(frames)]
     for start in (None, rng.uniform(-1.0, 1.0, (len(frames), model.h))):
         np.testing.assert_allclose(_frame_states(model, frames, start),
-                                   forward(model, ids, start)[ends], rtol=0, atol=1e-12)
+                                   _gru_states(model, ids, start)[ends], rtol=0, atol=1e-12)
     assert _frame_states(model, []).shape == (0, model.h)
 
 
@@ -282,8 +289,8 @@ def test_batched_refine_frames_give_the_row_by_row_token_logps():
         np.testing.assert_allclose(
             sequence_token_logps(model, [], target, start=states[i:i + 1]),
             logps, rtol=0, atol=1e-12)
-        # from the zero state, the rows are forward's own
-        rows = forward(model, np.asarray([[*cond, *target]]))[len(cond) - 1:]
+        # from the zero state, the rows are gru_sequence's own
+        rows = _gru_states(model, np.asarray([[*cond, *target]]))[len(cond) - 1:]
         assert np.array_equal(
             logps, log_softmax(rows @ p["w_out"] + p["b_out"])[np.arange(len(target)), target])
 
@@ -349,9 +356,10 @@ def test_score_is_mean_per_token_logp_with_eos():
     model = toy_model()
     a = ["a", "b", "c"]
     vocab = model.vocab
-    for frame, a_prev in (([BOS, "d", SEP], None), ([BOS, "d", SEP, "e", "f", SEP], ["e", "f"])):
-        logps = sequence_token_logps(model, vocab.encode(frame), vocab.encode([*a, EOS]))
-        assert score(model, ["d"], a, a_prev) == pytest.approx(logps.sum() / 4, abs=1e-12)
+    start = frame_states(model, [["d"]])
+    for tail, a_prev in (([], None), (["e", "f", SEP], ["e", "f"])):
+        logps = sequence_token_logps(model, vocab.encode(tail), vocab.encode([*a, EOS]), start)
+        assert score(model, start, a, a_prev) == pytest.approx(logps.sum() / 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("env", list(EnvKind))
@@ -367,8 +375,10 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
         for n_a in (0, 1, 8):
             a = _random_tokens(rng, model.vocab, n_a)
             for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
-                assert abs(score(model, task.x, a, a_prev, start=start)
-                           - score(model, task.x, a, a_prev)) <= 1e-12
+                # the whole frame and the target, stepped from the zero state
+                full = sequence_token_logps(model, condition_ids(model, task.x, a_prev),
+                                            model.vocab.encode([*a, EOS]))
+                assert abs(score(model, start, a, a_prev) - full.mean()) <= 1e-12
         # sample and refine, started from the shared state, draw what the full
         # frames draw, stepped from the zero state as one batch
         drafts = [_random_tokens(rng, model.vocab, n) for n in (1, 10, 4)]
@@ -396,29 +406,29 @@ def test_score_bounds():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 6)))
-        r = score(model, ["a"], a)
+        r = score(model, frame_states(model, [["a"]]), a)
         assert r <= 0.0
         assert 0.0 < math.exp(r * (len(a) + 1)) <= 1.0
 
 
 def test_score_of_empty_solution_is_eos_alone():
     model = toy_model()
-    cond = condition_ids(model, ["a"])
-    (eos_logp,) = sequence_token_logps(model, cond, [model.vocab.eos_id])
-    assert score(model, ["a"], []) == eos_logp
+    start = frame_states(model, [["a"]])
+    (eos_logp,) = sequence_token_logps(model, [], [model.vocab.eos_id], start)
+    assert score(model, start, []) == eos_logp
 
 
 def test_a_zero_step_forward_has_no_states():
     model = toy_model(seed=3)
     p = {k: t.data for k, t in model.params.items()}
     # one column: the only token predicts nothing, so no step runs
-    assert forward(model, np.array([[1], [2]])).shape == (0, model.h)
+    assert _gru_states(model, np.array([[1], [2]])).shape == (0, model.h)
     start = frame_states(model, [["a", "b"]])
-    assert forward(model, np.array([[model.vocab.eos_id]]), start).shape == (0, model.h)
+    assert _gru_states(model, np.array([[model.vocab.eos_id]]), start).shape == (0, model.h)
     # an empty solution scored from the frame state is EOS alone, predicted by
     # that state with no step taken
     eos_logp = log_softmax(start @ p["w_out"] + p["b_out"])[0, model.vocab.eos_id]
-    assert score(model, ["a", "b"], [], start=start) == pytest.approx(eos_logp, abs=1e-12)
+    assert score(model, start, []) == pytest.approx(eos_logp, abs=1e-12)
 
 
 def test_score_consistent_with_loss_primitive():
@@ -431,7 +441,8 @@ def test_score_consistent_with_loss_primitive():
         loss = _condition_nll(model, condition, target, Tape())
         cond_ids = model.vocab.encode([BOS, *condition, SEP])
         per_token = _token_nlls(model, [(cond_ids, model.vocab.encode(target))])
-        assert score(model, condition, a) == pytest.approx(-per_token.mean(), abs=1e-9)
+        assert score(model, frame_states(model, [condition]), a) == \
+            pytest.approx(-per_token.mean(), abs=1e-9)
         assert loss == pytest.approx(per_token.sum(), abs=1e-9)
 
 
@@ -440,8 +451,8 @@ def test_score_equals_negative_nll_over_length():
     a = ["b", "a", "d"]
     tape = Tape()
     loss = _condition_nll(model, ["c"], [*a, EOS], tape)
-    assert loss == pytest.approx(-score(model, ["c"], a) * (len(a) + 1),
-                                             abs=1e-9)
+    assert loss == pytest.approx(-score(model, frame_states(model, [["c"]]), a) * (len(a) + 1),
+                                 abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +546,17 @@ def test_untaped_forward_equals_taped_states_bitwise():
     ids = np.array([[1, 4, 5, 3, 6, 2],
                     [1, 7, 3, 8, 2, 0],
                     [1, 9, 9, 3, 2, 0]])
-    p = model.params
+    p = {k: t.data for k, t in model.params.items()}
     # the states batch_nll computes and backpropagates through
-    taped, cache = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data, p["w_h"].data,
-                                p["b"].data, model.h)
+    taped, cache = gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)
     assert taped.shape == (5 * 3, model.h)
     assert cache.gates.shape == (5, 3, 3, model.h) and cache.hw_n.shape == (5, 3, model.h)
-    assert np.array_equal(forward(model, ids), taped)
+    # sequence_token_logps, which the DPO reference margins use, steps a one-row
+    # batch from the zero state, as batch_nll does
+    cond, target = ids[0, :4].tolist(), ids[0, 4:].tolist()
+    row, _ = gru_sequence(p["embed"], ids[:1, :-1], p["w_x"], p["w_h"], p["b"], model.h)
+    expected = log_softmax(row[3:] @ p["w_out"] + p["b_out"])[np.arange(2), target]
+    assert np.array_equal(sequence_token_logps(model, cond, target), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +601,8 @@ def test_checkpoint_roundtrip_scores_identical(tmp_path):
     for _ in range(10):
         cond = _random_tokens(rng, model.vocab, 3)
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 6)))
-        assert score(model, cond, a) == score(loaded, cond, a)
+        assert score(model, frame_states(model, [cond]), a) == \
+            score(loaded, frame_states(loaded, [cond]), a)
 
 
 def test_checkpoint_truncated_file_is_error(tmp_path):
