@@ -1,8 +1,8 @@
 """Gradients of weighted per-example NLLs, and the SGD step that uses them.
 
 Every training loss is ``sum_i w_i nll_i`` (see ``engine.dpo_loss``), so no
-general graph is recorded.  A :class:`Tape` holds one record per
-``policy.batch_nll`` call of an SGD step, and ``Tape.backward(weights)`` adds
+general graph is recorded.  A :class:`Tape` holds the one
+``policy.batch_nll`` call of an SGD step, and ``Tape.backward(w)`` adds
 ``sum_i w_i grad(nll_i)`` into the gradient buffer each :class:`Param` owns.
 The backward rules are plain functions: :func:`output_nll_backward` for the
 output layer (:func:`output_nll`), then :func:`gru_sequence_backward`, one
@@ -34,7 +34,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: weights that do not match the records, or a spent tape."""
+    """Tape misuse: a second record, no record, or a spent tape."""
 
 
 class TrainingError(RuntimeError):
@@ -53,35 +53,33 @@ class Param:
 
 
 class Tape:
-    """The batched NLL forwards of one SGD step: each record is a forward's
-    example count and its backward rule, which takes the weights w."""
+    """The batched NLL forward of one SGD step: its example count and its
+    backward rule, which takes the weights w.  A tape holds one record and
+    allows one sweep."""
 
     def __init__(self) -> None:
-        self._records: list[tuple[int, Callable[[Array], None]]] = []
+        self._record: tuple[int, Callable[[Array], None]] | None = None
         self._spent = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        return 0 if self._record is None else 1
 
     def record(self, n_examples: int, backward: Callable[[Array], None]) -> None:
-        self._records.append((n_examples, backward))
+        if self._record is not None:
+            raise TapeError("a tape holds one forward")
+        self._record = (n_examples, backward)
 
-    def backward(self, weights: Sequence[Array]) -> None:
-        """Add the gradient of ``sum_i w_i nll_i``, given one (B,) weight vector
-        per record in recording order; a tape allows one sweep.  The records run
-        last first, so sums into a shared buffer (the embedding's among them)
-        always form in one order."""
+    def backward(self, w: Array) -> None:
+        """Add the gradient of ``sum_i w_i nll_i``, given the (B,) weights."""
         if self._spent:
             raise TapeError("backward already ran on this tape")
-        if len(weights) != len(self._records):
-            raise TapeError(f"{len(weights)} weight vectors for "
-                            f"{len(self._records)} records")
-        for (n_examples, _), w in zip(self._records, weights):
-            if w.shape != (n_examples,):
-                raise ShapeError(f"weights of shape {w.shape} for {n_examples} examples")
+        if self._record is None:
+            raise TapeError("nothing recorded on this tape")
+        n_examples, back = self._record
+        if w.shape != (n_examples,):
+            raise ShapeError(f"weights of shape {w.shape} for {n_examples} examples")
         self._spent = True
-        for (_, back), w in zip(reversed(self._records), reversed(weights)):
-            back(w)
+        back(w)
 
 
 # ---------------------------------------------------------------------------

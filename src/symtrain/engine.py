@@ -335,14 +335,15 @@ def _encode_examples(model: PolicyModel, sets: TrainingSets,
 
 
 def _sgd_epochs(model: PolicyModel, items: Sequence,
-                losses: Callable[[Tape, list], tuple[Array, list[Array]]],
+                losses: Callable[[Tape, list], tuple[Array, Array]],
                 config: RunConfig, rng: np.random.Generator, epochs: int, iteration: int,
                 what: str) -> list[tuple[list, Array]]:
     """Minibatch SGD over ``epochs`` shuffled passes of the items.
 
-    ``losses(tape, batch)`` records the batch's NLL forwards on the tape and
-    returns each item's loss as a (B,) array, plus one weight vector per record
-    such that ``sum_i w_i nll_i`` has the summed loss's gradient.  A step
+    ``losses(tape, batch)`` records the batch's one NLL forward on the tape and
+    returns each item's loss as a (B,) array, plus the weights w of the
+    forward's examples such that ``sum_i w_i nll_i`` has the summed loss's
+    gradient.  A step
     descends the summed loss; ``what`` names it if it is not finite.  Returns
     the final epoch's minibatches with their losses, in visit order.
     """
@@ -371,9 +372,9 @@ def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], lis
                 epochs: int | None = None) -> tuple[float, float]:
     """Minibatch SGD on the tagged examples' NLL; returns final-epoch loss sums."""
 
-    def losses(tape: Tape, batch: list) -> tuple[Array, list[Array]]:
+    def losses(tape: Tape, batch: list) -> tuple[Array, Array]:
         nll = batch_nll(model, tape, [(c, t) for _, c, t in batch])
-        return nll, [np.ones(len(nll))]
+        return nll, np.ones(len(nll))
 
     sums = {"L1": 0.0, "L2": 0.0}
     for batch, values in _sgd_epochs(
@@ -427,15 +428,16 @@ def dpo_loss(nll_pos: Array, nll_neg: Array, ref_margins: Array,
 
 def _dpo_losses(model: PolicyModel, tape: Tape,
                 pairs: Sequence[tuple[list[int], list[int], list[int], float]],
-                beta: float) -> tuple[Array, list[Array]]:
-    """The pairs' DPO losses and the weights of their positives' and negatives'
-    NLLs.  Each pair is (cond, pos, neg, ref_margin); all positives go through
-    one batch_nll call and all negatives through a second."""
-    nll_pos = batch_nll(model, tape, [(cond, pos) for cond, pos, _, _ in pairs])
-    nll_neg = batch_nll(model, tape, [(cond, neg) for cond, _, neg, _ in pairs])
-    values, w_pos = dpo_loss(nll_pos, nll_neg,
+                beta: float) -> tuple[Array, Array]:
+    """The pairs' DPO losses and the weights of the NLLs of all positives, then
+    all negatives.  Each pair is (cond, pos, neg, ref_margin); the positives
+    and the negatives go through one batch_nll call."""
+    nll = batch_nll(model, tape, [(cond, pos) for cond, pos, _, _ in pairs]
+                    + [(cond, neg) for cond, _, neg, _ in pairs])
+    n_pairs = len(pairs)
+    values, w_pos = dpo_loss(nll[:n_pairs], nll[n_pairs:],
                              np.array([ref_margin for _, _, _, ref_margin in pairs]), beta)
-    return values, [w_pos, -w_pos]
+    return values, np.concatenate([w_pos, -w_pos])
 
 
 def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,

@@ -81,7 +81,7 @@ def test_margin_grows_after_training_on_positive():
     for _ in range(40):
         tape = Tape()
         batch_nll(model, tape, [example])
-        tape.backward([np.ones(1)])
+        tape.backward(np.ones(1))
         sgd_step(model.params, {name: p.grad for name, p in model.params.items()},
                  lr=0.2, clip=1.0)
         zero_grads(model.params)

@@ -148,7 +148,7 @@ def test_gru_sequence_matches_finite_differences(seed):
 
     tape = Tape()
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, targets)
-    tape.backward([np.ones(len(GRU_LENGTHS))])
+    tape.backward(np.ones(len(GRU_LENGTHS)))
     assert_grads_close(_grads(params), central_differences(loss, params))
 
 
@@ -264,13 +264,17 @@ def test_log_softmax_nll_empty_targets_rejected():
         _softmax_nll(np.zeros((0, 3)), [], [])
 
 
-# a second batch over the same parameters, as DPO's negatives are to its positives
+# a second batch over the same parameters, as DPO's negatives are to its positives;
+# DPO runs both in one forward, its rows after the first batch's
 GRU_IDS_2 = np.array([[5, 4, 3, 0],
                       [1, 1, 2, 2]])
 GRU_LENGTHS_2 = (3, 4)
+GRU_IDS_BOTH = np.vstack([GRU_IDS, np.pad(GRU_IDS_2, ((0, 0), (0, 1)))])
+GRU_LENGTHS_BOTH = GRU_LENGTHS + GRU_LENGTHS_2
 
 
 def test_backward_accumulates_an_input_used_twice():
+    # one forward over both batches adds the gradients of each batch's own forward
     rng = np.random.default_rng(21)
     params = _gru_params(rng)
     t1 = [int(t) for t in rng.integers(0, 5, size=sum(GRU_LENGTHS))]
@@ -281,15 +285,13 @@ def test_backward_accumulates_an_input_used_twice():
                                      (GRU_IDS_2, GRU_LENGTHS_2, t2, w2)):
         tape = Tape()
         _record_nll(tape, params, ids, lengths, targets)
-        tape.backward([w])
+        tape.backward(w)
         for name, g in _grads(params).items():
             separate[name] = separate.get(name, 0.0) + g
         zero_grads(params)
     tape = Tape()
-    _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, t1)
-    _record_nll(tape, params, GRU_IDS_2, GRU_LENGTHS_2, t2)
-    assert len(tape) == 2
-    tape.backward([w1, w2])
+    _record_nll(tape, params, GRU_IDS_BOTH, GRU_LENGTHS_BOTH, t1 + t2)
+    tape.backward(np.concatenate([w1, w2]))
     for name, g in _grads(params).items():
         np.testing.assert_allclose(g, separate[name], rtol=0, atol=1e-12)
 
@@ -300,14 +302,14 @@ def test_backward_unused_parameter_gets_zero():
     targets = [int(t) for t in rng.integers(0, 5, size=sum(GRU_LENGTHS))]
     tape = Tape()
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, targets)
-    tape.backward([rng.uniform(-2, 2, 3)])
+    tape.backward(rng.uniform(-2, 2, 3))
     assert np.all(params["embed"].grad[6:] == 0.0)
     assert np.any(params["embed"].grad[:6] != 0.0)
     # zero weights give zero gradients, and zero_grads clears every buffer
     zero_grads(params)
     tape = Tape()
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, targets)
-    tape.backward([np.zeros(3)])
+    tape.backward(np.zeros(3))
     assert all(np.all(g == 0.0) for g in _grads(params).values())
 
 
@@ -315,50 +317,50 @@ def test_backward_twice_rejected():
     params = _gru_params(np.random.default_rng(23))
     tape = Tape()
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, [0] * sum(GRU_LENGTHS))
-    tape.backward([np.ones(3)])
+    tape.backward(np.ones(3))
     with pytest.raises(TapeError):
-        tape.backward([np.ones(3)])
+        tape.backward(np.ones(3))
 
 
-def test_backward_requires_one_weight_vector_per_record():
+def test_a_tape_holds_one_record():
     params = _gru_params(np.random.default_rng(24))
     tape = Tape()
+    with pytest.raises(TapeError, match="nothing recorded"):
+        tape.backward(np.ones(3))
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, [0] * sum(GRU_LENGTHS))
-    with pytest.raises(TapeError, match="2 weight vectors for 1 records"):
-        tape.backward([np.ones(3), np.ones(3)])
-    with pytest.raises(TapeError, match="0 weight vectors for 1 records"):
-        tape.backward([])
-    assert all(np.all(g == 0.0) for g in _grads(params).values())  # nothing was added
+    with pytest.raises(TapeError, match="one forward"):
+        _record_nll(tape, params, GRU_IDS_2, GRU_LENGTHS_2, [0] * sum(GRU_LENGTHS_2))
+    assert len(tape) == 1
+    tape.backward(np.ones(3))
+    assert len(tape) == 1
 
 
 def test_elementwise_shape_mismatch():
-    # a weight vector scales its record's NLL vector entry by entry
+    # the weights scale the recorded NLL vector entry by entry
     params = _gru_params(np.random.default_rng(25))
     tape = Tape()
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, [0] * sum(GRU_LENGTHS))
     for w in (np.ones(2), np.ones((3, 1)), np.ones(())):
         with pytest.raises(ShapeError, match="for 3 examples"):
-            tape.backward([w])
+            tape.backward(w)
     assert all(np.all(g == 0.0) for g in _grads(params).values())
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_matches_finite_differences(seed):
-    # the GRU and output rules under one backward of two records with random,
+    # the GRU and output rules under one backward of both batches with random,
     # non-unit weights of both signs
     rng = np.random.default_rng(seed)
     params = _gru_params(rng)
-    t1 = [int(t) for t in rng.integers(0, 5, size=sum(GRU_LENGTHS))]
-    t2 = [int(t) for t in rng.integers(0, 5, size=sum(GRU_LENGTHS_2))]
-    w1, w2 = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 2)
+    targets = [int(t) for t in rng.integers(0, 5, size=sum(GRU_LENGTHS_BOTH))]
+    w = rng.uniform(-2, 2, len(GRU_LENGTHS_BOTH))
 
     def record(tape):
-        return (w1 @ _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, t1)
-                + w2 @ _record_nll(tape, params, GRU_IDS_2, GRU_LENGTHS_2, t2))
+        return w @ _record_nll(tape, params, GRU_IDS_BOTH, GRU_LENGTHS_BOTH, targets)
 
     tape = Tape()
     record(tape)
-    tape.backward([w1, w2])
+    tape.backward(w)
     fd = central_differences(lambda: float(record(Tape())), params)
     assert_grads_close(_grads(params), fd)
 

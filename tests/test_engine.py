@@ -429,8 +429,9 @@ def test_dpo_loss_is_ln2_when_policy_equals_reference():
               float(sequence_token_logps(model, cond, pos).sum()
                     - sequence_token_logps(model, cond, neg).sum()))
              for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
-    loss, (w_pos, w_neg) = _dpo_losses(model, Tape(), pairs, beta=0.1)
-    assert loss.shape == (4,)
+    loss, weights = _dpo_losses(model, Tape(), pairs, beta=0.1)
+    w_pos, w_neg = weights[:4], weights[4:]
+    assert loss.shape == (4,) and weights.shape == (8,)
     np.testing.assert_allclose(loss, math.log(2), rtol=0, atol=1e-12)
     # at a zero margin the weight is beta * sigmoid(0)
     np.testing.assert_allclose(w_pos, 0.05, rtol=0, atol=1e-12)
@@ -482,7 +483,7 @@ def test_dpo_gradient_matches_finite_differences():
     pairs = _dpo_pairs(model, [0.37, -1.2, 2.5, 0.0])  # arbitrary frozen margins
     tape = Tape()
     _, weights = _dpo_losses(model, tape, pairs, beta=0.7)
-    assert len(tape) == 2
+    assert len(tape) == 1
     tape.backward(weights)
     analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(
@@ -501,15 +502,17 @@ def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
         return batch_nll(model, tape, examples)
 
     monkeypatch.setattr(engine, "batch_nll", counting_batch_nll)
-    batched, (w_pos, w_neg) = _dpo_losses(model, Tape(), pairs, beta=0.3)
+    batched, weights = _dpo_losses(model, Tape(), pairs, beta=0.3)
     np.testing.assert_allclose(batched, [loss[0] for loss, _ in singles], rtol=0,
                                atol=1e-12)
-    np.testing.assert_allclose(w_pos, [w[0][0] for _, w in singles], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(w_neg, [w[1][0] for _, w in singles], rtol=0, atol=1e-12)
+    # the weights of all positives, then of all negatives
+    np.testing.assert_allclose(weights, [w[k] for k in (0, 1) for _, w in singles],
+                               rtol=0, atol=1e-12)
     assert batched.sum() == pytest.approx(sum(loss[0] for loss, _ in singles), rel=0,
                                           abs=1e-12)
-    # one call for all positives, one for all negatives
-    assert [len(examples) for examples in calls] == [4, 4]
+    # one call: all positives, then all negatives
+    assert calls == [[(cond, pos) for cond, pos, _, _ in pairs]
+                     + [(cond, neg) for cond, _, neg, _ in pairs]]
 
 
 def test_sft_dpo_trains_dpo_against_the_fine_tuned_model():

@@ -482,7 +482,7 @@ def test_nll_gradient_matches_finite_differences():
 
     tape = Tape()
     _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
-    tape.backward([np.ones(1)])
+    tape.backward(np.ones(1))
     analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(loss_fn, model.params)
     assert_grads_close(analytic, fd)
@@ -534,7 +534,7 @@ def test_batch_nll_gradient_matches_finite_differences():
     tape = Tape()
     batch_nll(model, tape, examples)
     assert len(tape) == 1
-    tape.backward([w])
+    tape.backward(w)
     analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(lambda: float(w @ batch_nll(model, Tape(), examples)),
                              model.params)
