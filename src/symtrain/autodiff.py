@@ -1,12 +1,12 @@
 """Gradients of weighted per-example NLLs, and the SGD step that uses them.
 
 Every training loss is ``sum_i w_i nll_i`` (see ``engine.dpo_loss``), so no
-general graph is recorded.  A :class:`Tape` holds the one
-``policy.batch_nll`` call of an SGD step, and ``Tape.backward(w)`` adds
-``sum_i w_i grad(nll_i)`` into the gradient buffer each :class:`Param` owns.
-The backward rules are plain functions: :func:`output_nll_backward` for the
-output layer (:func:`output_nll`), then :func:`gru_sequence_backward`, one
-BPTT sweep over a whole id batch (:func:`gru_sequence`).  All is float64.
+general graph is recorded.  A :class:`Tape` holds the one ``policy.batch_nll``
+call of an SGD step, and ``Tape.backward(w)`` adds ``sum_i w_i grad(nll_i)``
+into the gradient buffer each :class:`Param` owns.  The backward rules are
+plain functions: :func:`output_nll_backward` for the output layer
+(:func:`output_nll`), then :func:`gru_sequence_backward`, one BPTT sweep over a
+whole id batch (:func:`gru_sequence`).  All is float64.
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
@@ -34,7 +34,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: a second record, no record, or a spent tape."""
+    """Tape misuse: a second record, or a spent tape."""
 
 
 class TrainingError(RuntimeError):
@@ -53,9 +53,8 @@ class Param:
 
 
 class Tape:
-    """The batched NLL forward of one SGD step: its example count and its
-    backward rule, which takes the weights w.  A tape holds one record and
-    allows one sweep."""
+    """The batched NLL forward of one SGD step, recorded once: its example
+    count and its backward rule, which takes the weights w."""
 
     def __init__(self) -> None:
         self._record: tuple[int, Callable[[Array], None]] | None = None
@@ -73,8 +72,6 @@ class Tape:
         """Add the gradient of ``sum_i w_i nll_i``, given the (B,) weights."""
         if self._spent:
             raise TapeError("backward already ran on this tape")
-        if self._record is None:
-            raise TapeError("nothing recorded on this tape")
         n_examples, back = self._record
         if w.shape != (n_examples,):
             raise ShapeError(f"weights of shape {w.shape} for {n_examples} examples")

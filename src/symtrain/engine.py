@@ -4,14 +4,15 @@ One iteration is: explore (sample K solutions per task, optionally refine
 each once), grade everything in the environment, self-score, filter each
 explored/refined pair, fold survivors into the candidate pool, select
 positive-only and positive-negative training sets, and retrain the policy
-(from scratch by default); every loss is a weighted sum of per-example NLLs
-(see :func:`dpo_loss`).  The warmup (iteration 0) and every iteration end
-the same way: evaluate both splits and record one ``IterationReport``, which
-carries the solve rates and the analysis quantities.  ``reports.jsonl``
-streams those records, one line each.  Before any of it, ``run`` rejects a
-dataset that no run could grade correctly (:func:`check_tasks` and the
-witness checks in :func:`run`).  Everything is a pure function of (config,
-dataset): all randomness derives from the config seed.
+(from scratch or continually, per ``train_mode``); every loss is a weighted
+sum of per-example NLLs (see :func:`dpo_loss`).  The warmup (iteration 0) and
+every iteration end the same way: evaluate both splits and record one
+``IterationReport``, which carries the solve rates and the analysis
+quantities.  ``reports.jsonl`` streams those records, one line each.  Before
+any of it, ``run`` rejects a dataset that no run could grade correctly
+(:func:`check_tasks` and the witness checks in :func:`run`).  Everything is a
+pure function of (config, dataset): all randomness derives from the config
+seed.
 """
 
 from __future__ import annotations
@@ -214,14 +215,12 @@ def child_seed(*keys: int) -> int:
 # exploration
 
 def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
-               a: Sequence[str], source: str, iteration: int, start: Array,
-               a_prev: Sequence[str] | None = None) -> Trajectory:
+               a: Sequence[str], source: str, iteration: int, start: Array) -> Trajectory:
     """Execute and self-score one solution from ``start``, the task's frame
-    state; a refinement of the draft a_prev is scored in the refine frame it
-    was drawn from."""
+    state, whether it was explored, refined or is a warmup witness."""
     res = execute(config.env, task, a)
     return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                      score(model, start, a, a_prev), source, iteration, res.status)
+                      score(model, start, a), source, iteration, res.status)
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
@@ -232,21 +231,20 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
 
     All tasks go through three batched passes: one over the task frames
     ``BOS x SEP``, one ``sample`` call over tasks x K rows, and one ``refine``
-    call over every non-empty draft.  Each candidate is scored from its task's
-    frame state.  Draft k of task i draws from the k-th stream spawned from the
-    seed keyed by (iteration, i), and its refinement from the seed keyed by
-    (iteration, i, k), so a task's candidates do not depend on the other tasks
-    or drafts in the batch.
+    call over every non-empty draft.  Each candidate, a refinement too, is
+    scored from its task's frame state (see :func:`~symtrain.policy.score`).
+    Draft k of task i draws from the k-th stream spawned from the seed keyed by
+    (iteration, i), and its refinement from the seed keyed by (iteration, i,
+    k), so a task's candidates do not depend on the other tasks or drafts in
+    the batch.
     """
     if not tasks:
         return []
     starts = frame_states(model, [task.x for task in tasks])
 
-    def candidate(j: int, a: Sequence[str], source: str,
-                  a_prev: Sequence[str] | None = None) -> Trajectory:
+    def candidate(j: int, a: Sequence[str], source: str) -> Trajectory:
         i = j // config.K  # row j holds draft j % K of task i
-        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
-                          a_prev)
+        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1])
 
     seeds = [s for i in range(len(tasks)) for s in np.random.SeedSequence(
         child_seed(config.seed, _DOM_SAMPLE, iteration, i)).spawn(config.K)]
@@ -263,7 +261,7 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
             seeds=[child_seed(config.seed, _DOM_REFINE, iteration, *divmod(j, config.K))
                    for j in drafts])
         for j, a_ref in zip(drafts, refinements):
-            refined[j] = candidate(j, a_ref, "refine", samples[j])
+            refined[j] = candidate(j, a_ref, "refine")
     return list(zip(explored, refined))
 
 
@@ -287,13 +285,12 @@ def select_u1(sets: RankedSets, n1: int) -> list[Trajectory]:
     return list(sets.s_plus[:n1])
 
 
-def select_u2(sets: RankedSets, n1: int, n2: int, u1: Sequence[Trajectory],
-              ) -> list[tuple[Trajectory, Trajectory]]:
-    """Positive-negative pairs: pair m uses the positive ranked m + |U1| and
-    the negative ranked m, for m up to min(n2, |S+| - n1, |S-|)."""
+def select_u2(sets: RankedSets, n1: int, n2: int) -> list[tuple[Trajectory, Trajectory]]:
+    """Positive-negative pairs: pair m uses the positive ranked n1 + m, the
+    m-th after U1, and the negative ranked m, for m up to min(n2, |S+| - n1,
+    |S-|).  A pair exists only when |S+| > n1, and then |U1| = n1."""
     m_max = min(n2, len(sets.s_plus) - n1, len(sets.s_minus))
-    return [(sets.s_plus[m + len(u1) - 1], sets.s_minus[m - 1])
-            for m in range(1, m_max + 1)]
+    return [(sets.s_plus[m + n1 - 1], sets.s_minus[m - 1]) for m in range(1, m_max + 1)]
 
 
 def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
@@ -317,7 +314,7 @@ def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
         assert all(t.b == 1 for t in u1)
         u1_entries += [(t.x, t.a) for t in u1]
         if _l2_on(config) and config.N2 > 0:
-            pairs = select_u2(sets, config.N1, config.N2, u1)
+            pairs = select_u2(sets, config.N1, config.N2)
             assert all(p.b == 1 and n.b == 0 for p, n in pairs)
             u2_entries += [(p.x, p.a, n.a) for p, n in pairs]
     return TrainingSets(u1_entries, u2_entries)

@@ -325,8 +325,6 @@ def test_backward_twice_rejected():
 def test_a_tape_holds_one_record():
     params = _gru_params(np.random.default_rng(24))
     tape = Tape()
-    with pytest.raises(TapeError, match="nothing recorded"):
-        tape.backward(np.ones(3))
     _record_nll(tape, params, GRU_IDS, GRU_LENGTHS, [0] * sum(GRU_LENGTHS))
     with pytest.raises(TapeError, match="one forward"):
         _record_nll(tape, params, GRU_IDS_2, GRU_LENGTHS_2, [0] * sum(GRU_LENGTHS_2))

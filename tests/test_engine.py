@@ -45,7 +45,7 @@ from symtrain.policy import (
     score,
     sequence_token_logps,
 )
-from symtrain.pool import CandidatePool, RankedSets, Trajectory
+from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair
 from helpers import (assert_grads_close, central_differences, mp_dpo_loss,
                      reference_selection)
 
@@ -167,8 +167,7 @@ def test_no_self_reward_selection_is_a_seeded_permutation():
 
 def test_u2_spec_index_arithmetic():
     sets = ranked(12, 5)
-    u1 = select_u1(sets, 10)
-    pairs = select_u2(sets, 10, 2, u1)
+    pairs = select_u2(sets, 10, 2)
     assert len(pairs) == 2
     assert pairs[0] == (sets.s_plus[10], sets.s_minus[0])
     assert pairs[1] == (sets.s_plus[11], sets.s_minus[1])
@@ -176,21 +175,19 @@ def test_u2_spec_index_arithmetic():
 
 def test_u2_zero_pairs_at_boundary():
     sets = ranked(10, 5)
-    u1 = select_u1(sets, 10)
-    assert select_u2(sets, 10, 2, u1) == []
+    assert select_u2(sets, 10, 2) == []
 
 
 def test_u2_limited_by_negatives():
     sets = ranked(15, 1)
-    u1 = select_u1(sets, 10)
-    pairs = select_u2(sets, 10, 2, u1)
+    pairs = select_u2(sets, 10, 2)
     assert len(pairs) == 1
 
 
 def test_u2_empty_when_no_positives():
     sets = ranked(0, 4)
     assert select_u1(sets, 10) == []
-    assert select_u2(sets, 10, 2, []) == []
+    assert select_u2(sets, 10, 2) == []
 
 
 def test_selection_matches_reference_on_200_random_pools():
@@ -202,7 +199,7 @@ def test_selection_matches_reference_on_200_random_pools():
         n2 = int(rng.integers(0, 5))
         sets = ranked(n_pos, n_neg)
         u1 = select_u1(sets, n1)
-        u2 = select_u2(sets, n1, n2, u1)
+        u2 = select_u2(sets, n1, n2)
         ref_u1, ref_u2 = reference_selection(sets.s_plus, sets.s_minus, n1, n2)
         assert u1 == ref_u1
         assert u2 == ref_u2
@@ -282,11 +279,10 @@ def _explore_task_by_task(model, tasks, config, iteration):
     for i, task in enumerate(tasks):
         start = frame_states(model, [task.x])
 
-        def candidate(a, source, a_prev=None):
+        def candidate(a, source):
             res = execute(config.env, task, a)
             return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                              score(model, start, a, a_prev), source, iteration,
-                              res.status)
+                              score(model, start, a), source, iteration, res.status)
 
         samples = sample(model, np.repeat(start, config.K, axis=0),
                          GenerationParams(config.temperature, config.max_len, config.K),
@@ -302,7 +298,7 @@ def _explore_task_by_task(model, tasks, config, iteration):
                 GenerationParams(config.temperature, config.max_len, len(drafts)),
                 [child_seed(config.seed, engine._DOM_REFINE, iteration, i, k) for k in drafts])
             for k, a_ref in zip(drafts, refinements):
-                refined[k] = candidate(a_ref, "refine", samples[k])
+                refined[k] = candidate(a_ref, "refine")
         pairs += zip([candidate(a, "explore") for a in samples], refined)
     return pairs
 
@@ -336,6 +332,24 @@ def test_explore_phase_equals_a_per_task_loop(cloned, ablations):
             assert t is None or abs(t.r - t_alone.r) <= 1e-12
     assert any(t.b == 1 for pair in batched for t in pair if t is not None)
     assert any(t_tilde is not None for _, t_tilde in batched) == (not ablations)
+
+
+def test_refinements_are_scored_from_the_task_frame(cloned):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    pairs = explore_phase(model, tasks, config, iteration=3)
+    starts = frame_states(model, [t.x for t in tasks])
+    copies = 0
+    for j, (t, t_tilde) in enumerate(pairs):
+        if t_tilde is None:
+            continue
+        i = j // config.K
+        assert t_tilde.r == score(model, starts[i:i + 1], t_tilde.a)
+        if t_tilde.a == t.a:
+            # a refinement that copies its draft ties it exactly
+            assert t_tilde.r == t.r
+            copies += 1
+    assert copies > 0
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +803,35 @@ def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):
     assert pool.update(again) == 0
     assert sorted(pool.all_entries(), key=lambda t: t.task_id) == \
         sorted(seeded, key=lambda t: t.task_id)
+
+
+def test_a_witness_re_found_as_a_refinement_keeps_its_warmup_entry(tiny_dataset,
+                                                                   monkeypatch):
+    tasks, witnesses = tiny_dataset
+    config = tiny_config(K=1)
+    held_in = [t for t in tasks if t.split == "held_in"]
+    warmup = held_in[:4]
+    model = PolicyModel(default_vocab(), config.d, config.h, seed=0)
+    # large weights make the draft's tail move the state: in the refine frame
+    # after the draft "(", every witness would score higher than from its x alone
+    for param in model.params.values():
+        param.data *= 10.0
+    pool = CandidatePool(config.pool_cap)
+    starts = frame_states(model, [t.x for t in warmup])
+    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
+                                starts[i:i + 1]) for i, t in enumerate(warmup)]
+    pool.update(seeded)
+    # under the unchanged model, every task's draft fails to parse and is refined
+    # into the task's witness
+    monkeypatch.setattr(engine, "sample", lambda model, states, params, seeds:
+                        [["("] for _ in seeds])
+    monkeypatch.setattr(engine, "refine", lambda model, states, drafts, params, seeds:
+                        [witnesses[t.id] for t in held_in])
+    pairs = explore_phase(model, held_in, config, iteration=1)
+    assert [(t.b, t_tilde.b, t_tilde.a) for t, t_tilde in pairs] == \
+        [(0, 1, tuple(witnesses[t.id])) for t in held_in]
+    pool.update([filter_pair(t, t_tilde) for t, t_tilde in pairs])
+    assert [pool.entries(t.id) for t in warmup] == [[t] for t in seeded]
 
 
 def test_run_rejects_dataset_without_held_in():

@@ -357,9 +357,8 @@ def test_score_is_mean_per_token_logp_with_eos():
     a = ["a", "b", "c"]
     vocab = model.vocab
     start = frame_states(model, [["d"]])
-    for tail, a_prev in (([], None), (["e", "f", SEP], ["e", "f"])):
-        logps = sequence_token_logps(model, vocab.encode(tail), vocab.encode([*a, EOS]), start)
-        assert score(model, start, a, a_prev) == pytest.approx(logps.sum() / 4, abs=1e-12)
+    logps = sequence_token_logps(model, [], vocab.encode([*a, EOS]), start)
+    assert score(model, start, a) == pytest.approx(logps.sum() / 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("env", list(EnvKind))
@@ -374,11 +373,10 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
         start = frame_states(model, [task.x])
         for n_a in (0, 1, 8):
             a = _random_tokens(rng, model.vocab, n_a)
-            for a_prev in (None, _random_tokens(rng, model.vocab, 10)):
-                # the whole frame and the target, stepped from the zero state
-                full = sequence_token_logps(model, condition_ids(model, task.x, a_prev),
-                                            model.vocab.encode([*a, EOS]))
-                assert abs(score(model, start, a, a_prev) - full.mean()) <= 1e-12
+            # the task frame and the target, stepped from the zero state
+            full = sequence_token_logps(model, condition_ids(model, task.x),
+                                        model.vocab.encode([*a, EOS]))
+            assert abs(score(model, start, a) - full.mean()) <= 1e-12
         # sample and refine, started from the shared state, draw what the full
         # frames draw, stepped from the zero state as one batch
         drafts = [_random_tokens(rng, model.vocab, n) for n in (1, 10, 4)]
