@@ -11,11 +11,31 @@ whole id batch (:func:`gru_sequence`).  All is float64.
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
 input product ``x @ w_x + b`` runs once for all steps, outside the
-recurrence; :func:`gru_step`, the one step every caller shares, updates the
-gates in place on contiguous gate-major blocks; and the backward forms the
-factors of each step's gradient that do not depend on the gradient flowing
-back for all steps at once, so its loop only scales them and carries the
-gradient into the previous state.
+recurrence; :func:`gru_step`, the one step every caller shares, forms all
+three gates' recurrent products in one call and updates the gates in place;
+and the backward forms the factors of each step's gradient that do not
+depend on the gradient flowing back for all steps at once, so its loop only
+scales them and carries the gradient into the previous state.
+
+The layout rule: every operand of a numpy call is contiguous over the block
+that call covers, because numpy's strided loops cost far more than its
+contiguous ones at these sizes.  A forward step's calls cover one step's
+gates, so the forward keeps them gate-major per step, (S, 3, B, h).  A bulk
+pass of the backward covers one gate over all steps, so the backward first
+copies each gate, and the candidate's recurrent product, out whole.  Only
+the products with ``w_h.T`` and for w_h's gradient read the row-major
+``[dz | dr | dn * r]`` rows they need.
+
+Measured at S = 75, B = 8, h = 64 (a 2-core x86-64 VM, numpy 2.4, one
+OpenBLAS thread): one elementwise pass over a gate takes 71 us as a view of
+a row-major (S, B, 3, h) array, 56 us as a view of the per-step gate-major
+cache and 23 us contiguous, while copying all three gates out of the cache
+takes 38 us.  Inside a step, a call on the z and r blocks takes 0.55 us
+when they are contiguous and 2.4 us when they are not.
+
+A layout moves data, not arithmetic: each elementwise value comes from the
+same operations in the same order in any layout, and every product and sum
+keeps its operands and its order, so the results do not move by a bit.
 """
 
 from __future__ import annotations
@@ -34,7 +54,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: a second record, or a spent tape."""
+    """Tape misuse: a second record, a backward with no record, or a spent tape."""
 
 
 class TrainingError(RuntimeError):
@@ -72,6 +92,8 @@ class Tape:
         """Add the gradient of ``sum_i w_i nll_i``, given the (B,) weights."""
         if self._spent:
             raise TapeError("backward already ran on this tape")
+        if self._record is None:
+            raise TapeError("backward on a tape that recorded no forward")
         n_examples, back = self._record
         if w.shape != (n_examples,):
             raise ShapeError(f"weights of shape {w.shape} for {n_examples} examples")
@@ -84,43 +106,54 @@ class Tape:
 
 class GRUCache(NamedTuple):
     """What :func:`gru_sequence_backward` reads of a forward over S steps of B
-    rows, contiguous per step.  The sweep consumes it."""
+    rows.  Both arrays are gate-major per step, as the forward's calls read
+    them: a step's three (B, h) blocks are one contiguous (3, B, h) block,
+    while one gate over all steps is a view that strides from step to step
+    (a pass over it costs 2.4x a contiguous one at S = 75, B = 8, h = 64;
+    see the module docstring).  The sweep consumes them."""
 
     gates: Array  # (S, 3, B, h): the update gate z, the reset gate r, the candidate n
-    hw_n: Array   # (S, B, h): the candidate block of h_prev @ w_h
+    hw: Array     # (S, 3, B, h): h_prev @ w_h per gate; only the candidate's is kept
+
+
+def gate_major(a: Array) -> Array:
+    """The (3, R, h) view of an ``a[R, 3h]`` whose columns are the gate blocks
+    ``[update | reset | cand]``: ``[g]`` is gate g's (R, h) block."""
+    return a.reshape(a.shape[0], 3, -1).transpose(1, 0, 2)
 
 
 def gru_inputs(embed: Array, w_x: Array, b: Array) -> Array:
-    """The input pre-activation ``x @ w_x + b`` of every id, gate-major: the
-    (3, V, h) array whose ``[g, v]`` is gate g's block for id v, so that
-    ``np.take(xb, ids, axis=1)`` is the (3, B, h) input of :func:`gru_step`
-    for the rows ``ids``."""
-    vocab, width = embed.shape[0], w_x.shape[1]
-    return np.ascontiguousarray(
-        (embed @ w_x + b).reshape(vocab, 3, width // 3).transpose(1, 0, 2))
+    """The input pre-activation ``x @ w_x + b`` of every row x of ``embed``,
+    gate-major: the (3, V, h) array whose ``[g, v]`` is gate g's block for
+    row v, so that ``np.take(xb, ids, axis=1)`` is the (3, B, h) input of
+    :func:`gru_step` for the rows ``ids``."""
+    xb = embed @ gate_major(w_x)
+    xb += gate_major(b)
+    return xb
 
 
-def gru_step(xb: Array, h: Array, w_h: Array, out: Array | None = None,
-             hw_n: Array | None = None) -> Array:
+def gru_step(xb: Array, h: Array, w_gates: Array, out: Array | None = None,
+             hw: Array | None = None) -> Array:
     """One GRU step of the batch rows from the states ``h[B, h]``; returns h'.
 
     ``xb[3, B, h]`` holds each row's input pre-activation ``x @ w_x + b``
     gate-major (see :func:`gru_inputs`), and the step overwrites it with the
-    gates z, r and n.  ``out`` takes h' (it may be ``h`` itself) and ``hw_n``
-    the candidate block of ``h @ w_h``; both are allocated when not given.
-    Every operand is contiguous: numpy's strided loops cost about a
-    microsecond more per call at these sizes.
+    gates z, r and n.  ``w_gates`` is ``gate_major(w_h)``, so one product
+    ``h @ w_gates`` serves all three gates.  ``out`` takes h' (it may be
+    ``h`` or a leading slice of it) and ``hw`` that (3, B, h) product, of
+    which the step keeps only the candidate's block ``hw[2]``; both are
+    allocated when not given.  xb, h and hw should be contiguous: a strided
+    operand costs each call up to 2 us more at these sizes (see the module
+    docstring).
     """
-    nh = h.shape[1]
-    w_gates = w_h.reshape(nh, 3, nh).transpose(1, 0, 2)  # [g] is gate g's (h, h) block
+    hw = np.matmul(h, w_gates, out=hw)
     zr, n = xb[:2], xb[2]
-    zr += h @ w_gates[:2]
+    zr += hw[:2]
     zr *= 0.5
     np.tanh(zr, out=zr)
     zr += 1.0
     zr *= 0.5  # the sigmoid, as 0.5 * (tanh(a / 2) + 1)
-    hw_n = np.matmul(h, w_gates[2], out=hw_n)
-    n += zr[1] * hw_n
+    n += np.multiply(zr[1], hw[2], out=hw[0])  # the spent z block holds r * hw_n
     np.tanh(n, out=n)
     h_new = np.subtract(h, n, out=out)
     h_new *= zr[0]
@@ -128,28 +161,29 @@ def gru_step(xb: Array, h: Array, w_h: Array, out: Array | None = None,
     return h_new
 
 
-def _gru_steps(xb: Array, w_h: Array, n_hidden: int,
-               h0: Array | None) -> tuple[Array, GRUCache]:
+def _gru_steps(xb: Array, w_h: Array, h0: Array | None) -> tuple[Array, GRUCache]:
     """The GRU over the input pre-activations ``xb[S, B, 3h]`` from ``h0``
     (zero by default): the S*B x h states, row ``t*B + i`` after step t of
     row i, and the forward's cache, whose gates take over a gate-major copy
     of xb."""
-    n_steps, n_batch = xb.shape[:2]
-    xb = np.ascontiguousarray(
+    n_steps, n_batch, width = xb.shape
+    n_hidden = width // 3
+    gates = np.ascontiguousarray(
         xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
+    hw = np.empty_like(gates)
     states = np.empty((n_steps, n_batch, n_hidden))
-    hw_n = np.empty((n_steps, n_batch, n_hidden))
     h = np.zeros((n_batch, n_hidden)) if h0 is None else h0
-    for t in range(n_steps):
-        h = gru_step(xb[t], h, w_h, states[t], hw_n[t])
-    return states.reshape(n_steps * n_batch, n_hidden), GRUCache(xb, hw_n)
+    w_gates = gate_major(w_h)
+    for x_t, hw_t, out_t in zip(gates, hw, states):
+        h = gru_step(x_t, h, w_gates, out_t, hw_t)
+    return states.reshape(n_steps * n_batch, n_hidden), GRUCache(gates, hw)
 
 
 def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
                      n_hidden: int) -> tuple[Array, GRUCache]:
     """One GRU step of the batch rows ``x[B, d]`` from ``h[B, h]``: h' and the
     step's cache, the one-step case of :func:`gru_sequence`."""
-    return _gru_steps((x @ w_x + b)[None], w_h, n_hidden, h)
+    return _gru_steps((x @ w_x + b).reshape(1, len(x), 3 * n_hidden), w_h, h)
 
 
 def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
@@ -167,8 +201,9 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
     if bad.size:
         raise IndexError(f"gru_sequence: id {bad[0]} out of range [0, {vocab})")
     n_batch, n_steps = ids.shape
-    xb = embed[ids.T.reshape(-1)] @ w_x + b
-    return _gru_steps(xb.reshape(n_steps, n_batch, 3 * n_hidden), w_h, n_hidden, h0)
+    xb = embed[ids.T.reshape(-1)] @ w_x
+    xb += b
+    return _gru_steps(xb.reshape(n_steps, n_batch, 3 * n_hidden), w_h, h0)
 
 
 def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
@@ -179,46 +214,63 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     zero state, with the parameters unchanged since; the sweep overwrites
     ``cache``.  The factors of each step's gradient that do not depend on the
     gradient flowing back, ``(h_prev - n) z (1 - z)``, ``hw_n r (1 - r)`` and
-    ``(1 - z)(1 - n^2)``, are formed for all steps at once, in one (S*B, 3h)
-    buffer and in place of n, so the reversed time loop only scales them and
-    carries the gradient into h_prev.  The candidate's gradient dn keeps its
-    own buffer: recovering it from ``dn * r`` would divide by r, which is 0
-    where a gate saturates.  Then one product per weight, over the summed
-    rows of each distinct id.
+    ``(1 - z)(1 - n^2)``, are formed for all steps at once, so the reversed
+    time loop only scales them and carries the gradient into h_prev.  Those
+    passes run on contiguous (S, B, h) arrays: the gates and hw_n are copied
+    out of the cache's per-step layout first, one copy costing about what one
+    strided pass would, and the factors take the spent cache's storage.  The
+    loop writes each step's ``[dz | dr | dn * r]`` as one row-major (B, 3h)
+    block, the operand of the product with ``w_h.T``.  The candidate's
+    gradient dn keeps its own buffer: recovering it from ``dn * r`` would
+    divide by r, which is 0 where a gate saturates.  Then one product per
+    weight, over the summed rows of each distinct id.
     """
     n_batch, n_steps = ids.shape
     nh = w_h.data.shape[0]
-    z, r, dn = cache.gates[:, 0], cache.gates[:, 1], cache.gates[:, 2]
+    # one copy (as cheap as one strided pass) makes each gate's (S, B, h) array
+    # contiguous for the passes below
+    z, r, n, hw_n = zrn = np.empty((4, n_steps, n_batch, nh))
+    zrn[:3] = cache.gates.transpose(1, 0, 2, 3)
+    zrn[3] = cache.hw[:, 2]
+    # the factors, contiguous, in the spent gates' storage
+    one_minus_z, f_z, f_r = cache.gates.reshape(3, n_steps, n_batch, nh)
+    np.subtract(1.0, r, out=f_r)
+    f_r *= r
+    f_r *= hw_n
+    np.subtract(1.0, z, out=one_minus_z)
     h = states.reshape(n_steps, n_batch, nh)
-    # step t's gradient of the pre-activation h_prev @ w_h, [dz | dr | dn * r]
-    d = np.empty((n_steps, n_batch, 3, nh))
-    one_minus_z = np.subtract(1.0, z, out=d[:, :, 1])  # until the dr factor
-    np.negative(dn[:1], out=d[:1, :, 0])  # h_prev is zero before the first step
-    np.subtract(h[:-1], dn[1:], out=d[1:, :, 0])
-    d[:, :, 0] *= z
-    d[:, :, 0] *= one_minus_z
-    dn *= dn
-    np.subtract(1.0, dn, out=dn)
-    dn *= one_minus_z
-    np.subtract(1.0, r, out=d[:, :, 1])
-    d[:, :, 1] *= r
-    d[:, :, 1] *= cache.hw_n
-    d[:, :, 2] = r
+    np.negative(n[:1], out=f_z[:1])  # h_prev is zero before the first step
+    np.subtract(h[:-1], n[1:], out=f_z[1:])
+    f_z *= z
+    f_z *= one_minus_z
+    n *= n
+    np.subtract(1.0, n, out=n)
+    dn = one_minus_z
+    dn *= n
+    # step t's gradient of the pre-activation h_prev @ w_h, [dz | dr | dn * r],
+    # row-major, as the product with w_h.T and w_h's gradient read it, in the
+    # spent hw's storage
+    d = cache.hw.reshape(n_steps, n_batch, 3, nh)
+    d_gates = d.transpose(0, 2, 1, 3)  # the same storage, gate-major per step
     w_h_t = w_h.data.T
     g = g.reshape(n_steps, n_batch, nh)
     d_h = np.zeros((n_batch, nh))
-    for t in range(n_steps - 1, -1, -1):
-        g_t = g[t] + d_h
-        d_t = d[t]
-        d_t[:, 0] *= g_t
-        dn[t] *= g_t
-        d_t[:, 1:] *= dn[t][:, None]
-        d_h = d_t.reshape(n_batch, 3 * nh) @ w_h_t
-        d_h += g_t * z[t]
+    g_t, gz = np.empty((2, n_batch, nh))
+    steps = zip(g[::-1], f_z[::-1], f_r[::-1], r[::-1], z[::-1], dn[::-1],
+                d.reshape(n_steps, n_batch, 3 * nh)[::-1], d_gates[::-1, 0],
+                d_gates[::-1, 1], d_gates[::-1, 2])
+    for g_in, f_z_t, f_r_t, r_t, z_t, dn_t, d_t, dz_t, dr_t, dnr_t in steps:
+        np.add(g_in, d_h, out=g_t)
+        np.multiply(f_z_t, g_t, out=dz_t)
+        dn_t *= g_t
+        np.multiply(f_r_t, dn_t, out=dr_t)
+        np.multiply(r_t, dn_t, out=dnr_t)
+        np.matmul(d_t, w_h_t, out=d_h)
+        d_h += np.multiply(g_t, z_t, out=gz)
     d_pre = d.reshape(n_steps * n_batch, 3 * nh)
     w_h.grad += states[:-n_batch].T @ d_pre[n_batch:]
     # dn itself, not dn * r, is the candidate's share of the gradient of x @ w_x + b
-    d[:, :, 2] = dn
+    d_gates[:, 2] = dn
     flat = ids.T.reshape(-1)
     order = np.argsort(flat, kind="stable")
     sorted_ids = flat[order]
@@ -252,12 +304,12 @@ def output_nll(states: Array, rows: Sequence[int], w_out: Array, b_out: Array,
     vocab = w_out.shape[1]
     if b_out.shape != (1, vocab):
         raise ShapeError(f"output_nll: bias {b_out.shape} for {vocab} logits")
-    idx = np.asarray(list(rows), dtype=np.intp)
+    idx = np.asarray(rows, dtype=np.intp)
     if len(idx) and (idx.min() < 0 or idx.max() >= len(states)):
         raise IndexError("output_nll: row index out of range")
     if np.bincount(idx, minlength=1).max() > 1:
         raise ValueError("output_nll: a row is picked more than once")
-    tgt = np.asarray(list(targets), dtype=np.intp)
+    tgt = np.asarray(targets, dtype=np.intp)
     if not len(tgt):
         raise ValueError("output_nll: empty targets")
     if len(tgt) != len(idx):

@@ -340,9 +340,9 @@ def _sgd_epochs(model: PolicyModel, items: Sequence,
     ``losses(tape, batch)`` records the batch's one NLL forward on the tape and
     returns each item's loss as a (B,) array, plus the weights w of the
     forward's examples such that ``sum_i w_i nll_i`` has the summed loss's
-    gradient.  A step
-    descends the summed loss; ``what`` names it if it is not finite.  Returns
-    the final epoch's minibatches with their losses, in visit order.
+    gradient.  Each step descends the summed loss; ``what`` names it in the
+    error when it is not finite.  Returns the final epoch's minibatches with
+    their losses, in visit order.
     """
     keep_freed_memory()
     params = model.params

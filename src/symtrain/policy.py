@@ -48,14 +48,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from symtrain.autodiff import (Array, Param, Tape, gru_sequence, gru_sequence_backward,
-                               gru_inputs, gru_step, log_softmax, output_nll,
-                               output_nll_backward)
+                               gate_major, gru_inputs, gru_step, log_softmax,
+                               output_nll, output_nll_backward)
 
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
@@ -226,11 +227,12 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
     # going[t]: how many rows, a prefix of the sorted batch, have a token t
     going = [int((lengths > t).sum()) for t in range(n_steps)] + [0]
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
+    w_gates = gate_major(p["w_h"])
     h = np.zeros((len(frames), model.h)) if start is None else start[order]
     out = np.empty((len(frames), model.h))
     for t in range(n_steps):
         n, done = going[t], going[t + 1]
-        gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], p["w_h"], out=h[:n])
+        gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], w_gates, out=h[:n])
         out[order[done:n]] = h[done:n]
     return out
 
@@ -288,6 +290,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     if rngs is not None:
         uniforms = np.stack([rng.random(params.max_len) for rng in rngs])
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
+    w_gates = gate_major(p["w_h"])
     rows = np.arange(len(states))
     h = states
     out: list[list[int]] = [[] for _ in rows]
@@ -306,7 +309,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
             out[i].append(token)
         if not ids or t == params.max_len - 1:
             break
-        h = gru_step(np.take(xb, tokens, axis=1), h, p["w_h"])
+        h = gru_step(np.take(xb, tokens, axis=1), h, w_gates)
     return out
 
 
@@ -398,21 +401,27 @@ def batch_nll(model: PolicyModel, tape: Tape,
     n_batch = len(examples)
     if n_batch == 0:
         raise ValueError("batch_nll: no examples")
-    if any(len(t) == 0 for _, t in examples):
+    n_cond = np.array([len(c) for c, _ in examples], dtype=np.intp)
+    n_target = np.array([len(t) for _, t in examples], dtype=np.intp)
+    if not n_target.all():
         raise ValueError("batch_nll: empty target")
-    ids = np.full((n_batch, max(len(c) + len(t) for c, t in examples)),
-                  model.vocab.pad_id, dtype=np.intp)
-    indices: list[int] = []
-    targets: list[int] = []
-    for i, (cond, tgt) in enumerate(examples):
-        ids[i, :len(cond) + len(tgt)] = [*cond, *tgt]
-        indices += [(len(cond) - 1 + k) * n_batch + i for k in range(len(tgt))]
-        targets += tgt
+    n_seq = n_cond + n_target
+    ids = np.full((n_batch, n_seq.max()), model.vocab.pad_id, dtype=np.intp)
+    tokens = chain.from_iterable(chain.from_iterable(examples))  # cond, then target
+    ids[np.arange(ids.shape[1]) < n_seq[:, None]] = np.fromiter(tokens, dtype=np.intp,
+                                                                count=n_seq.sum())
+    targets = np.fromiter(chain.from_iterable(t for _, t in examples), dtype=np.intp,
+                          count=n_target.sum())
+    # target k of example i is predicted by the state after its condition's last
+    # token and k target tokens: state row (len(cond) - 1 + k) * B + i
+    first = np.cumsum(n_target) - n_target
+    indices = ((np.arange(len(targets)) + np.repeat(n_cond - 1 - first, n_target)) * n_batch
+               + np.repeat(np.arange(n_batch), n_target))
     p = model.params
     states, gru_cache = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data,
                                      p["w_h"].data, p["b"].data, model.h)
     nll, cache = output_nll(states, indices, p["w_out"].data, p["b_out"].data, targets,
-                            [len(t) for _, t in examples])
+                            n_target)
     tape.record(n_batch, lambda w: gru_sequence_backward(
         output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids[:, :-1], states,
         gru_cache, p["embed"], p["w_x"], p["w_h"], p["b"]))

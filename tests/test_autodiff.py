@@ -9,9 +9,11 @@ from symtrain.autodiff import (
     Tape,
     TapeError,
     TrainingError,
+    gate_major,
     gru_cell_forward,
     gru_sequence,
     gru_sequence_backward,
+    gru_step,
     output_nll,
     output_nll_backward,
     sgd_step,
@@ -159,8 +161,10 @@ def _assert_close_to_reference(actual, reference, rtol=1e-12):
     assert np.abs(actual - reference).max(initial=0.0) <= rtol * np.abs(reference).max(initial=0.0)
 
 
+# the loop's shapes among them: a training minibatch of 8 rows over 75 steps,
+# and a score of one row over 1-3 steps from its task-frame state
 @pytest.mark.parametrize("n_batch", [1, 2, 8])
-@pytest.mark.parametrize("n_steps", [1, 2, 40])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 40, 75])
 @pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates gates: r reaches 0 exactly
 def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
     rng = np.random.default_rng(n_batch * 100 + n_steps)
@@ -199,6 +203,29 @@ def test_gru_cell_forward_is_one_step_from_given_inputs():
     # row i of x is the embedding of id i
     _assert_close_to_reference(h_new, reference_gru(x, np.arange(5)[:, None], params["w_x"].data,
                                                     params["w_h"].data, params["b"].data, h)[0])
+
+
+@pytest.mark.parametrize("n_batch", [1, 8, 256])
+def test_gru_step_in_place_equals_a_fresh_output(n_batch):
+    # at the policy's width, so numpy and BLAS take the paths the loop takes
+    rng = np.random.default_rng(n_batch)
+    n_hidden = 64
+    w_gates = gate_major(rng.uniform(-0.5, 0.5, (n_hidden, 3 * n_hidden)))
+    xb = rng.uniform(-1, 1, (3, n_batch, n_hidden))
+    h = rng.uniform(-1, 1, (n_batch, n_hidden))
+    fresh = gru_step(xb.copy(), h, w_gates)
+    in_place = h.copy()
+    assert gru_step(xb.copy(), in_place, w_gates, out=in_place) is in_place
+    assert np.array_equal(in_place, fresh)
+    given = np.empty_like(h)
+    gru_step(xb.copy(), h, w_gates, out=given, hw=np.empty((3, n_batch, n_hidden)))
+    assert np.array_equal(given, fresh)
+    # _frame_states steps the leading rows still in their frames, in place
+    n = (n_batch + 1) // 2
+    rows = h.copy()
+    gru_step(xb[:, :n].copy(), rows[:n], w_gates, out=rows[:n])
+    assert np.array_equal(rows[:n], gru_step(xb[:, :n].copy(), h[:n], w_gates))
+    assert np.array_equal(rows[n:], h[n:])
 
 
 @pytest.mark.parametrize("bad", [6, -1])
@@ -320,6 +347,11 @@ def test_backward_twice_rejected():
     tape.backward(np.ones(3))
     with pytest.raises(TapeError):
         tape.backward(np.ones(3))
+
+
+def test_backward_on_an_empty_tape_rejected():
+    with pytest.raises(TapeError, match="recorded no forward"):
+        Tape().backward(np.ones(3))
 
 
 def test_a_tape_holds_one_record():

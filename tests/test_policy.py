@@ -548,7 +548,7 @@ def test_untaped_forward_equals_taped_states_bitwise():
     # the states batch_nll computes and backpropagates through
     taped, cache = gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)
     assert taped.shape == (5 * 3, model.h)
-    assert cache.gates.shape == (5, 3, 3, model.h) and cache.hw_n.shape == (5, 3, model.h)
+    assert cache.gates.shape == cache.hw.shape == (5, 3, 3, model.h)
     # sequence_token_logps, which the DPO reference margins use, steps a one-row
     # batch from the zero state, as batch_nll does
     cond, target = ids[0, :4].tolist(), ids[0, 4:].tolist()
