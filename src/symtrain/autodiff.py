@@ -22,9 +22,8 @@ that call covers, because numpy's strided loops cost far more than its
 contiguous ones at these sizes.  A forward step's calls cover one step's
 gates, so the forward keeps them gate-major per step, (S, 3, B, h).  A bulk
 pass of the backward covers one gate over all steps, so the backward first
-copies each gate, and the candidate's recurrent product, out whole.  Only
-the products with ``w_h.T`` and for w_h's gradient read the row-major
-``[dz | dr | dn * r]`` rows they need.
+copies each gate out whole.  Only the products with ``w_h.T`` and for w_h's
+gradient read the row-major ``[dz | dr | dn * r]`` rows they need.
 
 Measured at S = 75, B = 8, h = 64 (a 2-core x86-64 VM, numpy 2.4, one
 OpenBLAS thread): one elementwise pass over a gate takes 71 us as a view of
@@ -216,8 +215,8 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     gradient flowing back, ``(h_prev - n) z (1 - z)``, ``hw_n r (1 - r)`` and
     ``(1 - z)(1 - n^2)``, are formed for all steps at once, so the reversed
     time loop only scales them and carries the gradient into h_prev.  Those
-    passes run on contiguous (S, B, h) arrays: the gates and hw_n are copied
-    out of the cache's per-step layout first, one copy costing about what one
+    passes run on contiguous (S, B, h) arrays: the gates are copied out of
+    the cache's per-step layout first, one copy costing about what one
     strided pass would, and the factors take the spent cache's storage.  The
     loop writes each step's ``[dz | dr | dn * r]`` as one row-major (B, 3h)
     block, the operand of the product with ``w_h.T``.  The candidate's
@@ -229,14 +228,13 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     nh = w_h.data.shape[0]
     # one copy (as cheap as one strided pass) makes each gate's (S, B, h) array
     # contiguous for the passes below
-    z, r, n, hw_n = zrn = np.empty((4, n_steps, n_batch, nh))
-    zrn[:3] = cache.gates.transpose(1, 0, 2, 3)
-    zrn[3] = cache.hw[:, 2]
+    z, r, n = zrn = np.empty((3, n_steps, n_batch, nh))
+    zrn[...] = cache.gates.transpose(1, 0, 2, 3)
     # the factors, contiguous, in the spent gates' storage
     one_minus_z, f_z, f_r = cache.gates.reshape(3, n_steps, n_batch, nh)
     np.subtract(1.0, r, out=f_r)
     f_r *= r
-    f_r *= hw_n
+    f_r *= cache.hw[:, 2]  # hw_n, read where it is: one pass needs no copy
     np.subtract(1.0, z, out=one_minus_z)
     h = states.reshape(n_steps, n_batch, nh)
     np.negative(n[:1], out=f_z[:1])  # h_prev is zero before the first step
