@@ -1,10 +1,11 @@
 """Gradients of weighted per-example NLLs, and the SGD step that uses them.
 
 Every training loss is ``sum_i w_i nll_i`` (see ``engine.dpo_loss``), so no
-general graph is recorded.  A :class:`Tape` holds the one ``policy.batch_nll``
-call of an SGD step, and ``Tape.backward(w)`` adds ``sum_i w_i grad(nll_i)``
-into the gradient buffer each :class:`Param` owns.  The backward rules are
-plain functions: :func:`output_nll_backward` for the output layer
+general graph is recorded.  ``policy.batch_nll``, an SGD step's one forward,
+returns its NLLs and their backward, a :class:`Tape`, whose ``backward(w)``
+sets the gradient buffer each :class:`Param` owns to that of ``sum_i w_i
+nll_i``, so no buffer is ever zeroed.  The backward rules are plain functions
+that set what they compute: :func:`output_nll_backward` for the output layer
 (:func:`output_nll`), then :func:`gru_sequence_backward`, one BPTT sweep over a
 whole id batch (:func:`gru_sequence`).  All is float64.
 
@@ -53,7 +54,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: a second record, a backward with no record, or a spent tape."""
+    """A second backward on a tape: the first one consumed the forward's cache."""
 
 
 class TrainingError(RuntimeError):
@@ -61,8 +62,8 @@ class TrainingError(RuntimeError):
 
 
 class Param:
-    """A float64 parameter array and the gradient buffer it owns: allocated
-    with it, added into by backward rules, refilled by :func:`zero_grads`."""
+    """A float64 parameter array and the gradient buffer it owns, allocated
+    with it and set in place by each backward."""
 
     __slots__ = ("data", "grad")
 
@@ -72,31 +73,24 @@ class Param:
 
 
 class Tape:
-    """The batched NLL forward of one SGD step, recorded once: its example
-    count and its backward rule, which takes the weights w."""
+    """The one-shot backward of a batched NLL forward, which builds it from its
+    example count and its rule; the rule takes the weights w, sets every
+    gradient and consumes the forward's cache."""
 
-    def __init__(self) -> None:
-        self._record: tuple[int, Callable[[Array], None]] | None = None
-        self._spent = False
+    def __init__(self, n_examples: int, backward: Callable[[Array], None]) -> None:
+        self._n_examples = n_examples
+        self._backward: Callable[[Array], None] | None = backward
 
     def __len__(self) -> int:
-        return 0 if self._record is None else 1
-
-    def record(self, n_examples: int, backward: Callable[[Array], None]) -> None:
-        if self._record is not None:
-            raise TapeError("a tape holds one forward")
-        self._record = (n_examples, backward)
+        return 1  # the forwards a tape holds
 
     def backward(self, w: Array) -> None:
-        """Add the gradient of ``sum_i w_i nll_i``, given the (B,) weights."""
-        if self._spent:
+        """Set each gradient to that of ``sum_i w_i nll_i``, given the (B,) weights."""
+        if self._backward is None:
             raise TapeError("backward already ran on this tape")
-        if self._record is None:
-            raise TapeError("backward on a tape that recorded no forward")
-        n_examples, back = self._record
-        if w.shape != (n_examples,):
-            raise ShapeError(f"weights of shape {w.shape} for {n_examples} examples")
-        self._spent = True
+        if w.shape != (self._n_examples,):
+            raise ShapeError(f"weights of shape {w.shape} for {self._n_examples} examples")
+        back, self._backward = self._backward, None
         back(w)
 
 
@@ -207,7 +201,7 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
 
 def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
                           embed: Param, w_x: Param, w_h: Param, b: Param) -> None:
-    """Add the gradient of ``sum(g * states)`` into the GRU parameters' buffers.
+    """Set the GRU parameters' gradients to those of ``sum(g * states)``.
 
     ``states`` and ``cache`` are :func:`gru_sequence`'s over ``ids`` from the
     zero state, with the parameters unchanged since; the sweep overwrites
@@ -222,7 +216,8 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     block, the operand of the product with ``w_h.T``.  The candidate's
     gradient dn keeps its own buffer: recovering it from ``dn * r`` would
     divide by r, which is 0 where a gate saturates.  Then one product per
-    weight, over the summed rows of each distinct id.
+    weight, over the summed rows of each distinct id; the embedding rows of
+    the ids the batch does not use get zero.
     """
     n_batch, n_steps = ids.shape
     nh = w_h.data.shape[0]
@@ -266,7 +261,7 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
         np.matmul(d_t, w_h_t, out=d_h)
         d_h += np.multiply(g_t, z_t, out=gz)
     d_pre = d.reshape(n_steps * n_batch, 3 * nh)
-    w_h.grad += states[:-n_batch].T @ d_pre[n_batch:]
+    np.matmul(states[:-n_batch].T, d_pre[n_batch:], out=w_h.grad)
     # dn itself, not dn * r, is the candidate's share of the gradient of x @ w_x + b
     d_gates[:, 2] = dn
     flat = ids.T.reshape(-1)
@@ -279,9 +274,10 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     by_id = np.take(d_pre, order, axis=0, out=cache.gates.reshape(len(flat), 3 * nh),
                     mode="clip")
     d_used = np.add.reduceat(by_id, starts)  # summed over the rows of each id
-    b.grad += d_used.sum(axis=0, keepdims=True)
-    w_x.grad += embed.data[used].T @ d_used
-    embed.grad[used] += d_used @ w_x.data.T
+    np.sum(d_used, axis=0, keepdims=True, out=b.grad)
+    np.matmul(embed.data[used].T, d_used, out=w_x.grad)
+    embed.grad.fill(0.0)
+    embed.grad[used] = d_used @ w_x.data.T
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def output_nll(states: Array, rows: Sequence[int], w_out: Array, b_out: Array,
 
 
 def output_nll_backward(w: Array, cache: tuple, w_out: Param, b_out: Param) -> Array:
-    """Add the gradient of ``sum_i w_i nll_i`` into the output layer's buffers.
+    """Set the output layer's gradients to those of ``sum_i w_i nll_i``.
 
     ``cache`` is :func:`output_nll`'s.  Returns the gradient with respect to
     the states.
@@ -336,8 +332,8 @@ def output_nll_backward(w: Array, cache: tuple, w_out: Param, b_out: Param) -> A
     d_logits = np.exp(log_probs)
     d_logits[np.arange(len(tgt)), tgt] -= 1.0
     d_logits *= np.repeat(w, counts)[:, None]
-    b_out.grad += d_logits.sum(axis=0, keepdims=True)
-    w_out.grad += picked.T @ d_logits
+    np.sum(d_logits, axis=0, keepdims=True, out=b_out.grad)
+    np.matmul(picked.T, d_logits, out=w_out.grad)
     d_states = np.zeros((n_states, picked.shape[1]))
     d_states[idx] = d_logits @ w_out.data.T
     return d_states
@@ -371,10 +367,7 @@ def keep_freed_memory() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def zero_grads(params: Mapping[str, Param]) -> None:
-    """Refill every parameter's gradient buffer with zeros."""
-    for p in params.values():
-        p.grad.fill(0.0)
+CLIP = 5.0  # the global-norm clip of every training step (see sgd_step)
 
 
 def global_norm(grads: Mapping[str, Array]) -> float:

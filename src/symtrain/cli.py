@@ -10,6 +10,7 @@ import json
 import sys
 from pathlib import Path
 
+from symtrain.autodiff import TrainingError
 from symtrain.engine import ConfigError, RunConfig, check_tasks, evaluate, run
 from symtrain.environments import (
     MAX_SOLUTION_LEN,
@@ -81,6 +82,8 @@ def _cmd_gen_data(args) -> int:
         raise UsageError("--n-train must be positive")
     if args.n_held_out < 0:
         raise UsageError("--n-held-out must be non-negative")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     env = EnvKind(args.env)
     tasks, witnesses = generate_dataset(env, args.n_train, args.seed, "held_in")
     if args.n_held_out:
@@ -189,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, CheckpointError, ValueError) as exc:
+    except (OSError, CheckpointError, ValueError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -14,10 +14,10 @@ One batched forward pass (:func:`~symtrain.autodiff.gru_sequence`) runs the
 GRU over a whole id batch: :func:`sequence_token_logps` for the log-probability
 of each target token, and :func:`batch_nll` for training.  ``batch_nll`` keeps
 the gate caches, projects only the states that predict target tokens and
-returns one summed NLL per example.  It records the forward on a
-:class:`~symtrain.autodiff.Tape` as one record, whose backward is the output
-layer's rule followed by one BPTT sweep.  Every loss (L1, L2 and DPO) is a
-weighted sum of that vector.  Self-reward and the losses thus come from the
+returns one summed NLL per example, together with the forward's backward, a
+:class:`~symtrain.autodiff.Tape`: the output layer's rule followed by one
+BPTT sweep, which set the model's gradients.  Every loss (L1, L2 and DPO) is
+a weighted sum of that vector.  Self-reward and the losses thus come from the
 same per-token log-probabilities.
 
 Generation steps all rows of a call together as one batch, each from its
@@ -389,14 +389,14 @@ def score(model: PolicyModel, start: Array, a: Sequence[str]) -> float:
 # ---------------------------------------------------------------------------
 # losses
 
-def batch_nll(model: PolicyModel, tape: Tape,
-              examples: Sequence[tuple[list[int], list[int]]]) -> Array:
-    """NLL of each encoded (condition_ids, target_ids) example, as a (B,) array.
+def batch_nll(model: PolicyModel,
+              examples: Sequence[tuple[list[int], list[int]]]) -> tuple[Array, Tape]:
+    """NLL of each encoded (condition_ids, target_ids) example, as a (B,) array,
+    and its backward: ``tape.backward(w)`` sets the model's gradients to those
+    of ``sum_i w_i nll_i``.
 
     Sequences are right-padded to a common length; only genuine target
-    positions are projected and enter the loss.  The forward is one record
-    on the tape, whose backward adds ``sum_i w_i grad(nll_i)`` into the
-    model's gradient buffers.
+    positions are projected and enter the loss.
     """
     n_batch = len(examples)
     if n_batch == 0:
@@ -422,10 +422,9 @@ def batch_nll(model: PolicyModel, tape: Tape,
                                      p["w_h"].data, p["b"].data, model.h)
     nll, cache = output_nll(states, indices, p["w_out"].data, p["b_out"].data, targets,
                             n_target)
-    tape.record(n_batch, lambda w: gru_sequence_backward(
+    return nll, Tape(n_batch, lambda w: gru_sequence_backward(
         output_nll_backward(w, cache, p["w_out"], p["b_out"]), ids[:, :-1], states,
         gru_cache, p["embed"], p["w_x"], p["w_h"], p["b"]))
-    return nll
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_gen_data_zero_train_is_usage_error(tmp_path, capsys):
     assert "n-train" in capsys.readouterr().err
 
 
+def test_gen_data_negative_seed_is_usage_error(tmp_path, capsys):
+    code = main(["gen-data", "--env", "expr_math", "--n-train", "3", "--seed", "-1",
+                 "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--env", "expr_math", "--n-train", "3",
@@ -304,6 +312,20 @@ def test_run_on_a_malformed_dataset_line_prints_one_error(tmp_path, capsys, line
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 9" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_diverging_run_prints_one_error(tmp_path, capsys):
+    # at this lr the first SGD step overflows the weights, so the next loss is not
+    # finite; numpy warns on the way
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", "--config", str(_cfg(tmp_path, lr=1e308)), "--dataset",
+                     str(data), "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite loss at iteration 0\n"
+    assert "Traceback" not in err
 
 
 def test_compare_merges_runs(tmp_path):

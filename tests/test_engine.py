@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symtrain import engine, policy
-from symtrain.autodiff import Tape, TrainingError, sgd_step
+from symtrain.autodiff import TrainingError, sgd_step
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -98,11 +98,15 @@ def test_config_invariants():
         tiny_config(ablations=["bogus"])
     with pytest.raises(ConfigError):
         tiny_config(env="martian")
+    # an integer past the largest float would overflow in the first SGD step
+    with pytest.raises(ConfigError, match="lr must be a finite positive number"):
+        tiny_config(lr=10**400)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("clip", -1.0), ("clip", 0.0), ("warmup_tasks", -3), ("temperature", 0.0),
-    ("max_len", 0), ("d", 0), ("h", 0), ("pool_cap", 0), ("max_len", 257),
+    ("warmup_tasks", -3), ("temperature", 0.0), ("temperature", math.inf),
+    ("lr", math.inf), ("lr", math.nan), ("dpo_beta", math.inf),
+    ("max_len", 0), ("d", 0), ("h", 0), ("max_len", 257),
     ("warmup_epochs", -1), ("K", 2.5), ("iterations", 1.5), ("K", True),
     ("seed", -1), ("dpo_beta", -0.1), ("ablations", "no_L2"),
     ("eval_with_refine", "false"), ("seed_pool_with_warmup", 1),
@@ -111,6 +115,13 @@ def test_config_invariants():
 ])
 def test_config_rejects_values_that_misbehave_later(field, value):
     with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("clip", 5.0), ("pool_cap", 64)])
+def test_config_rejects_the_fixed_knobs(field, value):
+    # clip and pool_cap are fixed: no config may set them, even to their values
+    with pytest.raises(ConfigError, match=f"unknown config key '{field}'"):
         tiny_config(**{field: value})
 
 
@@ -385,7 +396,7 @@ def test_fresh_model_first_batch_loss_near_uniform():
     vocab = Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")])  # V = 16
     model = PolicyModel(vocab, d=8, h=12, seed=3)
     examples = [(vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS]))]
-    (loss,) = batch_nll(model, Tape(), examples)
+    (loss,), _ = batch_nll(model, examples)
     assert float(loss) == pytest.approx(3 * math.log(16), rel=0.02)
 
 
@@ -443,7 +454,7 @@ def test_dpo_loss_is_ln2_when_policy_equals_reference():
               float(sequence_token_logps(model, cond, pos).sum()
                     - sequence_token_logps(model, cond, neg).sum()))
              for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
-    loss, weights = _dpo_losses(model, Tape(), pairs, beta=0.1)
+    loss, weights, _ = _dpo_losses(model, pairs, beta=0.1)
     w_pos, w_neg = weights[:4], weights[4:]
     assert loss.shape == (4,) and weights.shape == (8,)
     np.testing.assert_allclose(loss, math.log(2), rtol=0, atol=1e-12)
@@ -495,34 +506,33 @@ def test_dpo_weight_matches_finite_differences_of_the_loss(beta):
 def test_dpo_gradient_matches_finite_differences():
     model = _toy_model(5)
     pairs = _dpo_pairs(model, [0.37, -1.2, 2.5, 0.0])  # arbitrary frozen margins
-    tape = Tape()
-    _, weights = _dpo_losses(model, tape, pairs, beta=0.7)
+    _, weights, tape = _dpo_losses(model, pairs, beta=0.7)
     assert len(tape) == 1
     tape.backward(weights)
     analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(
-        lambda: float(_dpo_losses(model, Tape(), pairs, beta=0.7)[0].sum()), model.params)
+        lambda: float(_dpo_losses(model, pairs, beta=0.7)[0].sum()), model.params)
     assert_grads_close(analytic, fd)
 
 
 def test_batched_dpo_loss_equals_sum_of_single_pairs(monkeypatch):
     model = _toy_model(6)
     pairs = _dpo_pairs(model, [0.5, -0.25, 1.5, -2.0])
-    singles = [_dpo_losses(model, Tape(), [pair], beta=0.3) for pair in pairs]
+    singles = [_dpo_losses(model, [pair], beta=0.3) for pair in pairs]
     calls = []
 
-    def counting_batch_nll(model, tape, examples):
+    def counting_batch_nll(model, examples):
         calls.append(examples)
-        return batch_nll(model, tape, examples)
+        return batch_nll(model, examples)
 
     monkeypatch.setattr(engine, "batch_nll", counting_batch_nll)
-    batched, weights = _dpo_losses(model, Tape(), pairs, beta=0.3)
-    np.testing.assert_allclose(batched, [loss[0] for loss, _ in singles], rtol=0,
+    batched, weights, _ = _dpo_losses(model, pairs, beta=0.3)
+    np.testing.assert_allclose(batched, [loss[0] for loss, _, _ in singles], rtol=0,
                                atol=1e-12)
     # the weights of all positives, then of all negatives
-    np.testing.assert_allclose(weights, [w[k] for k in (0, 1) for _, w in singles],
+    np.testing.assert_allclose(weights, [w[k] for k in (0, 1) for _, w, _ in singles],
                                rtol=0, atol=1e-12)
-    assert batched.sum() == pytest.approx(sum(loss[0] for loss, _ in singles), rel=0,
+    assert batched.sum() == pytest.approx(sum(loss[0] for loss, _, _ in singles), rel=0,
                                           abs=1e-12)
     # one call: all positives, then all negatives
     assert calls == [[(cond, pos) for cond, pos, _, _ in pairs]
@@ -766,7 +776,7 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
     _run_epochs(model, _encode_examples(model, warm), config,
                 child_seed(config.seed, _DOM_WARMUP), 0,
                 epochs=config.warmup_epochs)
-    pool = CandidatePool(config.pool_cap)
+    pool = CandidatePool()
     starts = frame_states(model, [t.x for t in warmup])
     pool.update([Trajectory(t.id, t.x, t.y, tuple(witnesses[t.id]), 1,
                             score(model, starts[i:i + 1], witnesses[t.id]),
@@ -788,7 +798,7 @@ def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):
     held_in = [t for t in tasks if t.split == "held_in"]
     warmup = held_in[:config.warmup_tasks]
     model = PolicyModel(default_vocab(), config.d, config.h, seed=5)
-    pool = CandidatePool(config.pool_cap)
+    pool = CandidatePool()
     # run seeds the pool from the warmup tasks' frame states
     starts = frame_states(model, [t.x for t in warmup])
     seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
@@ -816,7 +826,7 @@ def test_a_witness_re_found_as_a_refinement_keeps_its_warmup_entry(tiny_dataset,
     # after the draft "(", every witness would score higher than from its x alone
     for param in model.params.values():
         param.data *= 10.0
-    pool = CandidatePool(config.pool_cap)
+    pool = CandidatePool()
     starts = frame_states(model, [t.x for t in warmup])
     seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
                                 starts[i:i + 1]) for i, t in enumerate(warmup)]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symtrain.autodiff import Tape, gru_sequence, log_softmax
+from symtrain.autodiff import gru_sequence, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -72,19 +72,19 @@ def _gru_states(model, ids, start=None):
                         start)[0]
 
 
-def _condition_nll(model, condition, target, tape):
-    """NLL of one target after ``BOS condition SEP``, recorded on the tape."""
+def _condition_nll(model, condition, target):
+    """NLL of one target after ``BOS condition SEP``, and its tape."""
     vocab = model.vocab
-    (nll,) = batch_nll(model, tape, [(vocab.encode([BOS, *condition, SEP]),
+    (nll,), tape = batch_nll(model, [(vocab.encode([BOS, *condition, SEP]),
                                       vocab.encode(target))])
-    return float(nll)
+    return float(nll), tape
 
 
 def _token_nlls(model, examples):
     """Per-token NLLs of each example: one batch_nll example per target token."""
     singles = [([*cond, *tgt[:k]], [tgt[k]]) for cond, tgt in examples
                for k in range(len(tgt))]
-    return batch_nll(model, Tape(), singles)
+    return batch_nll(model, singles)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_score_consistent_with_loss_primitive():
         condition = _random_tokens(rng, model.vocab, int(rng.integers(1, 5)))
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 7)))
         target = [*a, EOS]
-        loss = _condition_nll(model, condition, target, Tape())
+        loss, _ = _condition_nll(model, condition, target)
         cond_ids = model.vocab.encode([BOS, *condition, SEP])
         per_token = _token_nlls(model, [(cond_ids, model.vocab.encode(target))])
         assert score(model, frame_states(model, [condition]), a) == \
@@ -447,8 +447,7 @@ def test_score_consistent_with_loss_primitive():
 def test_score_equals_negative_nll_over_length():
     model = toy_model(seed=1)
     a = ["b", "a", "d"]
-    tape = Tape()
-    loss = _condition_nll(model, ["c"], [*a, EOS], tape)
+    loss, _ = _condition_nll(model, ["c"], [*a, EOS])
     assert loss == pytest.approx(-score(model, frame_states(model, [["c"]]), a) * (len(a) + 1),
                                  abs=1e-9)
 
@@ -460,26 +459,24 @@ def test_nll_uniform_logits_is_log_vocab():
     model = toy_model()
     model.params["w_out"].data[:] = 0.0
     model.params["b_out"].data[:] = 0.0
-    tape = Tape()
-    loss = _condition_nll(model, ["a"], ["b"], tape)
+    loss, _ = _condition_nll(model, ["a"], ["b"])
     assert loss == pytest.approx(math.log(16), abs=1e-12)
 
 
 def test_nll_rejects_empty_target_and_unknown_token():
     with pytest.raises(ValueError):
-        _condition_nll(toy_model(), ["a"], [], Tape())
+        _condition_nll(toy_model(), ["a"], [])
     with pytest.raises(ValueError, match="not in vocabulary"):
-        _condition_nll(toy_model(), ["a"], ["nope"], Tape())
+        _condition_nll(toy_model(), ["a"], ["nope"])
 
 
 def test_nll_gradient_matches_finite_differences():
     model = toy_model(seed=12)
 
     def loss_fn():
-        return _condition_nll(model, ["a", "b"], ["c", "d", EOS], Tape())
+        return _condition_nll(model, ["a", "b"], ["c", "d", EOS])[0]
 
-    tape = Tape()
-    _condition_nll(model, ["a", "b"], ["c", "d", EOS], tape)
+    _, tape = _condition_nll(model, ["a", "b"], ["c", "d", EOS])
     tape.backward(np.ones(1))
     analytic = {name: p.grad for name, p in model.params.items()}
     fd = central_differences(loss_fn, model.params)
@@ -494,9 +491,9 @@ def test_batch_nll_equals_sum_of_single_losses():
         (vocab.encode([BOS, "b", "c", SEP]), vocab.encode(["d", "e", "f", EOS])),
         (vocab.encode([BOS, "a", "c", "d", SEP]), vocab.encode(["a", EOS])),
     ]
-    nll = batch_nll(model, Tape(), examples)
+    nll, _ = batch_nll(model, examples)
     assert nll.shape == (3,)
-    singles = [float(batch_nll(model, Tape(), [ex])[0]) for ex in examples]
+    singles = [float(batch_nll(model, [ex])[0][0]) for ex in examples]
     np.testing.assert_allclose(nll, singles, rtol=0, atol=1e-12)
 
 
@@ -515,7 +512,7 @@ def test_sequence_token_logps_match_batch_nll_per_token():
                                atol=1e-12)
     sums = [logps.sum() for logps in (sequence_token_logps(model, c, t)
                                       for c, t in examples)]
-    np.testing.assert_allclose(-batch_nll(model, Tape(), examples), sums,
+    np.testing.assert_allclose(-batch_nll(model, examples)[0], sums,
                                rtol=0, atol=1e-12)
 
 
@@ -529,12 +526,11 @@ def test_batch_nll_gradient_matches_finite_differences():
 
     # non-unit weights of both signs, so each example's gradient is weighted apart
     w = np.array([0.7, -1.3])
-    tape = Tape()
-    batch_nll(model, tape, examples)
+    _, tape = batch_nll(model, examples)
     assert len(tape) == 1
     tape.backward(w)
     analytic = {name: p.grad for name, p in model.params.items()}
-    fd = central_differences(lambda: float(w @ batch_nll(model, Tape(), examples)),
+    fd = central_differences(lambda: float(w @ batch_nll(model, examples)[0]),
                              model.params)
     assert_grads_close(analytic, fd)
 
