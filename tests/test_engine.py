@@ -112,6 +112,8 @@ def test_config_invariants():
     ("eval_with_refine", "false"), ("seed_pool_with_warmup", 1),
     # tiny_config trains from scratch, which the SFT+DPO stages would ignore
     ("method", "sft_dpo"),
+    # clip is fixed at autodiff.CLIP, so naming it at all is an unknown key
+    ("clip", -1.0), ("clip", 0.0),
 ])
 def test_config_rejects_values_that_misbehave_later(field, value):
     with pytest.raises(ConfigError, match=field):
