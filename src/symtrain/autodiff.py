@@ -11,12 +11,15 @@ whole id batch (:func:`gru_sequence`).  All is float64.
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
-input product ``x @ w_x + b`` runs once for all steps, outside the
-recurrence; :func:`gru_step`, the one step every caller shares, forms all
-three gates' recurrent products in one call and updates the gates in place;
-and the backward forms the factors of each step's gradient that do not
-depend on the gradient flowing back for all steps at once, so its loop only
-scales them and carries the gradient into the previous state.
+input pre-activations ``x @ w_x + b`` of all steps are formed before the
+recurrence: a batch that steps more positions than the vocabulary has rows
+gathers them from the vocabulary's table (:func:`gru_inputs`), built once
+per call, and a shorter batch multiplies its own rows (see
+:func:`gru_sequence`).  :func:`gru_step`, the one step every caller shares,
+forms all three gates' recurrent products in one call and updates the gates
+in place; and the backward forms the factors of each step's gradient that
+do not depend on the gradient flowing back for all steps at once, so its
+loop only scales them and carries the gradient into the previous state.
 
 The layout rule: every operand of a numpy call is contiguous over the block
 that call covers, because numpy's strided loops cost far more than its
@@ -31,7 +34,11 @@ OpenBLAS thread): one elementwise pass over a gate takes 71 us as a view of
 a row-major (S, B, 3, h) array, 56 us as a view of the per-step gate-major
 cache and 23 us contiguous, while copying all three gates out of the cache
 takes 38 us.  Inside a step, a call on the z and r blocks takes 0.55 us
-when they are contiguous and 2.4 us when they are not.
+when they are contiguous and 2.4 us when they are not.  Forming the inputs
+of all steps (V = 95 vocabulary rows, d = 32): building the table and
+gathering from it take 45-75 us in all at S*B = 160-592 positions, against
+59-266 us for the per-position product, bias pass and gate-major copy; at
+S*B = 10 the product takes 11 us, the table alone 33-43 us.
 
 A layout moves data, not arithmetic: each elementwise value comes from the
 same operations in the same order in any layout, and every product and sum
@@ -154,15 +161,12 @@ def gru_step(xb: Array, h: Array, w_gates: Array, out: Array | None = None,
     return h_new
 
 
-def _gru_steps(xb: Array, w_h: Array, h0: Array | None) -> tuple[Array, GRUCache]:
-    """The GRU over the input pre-activations ``xb[S, B, 3h]`` from ``h0``
-    (zero by default): the S*B x h states, row ``t*B + i`` after step t of
-    row i, and the forward's cache, whose gates take over a gate-major copy
-    of xb."""
-    n_steps, n_batch, width = xb.shape
-    n_hidden = width // 3
-    gates = np.ascontiguousarray(
-        xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
+def _gru_steps(gates: Array, w_h: Array, h0: Array | None) -> tuple[Array, GRUCache]:
+    """The GRU over the input pre-activations ``gates[S, 3, B, h]``, gate-major
+    per step (see :class:`GRUCache`), from ``h0`` (zero by default): the
+    S*B x h states, row ``t*B + i`` after step t of row i, and the forward's
+    cache, whose gates take over ``gates``."""
+    n_steps, _, n_batch, n_hidden = gates.shape
     hw = np.empty_like(gates)
     states = np.empty((n_steps, n_batch, n_hidden))
     h = np.zeros((n_batch, n_hidden)) if h0 is None else h0
@@ -176,7 +180,7 @@ def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
                      n_hidden: int) -> tuple[Array, GRUCache]:
     """One GRU step of the batch rows ``x[B, d]`` from ``h[B, h]``: h' and the
     step's cache, the one-step case of :func:`gru_sequence`."""
-    return _gru_steps((x @ w_x + b).reshape(1, len(x), 3 * n_hidden), w_h, h)
+    return _gru_steps(np.ascontiguousarray(gate_major(x @ w_x + b))[None], w_h, h)
 
 
 def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
@@ -185,8 +189,15 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
     (zero by default).
 
     Returns the S*B x h states, row ``t*B + i`` after ``ids[i, t]``, and the
-    cache :func:`gru_sequence_backward` reads.  The input pre-activations
-    ``x @ w_x + b`` of all steps come from one product.
+    cache :func:`gru_sequence_backward` reads.  A batch that steps more
+    positions than the vocabulary has rows (S*B > V) builds the input
+    pre-activations ``x @ w_x + b`` of the whole vocabulary once
+    (:func:`gru_inputs`) and gathers each position's three gate blocks from it
+    straight into the per-step gate-major layout, in one ``np.take``.  A
+    shorter batch multiplies its own S*B rows, adds b and copies them
+    gate-major, since the table costs a batch-1 ``score`` more than its few
+    rows do.  Both paths compute each entry as the same dot product plus b,
+    so they agree to the bit where BLAS rounds a row the same in any product.
     """
     ids = np.asarray(ids, dtype=np.intp)
     vocab = embed.shape[0]
@@ -194,9 +205,16 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
     if bad.size:
         raise IndexError(f"gru_sequence: id {bad[0]} out of range [0, {vocab})")
     n_batch, n_steps = ids.shape
-    xb = embed[ids.T.reshape(-1)] @ w_x
-    xb += b
-    return _gru_steps(xb.reshape(n_steps, n_batch, 3 * n_hidden), w_h, h0)
+    if n_steps * n_batch > vocab:
+        # row g*V + v of the (3V, h) table is gate g's block of id v
+        table = gru_inputs(embed, w_x, b).reshape(3 * vocab, n_hidden)
+        gates = np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
+    else:
+        xb = embed[ids.T.reshape(-1)] @ w_x
+        xb += b
+        gates = np.ascontiguousarray(
+            xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
+    return _gru_steps(gates, w_h, h0)
 
 
 def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,

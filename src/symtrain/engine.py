@@ -342,7 +342,9 @@ def _sgd_epochs(model: PolicyModel, items: Sequence,
     loss as a (B,) array, the weights w of the forward's examples such that
     ``sum_i w_i nll_i`` has the summed loss's gradient, and the forward's tape,
     whose backward sets every gradient.  Each step descends the summed loss;
-    ``what`` names it in the error when it is not finite.  Returns the final
+    ``what`` names it in the error when it is not finite.  No loss follows the
+    last update, so after it each parameter's squared norm is checked instead:
+    one that overflows means weights no forward can use.  Returns the final
     epoch's minibatches with their losses, in visit order.
     """
     keep_freed_memory()
@@ -360,6 +362,13 @@ def _sgd_epochs(model: PolicyModel, items: Sequence,
             visited.append((batch, values))
             tape.backward(weights)
             sgd_step(params, grads, config.lr, CLIP)
+    if not visited:
+        return visited  # no update to check
+    with np.errstate(over="ignore"):  # an overflow is the finding, not a fault
+        for name, p in params.items():
+            if not math.isfinite(float(np.vdot(p.data, p.data))):
+                raise TrainingError(f"non-finite norm of parameter {name!r} after "
+                                    f"the last {what} update at iteration {iteration}")
     return visited
 
 

@@ -36,12 +36,16 @@ case.  Then every row steps with the same GRU step
 (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when it emits
 EOS.  A call computes the input product ``x @ w_x + b`` of the whole vocabulary
 once (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
-inputs, as ``sequence_token_logps`` and ``batch_nll`` compute theirs for all
-steps in one product.  Each sampled row draws its tokens by inverse CDF from
-uniforms of its own seeded stream, and a greedy row takes the argmax.  A row's
-states move with its batch's makeup in the last bits only, so its tokens do not
-depend on the other rows except where a uniform falls within that noise of an
-inverse-CDF boundary.  No row ever emits PAD, BOS or SEP.
+inputs.  ``gru_sequence`` forms the inputs of all steps before its recurrence:
+from that table when the batch steps more positions than the vocabulary has
+rows, as ``batch_nll``'s minibatches do, and by multiplying its own rows when
+it steps fewer, as a ``score`` does.  Each sampled row draws its tokens by
+inverse CDF, from uniforms of its own seeded stream, over its logits less
+their maximum and divided by the temperature, so a tiny temperature gives the
+greedy limit; a greedy row takes the argmax.  A row's states move with its
+batch's makeup in the last bits only, so its tokens do not depend on the other
+rows except where a uniform falls within that noise of an inverse-CDF boundary.
+No row ever emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -266,12 +270,13 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
 
 def _draw_tokens(logits: Array, u: Array) -> Array:
     """One token per row by inverse CDF: row i takes the first token whose
-    cumulative weight reaches ``1 - u[i]`` of the row's total.
+    cumulative weight ``exp(logits)`` reaches ``1 - u[i]`` of the row's total.
 
-    With u in [0, 1) the threshold is positive and at most the total, so a
-    token of weight zero (a masked logit) is never drawn.
+    Each row's largest logit should be 0 (:func:`_generate` subtracts it), so
+    no weight overflows.  With u in [0, 1) the threshold is positive and at
+    most the total, so a token of weight zero (a masked logit) is never drawn.
     """
-    cdf = np.cumsum(np.exp(logits - logits.max(axis=1, keepdims=True)), axis=1)
+    cdf = np.cumsum(np.exp(logits), axis=1)
     return (cdf < ((1.0 - u) * cdf[:, -1])[:, None]).sum(axis=1)
 
 
@@ -299,7 +304,12 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
         if rngs is None:
             tokens = logits.argmax(axis=1)
         else:
-            tokens = _draw_tokens(logits / params.temperature, uniforms[rows, t])
+            logits -= logits.max(axis=1, keepdims=True)
+            # at a tiny temperature every logit below the max overflows to -inf,
+            # weight 0: the greedy limit
+            with np.errstate(over="ignore"):
+                logits /= params.temperature
+            tokens = _draw_tokens(logits, uniforms[rows, t])
         ids = tokens.tolist()
         if model.vocab.eos_id in ids:
             going = tokens != model.vocab.eos_id
@@ -432,19 +442,31 @@ def batch_nll(model: PolicyModel,
 
 def save_checkpoint(model: PolicyModel, path: str | Path,
                     metadata: dict | None = None) -> Path:
-    """Write a versioned JSON checkpoint: vocab, hyperparams and params."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "d": model.d,
-        "h": model.h,
-        "vocab": model.vocab.tokens,
-        "params": {k: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-                   for k, t in model.params.items()},
-        "metadata": metadata or {},
-    }
+    """Write a versioned JSON checkpoint: vocab, hyperparams and params.
+
+    The file holds ``json.dumps(payload, sort_keys=True)`` of the payload
+    ``{format, version, d, h, vocab, params, metadata}``, written a parameter
+    at a time, so only one parameter's values are ever held as Python floats
+    and text.  The other fields are encoded before the file is opened, so
+    metadata JSON cannot encode leaves no file.
+    """
+    texts = {key: json.dumps(value, sort_keys=True) for key, value in (
+        ("format", CHECKPOINT_FORMAT), ("version", CHECKPOINT_VERSION), ("d", model.d),
+        ("h", model.h), ("vocab", model.vocab.tokens), ("metadata", metadata or {}))}
     path = Path(path)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    with path.open("w") as f:
+        for i, key in enumerate(sorted([*texts, "params"])):
+            f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key in texts:
+                f.write(texts[key])
+                continue
+            for j, name in enumerate(sorted(model.params)):
+                data = model.params[name].data
+                f.write(("{" if j == 0 else ", ") + json.dumps(name) + ": ")
+                f.write(json.dumps({"shape": list(data.shape),
+                                    "values": data.reshape(-1).tolist()}))
+            f.write("}")
+        f.write("}")
     return path
 
 

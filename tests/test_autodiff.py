@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from symtrain import autodiff
 from symtrain.autodiff import (
     Param,
     ShapeError,
@@ -11,6 +12,7 @@ from symtrain.autodiff import (
     TrainingError,
     gate_major,
     gru_cell_forward,
+    gru_inputs,
     gru_sequence,
     gru_sequence_backward,
     gru_step,
@@ -187,6 +189,39 @@ def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
                                       p["w_h"])
     for name, grad in expected.items():
         _assert_close_to_reference(params[name].grad, grad)
+
+
+@pytest.mark.parametrize("n_batch", [1, 2, 8])
+@pytest.mark.parametrize("n_steps", [1, 3, 5, 7, 40])
+@pytest.mark.parametrize("given_h0", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 20.0])
+def test_gru_input_paths_agree(monkeypatch, n_batch, n_steps, given_h0, scale):
+    # over V = 6 ids, S*B runs from 1 to 320: a batch that steps more positions
+    # than the vocabulary has rows gathers its inputs from the vocabulary's
+    # table; the same batch over a table padded with unused rows to S*B rows
+    # multiplies its own rows
+    rng = np.random.default_rng(n_batch * 1000 + n_steps * 10 + given_h0)
+    p = {name: t.data * scale for name, t in _gru_params(rng).items()}
+    vocab = len(p["embed"])
+    ids = rng.integers(0, vocab, (n_batch, n_steps))
+    h0 = rng.uniform(-1, 1, (n_batch, GRU_HIDDEN)) if given_h0 else None
+    padded = np.vstack([p["embed"], rng.uniform(-1, 1, (n_batch * n_steps, 3))])
+    tables = []
+
+    def counted_gru_inputs(*args):
+        tables.append(args[0])
+        return gru_inputs(*args)
+
+    monkeypatch.setattr(autodiff, "gru_inputs", counted_gru_inputs)
+    states, cache = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN,
+                                 h0)
+    ref_states, ref_cache = gru_sequence(padded, ids, p["w_x"], p["w_h"], p["b"],
+                                         GRU_HIDDEN, h0)
+    # only the unpadded call, and only past V positions, builds the table
+    assert [len(t) for t in tables] == ([vocab] if n_batch * n_steps > vocab else [])
+    for actual, reference in [(states, ref_states), *zip(cache, ref_cache)]:
+        _assert_close_to_reference(actual, reference)
+        assert actual.flags.c_contiguous
 
 
 def test_gru_cell_forward_is_one_step_from_given_inputs():

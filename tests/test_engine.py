@@ -644,6 +644,17 @@ def test_run_is_deterministic(tiny_dataset):
     assert a.reports == b.reports
 
 
+def test_a_last_update_that_overflows_the_weights_stops_the_run(tiny_dataset, tmp_path):
+    # one warmup step: its loss is finite, and no loss follows the update, which
+    # leaves finite weights ~1e306 that overflow in the next forward
+    tasks, witnesses = tiny_dataset
+    with pytest.raises(TrainingError, match=r"^non-finite norm of parameter '\w+' after "
+                                            r"the last loss update at iteration 0$"):
+        run(tiny_config(lr=1e308, warmup_epochs=1), tasks, witnesses,
+            out_dir=tmp_path / "run")
+    assert (tmp_path / "run" / "reports.jsonl").read_text() == ""
+
+
 def test_run_report_stream_shape(tiny_dataset):
     tasks, witnesses = tiny_dataset
     result = run(tiny_config(iterations=2), tasks, witnesses)

@@ -8,6 +8,8 @@ from symtrain.autodiff import gru_sequence, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
     CONTROL_TOKENS,
     EOS,
     PAD,
@@ -136,6 +138,16 @@ def test_tiny_temperature_matches_greedy():
     greedy = greedy_decode(model, ["a", "b"], max_len=10)
     for seq in _sample_task(model, ["a", "b"], params, seed=0):
         assert seq == greedy
+
+
+def test_a_subnormal_temperature_draws_the_greedy_tokens():
+    # dividing by 1e-310 overflows every logit below its row's max to -inf, weight 0
+    model = toy_model(seed=3)
+    xs = [["a", "b"], ["c"], ["d", "e", "f"], ["g", "h"]]
+    params = GenerationParams(temperature=1e-310, max_len=10, k_samples=len(xs))
+    drawn = sample(model, frame_states(model, xs), params, list(range(len(xs))))
+    assert drawn == greedy_batch(model, [condition_ids(model, x) for x in xs], 10)
+    assert any(drawn)
 
 
 def test_sample_requires_input():
@@ -597,6 +609,41 @@ def test_checkpoint_roundtrip_scores_identical(tmp_path):
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 6)))
         assert score(model, frame_states(model, [cond]), a) == \
             score(loaded, frame_states(loaded, [cond]), a)
+
+
+# strings shaped like the JSON around params, which a writer that splices text
+# into a dump of the rest of the payload would match
+TRICKY_METADATA = {"params": '{"b": {"shape": [1, 36], "values": [', "note": '"}, "vocab": [',
+                   "warmup_task_ids": ["}, \"params\": {", "\u00e9"],
+                   "nested": {"z": [1.5, None, True], "a": "}}"}}
+
+
+@pytest.mark.parametrize("metadata", [None, TRICKY_METADATA], ids=["none", "tricky"])
+def test_checkpoint_bytes_equal_one_dump_of_the_payload(tmp_path, metadata):
+    model = toy_model(seed=4)
+    path = save_checkpoint(model, tmp_path / "model.json", metadata)
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "d": model.d,
+        "h": model.h,
+        "vocab": model.vocab.tokens,
+        "params": {k: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
+                   for k, t in model.params.items()},
+        "metadata": metadata or {},
+    }
+    assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+    loaded, loaded_metadata = load_checkpoint(path)
+    assert loaded_metadata == (metadata or {})
+    assert (loaded.vocab.tokens, loaded.d, loaded.h) == (model.vocab.tokens, model.d, model.h)
+    for name, param in model.params.items():
+        assert np.array_equal(loaded.params[name].data, param.data)
+
+
+def test_checkpoint_metadata_json_cannot_encode_writes_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        save_checkpoint(toy_model(), tmp_path / "model.json", {"seed": object()})
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_checkpoint_truncated_file_is_error(tmp_path):
