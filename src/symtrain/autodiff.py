@@ -7,7 +7,10 @@ sets the gradient buffer each :class:`Param` owns to that of ``sum_i w_i
 nll_i``, so no buffer is ever zeroed.  The backward rules are plain functions
 that set what they compute: :func:`output_nll_backward` for the output layer
 (:func:`output_nll`), then :func:`gru_sequence_backward`, one BPTT sweep over a
-whole id batch (:func:`gru_sequence`).  All is float64.
+whole id batch (:func:`gru_sequence`, the training forward, which starts from
+the zero state).  Scoring steps the same inputs by the same loop from any
+start and keeps no backward (``policy.sequence_token_logps``).  All is
+float64.
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
@@ -15,11 +18,12 @@ input pre-activations ``x @ w_x + b`` of all steps are formed before the
 recurrence: a batch that steps more positions than the vocabulary has rows
 gathers them from the vocabulary's table (:func:`gru_inputs`), built once
 per call, and a shorter batch multiplies its own rows (see
-:func:`gru_sequence`).  :func:`gru_step`, the one step every caller shares,
-forms all three gates' recurrent products in one call and updates the gates
-in place; and the backward forms the factors of each step's gradient that
-do not depend on the gradient flowing back for all steps at once, so its
-loop only scales them and carries the gradient into the previous state.
+:func:`gru_sequence_inputs`).  :func:`gru_step`, the one step every caller
+shares, forms all three gates' recurrent products in one call and updates
+the gates in place; and the backward forms the factors of each step's
+gradient that do not depend on the gradient flowing back for all steps at
+once, so its loop only scales them and carries the gradient into the
+previous state.
 
 The layout rule: every operand of a numpy call is contiguous over the block
 that call covers, because numpy's strided loops cost far more than its
@@ -161,60 +165,75 @@ def gru_step(xb: Array, h: Array, w_gates: Array, out: Array | None = None,
     return h_new
 
 
-def _gru_steps(gates: Array, w_h: Array, h0: Array | None) -> tuple[Array, GRUCache]:
+def _gru_steps(gates: Array, w_h: Array,
+               h0: Array | None = None) -> tuple[Array, GRUCache]:
     """The GRU over the input pre-activations ``gates[S, 3, B, h]``, gate-major
     per step (see :class:`GRUCache`), from ``h0`` (zero by default): the
-    S*B x h states, row ``t*B + i`` after step t of row i, and the forward's
-    cache, whose gates take over ``gates``."""
+    (S + 1, B, h) states, ``[0]`` the start and ``[t + 1]`` after step t, and
+    the forward's cache, whose gates take over ``gates``."""
     n_steps, _, n_batch, n_hidden = gates.shape
     hw = np.empty_like(gates)
-    states = np.empty((n_steps, n_batch, n_hidden))
-    h = np.zeros((n_batch, n_hidden)) if h0 is None else h0
+    states = np.empty((n_steps + 1, n_batch, n_hidden))
+    states[0] = 0.0 if h0 is None else h0
     w_gates = gate_major(w_h)
-    for x_t, hw_t, out_t in zip(gates, hw, states):
+    h = states[0]
+    for x_t, hw_t, out_t in zip(gates, hw, states[1:]):
         h = gru_step(x_t, h, w_gates, out_t, hw_t)
-    return states.reshape(n_steps * n_batch, n_hidden), GRUCache(gates, hw)
+    return states, GRUCache(gates, hw)
 
 
 def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
                      n_hidden: int) -> tuple[Array, GRUCache]:
     """One GRU step of the batch rows ``x[B, d]`` from ``h[B, h]``: h' and the
-    step's cache, the one-step case of :func:`gru_sequence`."""
-    return _gru_steps(np.ascontiguousarray(gate_major(x @ w_x + b))[None], w_h, h)
+    step's cache."""
+    states, cache = _gru_steps(np.ascontiguousarray(gate_major(x @ w_x + b))[None], w_h, h)
+    return states[1], cache
 
 
-def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
-                 n_hidden: int, h0: Array | None = None) -> tuple[Array, GRUCache]:
-    """GRU over the embedded id batch ``ids[B, S]`` from the states ``h0[B, h]``
-    (zero by default).
+def gru_sequence_inputs(embed: Array, ids: Array, w_x: Array, b: Array) -> Array:
+    """The input pre-activations ``x @ w_x + b`` of the embedded id batch
+    ``ids[B, S]``, gate-major per step: the (S, 3, B, h) input of
+    :func:`_gru_steps`.
 
-    Returns the S*B x h states, row ``t*B + i`` after ``ids[i, t]``, and the
-    cache :func:`gru_sequence_backward` reads.  A batch that steps more
-    positions than the vocabulary has rows (S*B > V) builds the input
-    pre-activations ``x @ w_x + b`` of the whole vocabulary once
+    A batch that steps more positions than the vocabulary has rows (S*B > V)
+    builds the pre-activations of the whole vocabulary once
     (:func:`gru_inputs`) and gathers each position's three gate blocks from it
     straight into the per-step gate-major layout, in one ``np.take``.  A
     shorter batch multiplies its own S*B rows, adds b and copies them
-    gate-major, since the table costs a batch-1 ``score`` more than its few
-    rows do.  Both paths compute each entry as the same dot product plus b,
-    so they agree to the bit where BLAS rounds a row the same in any product.
+    gate-major, since the table costs a batch-1 score more than its few rows
+    do.  Both paths compute each entry as the same dot product plus b, so they
+    agree to the bit where BLAS rounds a row the same in any product.
     """
     ids = np.asarray(ids, dtype=np.intp)
     vocab = embed.shape[0]
     bad = ids[(ids < 0) | (ids >= vocab)]
     if bad.size:
-        raise IndexError(f"gru_sequence: id {bad[0]} out of range [0, {vocab})")
+        raise IndexError(f"gru_sequence_inputs: id {bad[0]} out of range [0, {vocab})")
     n_batch, n_steps = ids.shape
+    n_hidden = w_x.shape[1] // 3
     if n_steps * n_batch > vocab:
         # row g*V + v of the (3V, h) table is gate g's block of id v
         table = gru_inputs(embed, w_x, b).reshape(3 * vocab, n_hidden)
-        gates = np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
-    else:
-        xb = embed[ids.T.reshape(-1)] @ w_x
-        xb += b
-        gates = np.ascontiguousarray(
-            xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
-    return _gru_steps(gates, w_h, h0)
+        return np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
+    xb = embed[ids.T.reshape(-1)] @ w_x
+    xb += b
+    return np.ascontiguousarray(
+        xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
+
+
+def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
+                 n_hidden: int) -> tuple[Array, GRUCache]:
+    """The training forward: the GRU over the embedded id batch ``ids[B, S]``
+    from the zero state, which :func:`gru_sequence_backward` assumes.
+
+    Returns the S*B x h states, row ``t*B + i`` after ``ids[i, t]``, and the
+    cache the backward reads.  The inputs of all steps are formed before the
+    recurrence (:func:`gru_sequence_inputs`): from the vocabulary's table for
+    a minibatch that steps more positions than the vocabulary has rows, and
+    by the product for a smaller one, a short DPO pair among them.
+    """
+    states, cache = _gru_steps(gru_sequence_inputs(embed, ids, w_x, b), w_h)
+    return states[1:].reshape(-1, n_hidden), cache
 
 
 def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,

@@ -59,10 +59,12 @@ def execute(env: EnvKind | str, task: TaskInstance, a: Sequence[str]) -> Executi
     """Run a candidate solution in its environment.
 
     Pure in (env, task, a); every failure mode of the solution is encoded in
-    the result status with b=0 rather than raised.  A solution longer than
-    ``MAX_SOLUTION_LEN`` tokens times out before the environment's runner
-    starts.  That is the one bound on a solution's work: within it every
-    runner ends fast without a budget of its own.
+    the result status with b=0 rather than raised.  The expr and grid runners
+    read each distinct x once and share the parsed form read-only, so
+    grading the K samples and refinements of a task parses its x once.  A
+    solution longer than ``MAX_SOLUTION_LEN`` tokens times out before the
+    environment's runner starts.  That is the one bound on a solution's work:
+    within it every runner ends fast without a budget of its own.
     """
     env = EnvKind(env)
     if len(a) > MAX_SOLUTION_LEN:

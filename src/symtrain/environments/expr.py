@@ -15,7 +15,9 @@ value has at most 256 digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
 
@@ -145,7 +147,7 @@ def parse_expr(tokens: Sequence[str]) -> Node:
     return _Parser("".join(tokens)).parse()
 
 
-def eval_expr(node: Node, bindings: dict[str, int]) -> int:
+def eval_expr(node: Node, bindings: Mapping[str, int]) -> int:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -202,9 +204,23 @@ def parse_task_input(x: Sequence[str]) -> tuple[dict[str, int], list[str]]:
     return bindings, query
 
 
+@cache
+def _task_input(x: tuple[str, ...]) -> tuple[Mapping[str, int], tuple[str, ...]]:
+    """:func:`parse_task_input` of x, read once per distinct x and shared
+    read-only.  The memo holds one entry per distinct x the process grades,
+    no more than its datasets hold.  A malformed x raises, and nothing is
+    cached for it, so it raises again on every call."""
+    bindings, query = parse_task_input(x)
+    return MappingProxyType(bindings), tuple(query)
+
+
 def run_expr(a: Sequence[str], task: TaskInstance):
-    """Execute an expression solution against a task: parse, evaluate, grade."""
-    bindings, _ = parse_task_input(task.x)
+    """Execute an expression solution against a task: parse, evaluate, grade.
+
+    The task's x is read once (:func:`_task_input`): exploration executes
+    every candidate of a task against the same x.
+    """
+    bindings, _ = _task_input(task.x)
     try:
         node = parse_expr(a)
     except ExprParseError:

@@ -10,6 +10,7 @@ bounds a solution at ``MAX_SOLUTION_LEN`` (256) moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
@@ -74,9 +75,21 @@ def simulate(spec: GridSpec, actions: Sequence[str]) -> tuple[int, int]:
     return pos
 
 
+@cache
+def _grid_spec(x: tuple[str, ...]) -> GridSpec:
+    """:func:`parse_grid_task` of x, read once per distinct x; a GridSpec is
+    frozen, so every caller shares it.  A malformed x raises, and nothing is
+    cached for it, so it raises again on every call."""
+    return parse_grid_task(x)
+
+
 def run_grid(actions: Sequence[str], task: TaskInstance):
-    """Simulate an action sequence and grade the final cell against task.y."""
-    spec = parse_grid_task(task.x)
+    """Simulate an action sequence and grade the final cell against task.y.
+
+    The task's x is read once (:func:`_grid_spec`): exploration executes every
+    candidate of a task against the same board.
+    """
+    spec = _grid_spec(task.x)
     actions = list(actions)
     if any(a not in MOVES for a in actions):
         return graded(Status.PARSE_ERROR, None, task.y)

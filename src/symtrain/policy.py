@@ -10,15 +10,17 @@ is the solution and EOS (:func:`target_ids`).  A frame is never cut: a GRU has
 no context window, and a draft is at most ``max_len`` tokens, which the run
 configuration bounds by the longest solution ``execute`` grades.
 
-One batched forward pass (:func:`~symtrain.autodiff.gru_sequence`) runs the
-GRU over a whole id batch: :func:`sequence_token_logps` for the log-probability
-of each target token, and :func:`batch_nll` for training.  ``batch_nll`` keeps
-the gate caches, projects only the states that predict target tokens and
-returns one summed NLL per example, together with the forward's backward, a
+:func:`batch_nll`, the training forward, runs the GRU over a whole id batch
+from the zero state (:func:`~symtrain.autodiff.gru_sequence`), keeps the gate
+caches, projects only the states that predict target tokens and returns one
+summed NLL per example, together with the forward's backward, a
 :class:`~symtrain.autodiff.Tape`: the output layer's rule followed by one
 BPTT sweep, which set the model's gradients.  Every loss (L1, L2 and DPO) is
-a weighted sum of that vector.  Self-reward and the losses thus come from the
-same per-token log-probabilities.
+a weighted sum of that vector.  :func:`sequence_token_logps` gives the
+log-probability of each target token of one row, from the zero state or a
+given one, with the same inputs and the same steps but no backward.
+Self-reward and the losses thus come from the same per-token
+log-probabilities.
 
 Generation steps all rows of a call together as one batch, each from its
 own state and with its own seed, so one call can serve the rows of many tasks.
@@ -36,16 +38,17 @@ case.  Then every row steps with the same GRU step
 (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when it emits
 EOS.  A call computes the input product ``x @ w_x + b`` of the whole vocabulary
 once (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
-inputs.  ``gru_sequence`` forms the inputs of all steps before its recurrence:
+inputs.  ``batch_nll`` and ``sequence_token_logps`` form the inputs of all
+steps before their recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`):
 from that table when the batch steps more positions than the vocabulary has
-rows, as ``batch_nll``'s minibatches do, and by multiplying its own rows when
-it steps fewer, as a ``score`` does.  Each sampled row draws its tokens by
-inverse CDF, from uniforms of its own seeded stream, over its logits less
-their maximum and divided by the temperature, so a tiny temperature gives the
-greedy limit; a greedy row takes the argmax.  A row's states move with its
-batch's makeup in the last bits only, so its tokens do not depend on the other
-rows except where a uniform falls within that noise of an inverse-CDF boundary.
-No row ever emits PAD, BOS or SEP.
+rows, as most training minibatches do, and by multiplying its own rows when it
+steps fewer, as a ``score`` and a short DPO pair do.  Each sampled row draws
+its tokens by inverse CDF, from uniforms of its own seeded stream, over its
+logits less their maximum and divided by the temperature, so a tiny
+temperature gives the greedy limit; a greedy row takes the argmax.  A row's
+states move with its batch's makeup in the last bits only, so its tokens do
+not depend on the other rows except where a uniform falls within that noise of
+an inverse-CDF boundary.  No row ever emits PAD, BOS or SEP.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ from typing import Sequence
 
 import numpy as np
 
-from symtrain.autodiff import (Array, Param, Tape, gru_sequence, gru_sequence_backward,
-                               gate_major, gru_inputs, gru_step, log_softmax,
-                               output_nll, output_nll_backward)
+from symtrain.autodiff import (Array, Param, Tape, _gru_steps, gate_major, gru_inputs,
+                               gru_sequence, gru_sequence_backward, gru_sequence_inputs,
+                               gru_step, log_softmax, output_nll, output_nll_backward)
 
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
@@ -255,15 +258,16 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
     The GRU steps ``cond_ids`` and the target from the zero state, as
     ``batch_nll`` does (the DPO reference margins), or from ``start``, the
     (1, h) state after the first tokens of the condition; then ``cond_ids``
-    holds only the condition tokens after those.
+    holds only the condition tokens after those.  Unlike ``batch_nll``, it
+    keeps nothing for a backward.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
-    ids = np.asarray([[*cond_ids, *target_ids[:-1]]], dtype=np.intp)
     p = model.params
-    h0 = np.zeros((1, model.h)) if start is None else start
-    states, _ = gru_sequence(p["embed"].data, ids, p["w_x"].data, p["w_h"].data,
-                             p["b"].data, model.h, h0)
-    h_rows = np.vstack([h0, states])[len(cond_ids):]
+    gates = gru_sequence_inputs(p["embed"].data, [[*cond_ids, *target_ids[:-1]]],
+                                p["w_x"].data, p["b"].data)
+    states, _ = _gru_steps(gates, p["w_h"].data, start)
+    # the start state and the states after each token but the last target
+    h_rows = states.reshape(-1, model.h)[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
@@ -440,15 +444,20 @@ def batch_nll(model: PolicyModel,
 # ---------------------------------------------------------------------------
 # checkpoints
 
+_CHECKPOINT_SLICE = 1024  # parameter values encoded at a time
+
+
 def save_checkpoint(model: PolicyModel, path: str | Path,
                     metadata: dict | None = None) -> Path:
     """Write a versioned JSON checkpoint: vocab, hyperparams and params.
 
     The file holds ``json.dumps(payload, sort_keys=True)`` of the payload
-    ``{format, version, d, h, vocab, params, metadata}``, written a parameter
-    at a time, so only one parameter's values are ever held as Python floats
-    and text.  The other fields are encoded before the file is opened, so
-    metadata JSON cannot encode leaves no file.
+    ``{format, version, d, h, vocab, params, metadata}``, written in slices of
+    ``_CHECKPOINT_SLICE`` values of one parameter, so only one slice is ever
+    held as Python floats and text (a whole default-size ``w_h``, 12,288
+    values, held so was the peak memory of a run).  The other fields are
+    encoded before the file is opened, so metadata JSON cannot encode leaves
+    no file.
     """
     texts = {key: json.dumps(value, sort_keys=True) for key, value in (
         ("format", CHECKPOINT_FORMAT), ("version", CHECKPOINT_VERSION), ("d", model.d),
@@ -462,9 +471,14 @@ def save_checkpoint(model: PolicyModel, path: str | Path,
                 continue
             for j, name in enumerate(sorted(model.params)):
                 data = model.params[name].data
-                f.write(("{" if j == 0 else ", ") + json.dumps(name) + ": ")
-                f.write(json.dumps({"shape": list(data.shape),
-                                    "values": data.reshape(-1).tolist()}))
+                f.write(("{" if j == 0 else ", ") + json.dumps(name) + ": "
+                        + '{"shape": ' + json.dumps(list(data.shape)) + ', "values": [')
+                values = data.reshape(-1)
+                for k in range(0, values.size, _CHECKPOINT_SLICE):
+                    # each slice's list text without its brackets
+                    f.write((", " if k else "")
+                            + json.dumps(values[k:k + _CHECKPOINT_SLICE].tolist())[1:-1])
+                f.write("]}")
             f.write("}")
         f.write("}")
     return path

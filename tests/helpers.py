@@ -266,7 +266,7 @@ def reference_gru(embed: np.ndarray, ids: np.ndarray, w_x: np.ndarray, w_h: np.n
         h = (z * h) + ((z * -1.0 + 1.0) * n)
         states.append(h)
         caches.append((z, r, n, hw_n))
-    return np.concatenate(states).reshape(-1, nh), caches
+    return np.reshape(states, (-1, nh)), caches  # (0, h) for no step
 
 
 def reference_gru_backward(g: np.ndarray, ids: np.ndarray, states: np.ndarray,

@@ -13,8 +13,10 @@ from symtrain.autodiff import (
     gate_major,
     gru_cell_forward,
     gru_inputs,
+    _gru_steps,
     gru_sequence,
     gru_sequence_backward,
+    gru_sequence_inputs,
     gru_step,
     output_nll,
     output_nll_backward,
@@ -153,6 +155,15 @@ def test_gru_sequence_matches_finite_differences(seed):
     assert_grads_close(_grads(params), central_differences(loss, params))
 
 
+def _forward_from(h0, embed, ids, w_x, w_h, b):
+    """The GRU over ``ids[B, S]`` from the states ``h0[B, h]``, as
+    ``policy.sequence_token_logps`` runs it: the inputs of
+    :func:`gru_sequence_inputs` stepped by ``_gru_steps``.  Returns the S*B x
+    h states and the cache."""
+    states, cache = _gru_steps(gru_sequence_inputs(embed, ids, w_x, b), w_h, h0)
+    return states[1:].reshape(-1, h0.shape[1]), cache
+
+
 def _assert_close_to_reference(actual, reference, rtol=1e-12):
     """Equal to the reference within rtol of its largest entry: the batched
     kernels sum in another order, which moves entries that cancel."""
@@ -172,8 +183,9 @@ def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
         p.data *= scale
     p = {name: t.data for name, t in params.items()}
     ids = rng.integers(0, 6, (n_batch, n_steps))
+    # scoring's forward from a given start
     h0 = rng.uniform(-1, 1, (n_batch, GRU_HIDDEN))
-    states, _ = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN, h0)
+    states, _ = _forward_from(h0, p["embed"], ids, p["w_x"], p["w_h"], p["b"])
     _assert_close_to_reference(states, reference_gru(p["embed"], ids, p["w_x"], p["w_h"],
                                                      p["b"], h0)[0])
     # the backward runs from the zero state, as batch_nll trains
@@ -199,7 +211,8 @@ def test_gru_input_paths_agree(monkeypatch, n_batch, n_steps, given_h0, scale):
     # over V = 6 ids, S*B runs from 1 to 320: a batch that steps more positions
     # than the vocabulary has rows gathers its inputs from the vocabulary's
     # table; the same batch over a table padded with unused rows to S*B rows
-    # multiplies its own rows
+    # multiplies its own rows.  The training forward runs from the zero state,
+    # scoring's from a given one
     rng = np.random.default_rng(n_batch * 1000 + n_steps * 10 + given_h0)
     p = {name: t.data * scale for name, t in _gru_params(rng).items()}
     vocab = len(p["embed"])
@@ -212,11 +225,14 @@ def test_gru_input_paths_agree(monkeypatch, n_batch, n_steps, given_h0, scale):
         tables.append(args[0])
         return gru_inputs(*args)
 
+    def forward(embed):
+        if h0 is None:
+            return gru_sequence(embed, ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN)
+        return _forward_from(h0, embed, ids, p["w_x"], p["w_h"], p["b"])
+
     monkeypatch.setattr(autodiff, "gru_inputs", counted_gru_inputs)
-    states, cache = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN,
-                                 h0)
-    ref_states, ref_cache = gru_sequence(padded, ids, p["w_x"], p["w_h"], p["b"],
-                                         GRU_HIDDEN, h0)
+    states, cache = forward(p["embed"])
+    ref_states, ref_cache = forward(padded)
     # only the unpadded call, and only past V positions, builds the table
     assert [len(t) for t in tables] == ([vocab] if n_batch * n_steps > vocab else [])
     for actual, reference in [(states, ref_states), *zip(cache, ref_cache)]:

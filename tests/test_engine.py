@@ -8,6 +8,7 @@ import pytest
 
 from symtrain import engine, policy
 from symtrain.autodiff import TrainingError, sgd_step
+from symtrain.environments import expr, grid
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -363,6 +364,49 @@ def test_refinements_are_scored_from_the_task_frame(cloned):
             assert t_tilde.r == t.r
             copies += 1
     assert copies > 0
+
+
+def test_explore_phase_reads_each_task_x_once(cloned, monkeypatch):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    parsed = []
+
+    def counted(parse):
+        def parse_and_count(x):
+            parsed.append(tuple(x))
+            return parse(x)
+        return parse_and_count
+
+    monkeypatch.setattr(expr, "parse_task_input", counted(expr.parse_task_input))
+    monkeypatch.setattr(grid, "parse_grid_task", counted(grid.parse_grid_task))
+    expr._task_input.cache_clear()
+    grid._grid_spec.cache_clear()
+    pairs = explore_phase(model, tasks, config, iteration=3)
+    assert any(t_tilde is not None for _, t_tilde in pairs)
+    assert sorted(parsed) == sorted({t.x for t in tasks})
+
+
+def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypatch):
+    # the benchmark's traced identity: score calls = sampled + refined rows
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    calls = {"score": [], "execute": []}
+
+    def counted(name, fn):
+        def call_and_count(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return call_and_count
+
+    monkeypatch.setattr(engine, "score", counted("score", engine.score))
+    monkeypatch.setattr(engine, "execute", counted("execute", engine.execute))
+    pairs = explore_phase(model, tasks, config, iteration=3)
+    # all drafts are graded first, then all refinements
+    candidates = [t for t, _ in pairs] + [u for _, u in pairs if u is not None]
+    assert len(candidates) > len(pairs)
+    assert [tuple(a) for _, _, a in calls["score"]] == [t.a for t in candidates]
+    assert [(task.id, tuple(a)) for _, task, a in calls["execute"]] == \
+        [(t.task_id, t.a) for t in candidates]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from symtrain.environments import (
     EnvKind,
     ExecutionResult,
     Status,
+    TaskEncodingError,
     TaskInstance,
     canonical_output,
     execute,
@@ -19,6 +21,7 @@ from symtrain.environments import (
     witness_path,
     write_dataset,
 )
+from symtrain.environments import expr, grid
 from symtrain.environments.expr import (
     ExprParseError,
     ExprRuntimeError,
@@ -379,6 +382,34 @@ def test_execute_is_pure():
     first = execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"])
     second = execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"])
     assert first == second
+
+
+@pytest.mark.parametrize("env, x", [
+    (EnvKind.EXPR_MATH, ("a", "=", ";", "a")),  # a binding without digits
+    (EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0")),  # no goal
+])
+def test_a_malformed_x_raises_on_every_call(env, x):
+    # the runners read x through a memo, which must not keep the failure
+    task = TaskInstance("bad", x, "0,0", env=env.value)
+    for _ in range(3):
+        with pytest.raises(TaskEncodingError):
+            execute(env, task, ["a"])
+
+
+def test_the_memoised_task_inputs_cannot_be_mutated():
+    task = _expr_task(["a", "=", "3", ";", "sum", "a", "a"], "6")
+    bindings, query = expr._task_input(task.x)
+    with pytest.raises(TypeError):
+        bindings["a"] = 4
+    assert isinstance(query, tuple)
+    assert expr._task_input(task.x) == ({"a": 3}, ("sum", "a", "a"))
+    spec = grid._grid_spec(("grid", "2", "2", ";", "start", "0", "0", ";", "goal", "1", "1",
+                            ";", "wall", "0", "1"))
+    with pytest.raises(AttributeError):
+        spec.walls.add((1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.start = (1, 1)
+    assert execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"]).b == 1
 
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"

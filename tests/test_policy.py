@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from symtrain.autodiff import gru_sequence, log_softmax
+from symtrain.autodiff import _gru_steps, gru_sequence, gru_sequence_inputs, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -18,6 +18,7 @@ from symtrain.policy import (
     GenerationParams,
     PolicyModel,
     Vocab,
+    _CHECKPOINT_SLICE,
     batch_nll,
     condition_ids,
     _draw_tokens,
@@ -36,7 +37,7 @@ from symtrain.policy import (
     score,
     sequence_token_logps,
 )
-from helpers import assert_grads_close, central_differences
+from helpers import assert_grads_close, central_differences, reference_gru
 
 
 def toy_vocab():
@@ -68,10 +69,14 @@ def _refine_task(model, x, drafts, params, seeds):
 
 def _gru_states(model, ids, start=None):
     """The GRU states after each of the first T-1 tokens of ``ids[B, T]``, from
-    the zero state or from ``start``; row ``t*B + i`` predicts ``ids[i, t+1]``."""
+    the zero state through the training forward, or from ``start`` as
+    ``sequence_token_logps`` steps them; row ``t*B + i`` predicts ``ids[i, t+1]``."""
     p = {k: t.data for k, t in model.params.items()}
-    return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h,
-                        start)[0]
+    if start is None:
+        return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)[0]
+    states, _ = _gru_steps(gru_sequence_inputs(p["embed"], ids[:, :-1], p["w_x"], p["b"]),
+                           p["w_h"], start)
+    return states[1:].reshape(-1, model.h)
 
 
 def _condition_nll(model, condition, target):
@@ -528,6 +533,30 @@ def test_sequence_token_logps_match_batch_nll_per_token():
                                rtol=0, atol=1e-12)
 
 
+# the target's and condition's steps together on both sides of V = 16, where
+# the inputs switch from the product to the vocabulary's table
+@pytest.mark.parametrize("n_cond, n_target", [(0, 1), (0, 4), (3, 2), (0, 30), (12, 20)])
+@pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates the gates
+@pytest.mark.parametrize("from_start", [False, True])
+def test_sequence_token_logps_match_the_step_by_step_reference(n_cond, n_target, scale,
+                                                               from_start):
+    model = toy_model(seed=n_cond + n_target)
+    for param in model.params.values():
+        param.data *= scale
+    p = {k: t.data for k, t in model.params.items()}
+    rng = np.random.default_rng(n_cond * 100 + n_target)
+    cond = rng.integers(0, len(model.vocab), n_cond).tolist()
+    target = rng.integers(0, len(model.vocab), n_target).tolist()
+    start = rng.uniform(-1, 1, (1, model.h)) if from_start else np.zeros((1, model.h))
+    ids = np.asarray([[*cond, *target[:-1]]], dtype=np.intp)
+    states = reference_gru(p["embed"], ids, p["w_x"], p["w_h"], p["b"], start)[0]
+    rows = np.vstack([start, states])[n_cond:]
+    expected = log_softmax(rows @ p["w_out"] + p["b_out"])[np.arange(n_target), target]
+    actual = sequence_token_logps(model, cond, target, start if from_start else None)
+    assert actual.shape == (n_target,)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
 def test_batch_nll_gradient_matches_finite_differences():
     model = toy_model(seed=13)
     vocab = model.vocab
@@ -620,24 +649,32 @@ TRICKY_METADATA = {"params": '{"b": {"shape": [1, 36], "values": [', "note": '"}
 
 @pytest.mark.parametrize("metadata", [None, TRICKY_METADATA], ids=["none", "tricky"])
 def test_checkpoint_bytes_equal_one_dump_of_the_payload(tmp_path, metadata):
-    model = toy_model(seed=4)
-    path = save_checkpoint(model, tmp_path / "model.json", metadata)
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "d": model.d,
-        "h": model.h,
-        "vocab": model.vocab.tokens,
-        "params": {k: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-                   for k, t in model.params.items()},
-        "metadata": metadata or {},
-    }
-    assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
-    loaded, loaded_metadata = load_checkpoint(path)
-    assert loaded_metadata == (metadata or {})
-    assert (loaded.vocab.tokens, loaded.d, loaded.h) == (model.vocab.tokens, model.d, model.h)
-    for name, param in model.params.items():
-        assert np.array_equal(loaded.params[name].data, param.data)
+    # the toy model's largest parameter has 432 values, fewer than one slice;
+    # the default size's span several slices (w_h has 12,288 values)
+    toy, default = toy_model(seed=4), PolicyModel(default_vocab(), seed=4)
+    assert max(t.data.size for t in toy.params.values()) < _CHECKPOINT_SLICE
+    assert default.params["w_h"].data.size > 2 * _CHECKPOINT_SLICE
+    default.params["b"].data[0, :3] = [np.nan, np.inf, -0.0]  # JSON's odd spellings
+    for model in (toy, default):
+        path = save_checkpoint(model, tmp_path / "model.json", metadata)
+        payload = {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "d": model.d,
+            "h": model.h,
+            "vocab": model.vocab.tokens,
+            "params": {k: {"shape": list(t.data.shape),
+                           "values": t.data.reshape(-1).tolist()}
+                       for k, t in model.params.items()},
+            "metadata": metadata or {},
+        }
+        assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+        loaded, loaded_metadata = load_checkpoint(path)
+        assert loaded_metadata == (metadata or {})
+        assert (loaded.vocab.tokens, loaded.d, loaded.h) == \
+            (model.vocab.tokens, model.d, model.h)
+        for name, param in model.params.items():
+            assert np.array_equal(loaded.params[name].data, param.data, equal_nan=True)
 
 
 def test_checkpoint_metadata_json_cannot_encode_writes_no_file(tmp_path):
