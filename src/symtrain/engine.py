@@ -58,8 +58,8 @@ METHODS = ("envisions", "star_env", "sft_dpo")
 TRAIN_MODES = ("scratch", "continual")
 ABLATIONS = ("no_self_refine", "no_self_reward", "no_candidate_pool", "no_L2")
 
-# seed-stream domains
-_DOM_INIT, _DOM_SAMPLE, _DOM_REFINE, _DOM_SHUFFLE, _DOM_SELECT, _DOM_WARMUP = range(6)
+# seed-stream domains; 2, the retired per-draft refine stream, stays unused
+_DOM_INIT, _DOM_SAMPLE, _DOM_SHUFFLE, _DOM_SELECT, _DOM_WARMUP = 0, 1, 3, 4, 5
 
 
 class ConfigError(ValueError):
@@ -234,10 +234,12 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     ``BOS x SEP``, one ``sample`` call over tasks x K rows, and one ``refine``
     call over every non-empty draft.  Each candidate, a refinement too, is
     scored from its task's frame state (see :func:`~symtrain.policy.score`).
-    Draft k of task i draws from the k-th stream spawned from the seed keyed by
-    (iteration, i), and its refinement from the seed keyed by (iteration, i,
-    k), so a task's candidates do not depend on the other tasks or drafts in
-    the batch.
+    Task i draws one (K, 2, max_len) block of uniforms from the stream seeded
+    by (iteration, i): row [k, 0] holds draft k's uniforms and row [k, 1] its
+    refinement's.  So a task's candidates depend on its position only, not on
+    the other tasks in the batch; draft k and its refinement do not depend on
+    K, since the block is drawn in that order; and the drafts are the same
+    whether or not they are refined.
     """
     if not tasks:
         return []
@@ -247,10 +249,14 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
         i = j // config.K  # row j holds draft j % K of task i
         return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1])
 
-    seeds = [s for i in range(len(tasks)) for s in np.random.SeedSequence(
-        child_seed(config.seed, _DOM_SAMPLE, iteration, i)).spawn(config.K)]
+    # uniforms[j] is task j // K's block row j % K: [j, 0] for draft j, [j, 1] for
+    # its refinement
+    uniforms = np.concatenate([
+        np.random.default_rng(child_seed(config.seed, _DOM_SAMPLE, iteration, i))
+        .random((config.K, 2, config.max_len)) for i in range(len(tasks))])
     samples = sample(model, np.repeat(starts, config.K, axis=0),
-                     GenerationParams(config.temperature, config.max_len, len(seeds)), seeds)
+                     GenerationParams(config.temperature, config.max_len, len(uniforms)),
+                     uniforms[:, 0])
     explored = [candidate(j, a, "explore") for j, a in enumerate(samples)]
     refined: list[Trajectory | None] = [None] * len(samples)
     # an empty draft cannot prompt a refinement
@@ -259,8 +265,7 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
         refinements = refine(
             model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
             GenerationParams(config.temperature, config.max_len, len(drafts)),
-            seeds=[child_seed(config.seed, _DOM_REFINE, iteration, *divmod(j, config.K))
-                   for j in drafts])
+            uniforms[drafts, 1])
         for j, a_ref in zip(drafts, refinements):
             refined[j] = candidate(j, a_ref, "refine")
     return list(zip(explored, refined))

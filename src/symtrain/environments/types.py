@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 
 class EnvKind(str, Enum):
@@ -74,12 +75,24 @@ def canonical_output(s: str) -> str:
     return s
 
 
+@cache
+def _expected_output(y: str) -> str:
+    """:func:`canonical_output` of a task's y, read once per distinct y and
+    shared.  The memo holds one entry per distinct y the process grades, no
+    more than its datasets hold."""
+    return canonical_output(y)
+
+
 def graded(status: Status, output: str | None, expected: str) -> ExecutionResult:
-    """Build an ExecutionResult, deriving b from canonical output equality."""
+    """Build an ExecutionResult, deriving b from canonical output equality.
+
+    ``expected`` is the task's y, canonicalized once (:func:`_expected_output`):
+    exploration grades every candidate of a task against the same y.
+    """
     if status is not Status.OK:
         return ExecutionResult(status, output, 0)
     assert output is not None
-    b = 1 if canonical_output(output) == canonical_output(expected) else 0
+    b = 1 if canonical_output(output) == _expected_output(expected) else 0
     return ExecutionResult(status, output, b)
 
 

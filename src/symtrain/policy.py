@@ -23,7 +23,7 @@ Self-reward and the losses thus come from the same per-token
 log-probabilities.
 
 Generation steps all rows of a call together as one batch, each from its
-own state and with its own seed, so one call can serve the rows of many tasks.
+own state and its own uniforms, so one call can serve the rows of many tasks.
 Every frame of x starts with the task frame, so its state is computed once per
 task: :func:`frame_states` steps the task frames of many tasks in one pass,
 keeping only each row's state at the end of its frame.  ``sample`` draws one
@@ -43,12 +43,13 @@ steps before their recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`):
 from that table when the batch steps more positions than the vocabulary has
 rows, as most training minibatches do, and by multiplying its own rows when it
 steps fewer, as a ``score`` and a short DPO pair do.  Each sampled row draws
-its tokens by inverse CDF, from uniforms of its own seeded stream, over its
-logits less their maximum and divided by the temperature, so a tiny
-temperature gives the greedy limit; a greedy row takes the argmax.  A row's
-states move with its batch's makeup in the last bits only, so its tokens do
-not depend on the other rows except where a uniform falls within that noise of
-an inverse-CDF boundary.  No row ever emits PAD, BOS or SEP.
+its t-th token by inverse CDF with the t-th of its own row of uniforms, which
+the caller draws, over its logits less their maximum and divided by the
+temperature, so a tiny temperature gives the greedy limit; a greedy row takes
+the argmax.  A row's states move with its batch's makeup in the last bits
+only, so its tokens do not depend on the other rows except where a uniform
+falls within that noise of an inverse-CDF boundary.  No row ever emits PAD,
+BOS or SEP.
 """
 
 from __future__ import annotations
@@ -285,19 +286,17 @@ def _draw_tokens(logits: Array, u: Array) -> Array:
 
 
 def _generate(model: PolicyModel, states: Array, params: GenerationParams,
-              rngs: Sequence[np.random.Generator] | None) -> list[list[int]]:
+              uniforms: Array | None) -> list[list[int]]:
     """One solution per row of ``states``, the (B, h) states after each row's frame.
 
-    Greedy when rngs is None.  Otherwise row i draws its t-th token with the
-    t-th uniform of its own stream ``rngs[i]``.  EOS is consumed, not returned.
-    PAD, BOS and SEP are never emitted: a SEP inside a draft would corrupt the
-    refine frame.
+    Greedy when uniforms is None.  Otherwise row i draws its t-th token with
+    ``uniforms[i, t]``, from the (B, max_len) uniforms in [0, 1).  EOS is
+    consumed, not returned.  PAD, BOS and SEP are never emitted: a SEP inside
+    a draft would corrupt the refine frame.
     """
     p = {k: t.data for k, t in model.params.items()}
     b_out = p["b_out"].copy()
     b_out[:, [model.vocab.pad_id, model.vocab.bos_id, model.vocab.sep_id]] = -np.inf
-    if rngs is not None:
-        uniforms = np.stack([rng.random(params.max_len) for rng in rngs])
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     w_gates = gate_major(p["w_h"])
     rows = np.arange(len(states))
@@ -305,7 +304,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     out: list[list[int]] = [[] for _ in rows]
     for t in range(params.max_len):
         logits = h @ p["w_out"] + b_out
-        if rngs is None:
+        if uniforms is None:
             tokens = logits.argmax(axis=1)
         else:
             logits -= logits.max(axis=1, keepdims=True)
@@ -327,40 +326,44 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     return out
 
 
-def _rows_agree(what: str, params: GenerationParams, **rows: Sequence) -> None:
+def _rows_agree(what: str, params: GenerationParams, uniforms: Array,
+                **rows: Sequence) -> None:
     if any(len(v) != params.k_samples for v in rows.values()):
         raise ValueError(f"{what}: " + ", ".join(f"{len(v)} {k}" for k, v in rows.items())
                          + f" and k_samples={params.k_samples} must agree")
+    if np.shape(uniforms) != (params.k_samples, params.max_len):
+        raise ValueError(f"{what}: uniforms of shape {np.shape(uniforms)}, not (k_samples, "
+                         f"max_len) = ({params.k_samples}, {params.max_len})")
 
 
 def sample(model: PolicyModel, states: Array, params: GenerationParams,
-           seeds: Sequence[int | np.random.SeedSequence]) -> list[list[str]]:
+           uniforms: Array) -> list[list[str]]:
     """Draw one solution from each row of ``states``, the (B, h) task-frame
-    states (see :func:`frame_states`); row i draws from the stream seeds[i].
+    states (see :func:`frame_states`); row i draws its t-th token with
+    ``uniforms[i, t]``.
 
-    ``params.k_samples`` must equal the number of rows.
+    ``params.k_samples`` must equal the number of rows, and ``uniforms`` must
+    have the shape (k_samples, max_len).
     """
-    _rows_agree("sample", params, states=states, seeds=seeds)
-    return [model.vocab.decode(ids) for ids in _generate(
-        model, states, params, [np.random.default_rng(s) for s in seeds])]
+    _rows_agree("sample", params, uniforms, states=states)
+    return [model.vocab.decode(ids) for ids in _generate(model, states, params, uniforms)]
 
 
 def refine(model: PolicyModel, states: Array, drafts: Sequence[Sequence[str]],
-           params: GenerationParams,
-           seeds: Sequence[int | np.random.SeedSequence]) -> list[list[str]]:
+           params: GenerationParams, uniforms: Array) -> list[list[str]]:
     """Draw one refinement of each draft; draft i continues from states[i], the
-    task-frame state of its task (see :func:`frame_states`), and draws from the
-    stream seeds[i].
+    task-frame state of its task (see :func:`frame_states`), and draws its t-th
+    token with ``uniforms[i, t]``.
 
     All the drafts' tails ``a_prev SEP`` step in one right-padded pass.
-    ``params.k_samples`` must equal the number of drafts.
+    ``params.k_samples`` must equal the number of drafts, and ``uniforms``
+    must have the shape (k_samples, max_len).
     """
-    _rows_agree("refine", params, states=states, drafts=drafts, seeds=seeds)
+    _rows_agree("refine", params, uniforms, states=states, drafts=drafts)
     if not all(drafts):
         raise ValueError("refine: previous solutions must be non-empty")
     states = _frame_states(model, [draft_ids(model, a) for a in drafts], states)
-    return [model.vocab.decode(ids) for ids in _generate(
-        model, states, params, [np.random.default_rng(s) for s in seeds])]
+    return [model.vocab.decode(ids) for ids in _generate(model, states, params, uniforms)]
 
 
 def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
@@ -374,7 +377,7 @@ def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
         return []
     gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=len(frames))
     return [model.vocab.decode(ids)
-            for ids in _generate(model, _frame_states(model, frames), gen, rngs=None)]
+            for ids in _generate(model, _frame_states(model, frames), gen, None)]
 
 
 def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,

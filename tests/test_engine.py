@@ -8,7 +8,7 @@ import pytest
 
 from symtrain import engine, policy
 from symtrain.autodiff import TrainingError, sgd_step
-from symtrain.environments import expr, grid
+from symtrain.environments import expr, grid, types
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -285,6 +285,11 @@ def test_explore_is_deterministic_and_independent_of_batch_makeup(expr_setup):
     wider = explore_phase(model, tasks, tiny_config(K=5), iteration=1)
     assert [pair for i in range(len(tasks)) for pair in wider[5 * i:5 * i + 2]] == first
     assert any(t_tilde is not None for _, t_tilde in first)
+    # the drafts do not depend on whether they are refined
+    unrefined = explore_phase(model, tasks, tiny_config(K=2, ablations=["no_self_refine"]),
+                              iteration=1)
+    assert [t for t, _ in unrefined] == [t for t, _ in first]
+    assert all(t_tilde is None for _, t_tilde in unrefined)
 
 
 def _explore_task_by_task(model, tasks, config, iteration):
@@ -298,11 +303,13 @@ def _explore_task_by_task(model, tasks, config, iteration):
             return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
                               score(model, start, a), source, iteration, res.status)
 
+        # row [k, 0] of the task's block holds draft k's uniforms, [k, 1] its refinement's
+        block = np.random.default_rng(
+            child_seed(config.seed, engine._DOM_SAMPLE, iteration, i)
+        ).random((config.K, 2, config.max_len))
         samples = sample(model, np.repeat(start, config.K, axis=0),
                          GenerationParams(config.temperature, config.max_len, config.K),
-                         np.random.SeedSequence(
-                             child_seed(config.seed, engine._DOM_SAMPLE, iteration, i)
-                         ).spawn(config.K))
+                         block[:, 0])
         refined = [None] * config.K
         drafts = ([k for k, a in enumerate(samples) if a]
                   if "no_self_refine" not in config.ablations else [])
@@ -310,7 +317,7 @@ def _explore_task_by_task(model, tasks, config, iteration):
             refinements = refine(
                 model, np.repeat(start, len(drafts), axis=0), [samples[k] for k in drafts],
                 GenerationParams(config.temperature, config.max_len, len(drafts)),
-                [child_seed(config.seed, engine._DOM_REFINE, iteration, i, k) for k in drafts])
+                block[drafts, 1])
             for k, a_ref in zip(drafts, refinements):
                 refined[k] = candidate(a_ref, "refine")
         pairs += zip([candidate(a, "explore") for a in samples], refined)
@@ -384,6 +391,19 @@ def test_explore_phase_reads_each_task_x_once(cloned, monkeypatch):
     pairs = explore_phase(model, tasks, config, iteration=3)
     assert any(t_tilde is not None for _, t_tilde in pairs)
     assert sorted(parsed) == sorted({t.x for t in tasks})
+
+
+def test_explore_phase_canonicalizes_each_task_y_once(cloned):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    types._expected_output.cache_clear()
+    pairs = explore_phase(model, tasks, config, iteration=3)
+    ok = [t for pair in pairs for t in pair if t is not None and t.status is Status.OK]
+    # only an OK output is compared with y; each y is read at its first such grading
+    info = types._expected_output.cache_info()
+    assert info.misses == len({t.y for t in ok})
+    assert info.hits + info.misses == len(ok)
+    assert info.hits > 0
 
 
 def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypatch):
@@ -890,9 +910,9 @@ def test_a_witness_re_found_as_a_refinement_keeps_its_warmup_entry(tiny_dataset,
     pool.update(seeded)
     # under the unchanged model, every task's draft fails to parse and is refined
     # into the task's witness
-    monkeypatch.setattr(engine, "sample", lambda model, states, params, seeds:
-                        [["("] for _ in seeds])
-    monkeypatch.setattr(engine, "refine", lambda model, states, drafts, params, seeds:
+    monkeypatch.setattr(engine, "sample", lambda model, states, params, uniforms:
+                        [["("] for _ in uniforms])
+    monkeypatch.setattr(engine, "refine", lambda model, states, drafts, params, uniforms:
                         [witnesses[t.id] for t in held_in])
     pairs = explore_phase(model, held_in, config, iteration=1)
     assert [(t.b, t_tilde.b, t_tilde.a) for t, t_tilde in pairs] == \

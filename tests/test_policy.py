@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,18 +54,24 @@ def _random_tokens(rng, vocab, n):
     return [str(rng.choice(grammar)) for _ in range(n)]
 
 
+def _uniforms(seed, rows, max_len):
+    """(rows, max_len) uniforms from the seed's stream, row by row."""
+    return np.random.default_rng(seed).random((rows, max_len))
+
+
 def _sample_task(model, x, params, seed):
-    """Draw params.k_samples rows for one task, row k from the k-th stream
-    spawned from the seed."""
+    """Draw params.k_samples rows for one task, row k with the k-th row of
+    uniforms drawn from the seed."""
     n = params.k_samples
     return sample(model, np.repeat(frame_states(model, [x]), n, axis=0), params,
-                  np.random.SeedSequence(seed).spawn(n))
+                  _uniforms(seed, n, params.max_len))
 
 
-def _refine_task(model, x, drafts, params, seeds):
-    """Refine every draft of one task."""
+def _refine_task(model, x, drafts, params, seed):
+    """Refine every draft of one task, draft k with the k-th row of uniforms
+    drawn from the seed."""
     return refine(model, np.repeat(frame_states(model, [x]), len(drafts), axis=0), drafts,
-                  params, seeds)
+                  params, _uniforms(seed, len(drafts), params.max_len))
 
 
 def _gru_states(model, ids, start=None):
@@ -150,7 +157,7 @@ def test_a_subnormal_temperature_draws_the_greedy_tokens():
     model = toy_model(seed=3)
     xs = [["a", "b"], ["c"], ["d", "e", "f"], ["g", "h"]]
     params = GenerationParams(temperature=1e-310, max_len=10, k_samples=len(xs))
-    drawn = sample(model, frame_states(model, xs), params, list(range(len(xs))))
+    drawn = sample(model, frame_states(model, xs), params, _uniforms(0, len(xs), 10))
     assert drawn == greedy_batch(model, [condition_ids(model, x) for x in xs], 10)
     assert any(drawn)
 
@@ -172,7 +179,7 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
     model = toy_model()
     vocab = model.vocab
     out = _refine_task(model, ["a", "b"], [["c", "d"], ["e"]], GenerationParams(1.0, 80, 2),
-                       seeds=[4, 5])
+                       seed=4)
     assert len(out) == 2
     for seq in out:
         assert vocab.decode(vocab.encode(seq)) == seq
@@ -188,29 +195,42 @@ def test_refine_outputs_are_valid_and_conditioning_roundtrips():
 def test_refine_requires_previous_solution():
     with pytest.raises(ValueError, match="non-empty"):
         model = toy_model()
-        _refine_task(model, ["a"], [["b"], []], GenerationParams(1.0, 80, 2), seeds=[0, 1])
+        _refine_task(model, ["a"], [["b"], []], GenerationParams(1.0, 80, 2), seed=0)
+
+
+# uniforms a two-row, max_len 80 call rejects, naming their shape
+_BAD_UNIFORM_SHAPES = [(1, 80), (2, 79), (2, 80, 1), (160,)]
+
+
+def _bad_shape(shape):
+    return re.escape(f"uniforms of shape {shape}, not (k_samples, max_len) = (2, 80)")
 
 
 def test_refine_draws_one_refinement_per_draft():
     model = toy_model()
     states = np.repeat(frame_states(model, [["a"]]), 2, axis=0)
     params = GenerationParams(1.0, 80, 2)
+    uniforms = _uniforms(0, 2, 80)
     with pytest.raises(ValueError, match="must agree"):
-        refine(model, states[:1], [["b"]], params, seeds=[0])
+        refine(model, states[:1], [["b"]], params, uniforms)
     with pytest.raises(ValueError, match="must agree"):
-        refine(model, states, [["b"], ["c"]], params, seeds=[0])
+        refine(model, states, [["b"]], params, uniforms)
     with pytest.raises(ValueError, match="must agree"):
-        refine(model, states[:1], [["b"], ["c"]], params, seeds=[0, 1])
+        refine(model, states[:1], [["b"], ["c"]], params, uniforms)
+    for shape in _BAD_UNIFORM_SHAPES:
+        with pytest.raises(ValueError, match=_bad_shape(shape)):
+            refine(model, states, [["b"], ["c"]], params, np.zeros(shape))
 
 
-def test_sample_draws_one_row_per_state_and_seed():
+def test_sample_draws_one_row_per_state_and_uniform_row():
     model = toy_model()
     states = np.repeat(frame_states(model, [["a"]]), 2, axis=0)
     params = GenerationParams(1.0, 80, 2)
     with pytest.raises(ValueError, match="must agree"):
-        sample(model, states, params, seeds=[0])
-    with pytest.raises(ValueError, match="must agree"):
-        sample(model, states[:1], params, seeds=[0, 1])
+        sample(model, states[:1], params, _uniforms(0, 2, 80))
+    for shape in _BAD_UNIFORM_SHAPES:
+        with pytest.raises(ValueError, match=_bad_shape(shape)):
+            sample(model, states, params, np.zeros(shape))
 
 
 def test_generation_never_emits_pad_bos_or_sep():
@@ -225,7 +245,7 @@ def test_generation_never_emits_pad_bos_or_sep():
                *greedy_batch(model, [condition_ids(model, ["a"]),
                                      condition_ids(model, ["a", "b", "c"], ["d"])], 12),
                *_sample_task(model, ["a", "b"], params, seed=3),
-               *_refine_task(model, ["a", "b"], [["c", "d"]] * 6, params, seeds=range(6))]
+               *_refine_task(model, ["a", "b"], [["c", "d"]] * 6, params, seed=6)]
     for seq in outputs:
         assert not masked & set(seq), seq
     # scoring keeps the full softmax, so SEP still takes nearly all the mass
@@ -243,10 +263,12 @@ def test_sample_rows_do_not_depend_on_how_many_are_drawn():
 def test_refinement_does_not_depend_on_the_other_drafts():
     model = toy_model(seed=12)
     drafts = [["c", "d"], ["e"], list("fghijk"), ["a", "a", "b"]]
-    seeds = [101, 7, 33, 4]
-    together = _refine_task(model, ["a", "b"], drafts, GenerationParams(1.0, 12, 4), seeds)
-    alone = [_refine_task(model, ["a", "b"], [a], GenerationParams(1.0, 12, 1), [seed])[0]
-             for a, seed in zip(drafts, seeds)]
+    start = frame_states(model, [["a", "b"]])
+    uniforms = _uniforms(101, len(drafts), 12)
+    together = refine(model, np.repeat(start, len(drafts), axis=0), drafts,
+                      GenerationParams(1.0, 12, len(drafts)), uniforms)
+    alone = [refine(model, start, [a], GenerationParams(1.0, 12, 1), uniforms[k:k + 1])[0]
+             for k, a in enumerate(drafts)]
     assert together == alone
 
 
@@ -259,21 +281,22 @@ def test_rows_of_a_mixed_batch_equal_each_tasks_rows_drawn_alone():
     k = 4
     starts = frame_states(model, xs)
     owner = [0, 1, 1, 0, 1, 0, 0, 1]
-    seeds = [np.random.SeedSequence(7 + i).spawn(k) for i in range(2)]
-    row_seeds = [seeds[i][owner[:j].count(i)] for j, i in enumerate(owner)]
+    # row j takes its task's next row of uniforms
+    task_uniforms = [_uniforms(7 + i, k, 12) for i in range(2)]
+    uniforms = np.stack([task_uniforms[i][owner[:j].count(i)] for j, i in enumerate(owner)])
     params = GenerationParams(1.0, 12, len(owner))
-    mixed = sample(model, starts[owner], params, row_seeds)
+    mixed = sample(model, starts[owner], params, uniforms)
     for i, x in enumerate(xs):
         alone = _sample_task(model, x, GenerationParams(1.0, 12, k), 7 + i)
         assert [a for a, o in zip(mixed, owner) if o == i] == alone
     drafts = [a or ["b"] for a in mixed]
-    refine_seeds = [100 + j for j in range(len(owner))]
-    mixed = refine(model, starts[owner], drafts, params, refine_seeds)
+    uniforms = _uniforms(100, len(owner), 12)
+    mixed = refine(model, starts[owner], drafts, params, uniforms)
     for i, x in enumerate(xs):
         rows = [j for j, o in enumerate(owner) if o == i]
-        alone = _refine_task(model, x, [drafts[j] for j in rows],
-                             GenerationParams(1.0, 12, len(rows)),
-                             [refine_seeds[j] for j in rows])
+        alone = refine(model, np.repeat(starts[i:i + 1], len(rows), axis=0),
+                       [drafts[j] for j in rows], GenerationParams(1.0, 12, len(rows)),
+                       uniforms[rows])
         assert [mixed[j] for j in rows] == alone
 
 
@@ -406,14 +429,12 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
                                    rtol=0, atol=1e-12)
         params = GenerationParams(1.0, 12, len(drafts))
         for seed in range(3):
-            seeds = [seed * 10 + k for k in range(len(drafts))]
-            rngs = [np.random.default_rng(s) for s in seeds]
-            assert _refine_task(model, task.x, drafts, params, seeds) == \
-                [model.vocab.decode(ids) for ids in _generate(model, full, params, rngs)]
-            rngs = [np.random.default_rng(s)
-                    for s in np.random.SeedSequence(seed).spawn(len(drafts))]
+            uniforms = _uniforms(seed, len(drafts), 12)
+            assert _refine_task(model, task.x, drafts, params, seed) == \
+                [model.vocab.decode(ids) for ids in _generate(model, full, params, uniforms)]
             assert _sample_task(model, task.x, params, seed) == \
-                [model.vocab.decode(ids) for ids in _generate(model, task_frames, params, rngs)]
+                [model.vocab.decode(ids)
+                 for ids in _generate(model, task_frames, params, uniforms)]
 
 
 def test_score_bounds():
