@@ -10,9 +10,10 @@ every iteration end the same way: evaluate both splits and record one
 ``IterationReport``, which carries the solve rates and the analysis
 quantities.  ``reports.jsonl`` streams those records, one line each.  Before
 any of it, ``run`` rejects a dataset that no run could grade correctly
-(:func:`check_tasks` and the witness checks in :func:`run`).  Everything is a
-pure function of (config, dataset): all randomness derives from the config
-seed.
+(:func:`check_tasks` and the witness checks in :func:`run`).  A step is off
+when the config's ablations name it or when the method table
+``METHOD_ABLATIONS`` implies it for the method.  Everything is a pure function
+of (config, dataset): all randomness derives from the config seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -54,7 +55,10 @@ from symtrain.policy import (
 )
 from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair, persist
 
-METHODS = ("envisions", "star_env", "sft_dpo")
+# the ablations each method implies: STaR is envisions without refinement or L2
+METHOD_ABLATIONS: dict[str, tuple[str, ...]] = {
+    "envisions": (), "star_env": ("no_self_refine", "no_L2"), "sft_dpo": ()}
+METHODS = tuple(METHOD_ABLATIONS)
 TRAIN_MODES = ("scratch", "continual")
 ABLATIONS = ("no_self_refine", "no_self_reward", "no_candidate_pool", "no_L2")
 
@@ -69,11 +73,12 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """All experiment knobs.  The first twelve fields are required in config
-    files; the rest default to the documented desk-scale settings.  The clip
-    (``autodiff.CLIP``) and the pool cap (``pool.DEFAULT_POOL_CAP``) are fixed.
-    Only tests set ``seed_pool_with_warmup`` or ``eval_with_refine`` off their
-    defaults, but the benchmark's checks read both (``bench/tracing.py``,
-    ``bench/worker.py``), so removing them is a change to the benchmark."""
+    files; the rest default to the documented desk-scale settings.  Fixed, so
+    unknown keys in a config: the clip (``autodiff.CLIP``), the pool cap
+    (``pool.DEFAULT_POOL_CAP``) and the two class constants, which hold what
+    every run does: seed the pool with its warmup witnesses and evaluate
+    without a refinement retry.  The constants exist only because the
+    benchmark's checks read them (``bench/tracing.py``, ``bench/worker.py``)."""
 
     env: str
     method: str
@@ -94,8 +99,9 @@ class RunConfig:
     batch_size: int = 8
     warmup_tasks: int = 20
     warmup_epochs: int = 150
-    seed_pool_with_warmup: bool = True
-    eval_with_refine: bool = False
+    # read-only; ROADMAP item 2(b) deletes them with the benchmark's wrappers
+    seed_pool_with_warmup: ClassVar[bool] = True
+    eval_with_refine: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.ablations, (list, tuple)) or \
@@ -126,9 +132,6 @@ class RunConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or not 0 < value <= sys.float_info.max:
                 raise ConfigError(f"{name} must be a finite positive number")
-        for name in ("seed_pool_with_warmup", "eval_with_refine"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false")
         for abl in self.ablations:
             if abl not in ABLATIONS:
                 raise ConfigError(f"unknown ablation {abl!r} (valid: {ABLATIONS})")
@@ -176,7 +179,8 @@ class IterationReport:
 
     The last four fields are the analysis quantities (see ``analysis``).
     ``stability`` is None at iteration 0, and ``delta_logp`` is None until an
-    iteration has selected U2 pairs to probe.
+    iteration has selected U2 pairs to probe.  ``held_out_rate`` is 0.0 when
+    the dataset has no held_out tasks, as ``gen-data``'s default makes it.
     """
 
     iteration: int
@@ -260,8 +264,8 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     explored = [candidate(j, a, "explore") for j, a in enumerate(samples)]
     refined: list[Trajectory | None] = [None] * len(samples)
     # an empty draft cannot prompt a refinement
-    drafts = [j for j, a in enumerate(samples) if a] if _self_refine_on(config) else []
-    if drafts:
+    drafts = [j for j, a in enumerate(samples) if a]
+    if drafts and not _ablated(config, "no_self_refine"):
         refinements = refine(
             model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
             GenerationParams(config.temperature, config.max_len, len(drafts)),
@@ -271,16 +275,9 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     return list(zip(explored, refined))
 
 
-def _self_refine_on(config: RunConfig) -> bool:
-    if config.method == "star_env":
-        return False
-    return "no_self_refine" not in config.ablations
-
-
-def _l2_on(config: RunConfig) -> bool:
-    if config.method == "star_env":
-        return False
-    return "no_L2" not in config.ablations
+def _ablated(config: RunConfig, name: str) -> bool:
+    """Whether the config names ablation ``name`` or its method implies it."""
+    return name in config.ablations or name in METHOD_ABLATIONS[config.method]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +305,7 @@ def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
     takes uniform random subsets instead of the reward-ranked ones.
     """
     rng = (np.random.default_rng(child_seed(config.seed, _DOM_SELECT, iteration))
-           if "no_self_reward" in config.ablations else None)
+           if _ablated(config, "no_self_reward") else None)
     u1_entries: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     u2_entries: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
     for task in tasks:
@@ -319,7 +316,7 @@ def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
         u1 = select_u1(sets, config.N1)
         assert all(t.b == 1 for t in u1)
         u1_entries += [(t.x, t.a) for t in u1]
-        if _l2_on(config) and config.N2 > 0:
+        if not _ablated(config, "no_L2") and config.N2 > 0:
             pairs = select_u2(sets, config.N1, config.N2)
             assert all(p.b == 1 and n.b == 0 for p, n in pairs)
             u2_entries += [(p.x, p.a, n.a) for p, n in pairs]
@@ -478,7 +475,8 @@ def evaluate(model: PolicyModel, tasks: Sequence[TaskInstance], env: str,
     """Greedy solve rate plus the set of solved task ids.
 
     Every task's greedy solution comes from one batched greedy pass over the
-    task frames.  With ``with_refine``, each unsolved task with a non-empty
+    task frames.  With ``with_refine``, which serves ``symtrain eval
+    --with-refine`` (a run never retries), each unsolved task with a non-empty
     output gets one more try: one more batched pass greedily refines those
     outputs in their refine frames.
     """
@@ -527,19 +525,20 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     """Warmup, then iterate explore/filter/select/train/evaluate.
 
     Raises ValueError, naming the first offender, on a task :func:`check_tasks`
-    rejects, a dataset without held_in tasks, a witness for a task id not in
-    the dataset or with a control token or a token outside the vocabulary, or a
-    warmup task without a witness.  Writes reports.jsonl (streamed per
-    iteration), summary.json and the final checkpoint and pool when out_dir is
-    given.
+    rejects, a warmup that leaves no held_in task to evaluate, a witness for
+    a task id not in the dataset or with a control token or a token outside the
+    vocabulary, or a warmup task without a witness.  Writes reports.jsonl
+    (streamed per iteration), summary.json and the final checkpoint and pool
+    when out_dir is given.
     """
     vocab = default_vocab()
     check_tasks(dataset, config.env, vocab)
     ids = {t.id for t in dataset}
     held_in = [t for t in dataset if t.split == "held_in"]
     held_out = [t for t in dataset if t.split == "held_out"]
-    if not held_in:
-        raise ValueError("dataset has no held_in tasks")
+    if config.warmup_tasks >= len(held_in):
+        raise ValueError(f"warmup_tasks = {config.warmup_tasks} leaves none of the "
+                         f"dataset's {len(held_in)} held_in tasks to evaluate")
     for task_id, witness in witnesses.items():
         if task_id not in ids:
             raise ValueError(f"witness for unknown task id {task_id!r}")
@@ -547,9 +546,8 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
             _check_tokens(vocab, witness)
         except ValueError as exc:
             raise ValueError(f"witness of task {task_id!r}: {exc}") from exc
-    n_warm = min(config.warmup_tasks, len(held_in))
-    warmup = held_in[:n_warm]
-    eval_held_in = held_in[n_warm:]
+    warmup = held_in[:config.warmup_tasks]
+    eval_held_in = held_in[config.warmup_tasks:]
     missing = [t.id for t in warmup if t.id not in witnesses]
     if missing:
         raise ValueError(f"missing witness solutions for warmup tasks: {missing[:3]}")
@@ -568,10 +566,8 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
               probe: Sequence[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]],
               ) -> None:
         """Evaluate both splits, then record, stream and announce the report."""
-        held_in_rate, solved = evaluate(model, eval_held_in, config.env,
-                                        config.max_len, config.eval_with_refine)
-        held_out_rate, _ = evaluate(model, held_out, config.env,
-                                    config.max_len, config.eval_with_refine)
+        held_in_rate, solved = evaluate(model, eval_held_in, config.env, config.max_len)
+        held_out_rate, _ = evaluate(model, held_out, config.env, config.max_len)
         solved_before = {task_id for r in reports for task_id in r.solved_task_ids}
         report = IterationReport(
             iteration, tuple(sorted(solved)), new_count, l1_sum, l2_sum,
@@ -599,20 +595,19 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         warm_l1, _ = _run_epochs(model, warm_examples, config,
                                  child_seed(config.seed, _DOM_WARMUP), 0,
                                  epochs=config.warmup_epochs)
-        seeded = 0
-        if config.seed_pool_with_warmup:
-            # scored as exploration scores a candidate, from the task's frame state
-            starts = frame_states(model, [t.x for t in warmup])
-            seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                             starts[i:i + 1])
-                                  for i, t in enumerate(warmup)])
+        # seed the pool with the witnesses, scored as exploration scores a
+        # candidate, from the task's frame state
+        starts = frame_states(model, [t.x for t in warmup])
+        seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0,
+                                         starts[i:i + 1])
+                              for i, t in enumerate(warmup)])
         close(0, model, pool, seeded, warm_l1, 0.0, [])
 
         probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
         for iteration in range(1, config.iterations + 1):
             pairs = explore_phase(model, held_in, config, iteration)
             filtered = [filter_pair(t, t_tilde) for t, t_tilde in pairs]
-            if "no_candidate_pool" in config.ablations:
+            if _ablated(config, "no_candidate_pool"):
                 pool = CandidatePool()
             new_count = pool.update(filtered)
             sets = build_training_sets(pool, held_in, config, iteration)

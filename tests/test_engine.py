@@ -110,7 +110,6 @@ def test_config_invariants():
     ("max_len", 0), ("d", 0), ("h", 0), ("max_len", 257),
     ("warmup_epochs", -1), ("K", 2.5), ("iterations", 1.5), ("K", True),
     ("seed", -1), ("dpo_beta", -0.1), ("ablations", "no_L2"),
-    ("eval_with_refine", "false"), ("seed_pool_with_warmup", 1),
     # tiny_config trains from scratch, which the SFT+DPO stages would ignore
     ("method", "sft_dpo"),
     # clip is fixed at autodiff.CLIP, so naming it at all is an unknown key
@@ -121,9 +120,12 @@ def test_config_rejects_values_that_misbehave_later(field, value):
         tiny_config(**{field: value})
 
 
-@pytest.mark.parametrize("field,value", [("clip", 5.0), ("pool_cap", 64)])
+@pytest.mark.parametrize("field,value", [
+    ("clip", 5.0), ("pool_cap", 64),
+    ("eval_with_refine", False), ("seed_pool_with_warmup", True),
+])
 def test_config_rejects_the_fixed_knobs(field, value):
-    # clip and pool_cap are fixed: no config may set them, even to their values
+    # these are fixed: no config may set them, even to their values
     with pytest.raises(ConfigError, match=f"unknown config key '{field}'"):
         tiny_config(**{field: value})
 
@@ -680,13 +682,12 @@ def test_empty_splits_evaluate_to_zero_without_generating(tiny_dataset, monkeypa
     model = PolicyModel(default_vocab(), d=8, h=12, seed=0)
     for with_refine in (False, True):
         assert evaluate(model, [], "expr_math", 12, with_refine) == (0.0, set())
-    # the warmup takes every held_in task and there are no held_out tasks, so
-    # both evaluation batches are empty at every iteration
+    # without held_out tasks, that evaluation batch is empty at every iteration
     tasks, witnesses = tiny_dataset
     held_in = [t for t in tasks if t.split == "held_in"]
-    config = tiny_config(warmup_tasks=len(held_in) + 1, iterations=1, eval_with_refine=True)
-    result = run(config, held_in, {t.id: witnesses[t.id] for t in held_in})
-    assert [(r.held_in_rate, r.held_out_rate) for r in result.reports] == [(0.0, 0.0)] * 2
+    result = run(tiny_config(iterations=1), held_in,
+                 {t.id: witnesses[t.id] for t in held_in})
+    assert [r.held_out_rate for r in result.reports] == [0.0] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +779,7 @@ def test_run_rejects_a_dataset_it_cannot_grade(tiny_dataset, fault, message):
         run(tiny_config(), tasks, witnesses)
 
 
-def test_run_without_seeding_the_pool_starts_it_empty(tiny_dataset, monkeypatch):
+def test_run_seeds_the_pool_with_the_warmup_witnesses(tiny_dataset, monkeypatch):
     tasks, witnesses = tiny_dataset
     sizes = []
     update = CandidatePool.update
@@ -791,12 +792,6 @@ def test_run_without_seeding_the_pool_starts_it_empty(tiny_dataset, monkeypatch)
     seeded = run(tiny_config(iterations=1), tasks, witnesses)
     assert seeded.reports[0].new_trajectory_count == 2  # the two warmup witnesses
     assert sizes == [0, 2]
-    sizes.clear()
-    result = run(tiny_config(iterations=1, seed_pool_with_warmup=False), tasks, witnesses)
-    assert result.reports[0].new_trajectory_count == 0
-    # the warmup adds nothing: the one update is iteration 1's, into an empty pool
-    assert sizes == [0]
-    assert all(t.iteration == 1 for t in result.pool.all_entries())
 
 
 def test_star_env_matches_fully_ablated_envisions(tiny_dataset):
@@ -926,6 +921,11 @@ def test_run_rejects_dataset_without_held_in():
                                         split="held_out")
     with pytest.raises(ValueError, match="held_in"):
         run(tiny_config(), tasks, witnesses)
+    # a warmup that takes every held_in task leaves none to evaluate
+    tasks, witnesses = generate_dataset(EnvKind.EXPR_MATH, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^warmup_tasks = 2 leaves none of the "
+                                         r"dataset's 2 held_in tasks to evaluate$"):
+        run(tiny_config(warmup_tasks=2), tasks, witnesses)
 
 
 def test_child_seed_is_stable():
