@@ -503,8 +503,9 @@ def _check_tokens(vocab: Vocab, tokens: Sequence[str]) -> None:
 
 def check_tasks(tasks: Sequence[TaskInstance], env: str, vocab: Vocab) -> None:
     """Raise ValueError, naming the first offending task, on a duplicate task
-    id, a task of an env other than ``env``, or a task whose x has a control
-    token, a token outside ``vocab`` or a layout the env cannot read."""
+    id, a task of an env other than ``env``, a task whose x has a control
+    token, a token outside ``vocab`` or a layout the env cannot read, or a task
+    whose y the env can never produce."""
     ids: set[str] = set()
     for t in tasks:
         if t.id in ids:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
-from symtrain.environments.expr import run_expr
+from symtrain.environments import expr, grid, logic
 from symtrain.environments.generate import (
     generate_dataset,
     load_dataset,
@@ -12,8 +13,6 @@ from symtrain.environments.generate import (
     witness_path,
     write_dataset,
 )
-from symtrain.environments.grid import run_grid
-from symtrain.environments.logic import run_logic
 from symtrain.environments.types import (
     MAX_SOLUTION_LEN,
     SPLITS,
@@ -23,7 +22,6 @@ from symtrain.environments.types import (
     TaskEncodingError,
     TaskInstance,
     canonical_output,
-    graded,
 )
 
 __all__ = [
@@ -38,45 +36,54 @@ __all__ = [
     "check_task",
     "execute",
     "generate_dataset",
-    "graded",
     "load_dataset",
     "load_witnesses",
-    "run_expr",
-    "run_grid",
-    "run_logic",
     "witness_path",
     "write_dataset",
 ]
 
-_RUNNERS = {
-    EnvKind.EXPR_MATH: run_expr,
-    EnvKind.LOGIC_RULES: run_logic,
-    EnvKind.GRID_AGENT: run_grid,
+# each env's reader of a task, (x, canonical y) -> reading, and its runner of a
+# solution, (a, reading, canonical y) -> ExecutionResult
+_ENVS = {
+    EnvKind.EXPR_MATH: (expr.read_task, expr.run_expr),
+    EnvKind.LOGIC_RULES: (logic.read_task, logic.run_logic),
+    EnvKind.GRID_AGENT: (grid.read_task, grid.run_grid),
 }
+
+
+@cache
+def _read(env: EnvKind, x: tuple[str, ...], y: str) -> tuple[object, str]:
+    """The env's reading of a task and its canonical y, shared read-only.
+
+    The one place a task is read: expr's bindings and query, grid's frozen
+    ``GridSpec``, nothing for logic.  The memo holds one entry per distinct
+    task the process grades, no more than its datasets hold.  A task the
+    reader rejects raises, and nothing is cached for it, so it raises again
+    on every call.
+    """
+    expected = canonical_output(y)
+    return _ENVS[env][0](x, expected), expected
 
 
 def execute(env: EnvKind | str, task: TaskInstance, a: Sequence[str]) -> ExecutionResult:
     """Run a candidate solution in its environment.
 
     Pure in (env, task, a); every failure mode of the solution is encoded in
-    the result status with b=0 rather than raised.  The expr and grid runners
-    read each distinct x once and share the parsed form read-only, so
-    grading the K samples and refinements of a task parses its x once.  A
-    solution longer than ``MAX_SOLUTION_LEN`` tokens times out before the
-    environment's runner starts.  That is the one bound on a solution's work:
-    within it every runner ends fast without a budget of its own.
+    the result status with b=0 rather than raised.  The task is read once
+    (:func:`_read`), so grading the K samples and refinements of a task reads
+    its x and y once.  A solution longer than ``MAX_SOLUTION_LEN`` tokens
+    times out before the task is read or the runner starts.  That is the one
+    bound on a solution's work: within it every runner ends fast without a
+    budget of its own.
     """
     env = EnvKind(env)
     if len(a) > MAX_SOLUTION_LEN:
-        return graded(Status.TIMEOUT, None, task.y)
-    return _RUNNERS[env](a, task)
+        return ExecutionResult(Status.TIMEOUT, None, 0)
+    reading, expected = _read(env, task.x, task.y)
+    return _ENVS[env][1](a, reading, expected)
 
 
 def check_task(env: EnvKind | str, task: TaskInstance) -> None:
-    """Raise TaskEncodingError if env cannot read task.x.
-
-    Each runner reads what it needs of x before it reads the solution (logic
-    programs state their own facts, so logic_rules reads none of it), so
-    grading the empty solution reads x alone.
-    """
-    _RUNNERS[EnvKind(env)]((), task)
+    """Raise TaskEncodingError if env cannot read task.x, or can never produce
+    task.y; the reading is the one :func:`execute` then grades with."""
+    _read(EnvKind(env), task.x, task.y)

@@ -6,6 +6,9 @@ Solutions are token sequences over digits, single-letter identifiers,
 offset into that string.  Division is exact integer division: a non-zero
 remainder is a runtime failure, which keeps every output a canonical integer.
 
+A task is read once, by :func:`read_task`, into the bindings and query of x;
+``execute`` shares that reading read-only across every solution it grades.
+
 ``execute`` grades solutions of at most ``MAX_SOLUTION_LEN`` (256) tokens, and
 that bound is the evaluator's too: the parser then nests at most 127
 parentheses (about 381 frames), the AST has at most 256 nodes, and every
@@ -15,11 +18,10 @@ value has at most 256 digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
+from symtrain.environments.types import Status, TaskEncodingError, graded
 
 
 class ExprParseError(ValueError):
@@ -204,29 +206,25 @@ def parse_task_input(x: Sequence[str]) -> tuple[dict[str, int], list[str]]:
     return bindings, query
 
 
-@cache
-def _task_input(x: tuple[str, ...]) -> tuple[Mapping[str, int], tuple[str, ...]]:
-    """:func:`parse_task_input` of x, read once per distinct x and shared
-    read-only.  The memo holds one entry per distinct x the process grades,
-    no more than its datasets hold.  A malformed x raises, and nothing is
-    cached for it, so it raises again on every call."""
+def read_task(x: tuple[str, ...], y: str) -> tuple[Mapping[str, int], tuple[str, ...]]:
+    """The bindings of x, read-only, and its query; the canonical y must be an
+    integer, as every output of this environment is."""
     bindings, query = parse_task_input(x)
+    if not y.removeprefix("-").isdecimal():
+        raise TaskEncodingError(f"y {y!r} is not an integer")
     return MappingProxyType(bindings), tuple(query)
 
 
-def run_expr(a: Sequence[str], task: TaskInstance):
-    """Execute an expression solution against a task: parse, evaluate, grade.
-
-    The task's x is read once (:func:`_task_input`): exploration executes
-    every candidate of a task against the same x.
-    """
-    bindings, _ = _task_input(task.x)
+def run_expr(a: Sequence[str], reading: tuple[Mapping[str, int], tuple[str, ...]],
+             expected: str):
+    """Parse and evaluate a solution under the task's bindings, and grade it."""
+    bindings, _ = reading
     try:
         node = parse_expr(a)
     except ExprParseError:
-        return graded(Status.PARSE_ERROR, None, task.y)
+        return graded(Status.PARSE_ERROR, None, expected)
     try:
         value = eval_expr(node, bindings)
     except ExprRuntimeError:
-        return graded(Status.RUNTIME_ERROR, None, task.y)
-    return graded(Status.OK, str(value), task.y)
+        return graded(Status.RUNTIME_ERROR, None, expected)
+    return graded(Status.OK, str(value), expected)

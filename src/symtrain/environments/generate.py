@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from symtrain.environments.expr import ExprRuntimeError, eval_expr, parse_expr
-from symtrain.environments.grid import MOVES, GridSpec
+from symtrain.environments.grid import GridSpec, step
 from symtrain.environments.types import SPLITS, EnvKind, TaskInstance
 
 # operand magnitude ranges (inclusive) per split
@@ -126,10 +126,8 @@ def _bfs_path(spec: GridSpec) -> list[str] | None:
         if pos == spec.goal:
             return path
         for action in "UDLR":
-            dr, dc = MOVES[action]
-            nxt = (pos[0] + dr, pos[1] + dc)
-            if (0 <= nxt[0] < spec.rows and 0 <= nxt[1] < spec.cols
-                    and nxt not in spec.walls and nxt not in seen):
+            nxt = step(spec, pos, action)  # a blocked move stays on pos, already seen
+            if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, path + [action]))
     return None
@@ -212,45 +210,38 @@ def write_dataset(tasks: Sequence[TaskInstance], witnesses: dict[str, list[str]]
     return path, side
 
 
-def read_record(line: str, strings: Sequence[str]) -> dict:
-    """The JSON object on one line of a JSON Lines file.
+def _read_json_lines(path: str | Path, strings: Sequence[str], what: str,
+                     build: Callable[[dict], object]) -> list:
+    """``build`` of each record of a JSON Lines file, blank lines skipped.
 
-    Raises KeyError or ValueError unless the line is an object whose
-    ``strings`` fields are all strings.
+    Raises ValueError naming the line of the first record that is not a JSON
+    object whose ``strings`` fields are all strings, or that ``build`` rejects.
     """
-    rec = json.loads(line)
-    if not isinstance(rec, dict):
-        raise ValueError(f"expected a JSON object, got a {type(rec).__name__}")
-    for key in strings:
-        if not isinstance(rec[key], str):
-            raise ValueError(f"field {key!r} must be a string, got {rec[key]!r}")
-    return rec
+    out = []
+    with Path(path).open() as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object, got a {type(rec).__name__}")
+                for key in strings:
+                    if not isinstance(rec[key], str):
+                        raise ValueError(f"field {key!r} must be a string, got {rec[key]!r}")
+                out.append(build(rec))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}: bad {what} record on line {line_no}: {exc}")
+    return out
 
 
 def load_dataset(path: str | Path) -> list[TaskInstance]:
-    tasks = []
-    with Path(path).open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = read_record(line, ("id", "x", "y", "split", "env"))
-                tasks.append(TaskInstance(rec["id"], tuple(rec["x"].split()),
-                                          rec["y"], rec["split"], rec["env"]))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: bad dataset record on line {line_no}: {exc}")
-    return tasks
+    return _read_json_lines(
+        path, ("id", "x", "y", "split", "env"), "dataset",
+        lambda rec: TaskInstance(rec["id"], tuple(rec["x"].split()), rec["y"],
+                                 rec["split"], rec["env"]))
 
 
 def load_witnesses(path: str | Path) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    with Path(path).open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = read_record(line, ("id", "a"))
-                out[rec["id"]] = rec["a"].split()
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: bad witness record on line {line_no}: {exc}")
-    return out
+    return dict(_read_json_lines(path, ("id", "a"), "witness",
+                                 lambda rec: (rec["id"], rec["a"].split())))

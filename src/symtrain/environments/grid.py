@@ -2,18 +2,22 @@
 
 The task input encodes a rows x cols board with a start cell, a goal cell and
 wall cells; a solution is a sequence of ``U D L R`` moves.  Walking into a
-wall or off the board is a no-op.  The execution output is the final cell as
-``"row,col"`` and feedback compares it to the goal encoded in y.  ``execute``
-bounds a solution at ``MAX_SOLUTION_LEN`` (256) moves.
+wall or off the board is a no-op (:func:`step`).  The execution output is the
+final cell as ``"row,col"``.  ``execute`` bounds a solution at
+``MAX_SOLUTION_LEN`` (256) moves.
+
+A task is read once, by :func:`read_task`, into a frozen :class:`GridSpec`
+that ``execute`` shares across every solution it grades.  The reader accepts
+only a y that is the goal cell written in x, so the grader is faithful: b=1
+exactly when the moves end on the task's own goal, whatever path they take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
-from symtrain.environments.types import Status, TaskEncodingError, TaskInstance, graded
+from symtrain.environments.types import Status, TaskEncodingError, graded
 
 MOVES = {"U": (-1, 0), "D": (1, 0), "L": (0, -1), "R": (0, 1)}
 
@@ -65,33 +69,33 @@ def parse_grid_task(x: Sequence[str]) -> GridSpec:
     return spec
 
 
-def simulate(spec: GridSpec, actions: Sequence[str]) -> tuple[int, int]:
-    pos = spec.start
-    for a in actions:
-        dr, dc = MOVES[a]
-        nxt = (pos[0] + dr, pos[1] + dc)
-        if 0 <= nxt[0] < spec.rows and 0 <= nxt[1] < spec.cols and nxt not in spec.walls:
-            pos = nxt
+def step(spec: GridSpec, pos: tuple[int, int], action: str) -> tuple[int, int]:
+    """The cell one move from pos; a move into a wall or off the board stays put."""
+    dr, dc = MOVES[action]
+    nxt = (pos[0] + dr, pos[1] + dc)
+    if 0 <= nxt[0] < spec.rows and 0 <= nxt[1] < spec.cols and nxt not in spec.walls:
+        return nxt
     return pos
 
 
-@cache
-def _grid_spec(x: tuple[str, ...]) -> GridSpec:
-    """:func:`parse_grid_task` of x, read once per distinct x; a GridSpec is
-    frozen, so every caller shares it.  A malformed x raises, and nothing is
-    cached for it, so it raises again on every call."""
-    return parse_grid_task(x)
+def simulate(spec: GridSpec, actions: Sequence[str]) -> tuple[int, int]:
+    pos = spec.start
+    for a in actions:
+        pos = step(spec, pos, a)
+    return pos
 
 
-def run_grid(actions: Sequence[str], task: TaskInstance):
-    """Simulate an action sequence and grade the final cell against task.y.
+def read_task(x: tuple[str, ...], y: str) -> GridSpec:
+    """The board of x, frozen; the canonical y must be the goal cell of x."""
+    spec = parse_grid_task(x)
+    goal = "{},{}".format(*spec.goal)
+    if y != goal:
+        raise TaskEncodingError(f"y {y!r} is not the goal cell {goal!r} of x")
+    return spec
 
-    The task's x is read once (:func:`_grid_spec`): exploration executes every
-    candidate of a task against the same board.
-    """
-    spec = _grid_spec(task.x)
-    actions = list(actions)
+
+def run_grid(actions: Sequence[str], spec: GridSpec, expected: str):
+    """Walk an action sequence on the board and grade the final cell."""
     if any(a not in MOVES for a in actions):
-        return graded(Status.PARSE_ERROR, None, task.y)
-    r, c = simulate(spec, actions)
-    return graded(Status.OK, f"{r},{c}", task.y)
+        return graded(Status.PARSE_ERROR, None, expected)
+    return graded(Status.OK, "{},{}".format(*simulate(spec, actions)), expected)

@@ -12,6 +12,9 @@ in the body), and a program carries exactly one query.  Inference iterates
 all rules to a fixpoint over the program's constants; the query's truth
 value is the output.  ``MATCH_BUDGET`` bounds the work of inference, and
 ``execute`` bounds a program at ``MAX_SOLUTION_LEN`` (256) tokens.
+
+A task is read once, by :func:`read_task`, which checks that y is a truth
+value and reads none of x.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from symtrain.environments.types import Status, TaskInstance, graded
+from symtrain.environments.types import Status, TaskEncodingError, graded
 
 # atom-against-fact matches per forward_chain.  A rule body of n atoms joins
 # exponentially in n, and this budget also ends every run within 141 rounds:
@@ -201,15 +204,22 @@ def forward_chain(program: Program) -> set[Atom]:
         facts |= new
 
 
-def run_logic(program_tokens: Sequence[str], task: TaskInstance):
-    """Parse and run a program, grading its query answer against task.y."""
+def read_task(x: tuple[str, ...], y: str) -> None:
+    """Nothing of x, since a program states its own facts; the canonical y
+    must be ``true`` or ``false``, the only outputs of this environment."""
+    if y not in ("true", "false"):
+        raise TaskEncodingError(f"y {y!r} is not true or false")
+
+
+def run_logic(program_tokens: Sequence[str], reading: None, expected: str):
+    """Parse and run a program, grading its query answer."""
     try:
         program = parse_program(program_tokens)
     except LogicParseError:
-        return graded(Status.PARSE_ERROR, None, task.y)
+        return graded(Status.PARSE_ERROR, None, expected)
     try:
         closure = forward_chain(program)
     except LogicTimeout:
-        return graded(Status.TIMEOUT, None, task.y)
+        return graded(Status.TIMEOUT, None, expected)
     answer = "true" if program.query in closure else "false"
-    return graded(Status.OK, answer, task.y)
+    return graded(Status.OK, answer, expected)

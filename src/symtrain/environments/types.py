@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 
 class EnvKind(str, Enum):
@@ -75,26 +74,15 @@ def canonical_output(s: str) -> str:
     return s
 
 
-@cache
-def _expected_output(y: str) -> str:
-    """:func:`canonical_output` of a task's y, read once per distinct y and
-    shared.  The memo holds one entry per distinct y the process grades, no
-    more than its datasets hold."""
-    return canonical_output(y)
-
-
 def graded(status: Status, output: str | None, expected: str) -> ExecutionResult:
-    """Build an ExecutionResult, deriving b from canonical output equality.
-
-    ``expected`` is the task's y, canonicalized once (:func:`_expected_output`):
-    exploration grades every candidate of a task against the same y.
-    """
+    """Build an ExecutionResult: b=1 when the run is OK and its canonical output
+    equals ``expected``, the task's y as canonicalized when the task was read."""
     if status is not Status.OK:
         return ExecutionResult(status, output, 0)
     assert output is not None
-    b = 1 if canonical_output(output) == _expected_output(expected) else 0
-    return ExecutionResult(status, output, b)
+    return ExecutionResult(status, output, int(canonical_output(output) == expected))
 
 
 class TaskEncodingError(ValueError):
-    """The task's x field does not follow the environment's input layout."""
+    """The task's x does not follow the environment's input layout, or its y is
+    an output the environment can never produce."""

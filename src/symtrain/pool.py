@@ -88,14 +88,11 @@ class CandidatePool:
     Dedup key is the exact token sequence a; a duplicate replaces the stored
     entry only when its reward is higher by more than ``REWARD_TIE``, so on a
     tie the older entry, and its iteration, is kept.  Eviction under the cap
-    drops the worst-ranked negative first and touches positives only when no
-    negative remains.
+    of ``DEFAULT_POOL_CAP`` entries per task drops the worst-ranked negative
+    first and touches positives only when no negative remains.
     """
 
-    def __init__(self, cap_per_task: int = DEFAULT_POOL_CAP):
-        if cap_per_task < 1:
-            raise ValueError("pool cap must be >= 1")
-        self.cap_per_task = cap_per_task
+    def __init__(self) -> None:
         self._by_task: dict[str, dict[tuple[str, ...], Trajectory]] = {}
 
     def __len__(self) -> int:
@@ -132,7 +129,7 @@ class CandidatePool:
 
     def _evict(self, task_id: str) -> None:
         entries = self._by_task[task_id]
-        while len(entries) > self.cap_per_task:
+        while len(entries) > DEFAULT_POOL_CAP:
             negatives = [t for t in entries.values() if t.b == 0]
             victims = negatives if negatives else list(entries.values())
             worst = max(victims, key=_rank_key)

@@ -9,14 +9,17 @@ engine, and a literal step-by-step walk for the grid.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import pytest
 from mpmath import mp, mpf
 
 from symtrain.autodiff import Param
+from symtrain.environments.grid import GridSpec
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-4
@@ -298,3 +301,23 @@ def reference_gru_backward(g: np.ndarray, ids: np.ndarray, states: np.ndarray,
         d_pre[t * n_batch:(t + 1) * n_batch, 2 * nh:] *= r
     grads["w_h"] = states[:-n_batch].T @ d_pre[n_batch:]
     return grads
+
+
+# ---------------------------------------------------------------------------
+# task readings: every part a runner could reach is immutable
+
+def assert_read_only(reading) -> None:
+    """Fail unless an env's reading of a task (``environments._read``) resists
+    every mutation a runner could attempt: expr's bindings and query, grid's
+    board, logic's nothing."""
+    if reading is None:
+        return
+    if isinstance(reading, GridSpec):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reading.start = (0, 0)
+        assert isinstance(reading.walls, frozenset)
+        return
+    bindings, query = reading
+    with pytest.raises(TypeError):
+        bindings["a"] = 4
+    assert isinstance(query, tuple)

@@ -255,6 +255,7 @@ def test_run_rejects_an_unknown_split(tmp_path, capsys):
                       "token 'hello' not in vocabulary"),
     ("x_layout", "task 'expr_math-held_in-0-0003': x has no query after bindings"),
     ("x_control", "task 'expr_math-held_in-0-0003': control token '<sep>'"),
+    ("y_value", "task 'expr_math-held_in-0-0003': y 'seven' is not an integer"),
 ])
 def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, defect,
                                                               message):
@@ -269,6 +270,8 @@ def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, d
         record["x"] += " <sep> <eos>"
     elif defect == "witness_token":
         record["a"] = "hello"
+    elif defect == "y_value":
+        record["y"] = "seven"
     else:
         record["x"] = "a = 2 ;"
     lines[line] = json.dumps(record)
@@ -279,6 +282,27 @@ def test_run_rejects_bad_input_before_warmup_naming_the_task(tmp_path, capsys, d
     assert code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # rejected before warmup wrote anything
+
+
+def test_run_rejects_a_grid_task_whose_y_is_not_its_goal(tmp_path, capsys):
+    # the empty program would grade b=1 on a task whose y is its start cell
+    data = tmp_path / "grid.jsonl"
+    assert main(["gen-data", "--env", "grid_agent", "--n-train", "6", "--n-held-out", "2",
+                 "--seed", "0", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[3])
+    x = record["x"].split()
+    start = x.index("start")
+    record["y"] = f"{x[start + 1]},{x[start + 2]}"
+    lines[3] = json.dumps(record)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["run", "--config", str(_cfg(tmp_path, env="grid_agent")), "--dataset",
+                 str(data), "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    assert (f"task {record['id']!r}: y {record['y']!r} is not the goal cell"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("suffix,message", [

@@ -8,7 +8,6 @@ import pytest
 
 from symtrain import engine, policy
 from symtrain.autodiff import TrainingError, sgd_step
-from symtrain.environments import expr, grid, types
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -28,7 +27,7 @@ from symtrain.engine import (
     select_u2,
     train_iteration,
 )
-from symtrain.environments import EnvKind, Status, execute, generate_dataset
+from symtrain.environments import EnvKind, Status, _read, execute, generate_dataset
 from symtrain.policy import (
     BOS,
     EOS,
@@ -47,8 +46,8 @@ from symtrain.policy import (
     sequence_token_logps,
 )
 from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair
-from helpers import (assert_grads_close, central_differences, mp_dpo_loss,
-                     reference_selection)
+from helpers import (assert_grads_close, assert_read_only, central_differences,
+                     mp_dpo_loss, reference_selection)
 
 
 def tiny_config(**over):
@@ -375,37 +374,27 @@ def test_refinements_are_scored_from_the_task_frame(cloned):
     assert copies > 0
 
 
-def test_explore_phase_reads_each_task_x_once(cloned, monkeypatch):
+def test_explore_phase_reads_each_task_once(cloned, monkeypatch):
     tasks, model = cloned
     config = tiny_config(env=tasks[0].env, K=4, max_len=40)
-    parsed = []
+    executed = []
 
-    def counted(parse):
-        def parse_and_count(x):
-            parsed.append(tuple(x))
-            return parse(x)
-        return parse_and_count
+    def counted(env, task, a):
+        executed.append(task.id)
+        return execute(env, task, a)
 
-    monkeypatch.setattr(expr, "parse_task_input", counted(expr.parse_task_input))
-    monkeypatch.setattr(grid, "parse_grid_task", counted(grid.parse_grid_task))
-    expr._task_input.cache_clear()
-    grid._grid_spec.cache_clear()
+    monkeypatch.setattr(engine, "execute", counted)
+    _read.cache_clear()
     pairs = explore_phase(model, tasks, config, iteration=3)
     assert any(t_tilde is not None for _, t_tilde in pairs)
-    assert sorted(parsed) == sorted({t.x for t in tasks})
-
-
-def test_explore_phase_canonicalizes_each_task_y_once(cloned):
-    tasks, model = cloned
-    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
-    types._expected_output.cache_clear()
-    pairs = explore_phase(model, tasks, config, iteration=3)
-    ok = [t for pair in pairs for t in pair if t is not None and t.status is Status.OK]
-    # only an OK output is compared with y; each y is read at its first such grading
-    info = types._expected_output.cache_info()
-    assert info.misses == len({t.y for t in ok})
-    assert info.hits + info.misses == len(ok)
-    assert info.hits > 0
+    # a task's first execution reads its x and y; every later one shares the reading
+    info = _read.cache_info()
+    assert info.misses == len({(t.x, t.y) for t in tasks})
+    assert info.hits == len(executed) - info.misses > 0
+    for t in tasks:
+        reading, expected = _read(EnvKind(t.env), t.x, t.y)
+        assert expected == t.y
+        assert_read_only(reading)
 
 
 def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import time
 
 import numpy as np
@@ -13,7 +12,9 @@ from symtrain.environments import (
     Status,
     TaskEncodingError,
     TaskInstance,
+    _read,
     canonical_output,
+    check_task,
     execute,
     generate_dataset,
     load_dataset,
@@ -21,7 +22,6 @@ from symtrain.environments import (
     witness_path,
     write_dataset,
 )
-from symtrain.environments import expr, grid
 from symtrain.environments.expr import (
     ExprParseError,
     ExprRuntimeError,
@@ -36,7 +36,8 @@ from symtrain.environments.logic import (
     parse_program,
 )
 from symtrain.policy import CONTROL_TOKENS
-from helpers import OracleFailure, ground_closure, shunting_yard_eval, walk_grid
+from helpers import (OracleFailure, assert_read_only, ground_closure, shunting_yard_eval,
+                     walk_grid)
 
 
 def _expr_task(x_tokens, y):
@@ -389,27 +390,44 @@ def test_execute_is_pure():
     (EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0")),  # no goal
 ])
 def test_a_malformed_x_raises_on_every_call(env, x):
-    # the runners read x through a memo, which must not keep the failure
+    # the reader is memoised, and the memo must not keep the failure
     task = TaskInstance("bad", x, "0,0", env=env.value)
     for _ in range(3):
         with pytest.raises(TaskEncodingError):
             execute(env, task, ["a"])
 
 
-def test_the_memoised_task_inputs_cannot_be_mutated():
-    task = _expr_task(["a", "=", "3", ";", "sum", "a", "a"], "6")
-    bindings, query = expr._task_input(task.x)
-    with pytest.raises(TypeError):
-        bindings["a"] = 4
-    assert isinstance(query, tuple)
-    assert expr._task_input(task.x) == ({"a": 3}, ("sum", "a", "a"))
-    spec = grid._grid_spec(("grid", "2", "2", ";", "start", "0", "0", ";", "goal", "1", "1",
-                            ";", "wall", "0", "1"))
-    with pytest.raises(AttributeError):
-        spec.walls.add((1, 0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.start = (1, 1)
-    assert execute(EnvKind.EXPR_MATH, task, ["a", "+", "a"]).b == 1
+GRID_X = ("grid", "3", "3", ";", "start", "0", "0", ";", "goal", "1", "2")
+
+
+@pytest.mark.parametrize("env, x, y", [
+    (EnvKind.GRID_AGENT, GRID_X, "0,0"),  # the start cell, not the goal
+    (EnvKind.GRID_AGENT, GRID_X, "2,1"),
+    (EnvKind.LOGIC_RULES, ("?", "p", "a"), "yes"),
+    (EnvKind.EXPR_MATH, ("a", "=", "3", ";", "sum", "a", "a"), "6.0"),
+])
+def test_a_y_the_env_cannot_produce_raises_on_every_call(env, x, y):
+    # grading against such a y would label b without regard to the task
+    task = TaskInstance("bad", x, y, env=env.value)
+    for _ in range(3):
+        with pytest.raises(TaskEncodingError, match=f"y {y!r}"):
+            check_task(env, task)
+        with pytest.raises(TaskEncodingError, match=f"y {y!r}"):
+            execute(env, task, [])
+
+
+def test_the_task_readings_cannot_be_mutated():
+    tasks = [TaskInstance("e", ("a", "=", "3", ";", "sum", "a", "a"), "6",
+                          env=EnvKind.EXPR_MATH.value),
+             TaskInstance("g", (*GRID_X, ";", "wall", "0", "1"), "1,2",
+                          env=EnvKind.GRID_AGENT.value),
+             TaskInstance("l", ("?", "p", "a"), "true", env=EnvKind.LOGIC_RULES.value)]
+    readings = [_read(EnvKind(t.env), t.x, t.y) for t in tasks]
+    for task, (reading, expected) in zip(tasks, readings):
+        assert_read_only(reading)
+        assert expected == task.y
+    assert readings[0][0] == ({"a": 3}, ("sum", "a", "a"))
+    assert execute(EnvKind.EXPR_MATH, tasks[0], ["a", "+", "a"]).b == 1
 
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -5,6 +5,7 @@ import pytest
 
 from symtrain.environments import Status
 from symtrain.pool import (
+    DEFAULT_POOL_CAP,
     REWARD_TIE,
     CandidatePool,
     Trajectory,
@@ -107,23 +108,21 @@ def test_duplicate_within_the_reward_tie_keeps_the_older_entry():
 
 
 def test_cap_evicts_lowest_reward_negative_first():
-    pool = CandidatePool(cap_per_task=2)
-    pool.update([make(a=("a",), b=0, r=-1.0),
-                 make(a=("b",), b=0, r=-2.0),
-                 make(a=("c",), b=0, r=-3.0)])
+    pool = CandidatePool()
+    pool.update([make(a=(str(i),), b=0, r=-float(i))
+                 for i in range(1, DEFAULT_POOL_CAP + 2)])
     rewards = sorted(t.r for t in pool.entries("t1"))
-    assert rewards == [-2.0, -1.0]
+    assert rewards == [-float(i) for i in range(DEFAULT_POOL_CAP, 0, -1)]
 
 
 def test_cap_never_drops_positive_while_negative_remains():
-    pool = CandidatePool(cap_per_task=3)
-    pool.update([make(a=("p1",), b=1, r=-5.0),
-                 make(a=("p2",), b=1, r=-6.0),
-                 make(a=("n1",), b=0, r=-0.1),
-                 make(a=("n2",), b=0, r=-0.2)])
+    pool = CandidatePool()
+    positives = [make(a=(f"p{i}",), b=1, r=-5.0 - i) for i in range(DEFAULT_POOL_CAP - 1)]
+    pool.update([*positives, make(a=("n1",), b=0, r=-0.1), make(a=("n2",), b=0, r=-0.2)])
     entries = pool.entries("t1")
-    assert len(entries) == 3
-    assert sum(t.b for t in entries) == 2  # both positives survive
+    assert len(entries) == DEFAULT_POOL_CAP
+    assert sum(t.b for t in entries) == DEFAULT_POOL_CAP - 1  # every positive survives
+    assert [t.a for t in entries if t.b == 0] == [("n1",)]
 
 
 def test_trajectory_invariants():
