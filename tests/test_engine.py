@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from symtrain import engine, policy
+from symtrain import engine, environments, policy
 from symtrain.autodiff import TrainingError, sgd_step
+from symtrain.environments import expr, grid
 from symtrain.engine import (
     ConfigError,
     RunConfig,
@@ -27,7 +28,8 @@ from symtrain.engine import (
     select_u2,
     train_iteration,
 )
-from symtrain.environments import EnvKind, Status, _read, execute, generate_dataset
+from symtrain.environments import (EnvKind, Status, _read, canonical_output, execute,
+                                   generate_dataset)
 from symtrain.policy import (
     BOS,
     EOS,
@@ -374,27 +376,54 @@ def test_refinements_are_scored_from_the_task_frame(cloned):
     assert copies > 0
 
 
-def test_explore_phase_reads_each_task_once(cloned, monkeypatch):
+def test_explore_phase_reads_each_task_x_once(cloned, monkeypatch):
     tasks, model = cloned
     config = tiny_config(env=tasks[0].env, K=4, max_len=40)
-    executed = []
+    parsed = []
 
-    def counted(env, task, a):
+    def counted(parse):
+        def parse_and_count(x):
+            parsed.append(tuple(x))
+            return parse(x)
+        return parse_and_count
+
+    monkeypatch.setattr(expr, "parse_task_input", counted(expr.parse_task_input))
+    monkeypatch.setattr(grid, "parse_grid_task", counted(grid.parse_grid_task))
+    _read.cache_clear()
+    pairs = explore_phase(model, tasks, config, iteration=3)
+    assert any(t_tilde is not None for _, t_tilde in pairs)
+    assert sorted(parsed) == sorted({t.x for t in tasks})
+    for t in tasks:
+        reading, _ = _read(EnvKind(t.env), t.x, t.y)
+        assert_read_only(reading)
+
+
+def test_explore_phase_canonicalizes_each_task_y_once(cloned, monkeypatch):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    executed, canonicalized = [], []
+
+    def counted_execute(env, task, a):
         executed.append(task.id)
         return execute(env, task, a)
 
-    monkeypatch.setattr(engine, "execute", counted)
+    def counted_canonical(y):
+        canonicalized.append(y)
+        return canonical_output(y)
+
+    monkeypatch.setattr(engine, "execute", counted_execute)
+    monkeypatch.setattr(environments, "canonical_output", counted_canonical)
     _read.cache_clear()
     pairs = explore_phase(model, tasks, config, iteration=3)
     assert any(t_tilde is not None for _, t_tilde in pairs)
     # a task's first execution reads its x and y; every later one shares the reading
+    distinct = {(t.x, t.y) for t in tasks}
+    assert sorted(canonicalized) == sorted(y for _, y in distinct)
     info = _read.cache_info()
-    assert info.misses == len({(t.x, t.y) for t in tasks})
+    assert info.misses == len(distinct)
     assert info.hits == len(executed) - info.misses > 0
     for t in tasks:
-        reading, expected = _read(EnvKind(t.env), t.x, t.y)
-        assert expected == t.y
-        assert_read_only(reading)
+        assert _read(EnvKind(t.env), t.x, t.y)[1] == t.y
 
 
 def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypatch):
