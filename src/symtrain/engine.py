@@ -220,12 +220,15 @@ def child_seed(*keys: int) -> int:
 # exploration
 
 def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
-               a: Sequence[str], source: str, iteration: int, start: Array) -> Trajectory:
+               a: Sequence[str], source: str, iteration: int, start: Array,
+               scored: dict[tuple[str, ...], float] | None = None) -> Trajectory:
     """Execute and self-score one solution from ``start``, the task's frame
-    state, whether it was explored, refined or is a warmup witness."""
+    state, whether it was explored, refined or is a warmup witness; ``scored``
+    is the task's dict of rewards already computed (see
+    :func:`~symtrain.policy.score`)."""
     res = execute(config.env, task, a)
     return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                      score(model, start, a), source, iteration, res.status)
+                      score(model, start, a, scored), source, iteration, res.status)
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
@@ -238,6 +241,11 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     ``BOS x SEP``, one ``sample`` call over tasks x K rows, and one ``refine``
     call over every non-empty draft.  Each candidate, a refinement too, is
     scored from its task's frame state (see :func:`~symtrain.policy.score`).
+    Each task gets a new dict of rewards per call, so a (task, a) that repeats
+    within the phase (a duplicate draft, or a refinement that copies its
+    draft) is computed once and ties its first occurrence exactly, and no r
+    outlives the model it was computed under.  Every candidate makes one
+    ``score`` and one ``execute`` call.
     Task i draws one (K, 2, max_len) block of uniforms from the stream seeded
     by (iteration, i): row [k, 0] holds draft k's uniforms and row [k, 1] its
     refinement's.  So a task's candidates depend on its position only, not on
@@ -248,10 +256,12 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     if not tasks:
         return []
     starts = frame_states(model, [task.x for task in tasks])
+    scored: list[dict[tuple[str, ...], float]] = [{} for _ in tasks]
 
     def candidate(j: int, a: Sequence[str], source: str) -> Trajectory:
         i = j // config.K  # row j holds draft j % K of task i
-        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1])
+        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
+                          scored[i])
 
     # uniforms[j] is task j // K's block row j % K: [j, 0] for draft j, [j, 1] for
     # its refinement

@@ -10,6 +10,7 @@ A task is read once, by :func:`read_task`, into a frozen :class:`GridSpec`
 that ``execute`` shares across every solution it grades.  The reader accepts
 only a y that is the goal cell written in x, so the grader is faithful: b=1
 exactly when the moves end on the task's own goal, whatever path they take.
+It rejects a board with a wall on its start or goal, or with two grid fields.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def parse_grid_task(x: Sequence[str]) -> GridSpec:
     while i < len(tokens):
         kw = tokens[i]
         if kw == "grid":
+            if dims is not None:
+                raise TaskEncodingError("grid task x repeats its grid field")
             r, c, i = pair(i + 1)
             dims = (r, c)
         elif kw in fields:
@@ -66,6 +69,11 @@ def parse_grid_task(x: Sequence[str]) -> GridSpec:
     cells = [spec.start, spec.goal, *spec.walls]
     if any(not (0 <= r < rows and 0 <= c < cols) for r, c in cells):
         raise TaskEncodingError("grid task x references a cell outside the board")
+    # no move ends on a walled goal, so no solution could earn b=1; a walled
+    # start would put the walker inside a wall
+    for name, cell in (("start", spec.start), ("goal", spec.goal)):
+        if cell in spec.walls:
+            raise TaskEncodingError(f"grid task x puts a wall on its {name} cell")
     return spec
 
 

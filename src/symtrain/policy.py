@@ -31,7 +31,10 @@ row per given state, ``refine`` steps every draft's tail ``a_prev SEP`` from
 its task's state in one right-padded pass, and :func:`score`, the self-reward,
 continues from a task-frame state and steps only ``a EOS``.  Every solution of
 a task is thus scored as one conditional, p(a | x), by one computation,
-whether sampling or refinement drew it or it is a warmup witness.
+whether sampling or refinement drew it or it is a warmup witness.  So r is a
+function of (task, a) under one model, and ``score`` takes the task's dict
+of rewards already computed: a duplicate sample, or a refinement that copies
+its draft, gets its first occurrence's r without a second pass.
 :func:`greedy_batch` runs the frames of many tasks, of any lengths, in one
 right-padded pass from the zero state; :func:`greedy_decode` is its one-row
 case.  Then every row steps with the same GRU step
@@ -387,10 +390,17 @@ def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
     return greedy_batch(model, [condition_ids(model, x, a_prev)], max_len)[0]
 
 
-def score(model: PolicyModel, start: Array, a: Sequence[str]) -> float:
+def score(model: PolicyModel, start: Array, a: Sequence[str],
+          scored: dict[tuple[str, ...], float] | None = None) -> float:
     """The self-reward r = p(a | x): the length-normalized log-probability of
     ``a`` and EOS (nats per token) from ``start``, the (1, h) state after the
     task frame ``BOS x SEP`` (a row of :func:`frame_states`).
+
+    ``scored``, if given, maps each solution already scored from this
+    ``start`` under this model to its r: a repeated ``a`` returns the stored r
+    without stepping the GRU, and a new one is stored.  Recomputing it would
+    give the same bits, so the cache changes no result; the caller keeps a
+    dict no longer than its start and model (one per task and phase).
 
     A refinement is scored so too, not in its refine frame, since the pool and
     the U1/U2 ranking compare every candidate on one scale.  Over the
@@ -399,8 +409,14 @@ def score(model: PolicyModel, start: Array, a: Sequence[str]) -> float:
     frame, against 0.607/0.718/0.571 from the refine frame.  An empty solution
     scores EOS alone.
     """
-    target = target_ids(model, a)
-    return float(sequence_token_logps(model, [], target, start).sum() / len(target))
+    if scored is None:
+        scored = {}
+    key = tuple(a)
+    if key not in scored:
+        target = target_ids(model, a)
+        scored[key] = float(sequence_token_logps(model, [], target, start).sum()
+                            / len(target))
+    return scored[key]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,13 @@ from symtrain.environments.types import Status
 
 DEFAULT_POOL_CAP = 64
 
-# A duplicate a must beat the stored r by more than this to replace it.  The
-# same solution scored twice under one model differs by float noise alone (at
-# most 8.3e-16 measured over the benchmark's workloads), while real gaps
-# between duplicates, scored under different models, were at least 2.7e-3.
+# A duplicate a must beat the stored r by more than this to replace it.  Within
+# one exploration phase a repeated (task, a) reuses its first r, so repeats tie
+# exactly.  A solution scored under one model from task-frame states batched
+# differently (a warmup witness that exploration finds again) differs by float
+# noise alone (at most 8.3e-16 measured over the benchmark's workloads), while
+# real gaps between duplicates, scored under different models, were at least
+# 2.7e-3.
 REWARD_TIE = 1e-9
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -444,9 +445,82 @@ def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypat
     # all drafts are graded first, then all refinements
     candidates = [t for t, _ in pairs] + [u for _, u in pairs if u is not None]
     assert len(candidates) > len(pairs)
-    assert [tuple(a) for _, _, a in calls["score"]] == [t.a for t in candidates]
+    assert [tuple(args[2]) for args in calls["score"]] == [t.a for t in candidates]
     assert [(task.id, tuple(a)) for _, task, a in calls["execute"]] == \
         [(t.task_id, t.a) for t in candidates]
+
+
+def _counting_token_logps(monkeypatch):
+    """Replace policy.sequence_token_logps, the GRU pass behind score, with a
+    wrapper; the returned list gets one entry per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sequence_token_logps(*args)
+
+    monkeypatch.setattr(policy, "sequence_token_logps", counted)
+    return calls
+
+
+def _in_score_order(pairs):
+    # all drafts are scored first, then all refinements
+    return [t for t, _ in pairs] + [u for _, u in pairs if u is not None]
+
+
+def test_explore_phase_computes_each_distinct_task_solution_once(cloned, monkeypatch):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40)
+    calls = _counting_token_logps(monkeypatch)
+    candidates = _in_score_order(explore_phase(model, tasks, config, iteration=3))
+    first = {}
+    for t in candidates:
+        first.setdefault((t.task_id, t.a), t)
+    assert len(candidates) > len(first)
+    assert len(calls) == len(first)
+    for t in candidates:
+        # a repeat ties its first occurrence exactly
+        assert t.r == first[(t.task_id, t.a)].r
+
+
+def test_the_same_solution_on_two_tasks_is_computed_for_each(cloned, monkeypatch):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=3, max_len=40, ablations=["no_self_refine"])
+    a = ("R",) if tasks[0].env == EnvKind.GRID_AGENT.value else ("1",)
+    monkeypatch.setattr(engine, "sample",
+                        lambda model, states, params, uniforms: [a] * len(states))
+    calls = _counting_token_logps(monkeypatch)
+    two = tasks[:2]
+    assert two[0].x != two[1].x
+    pairs = explore_phase(model, two, config, iteration=3)
+    assert len(pairs) == 2 * config.K and len(calls) == 2
+    starts = frame_states(model, [t.x for t in two])
+    for j, (t, _) in enumerate(pairs):
+        i = j // config.K
+        assert t.r == score(model, starts[i:i + 1], a)
+    assert pairs[0][0].r != pairs[config.K][0].r
+
+
+def test_a_later_explore_phase_recomputes_every_reward(cloned, monkeypatch):
+    tasks, model = cloned
+    config = tiny_config(env=tasks[0].env, K=4, max_len=40, train_mode="continual",
+                         epochs_per_iter=1, lr=0.05)
+    before = _in_score_order(explore_phase(model, tasks, config, iteration=3))
+    sets = TrainingSets([(t.x, t.a) for t in before if t.b == 1], [])
+    trained, _, _ = train_iteration(copy.deepcopy(model), sets, config, iteration=3)
+    calls = _counting_token_logps(monkeypatch)
+    after = _in_score_order(explore_phase(trained, tasks, config, iteration=3))
+    r_before = {(t.task_id, t.a): t.r for t in before}
+    distinct = {(t.task_id, t.a) for t in after}
+    assert len(calls) == len(distinct)
+    # some solutions are found again, and their r is the trained model's
+    again = [t for t in after if (t.task_id, t.a) in r_before]
+    assert again
+    starts = frame_states(trained, [t.x for t in tasks])
+    index = {t.id: i for i, t in enumerate(tasks)}
+    for t in again:
+        i = index[t.task_id]
+        assert t.r == score(trained, starts[i:i + 1], t.a) != r_before[(t.task_id, t.a)]
 
 
 # ---------------------------------------------------------------------------

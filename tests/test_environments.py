@@ -385,15 +385,28 @@ def test_execute_is_pure():
     assert first == second
 
 
-@pytest.mark.parametrize("env, x", [
-    (EnvKind.EXPR_MATH, ("a", "=", ";", "a")),  # a binding without digits
-    (EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0")),  # no goal
+@pytest.mark.parametrize("env, x, y, match", [
+    pytest.param(EnvKind.EXPR_MATH, ("a", "=", ";", "a"), "0,0", "malformed binding",
+                 id="expr_math-x0"),
+    pytest.param(EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0"), "0,0",
+                 "one goal", id="grid_agent-x1"),
+    # each board below is well formed but for the one defect, and y is its goal
+    pytest.param(EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0", ";",
+                                      "goal", "1", "2", ";", "wall", "1", "2"), "1,2",
+                 "wall on its goal", id="grid_agent-wall_on_goal"),
+    pytest.param(EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0", ";",
+                                      "goal", "1", "2", ";", "wall", "0", "0"), "1,2",
+                 "wall on its start", id="grid_agent-wall_on_start"),
+    # the last grid field would win: read as 4 x 4, where goal 3 3 is on the board
+    pytest.param(EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "grid", "4", "4", ";",
+                                      "start", "0", "0", ";", "goal", "3", "3"), "3,3",
+                 "repeats its grid field", id="grid_agent-two_grid_fields"),
 ])
-def test_a_malformed_x_raises_on_every_call(env, x):
+def test_a_malformed_x_raises_on_every_call(env, x, y, match):
     # the reader is memoised, and the memo must not keep the failure
-    task = TaskInstance("bad", x, "0,0", env=env.value)
+    task = TaskInstance("bad", x, y, env=env.value)
     for _ in range(3):
-        with pytest.raises(TaskEncodingError):
+        with pytest.raises(TaskEncodingError, match=match):
             execute(env, task, ["a"])
 
 

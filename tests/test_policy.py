@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from symtrain import policy
 from symtrain.autodiff import _gru_steps, gru_sequence, gru_sequence_inputs, log_softmax
 from symtrain.environments import EnvKind, generate_dataset
 from symtrain.policy import (
@@ -400,6 +401,26 @@ def test_score_is_mean_per_token_logp_with_eos():
     logps = sequence_token_logps(model, [], vocab.encode([*a, EOS]), start)
     assert score(model, start, a) == pytest.approx(logps.sum() / 4, abs=1e-12)
 
+
+
+def test_score_without_a_dict_steps_every_call_and_with_one_steps_each_solution_once(
+        monkeypatch):
+    model = toy_model()
+    start = frame_states(model, [["d"]])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sequence_token_logps(*args)
+
+    monkeypatch.setattr(policy, "sequence_token_logps", counted)
+    a, b = ["a", "b"], ["c"]
+    r_a, r_b = score(model, start, a), score(model, start, b)
+    assert score(model, start, a) == r_a and len(calls) == 3
+    scored = {}
+    assert [score(model, start, s, scored) for s in (a, b, a, tuple(b))] == [r_a, r_b, r_a, r_b]
+    assert len(calls) == 5
+    assert scored == {("a", "b"): r_a, ("c",): r_b}
 
 @pytest.mark.parametrize("env", list(EnvKind))
 def test_score_from_the_frame_state_equals_the_full_forward(env):
