@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from symtrain.policy import PolicyModel, frame_states, score
+from symtrain.policy import PolicyModel, frame_states, score_rows
 from symtrain.pool import CandidatePool
 
 
@@ -33,16 +33,17 @@ def delta_logp(model: PolicyModel,
     """Mean reward margin score(x -> a+) - score(x -> a-) in nats per token.
 
     Both solutions of a pair are scored from the frame state of its x, as
-    exploration scores its candidates, so the margin is in the units of r.
+    exploration scores its candidates, so the margin is in the units of r;
+    every pair's solutions go through one self-reward pass.
     """
     if not pairs:
         return None
     starts = frame_states(model, [x for x, _, _ in pairs])
-    total = 0.0
-    for i, (_, a_plus, a_minus) in enumerate(pairs):
-        start = starts[i:i + 1]
-        total += score(model, start, a_plus) - score(model, start, a_minus)
-    return total / len(pairs)
+    scored: list[dict[tuple[str, ...], float]] = [{} for _ in pairs]
+    score_rows(model, starts, scored, [(i, a) for i, (_, a_plus, a_minus) in enumerate(pairs)
+                                       for a in (a_plus, a_minus)])
+    return sum(rewards[tuple(a_plus)] - rewards[tuple(a_minus)]
+               for rewards, (_, a_plus, a_minus) in zip(scored, pairs)) / len(pairs)
 
 
 def diversity(pool: CandidatePool) -> int:

@@ -8,9 +8,10 @@ nll_i``, so no buffer is ever zeroed.  The backward rules are plain functions
 that set what they compute: :func:`output_nll_backward` for the output layer
 (:func:`output_nll`), then :func:`gru_sequence_backward`, one BPTT sweep over a
 whole id batch (:func:`gru_sequence`, the training forward, which starts from
-the zero state).  Scoring steps the same inputs by the same loop from any
-start and keeps no backward (``policy.sequence_token_logps``).  All is
-float64.
+the zero state).  The DPO reference margins step the same inputs by the same
+loop and keep no backward (``policy.sequence_token_logps``); self-reward
+continues each row from its task-frame state through :func:`gru_step`
+(``policy.score_rows``).  All is float64.
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
@@ -200,7 +201,7 @@ def gru_sequence_inputs(embed: Array, ids: Array, w_x: Array, b: Array) -> Array
     (:func:`gru_inputs`) and gathers each position's three gate blocks from it
     straight into the per-step gate-major layout, in one ``np.take``.  A
     shorter batch multiplies its own S*B rows, adds b and copies them
-    gate-major, since the table costs a batch-1 score more than its few rows
+    gate-major, since the table costs a short DPO pair more than its few rows
     do.  Both paths compute each entry as the same dot product plus b, so they
     agree to the bit where BLAS rounds a row the same in any product.
     """

@@ -50,6 +50,7 @@ from symtrain.policy import (
     sample,
     save_checkpoint,
     score,
+    score_rows,
     sequence_token_logps,
     target_ids,
 )
@@ -225,7 +226,7 @@ def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
     """Execute and self-score one solution from ``start``, the task's frame
     state, whether it was explored, refined or is a warmup witness; ``scored``
     is the task's dict of rewards already computed (see
-    :func:`~symtrain.policy.score`)."""
+    :func:`~symtrain.policy.score_rows`)."""
     res = execute(config.env, task, a)
     return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
                       score(model, start, a, scored), source, iteration, res.status)
@@ -237,15 +238,16 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     """Sample K drafts per task, refine the non-empty ones, and execute and
     self-score every candidate; the pairs come in task order.
 
-    All tasks go through three batched passes: one over the task frames
-    ``BOS x SEP``, one ``sample`` call over tasks x K rows, and one ``refine``
-    call over every non-empty draft.  Each candidate, a refinement too, is
-    scored from its task's frame state (see :func:`~symtrain.policy.score`).
-    Each task gets a new dict of rewards per call, so a (task, a) that repeats
-    within the phase (a duplicate draft, or a refinement that copies its
-    draft) is computed once and ties its first occurrence exactly, and no r
-    outlives the model it was computed under.  Every candidate makes one
-    ``score`` and one ``execute`` call.
+    All tasks go through four batched passes: one over the task frames
+    ``BOS x SEP``, one ``sample`` call over tasks x K rows, one ``refine``
+    call over every non-empty draft, and one self-reward pass
+    (:func:`~symtrain.policy.score_rows`) over every draft and refinement,
+    each scored from its task's frame state.  Each task gets a new dict of
+    rewards per call, so a (task, a) that repeats within the phase (a
+    duplicate draft, or a refinement that copies its draft) is computed once
+    and ties its first occurrence exactly, and no r outlives the model it was
+    computed under.  Then every candidate makes one ``score`` call, which
+    looks its r up, and one ``execute`` call.
     Task i draws one (K, 2, max_len) block of uniforms from the stream seeded
     by (iteration, i): row [k, 0] holds draft k's uniforms and row [k, 1] its
     refinement's.  So a task's candidates depend on its position only, not on
@@ -256,13 +258,6 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     if not tasks:
         return []
     starts = frame_states(model, [task.x for task in tasks])
-    scored: list[dict[tuple[str, ...], float]] = [{} for _ in tasks]
-
-    def candidate(j: int, a: Sequence[str], source: str) -> Trajectory:
-        i = j // config.K  # row j holds draft j % K of task i
-        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
-                          scored[i])
-
     # uniforms[j] is task j // K's block row j % K: [j, 0] for draft j, [j, 1] for
     # its refinement
     uniforms = np.concatenate([
@@ -271,17 +266,27 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
     samples = sample(model, np.repeat(starts, config.K, axis=0),
                      GenerationParams(config.temperature, config.max_len, len(uniforms)),
                      uniforms[:, 0])
+    # an empty draft cannot prompt a refinement
+    drafts = ([] if _ablated(config, "no_self_refine")
+              else [j for j, a in enumerate(samples) if a])
+    refinements = refine(
+        model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
+        GenerationParams(config.temperature, config.max_len, len(drafts)),
+        uniforms[drafts, 1]) if drafts else []
+    # row j holds draft j % K of task j // K, or that draft's refinement
+    rows = [*enumerate(samples), *zip(drafts, refinements)]
+    scored: list[dict[tuple[str, ...], float]] = [{} for _ in tasks]
+    score_rows(model, starts, scored, [(j // config.K, a) for j, a in rows])
+
+    def candidate(j: int, a: Sequence[str], source: str) -> Trajectory:
+        i = j // config.K
+        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
+                          scored[i])
+
     explored = [candidate(j, a, "explore") for j, a in enumerate(samples)]
     refined: list[Trajectory | None] = [None] * len(samples)
-    # an empty draft cannot prompt a refinement
-    drafts = [j for j, a in enumerate(samples) if a]
-    if drafts and not _ablated(config, "no_self_refine"):
-        refinements = refine(
-            model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
-            GenerationParams(config.temperature, config.max_len, len(drafts)),
-            uniforms[drafts, 1])
-        for j, a_ref in zip(drafts, refinements):
-            refined[j] = candidate(j, a_ref, "refine")
+    for j, a_ref in zip(drafts, refinements):
+        refined[j] = candidate(j, a_ref, "refine")
     return list(zip(explored, refined))
 
 
@@ -606,11 +611,13 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         warm_l1, _ = _run_epochs(model, warm_examples, config,
                                  child_seed(config.seed, _DOM_WARMUP), 0,
                                  epochs=config.warmup_epochs)
-        # seed the pool with the witnesses, scored as exploration scores a
-        # candidate, from the task's frame state
+        # seed the pool with the witnesses, scored as exploration scores its
+        # candidates, from the tasks' frame states in one pass
         starts = frame_states(model, [t.x for t in warmup])
+        scored: list[dict[tuple[str, ...], float]] = [{} for _ in warmup]
+        score_rows(model, starts, scored, [(i, witnesses[t.id]) for i, t in enumerate(warmup)])
         seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                         starts[i:i + 1])
+                                         starts[i:i + 1], scored[i])
                               for i, t in enumerate(warmup)])
         close(0, model, pool, seeded, warm_l1, 0.0, [])
 

@@ -17,10 +17,8 @@ summed NLL per example, together with the forward's backward, a
 :class:`~symtrain.autodiff.Tape`: the output layer's rule followed by one
 BPTT sweep, which set the model's gradients.  Every loss (L1, L2 and DPO) is
 a weighted sum of that vector.  :func:`sequence_token_logps` gives the
-log-probability of each target token of one row, from the zero state or a
-given one, with the same inputs and the same steps but no backward.
-Self-reward and the losses thus come from the same per-token
-log-probabilities.
+log-probability of each target token of one row from the zero state, with the
+same inputs and the same steps but no backward (the DPO reference margins).
 
 Generation steps all rows of a call together as one batch, each from its
 own state and its own uniforms, so one call can serve the rows of many tasks.
@@ -28,28 +26,29 @@ Every frame of x starts with the task frame, so its state is computed once per
 task: :func:`frame_states` steps the task frames of many tasks in one pass,
 keeping only each row's state at the end of its frame.  ``sample`` draws one
 row per given state, ``refine`` steps every draft's tail ``a_prev SEP`` from
-its task's state in one right-padded pass, and :func:`score`, the self-reward,
-continues from a task-frame state and steps only ``a EOS``.  Every solution of
-a task is thus scored as one conditional, p(a | x), by one computation,
-whether sampling or refinement drew it or it is a warmup witness.  So r is a
-function of (task, a) under one model, and ``score`` takes the task's dict
-of rewards already computed: a duplicate sample, or a refinement that copies
-its draft, gets its first occurrence's r without a second pass.
-:func:`greedy_batch` runs the frames of many tasks, of any lengths, in one
-right-padded pass from the zero state; :func:`greedy_decode` is its one-row
-case.  Then every row steps with the same GRU step
+its task's state in one right-padded pass, and :func:`score_rows`, the
+self-reward, steps many rows together, each only ``a EOS`` from its task-frame
+state; :func:`score` is its one-row case.
+Every solution of a task is thus scored as one conditional, p(a | x), by one
+computation, whether sampling or refinement drew it or it is a warmup
+witness.  So r is a function of (task, a) under one model, and the pass
+takes each task's dict of rewards already computed: a duplicate sample, or a
+refinement that copies its draft, gets its first occurrence's r without a
+second row.  :func:`greedy_batch` runs the frames of many tasks, of any
+lengths, in one right-padded pass from the zero state; :func:`greedy_decode`
+is its one-row case.  Then every row steps with the same GRU step
 (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when it emits
-EOS.  A call computes the input product ``x @ w_x + b`` of the whole vocabulary
-once (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
+EOS, and a scored row when its target ends.  A call computes the input product
+``x @ w_x + b`` of the whole vocabulary once
+(:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
 inputs.  ``batch_nll`` and ``sequence_token_logps`` form the inputs of all
 steps before their recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`):
 from that table when the batch steps more positions than the vocabulary has
 rows, as most training minibatches do, and by multiplying its own rows when it
-steps fewer, as a ``score`` and a short DPO pair do.  Each sampled row draws
-its t-th token by inverse CDF with the t-th of its own row of uniforms, which
-the caller draws, over its logits less their maximum and divided by the
-temperature, so a tiny temperature gives the greedy limit; a greedy row takes
-the argmax.  A row's states move with its batch's makeup in the last bits
+steps fewer, as a short DPO pair does.  Each sampled row draws its t-th token
+by inverse CDF with the t-th of its own row of uniforms, which the caller
+draws, over its logits less their maximum and divided by the temperature, so
+a tiny temperature gives the greedy limit; a greedy row takes the argmax.  A row's states move with its batch's makeup in the last bits
 only, so its tokens do not depend on the other rows except where a uniform
 falls within that noise of an inverse-CDF boundary.  No row ever emits PAD,
 BOS or SEP.
@@ -58,10 +57,11 @@ BOS or SEP.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,8 +152,9 @@ class GenerationParams:
     k_samples: int
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite positive number, "
+                             f"got {self.temperature}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         if self.k_samples < 1:
@@ -220,6 +221,21 @@ def target_ids(model: PolicyModel, a: Sequence[str]) -> list[int]:
 # ---------------------------------------------------------------------------
 # forward pass
 
+def _longest_first(seqs: Sequence[Sequence[int]]) -> tuple[Array, Array, list[int]]:
+    """The ragged id rows ``seqs`` laid out longest first: the stable order of
+    the rows by falling length, the (S, B) ids, right-padded with zeros, whose
+    column k is row ``order[k]``, and ``going``, whose [t] is how many rows, a
+    prefix of the columns, have a token t (``going[S]`` is 0)."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    n_steps = int(lengths.max(initial=0))
+    ids = np.zeros((n_steps, len(seqs)), dtype=np.intp)
+    for row, i in enumerate(order.tolist()):
+        ids[:lengths[i], row] = seqs[i]
+    going = [int((lengths > t).sum()) for t in range(n_steps)] + [0]
+    return order, ids, going
+
+
 def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
                   start: Array | None = None) -> Array:
     """The (B, h) GRU states after each encoded frame, from one right-padded pass
@@ -229,19 +245,12 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
     frame, so only each row's last state is kept.
     """
     p = {k: t.data for k, t in model.params.items()}
-    lengths = np.array([len(frame) for frame in frames], dtype=np.intp)
-    order = np.argsort(-lengths, kind="stable")
-    n_steps = int(lengths.max(initial=0))
-    ids = np.full((n_steps, len(frames)), model.vocab.pad_id, dtype=np.intp)
-    for row, i in enumerate(order.tolist()):
-        ids[:lengths[i], row] = frames[i]
-    # going[t]: how many rows, a prefix of the sorted batch, have a token t
-    going = [int((lengths > t).sum()) for t in range(n_steps)] + [0]
+    order, ids, going = _longest_first(frames)
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     w_gates = gate_major(p["w_h"])
     h = np.zeros((len(frames), model.h)) if start is None else start[order]
     out = np.empty((len(frames), model.h))
-    for t in range(n_steps):
+    for t in range(len(ids)):
         n, done = going[t], going[t + 1]
         gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], w_gates, out=h[:n])
         out[order[done:n]] = h[done:n]
@@ -256,21 +265,19 @@ def frame_states(model: PolicyModel, xs: Sequence[Sequence[str]]) -> Array:
 
 
 def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
-                         target_ids: Sequence[int], start: Array | None = None) -> Array:
+                         target_ids: Sequence[int]) -> Array:
     """Log-probability of each target token given the condition prefix.
 
     The GRU steps ``cond_ids`` and the target from the zero state, as
-    ``batch_nll`` does (the DPO reference margins), or from ``start``, the
-    (1, h) state after the first tokens of the condition; then ``cond_ids``
-    holds only the condition tokens after those.  Unlike ``batch_nll``, it
+    ``batch_nll`` does (the DPO reference margins).  Unlike ``batch_nll``, it
     keeps nothing for a backward.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
     p = model.params
     gates = gru_sequence_inputs(p["embed"].data, [[*cond_ids, *target_ids[:-1]]],
                                 p["w_x"].data, p["b"].data)
-    states, _ = _gru_steps(gates, p["w_h"].data, start)
-    # the start state and the states after each token but the last target
+    states, _ = _gru_steps(gates, p["w_h"].data)
+    # the zero state and the states after each token but the last target
     h_rows = states.reshape(-1, model.h)[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
@@ -390,17 +397,52 @@ def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
     return greedy_batch(model, [condition_ids(model, x, a_prev)], max_len)[0]
 
 
-def score(model: PolicyModel, start: Array, a: Sequence[str],
-          scored: dict[tuple[str, ...], float] | None = None) -> float:
-    """The self-reward r = p(a | x): the length-normalized log-probability of
-    ``a`` and EOS (nats per token) from ``start``, the (1, h) state after the
-    task frame ``BOS x SEP`` (a row of :func:`frame_states`).
+_REWARD_ROWS = 128  # the most rows one reward pass steps (see score_rows)
 
-    ``scored``, if given, maps each solution already scored from this
-    ``start`` under this model to its r: a repeated ``a`` returns the stored r
-    without stepping the GRU, and a new one is stored.  Recomputing it would
-    give the same bits, so the cache changes no result; the caller keeps a
-    dict no longer than its start and model (one per task and phase).
+
+def _rewards(model: PolicyModel, states: Array, targets: Sequence[list[int]]) -> Array:
+    """The (B,) self-rewards of the encoded targets ``a EOS``, target i continued
+    from ``states[i]``: the summed log-probabilities of its tokens over its
+    length.
+
+    The rows run longest first.  Each step projects the live rows' states and
+    then steps the rows whose target goes on, so a row leaves the batch when
+    its target ends, and no row's states over its tokens are kept.
+    """
+    p = {k: t.data for k, t in model.params.items()}
+    order, ids, going = _longest_first(targets)
+    xb = gru_inputs(p["embed"], p["w_x"], p["b"])
+    w_gates = gate_major(p["w_h"])
+    h = states[order]
+    rows = np.arange(len(targets))
+    total = np.zeros(len(targets))
+    for t in range(len(ids)):
+        n, n_next = going[t], going[t + 1]
+        # the log-softmax of each live row's logits, at its token t only
+        logits = h[:n] @ p["w_out"] + p["b_out"]
+        logits -= logits.max(axis=1, keepdims=True)
+        total[:n] += logits[rows[:n], ids[t, :n]] - np.log(np.exp(logits).sum(axis=1))
+        if n_next:
+            gru_step(np.take(xb, ids[t, :n_next], axis=1), h[:n_next], w_gates,
+                     out=h[:n_next])
+    out = np.empty(len(targets))
+    out[order] = total
+    return out / np.array([len(target) for target in targets])
+
+
+def score_rows(model: PolicyModel, starts: Array,
+               scored: Sequence[dict[tuple[str, ...], float]],
+               items: Iterable[tuple[int, Sequence[str]]]) -> None:
+    """Self-reward each (i, a) of ``items`` that ``scored[i]`` does not hold
+    yet, and store its r in ``scored[i]`` under ``tuple(a)``.
+
+    r = p(a | x) is the length-normalized log-probability of ``a`` and EOS
+    (nats per token) from ``starts[i]``, the state after task i's frame ``BOS
+    x SEP`` (a row of :func:`frame_states`).  ``scored[i]`` holds the rewards
+    already computed from that state under this model, so the caller keeps it
+    no longer than both (one per task and phase).  Each new (i, a) is one row:
+    the rows step together, longest first, at most ``_REWARD_ROWS`` at a time.
+    A row's r moves with its pass's makeup in the last bits only.
 
     A refinement is scored so too, not in its refine frame, since the pool and
     the U1/U2 ranking compare every candidate on one scale.  Over the
@@ -409,14 +451,27 @@ def score(model: PolicyModel, start: Array, a: Sequence[str],
     frame, against 0.607/0.718/0.571 from the refine frame.  An empty solution
     scores EOS alone.
     """
-    if scored is None:
-        scored = {}
-    key = tuple(a)
-    if key not in scored:
-        target = target_ids(model, a)
-        scored[key] = float(sequence_token_logps(model, [], target, start).sum()
-                            / len(target))
-    return scored[key]
+    new = [(i, a) for i, a in dict.fromkeys((i, tuple(a)) for i, a in items)
+           if a not in scored[i]]
+    # longest first, so the rows of each pass are of like lengths
+    new.sort(key=lambda row: -len(row[1]))
+    for k in range(0, len(new), _REWARD_ROWS):
+        rows = new[k:k + _REWARD_ROWS]
+        rewards = _rewards(model, starts[[i for i, _ in rows]],
+                           [target_ids(model, a) for _, a in rows])
+        for (i, a), r in zip(rows, rewards.tolist()):
+            scored[i][a] = r
+
+
+def score(model: PolicyModel, start: Array, a: Sequence[str],
+          scored: dict[tuple[str, ...], float] | None = None) -> float:
+    """The self-reward r of ``a`` from ``start``, the (1, h) task-frame state:
+    the one-row case of :func:`score_rows`.  ``scored``, if given, is the
+    task's dict of rewards already computed from ``start`` under this model:
+    a stored ``a`` is looked up, and a new one is computed and stored."""
+    scored = {} if scored is None else scored
+    score_rows(model, start, [scored], [(0, a)])
+    return scored[tuple(a)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ DEFAULT_POOL_CAP = 64
 
 # A duplicate a must beat the stored r by more than this to replace it.  Within
 # one exploration phase a repeated (task, a) reuses its first r, so repeats tie
-# exactly.  A solution scored under one model from task-frame states batched
-# differently (a warmup witness that exploration finds again) differs by float
-# noise alone (at most 8.3e-16 measured over the benchmark's workloads), while
-# real gaps between duplicates, scored under different models, were at least
-# 2.7e-3.
+# exactly.  A solution scored under one model in passes of different makeups
+# (a warmup witness that exploration finds again) differs by float noise alone:
+# over the benchmark's 18 parity runs, at most 1.1e-16 for the 72 re-found
+# witnesses, and at most 2.4e-15 (6.6e-15 relative) between a row scored alone
+# and in the batched pass.  Real gaps between duplicates, scored under
+# different models, were at least 2.7e-3.
 REWARD_TIE = 1e-9
 
 

@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different algorithmic route than the
 implementation it checks: finite differences for gradients, high-precision
 arithmetic for the loss, one GRU step at a time for the batched GRU kernels,
-shunting-yard evaluation for expressions, ground instantiation for the rule
-engine, and a literal step-by-step walk for the grid.
+one row at a time for the batched self-reward, shunting-yard evaluation for
+expressions, ground instantiation for the rule engine, and a literal
+step-by-step walk for the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from symtrain import policy
 from symtrain.autodiff import Param
 from symtrain.environments.grid import GridSpec
 
@@ -301,6 +303,34 @@ def reference_gru_backward(g: np.ndarray, ids: np.ndarray, states: np.ndarray,
         d_pre[t * n_batch:(t + 1) * n_batch, 2 * nh:] *= r
     grads["w_h"] = states[:-n_batch].T @ d_pre[n_batch:]
     return grads
+
+
+def reference_reward(p: Mapping[str, np.ndarray], start: np.ndarray,
+                     target: Sequence[int]) -> float:
+    """The self-reward of one row: the mean log-probability of the encoded
+    target ``a EOS`` under the parameter arrays ``p``, its first token
+    predicted by the (1, h) state ``start`` and each later one by the state
+    after the tokens before it, stepped one at a time (:func:`reference_gru`)."""
+    ids = np.asarray([target[:-1]], dtype=np.intp)
+    states, _ = reference_gru(p["embed"], ids, p["w_x"], p["w_h"], p["b"], start)
+    logits = np.vstack([start, states]) @ p["w_out"] + p["b_out"]
+    z = logits - logits.max(axis=1, keepdims=True)
+    logps = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(logps[np.arange(len(target)), target].sum() / len(target))
+
+
+def count_reward_rows(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Wrap ``policy._rewards``, the reward pass behind ``score_rows`` and
+    ``score``; the returned list gets each pass's row count."""
+    rows: list[int] = []
+    rewards = policy._rewards
+
+    def counted(model, states, targets):
+        rows.append(len(targets))
+        return rewards(model, states, targets)
+
+    monkeypatch.setattr(policy, "_rewards", counted)
+    return rows
 
 
 # ---------------------------------------------------------------------------

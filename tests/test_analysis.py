@@ -11,6 +11,7 @@ from symtrain.autodiff import sgd_step
 from symtrain.environments import Status
 from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
+from helpers import count_reward_rows
 
 
 def test_exploratory_ability_half_newly_solved():
@@ -60,15 +61,18 @@ def test_delta_logp_empty_is_null():
     assert delta_logp(model, []) is None
 
 
-def test_delta_logp_units_match_reward_difference():
+def test_delta_logp_units_match_reward_difference(monkeypatch):
     from symtrain.policy import frame_states, score
     model = PolicyModel(default_vocab(), d=8, h=12, seed=2)
-    x = ("a", "=", "3", ";", "sum", "a", "a")
-    a_plus, a_minus = ("a", "+", "a"), ("a", "-", "a")
-    start = frame_states(model, [x])
-    expected = score(model, start, a_plus) - score(model, start, a_minus)
-    assert delta_logp(model, [(x, a_plus, a_minus)]) == pytest.approx(expected,
-                                                                      abs=1e-9)
+    pairs = [(("a", "=", "3", ";", "sum", "a", "a"), ("a", "+", "a"), ("a", "-", "a")),
+             (("b", "=", "2", ";", "b"), ("b",), ("b", "*", "b", "*", "b"))]
+    expected = []
+    for x, a_plus, a_minus in pairs:
+        start = frame_states(model, [x])
+        expected.append(score(model, start, a_plus) - score(model, start, a_minus))
+    rows = count_reward_rows(monkeypatch)
+    assert abs(delta_logp(model, pairs) - sum(expected) / len(pairs)) <= 1e-12
+    assert rows == [4]  # every probe solution in one pass
 
 
 def test_margin_grows_after_training_on_positive():

@@ -50,7 +50,7 @@ from symtrain.policy import (
 )
 from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair
 from helpers import (assert_grads_close, assert_read_only, central_differences,
-                     mp_dpo_loss, reference_selection)
+                     count_reward_rows, mp_dpo_loss, reference_selection)
 
 
 def tiny_config(**over):
@@ -369,7 +369,8 @@ def test_refinements_are_scored_from_the_task_frame(cloned):
         if t_tilde is None:
             continue
         i = j // config.K
-        assert t_tilde.r == score(model, starts[i:i + 1], t_tilde.a)
+        # its r is the one-row r from the task frame, up to the pass's makeup
+        assert abs(t_tilde.r - score(model, starts[i:i + 1], t_tilde.a)) <= 1e-12
         if t_tilde.a == t.a:
             # a refinement that copies its draft ties it exactly
             assert t_tilde.r == t.r
@@ -450,19 +451,6 @@ def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypat
         [(t.task_id, t.a) for t in candidates]
 
 
-def _counting_token_logps(monkeypatch):
-    """Replace policy.sequence_token_logps, the GRU pass behind score, with a
-    wrapper; the returned list gets one entry per call."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return sequence_token_logps(*args)
-
-    monkeypatch.setattr(policy, "sequence_token_logps", counted)
-    return calls
-
-
 def _in_score_order(pairs):
     # all drafts are scored first, then all refinements
     return [t for t, _ in pairs] + [u for _, u in pairs if u is not None]
@@ -471,13 +459,14 @@ def _in_score_order(pairs):
 def test_explore_phase_computes_each_distinct_task_solution_once(cloned, monkeypatch):
     tasks, model = cloned
     config = tiny_config(env=tasks[0].env, K=4, max_len=40)
-    calls = _counting_token_logps(monkeypatch)
+    rows = count_reward_rows(monkeypatch)
     candidates = _in_score_order(explore_phase(model, tasks, config, iteration=3))
     first = {}
     for t in candidates:
         first.setdefault((t.task_id, t.a), t)
     assert len(candidates) > len(first)
-    assert len(calls) == len(first)
+    # one pass over every distinct (task, a); each candidate's score looks it up
+    assert rows == [len(first)]
     for t in candidates:
         # a repeat ties its first occurrence exactly
         assert t.r == first[(t.task_id, t.a)].r
@@ -489,15 +478,15 @@ def test_the_same_solution_on_two_tasks_is_computed_for_each(cloned, monkeypatch
     a = ("R",) if tasks[0].env == EnvKind.GRID_AGENT.value else ("1",)
     monkeypatch.setattr(engine, "sample",
                         lambda model, states, params, uniforms: [a] * len(states))
-    calls = _counting_token_logps(monkeypatch)
+    rows = count_reward_rows(monkeypatch)
     two = tasks[:2]
     assert two[0].x != two[1].x
     pairs = explore_phase(model, two, config, iteration=3)
-    assert len(pairs) == 2 * config.K and len(calls) == 2
+    assert len(pairs) == 2 * config.K and rows == [2]
     starts = frame_states(model, [t.x for t in two])
     for j, (t, _) in enumerate(pairs):
         i = j // config.K
-        assert t.r == score(model, starts[i:i + 1], a)
+        assert abs(t.r - score(model, starts[i:i + 1], a)) <= 1e-12
     assert pairs[0][0].r != pairs[config.K][0].r
 
 
@@ -508,11 +497,11 @@ def test_a_later_explore_phase_recomputes_every_reward(cloned, monkeypatch):
     before = _in_score_order(explore_phase(model, tasks, config, iteration=3))
     sets = TrainingSets([(t.x, t.a) for t in before if t.b == 1], [])
     trained, _, _ = train_iteration(copy.deepcopy(model), sets, config, iteration=3)
-    calls = _counting_token_logps(monkeypatch)
+    rows = count_reward_rows(monkeypatch)
     after = _in_score_order(explore_phase(trained, tasks, config, iteration=3))
     r_before = {(t.task_id, t.a): t.r for t in before}
     distinct = {(t.task_id, t.a) for t in after}
-    assert len(calls) == len(distinct)
+    assert rows == [len(distinct)]
     # some solutions are found again, and their r is the trained model's
     again = [t for t in after if (t.task_id, t.a) in r_before]
     assert again
@@ -520,7 +509,8 @@ def test_a_later_explore_phase_recomputes_every_reward(cloned, monkeypatch):
     index = {t.id: i for i, t in enumerate(tasks)}
     for t in again:
         i = index[t.task_id]
-        assert t.r == score(trained, starts[i:i + 1], t.a) != r_before[(t.task_id, t.a)]
+        assert abs(t.r - score(trained, starts[i:i + 1], t.a)) <= 1e-12
+        assert abs(t.r - r_before[(t.task_id, t.a)]) > 1e-12
 
 
 # ---------------------------------------------------------------------------

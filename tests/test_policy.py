@@ -5,9 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from symtrain import policy
 from symtrain.autodiff import _gru_steps, gru_sequence, gru_sequence_inputs, log_softmax
-from symtrain.environments import EnvKind, generate_dataset
+from symtrain.environments import MAX_SOLUTION_LEN, EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
     CHECKPOINT_FORMAT,
@@ -21,6 +20,8 @@ from symtrain.policy import (
     PolicyModel,
     Vocab,
     _CHECKPOINT_SLICE,
+    _REWARD_ROWS,
+    _rewards,
     batch_nll,
     condition_ids,
     _draw_tokens,
@@ -37,9 +38,11 @@ from symtrain.policy import (
     sample,
     save_checkpoint,
     score,
+    score_rows,
     sequence_token_logps,
 )
-from helpers import assert_grads_close, central_differences, reference_gru
+from helpers import (assert_grads_close, central_differences, count_reward_rows, reference_gru,
+                     reference_reward)
 
 
 def toy_vocab():
@@ -77,8 +80,8 @@ def _refine_task(model, x, drafts, params, seed):
 
 def _gru_states(model, ids, start=None):
     """The GRU states after each of the first T-1 tokens of ``ids[B, T]``, from
-    the zero state through the training forward, or from ``start`` as
-    ``sequence_token_logps`` steps them; row ``t*B + i`` predicts ``ids[i, t+1]``."""
+    the zero state through the training forward, or from ``start`` by the same
+    steps; row ``t*B + i`` predicts ``ids[i, t+1]``."""
     p = {k: t.data for k, t in model.params.items()}
     if start is None:
         return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)[0]
@@ -172,6 +175,10 @@ def test_sample_requires_input():
 def test_generation_params_validation():
     with pytest.raises(ValueError):
         GenerationParams(temperature=0.0, max_len=80, k_samples=5)
+    # sampling at either would emit PAD on every row
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            GenerationParams(temperature=temperature, max_len=80, k_samples=5)
     with pytest.raises(ValueError):
         GenerationParams(temperature=1.0, max_len=0, k_samples=5)
 
@@ -324,12 +331,14 @@ def test_batched_refine_frames_give_the_row_by_row_token_logps():
     frames = [condition_ids(model, x, a) for a in drafts]
     states = _frame_states(model, frames)
     p = {k: t.data for k, t in model.params.items()}
-    for i, cond in enumerate(frames):
-        target = vocab.encode([*_random_tokens(rng, vocab, 6), EOS])
+    targets = [vocab.encode([*_random_tokens(rng, vocab, n), EOS]) for n in (6, 0, 3, 6, 11)]
+    # the reward pass continues the frames' states as the full forward does
+    np.testing.assert_allclose(
+        _rewards(model, states, targets),
+        [sequence_token_logps(model, cond, target).mean()
+         for cond, target in zip(frames, targets)], rtol=0, atol=1e-12)
+    for cond, target in zip(frames, targets):
         logps = sequence_token_logps(model, cond, target)
-        np.testing.assert_allclose(
-            sequence_token_logps(model, [], target, start=states[i:i + 1]),
-            logps, rtol=0, atol=1e-12)
         # from the zero state, the rows are gru_sequence's own
         rows = _gru_states(model, np.asarray([[*cond, *target]]))[len(cond) - 1:]
         assert np.array_equal(
@@ -396,31 +405,81 @@ def test_batched_greedy_rows_equal_their_one_row_decodes():
 def test_score_is_mean_per_token_logp_with_eos():
     model = toy_model()
     a = ["a", "b", "c"]
-    vocab = model.vocab
     start = frame_states(model, [["d"]])
-    logps = sequence_token_logps(model, [], vocab.encode([*a, EOS]), start)
-    assert score(model, start, a) == pytest.approx(logps.sum() / 4, abs=1e-12)
-
+    p = {k: t.data for k, t in model.params.items()}
+    expected = reference_reward(p, start, model.vocab.encode([*a, EOS]))
+    assert abs(score(model, start, a) - expected) <= 1e-12
 
 
 def test_score_without_a_dict_steps_every_call_and_with_one_steps_each_solution_once(
         monkeypatch):
     model = toy_model()
     start = frame_states(model, [["d"]])
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return sequence_token_logps(*args)
-
-    monkeypatch.setattr(policy, "sequence_token_logps", counted)
+    rows = count_reward_rows(monkeypatch)
     a, b = ["a", "b"], ["c"]
     r_a, r_b = score(model, start, a), score(model, start, b)
-    assert score(model, start, a) == r_a and len(calls) == 3
+    assert score(model, start, a) == r_a and rows == [1, 1, 1]
     scored = {}
     assert [score(model, start, s, scored) for s in (a, b, a, tuple(b))] == [r_a, r_b, r_a, r_b]
-    assert len(calls) == 5
+    assert rows == [1] * 5
     assert scored == {("a", "b"): r_a, ("c",): r_b}
+
+
+def _reward_rows_case(case, model, rng):
+    """Task-frame states and (task, a) items for one case of the reward pass."""
+    vocab = model.vocab
+    if case == "single":
+        return frame_states(model, [["a", "b"]]), [(0, _random_tokens(rng, vocab, 5))]
+    if case == "ragged":
+        # an empty solution is EOS alone; the longest is as long as execute grades
+        lengths = (0, 3, MAX_SOLUTION_LEN, 1, 17, 0, 9, 3)
+        return (frame_states(model, [["c"]]),
+                [(0, _random_tokens(rng, vocab, n)) for n in lengths])
+    xs = [_random_tokens(rng, vocab, n) for n in (1, 4, 2, 7, 3)]
+    n_rows = 3 * _REWARD_ROWS + 5 if case == "more_than_one_pass" else 12
+    return (frame_states(model, xs),
+            [(i % len(xs), _random_tokens(rng, vocab, int(rng.integers(0, 25))))
+             for i in range(n_rows)])
+
+
+@pytest.mark.parametrize("case", ["ragged", "single", "more_than_one_pass", "several_tasks"])
+@pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates the gates
+def test_score_rows_match_the_step_by_step_reference(case, scale, monkeypatch):
+    model = toy_model(seed=11)
+    for param in model.params.values():
+        param.data *= scale
+    p = {k: t.data for k, t in model.params.items()}
+    starts, items = _reward_rows_case(case, model, np.random.default_rng(7))
+    items += items[:3]  # repeats are computed once
+    rows = count_reward_rows(monkeypatch)
+    scored = [{} for _ in starts]
+    score_rows(model, starts, scored, items)
+    distinct = {(i, tuple(a)) for i, a in items}
+    assert sum(rows) == len(distinct) == sum(len(r) for r in scored)
+    assert max(rows) <= _REWARD_ROWS and len(rows) == -(-len(distinct) // _REWARD_ROWS)
+    for i, a in distinct:
+        expected = reference_reward(p, starts[i:i + 1], model.vocab.encode([*a, EOS]))
+        assert abs(scored[i][a] - expected) <= 1e-12
+    # a stored r is kept, not recomputed
+    score_rows(model, starts, scored, items)
+    assert sum(rows) == len(distinct)
+
+
+def test_score_rows_do_not_depend_on_the_order_of_the_rows():
+    model = toy_model(seed=12)
+    rng = np.random.default_rng(8)
+    starts, items = _reward_rows_case("more_than_one_pass", model, rng)
+    scored = [{} for _ in starts]
+    score_rows(model, starts, scored, items)
+    for seed in range(3):
+        shuffled = [items[k] for k in np.random.default_rng(seed).permutation(len(items))]
+        again = [{} for _ in starts]
+        score_rows(model, starts, again, shuffled)
+        assert [d.keys() for d in again] == [d.keys() for d in scored]
+        for before, after in zip(scored, again):
+            for a, r in before.items():
+                assert abs(after[a] - r) <= 1e-12
+
 
 @pytest.mark.parametrize("env", list(EnvKind))
 def test_score_from_the_frame_state_equals_the_full_forward(env):
@@ -471,8 +530,9 @@ def test_score_bounds():
 def test_score_of_empty_solution_is_eos_alone():
     model = toy_model()
     start = frame_states(model, [["a"]])
-    (eos_logp,) = sequence_token_logps(model, [], [model.vocab.eos_id], start)
-    assert score(model, start, []) == eos_logp
+    p = {k: t.data for k, t in model.params.items()}
+    eos_logp = reference_reward(p, start, [model.vocab.eos_id])
+    assert abs(score(model, start, []) - eos_logp) <= 1e-12
 
 
 def test_a_zero_step_forward_has_no_states():
@@ -576,7 +636,8 @@ def test_sequence_token_logps_match_batch_nll_per_token():
 
 
 # the target's and condition's steps together on both sides of V = 16, where
-# the inputs switch from the product to the vocabulary's table
+# the inputs switch from the product to the vocabulary's table; from a given
+# start, the target is the reward pass's, continued from the state after cond
 @pytest.mark.parametrize("n_cond, n_target", [(0, 1), (0, 4), (3, 2), (0, 30), (12, 20)])
 @pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates the gates
 @pytest.mark.parametrize("from_start", [False, True])
@@ -594,7 +655,11 @@ def test_sequence_token_logps_match_the_step_by_step_reference(n_cond, n_target,
     states = reference_gru(p["embed"], ids, p["w_x"], p["w_h"], p["b"], start)[0]
     rows = np.vstack([start, states])[n_cond:]
     expected = log_softmax(rows @ p["w_out"] + p["b_out"])[np.arange(n_target), target]
-    actual = sequence_token_logps(model, cond, target, start if from_start else None)
+    if from_start:
+        (actual,) = _rewards(model, rows[:1], [target])
+        assert abs(actual - expected.mean()) <= 1e-12
+        return
+    actual = sequence_token_logps(model, cond, target)
     assert actual.shape == (n_target,)
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
 
