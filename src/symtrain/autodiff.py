@@ -11,7 +11,11 @@ whole id batch (:func:`gru_sequence`, the training forward, which starts from
 the zero state).  The DPO reference margins step the same inputs by the same
 loop and keep no backward (``policy.sequence_token_logps``); self-reward
 continues each row from its task-frame state through :func:`gru_step`
-(``policy.score_rows``).  All is float64.
+(``policy.score_rows``).  Every kernel computes in its operands' dtype: the
+policy holds float32 parameters (``policy.PARAM_DTYPE``), and the checks of
+the kernels run them on float64 operands.  Each example's NLL is summed over
+its tokens in float64, and so is the norm that clips a step
+(:func:`squared_norm`).
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
@@ -34,13 +38,13 @@ pass of the backward covers one gate over all steps, so the backward first
 copies each gate out whole.  Only the products with ``w_h.T`` and for w_h's
 gradient read the row-major ``[dz | dr | dn * r]`` rows they need.
 
-Measured at S = 75, B = 8, h = 64 (a 2-core x86-64 VM, numpy 2.4, one
-OpenBLAS thread): one elementwise pass over a gate takes 71 us as a view of
-a row-major (S, B, 3, h) array, 56 us as a view of the per-step gate-major
-cache and 23 us contiguous, while copying all three gates out of the cache
-takes 38 us.  Inside a step, a call on the z and r blocks takes 0.55 us
-when they are contiguous and 2.4 us when they are not.  Forming the inputs
-of all steps (V = 95 vocabulary rows, d = 32): building the table and
+Measured in float64 at S = 75, B = 8, h = 64 (a 2-core x86-64 VM, numpy 2.4,
+one OpenBLAS thread): one elementwise pass over a gate takes 71 us as a view
+of a row-major (S, B, 3, h) array, 56 us as a view of the per-step
+gate-major cache and 23 us contiguous, while copying all three gates out of
+the cache takes 38 us.  Inside a step, a call on the z and r blocks takes
+0.55 us when they are contiguous and 2.4 us when they are not.  Forming the
+inputs of all steps (V = 95 vocabulary rows, d = 32): building the table and
 gathering from it take 45-75 us in all at S*B = 160-592 positions, against
 59-266 us for the per-position product, bias pass and gate-major copy; at
 S*B = 10 the product takes 11 us, the table alone 33-43 us.
@@ -74,13 +78,15 @@ class TrainingError(RuntimeError):
 
 
 class Param:
-    """A float64 parameter array and the gradient buffer it owns, allocated
-    with it and set in place by each backward."""
+    """A parameter array and the gradient buffer it owns, allocated with it and
+    set in place by each backward.  It keeps the float dtype it is given;
+    other data becomes float64."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = np.zeros_like(self.data)
 
 
@@ -114,8 +120,8 @@ class GRUCache(NamedTuple):
     rows.  Both arrays are gate-major per step, as the forward's calls read
     them: a step's three (B, h) blocks are one contiguous (3, B, h) block,
     while one gate over all steps is a view that strides from step to step
-    (a pass over it costs 2.4x a contiguous one at S = 75, B = 8, h = 64;
-    see the module docstring).  The sweep consumes them."""
+    (a pass over it costs 2.4x a contiguous one in float64 at S = 75, B = 8,
+    h = 64; see the module docstring).  The sweep consumes them."""
 
     gates: Array  # (S, 3, B, h): the update gate z, the reset gate r, the candidate n
     hw: Array     # (S, 3, B, h): h_prev @ w_h per gate; only the candidate's is kept
@@ -174,7 +180,7 @@ def _gru_steps(gates: Array, w_h: Array,
     the forward's cache, whose gates take over ``gates``."""
     n_steps, _, n_batch, n_hidden = gates.shape
     hw = np.empty_like(gates)
-    states = np.empty((n_steps + 1, n_batch, n_hidden))
+    states = np.empty((n_steps + 1, n_batch, n_hidden), dtype=gates.dtype)
     states[0] = 0.0 if h0 is None else h0
     w_gates = gate_major(w_h)
     h = states[0]
@@ -261,7 +267,7 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     nh = w_h.data.shape[0]
     # one copy (as cheap as one strided pass) makes each gate's (S, B, h) array
     # contiguous for the passes below
-    z, r, n = zrn = np.empty((3, n_steps, n_batch, nh))
+    z, r, n = zrn = np.empty((3, n_steps, n_batch, nh), dtype=cache.gates.dtype)
     zrn[...] = cache.gates.transpose(1, 0, 2, 3)
     # the factors, contiguous, in the spent gates' storage
     one_minus_z, f_z, f_r = cache.gates.reshape(3, n_steps, n_batch, nh)
@@ -285,8 +291,8 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
     d_gates = d.transpose(0, 2, 1, 3)  # the same storage, gate-major per step
     w_h_t = w_h.data.T
     g = g.reshape(n_steps, n_batch, nh)
-    d_h = np.zeros((n_batch, nh))
-    g_t, gz = np.empty((2, n_batch, nh))
+    d_h = np.zeros((n_batch, nh), dtype=zrn.dtype)
+    g_t, gz = np.empty((2, n_batch, nh), dtype=zrn.dtype)
     steps = zip(g[::-1], f_z[::-1], f_r[::-1], r[::-1], z[::-1], dn[::-1],
                 d.reshape(n_steps, n_batch, 3 * nh)[::-1], d_gates[::-1, 0],
                 d_gates[::-1, 1], d_gates[::-1, 2])
@@ -323,7 +329,8 @@ def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,
 
 def output_nll(states: Array, rows: Sequence[int], w_out: Array, b_out: Array,
                targets: Sequence[int], lengths: Sequence[int]) -> tuple[Array, tuple]:
-    """Summed NLL of each example's targets under the output layer.
+    """Summed NLL of each example's targets under the output layer, summed in
+    float64.
 
     Row ``states[rows[k]]`` predicts ``targets[k]`` through the logits
     ``states[rows[k]] @ w_out + b_out``; example i owns the next
@@ -356,7 +363,7 @@ def output_nll(states: Array, rows: Sequence[int], w_out: Array, b_out: Array,
     picked = states[idx]
     log_probs = log_softmax(picked @ w_out + b_out)
     per_token = log_probs[np.arange(len(tgt)), tgt]
-    nll = -np.add.reduceat(per_token, np.cumsum(counts) - counts)
+    nll = -np.add.reduceat(per_token, np.cumsum(counts) - counts, dtype=np.float64)
     return nll, (len(states), idx, tgt, counts, picked, log_probs)
 
 
@@ -372,7 +379,7 @@ def output_nll_backward(w: Array, cache: tuple, w_out: Param, b_out: Param) -> A
     d_logits *= np.repeat(w, counts)[:, None]
     np.sum(d_logits, axis=0, keepdims=True, out=b_out.grad)
     np.matmul(picked.T, d_logits, out=w_out.grad)
-    d_states = np.zeros((n_states, picked.shape[1]))
+    d_states = np.zeros((n_states, picked.shape[1]), dtype=picked.dtype)
     d_states[idx] = d_logits @ w_out.data.T
     return d_states
 
@@ -408,14 +415,27 @@ def keep_freed_memory() -> None:
 CLIP = 5.0  # the global-norm clip of every training step (see sgd_step)
 
 
+def squared_norm(a: Array) -> float:
+    """The sum of the squares of ``a``'s entries, each squared in float64, so a
+    float32 entry's square never overflows."""
+    return float(np.square(a, dtype=np.float64).sum())
+
+
 def global_norm(grads: Mapping[str, Array]) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    return math.sqrt(sum(squared_norm(g) for g in grads.values()))
 
 
 def sgd_step(params: Mapping[str, Param], grads: Mapping[str, Array],
              lr: float, clip: float) -> Mapping[str, Param]:
     """In-place SGD update with global-norm gradient clipping; ``clip=math.inf``
-    never clips."""
+    never clips.
+
+    The norm is summed in float64 (:func:`squared_norm`).  A step size past
+    float32's range multiplies in float64, where a zero gradient's entry
+    still moves by 0, not NaN.  An update past the parameter's dtype leaves
+    inf there, without a warning, for the next loss or the caller's check
+    after the last update to report.
+    """
     if lr <= 0:
         raise ValueError(f"sgd_step: lr must be positive, got {lr}")
     if clip <= 0:
@@ -424,9 +444,11 @@ def sgd_step(params: Mapping[str, Param], grads: Mapping[str, Array],
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     norm = global_norm(grads)
-    scale = clip / norm if norm > clip else 1.0
-    for name, t in params.items():
-        g = grads.get(name)
-        if g is not None:
-            t.data -= lr * scale * g
+    step = lr * (clip / norm if norm > clip else 1.0)
+    dtype = np.float64 if step > float(np.finfo(np.float32).max) else None
+    with np.errstate(over="ignore"):
+        for name, t in params.items():
+            g = grads.get(name)
+            if g is not None:
+                t.data -= np.multiply(step, g, dtype=dtype)
     return params

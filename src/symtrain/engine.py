@@ -29,7 +29,7 @@ import numpy as np
 
 from symtrain import analysis
 from symtrain.autodiff import (CLIP, Array, Tape, TrainingError, keep_freed_memory,
-                               sgd_step)
+                               sgd_step, squared_norm)
 from symtrain.environments import (MAX_SOLUTION_LEN, EnvKind, TaskInstance, check_task,
                                    execute)
 from symtrain.policy import (
@@ -383,7 +383,7 @@ def _sgd_epochs(model: PolicyModel, items: Sequence,
         return visited  # no update to check
     with np.errstate(over="ignore"):  # an overflow is the finding, not a fault
         for name, p in params.items():
-            if not math.isfinite(float(np.vdot(p.data, p.data))):
+            if not math.isfinite(squared_norm(p.data)):
                 raise TrainingError(f"non-finite norm of parameter {name!r} after "
                                     f"the last {what} update at iteration {iteration}")
     return visited
@@ -470,8 +470,8 @@ def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
     for x, a_plus, a_minus in sets.u2:
         cond = condition_ids(model, x)
         pos, neg = target_ids(model, a_plus), target_ids(model, a_minus)
-        ref_margin = float(sequence_token_logps(model, cond, pos).sum()
-                           - sequence_token_logps(model, cond, neg).sum())
+        ref_margin = float(sequence_token_logps(model, cond, pos).sum(dtype=np.float64)
+                           - sequence_token_logps(model, cond, neg).sum(dtype=np.float64))
         pairs.append((cond, pos, neg, ref_margin))
     total = 0.0
     for _, values in _sgd_epochs(

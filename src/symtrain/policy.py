@@ -47,11 +47,16 @@ from that table when the batch steps more positions than the vocabulary has
 rows, as most training minibatches do, and by multiplying its own rows when it
 steps fewer, as a short DPO pair does.  Each sampled row draws its t-th token
 by inverse CDF with the t-th of its own row of uniforms, which the caller
-draws, over its logits less their maximum and divided by the temperature, so
-a tiny temperature gives the greedy limit; a greedy row takes the argmax.  A row's states move with its batch's makeup in the last bits
+draws, over its logits in float64 less their maximum and divided by the
+temperature, so a tiny temperature gives the greedy limit; a greedy row takes
+the argmax.  A row's states move with its batch's makeup in the last bits
 only, so its tokens do not depend on the other rows except where a uniform
 falls within that noise of an inverse-CDF boundary.  No row ever emits PAD,
 BOS or SEP.
+
+Every pass computes in the parameters' dtype, float32 (``PARAM_DTYPE``).
+The NLLs and the self-rewards are summed over their tokens in float64, and
+so are the DPO reference margins (``engine``).
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
 
 CHECKPOINT_FORMAT = "symtrain-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 INIT_SCALE = 0.08  # parameters drawn uniform in [-INIT_SCALE, INIT_SCALE]
+PARAM_DTYPE = np.float32  # every model's parameters, and so every pass over them
 DEFAULT_D, DEFAULT_H = 32, 64
 
 
@@ -165,7 +171,8 @@ class PolicyModel:
     """GRU policy: parameters plus hyperparameters.
 
     Gate layout inside the fused weight matrices is ``[update | reset | cand]``
-    along the 3h column axis.
+    along the 3h column axis.  The parameters are drawn in float64 and held
+    as ``PARAM_DTYPE``.
     """
 
     def __init__(self, vocab: Vocab, d: int = DEFAULT_D, h: int = DEFAULT_H, seed: int = 0):
@@ -179,7 +186,7 @@ class PolicyModel:
         v, d, h = len(self.vocab), self.d, self.h
 
         def uniform(*shape: int) -> Param:
-            return Param(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
+            return Param(rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(PARAM_DTYPE))
 
         return {
             "embed": uniform(v, d),
@@ -248,8 +255,8 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
     order, ids, going = _longest_first(frames)
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     w_gates = gate_major(p["w_h"])
-    h = np.zeros((len(frames), model.h)) if start is None else start[order]
-    out = np.empty((len(frames), model.h))
+    h = np.zeros((len(frames), model.h), dtype=xb.dtype) if start is None else start[order]
+    out = np.empty((len(frames), model.h), dtype=xb.dtype)
     for t in range(len(ids)):
         n, done = going[t], going[t + 1]
         gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], w_gates, out=h[:n])
@@ -317,6 +324,8 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
         if uniforms is None:
             tokens = logits.argmax(axis=1)
         else:
+            # in float64, where a tiny temperature is not 0
+            logits = logits.astype(np.float64, copy=False)
             logits -= logits.max(axis=1, keepdims=True)
             # at a tiny temperature every logit below the max overflows to -inf,
             # weight 0: the greedy limit
@@ -442,7 +451,8 @@ def score_rows(model: PolicyModel, starts: Array,
     already computed from that state under this model, so the caller keeps it
     no longer than both (one per task and phase).  Each new (i, a) is one row:
     the rows step together, longest first, at most ``_REWARD_ROWS`` at a time.
-    A row's r moves with its pass's makeup in the last bits only.
+    A row's r moves with its pass's makeup in float32's last bits only (see
+    ``pool.REWARD_TIE``).
 
     A refinement is scored so too, not in its refine frame, since the pool and
     the U1/U2 ranking compare every candidate on one scale.  Over the
@@ -580,7 +590,8 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             raise CheckpointError(f"{path}: parameter {odd[0]!r} is "
                                   f"{'unknown' if odd[0] in params else 'missing'}")
         for name, tensor in model.params.items():
-            arr = np.asarray(params[name]["values"], dtype=np.float64)
+            with np.errstate(over="raise"):  # a value past the dtype's range is corrupt
+                arr = np.asarray(params[name]["values"], dtype=tensor.data.dtype)
             shape = tuple(params[name]["shape"])
             if shape != tensor.data.shape:
                 raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
@@ -593,6 +604,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             raise CheckpointError(f"{path}: metadata must be an object")
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FloatingPointError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     return model, metadata

@@ -319,6 +319,16 @@ def reference_reward(p: Mapping[str, np.ndarray], start: np.ndarray,
     return float(logps[np.arange(len(target)), target].sum() / len(target))
 
 
+def float64_model(vocab: policy.Vocab, d: int = policy.DEFAULT_D, h: int = policy.DEFAULT_H,
+                  seed: int = 0) -> policy.PolicyModel:
+    """``PolicyModel(vocab, d, h, seed)`` holding its float64 draws instead of
+    ``policy.PARAM_DTYPE``, so that every pass over it computes in float64 and
+    can be checked against a reference within 1e-12."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policy, "PARAM_DTYPE", np.float64)
+        return policy.PolicyModel(vocab, d, h, seed)
+
+
 def count_reward_rows(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     """Wrap ``policy._rewards``, the reward pass behind ``score_rows`` and
     ``score``; the returned list gets each pass's row count."""

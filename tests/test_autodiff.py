@@ -463,6 +463,30 @@ def test_sgd_step_global_norm_clip():
     assert np.allclose(p.data, -0.5)
 
 
+def test_param_keeps_the_float_dtype_it_is_given():
+    for dtype in (np.float32, np.float64):
+        p = Param(np.zeros(3, dtype=dtype))
+        assert p.data.dtype == p.grad.dtype == dtype
+    assert Param([1, 2]).data.dtype == np.float64
+
+
+def test_sgd_step_clips_a_float32_gradient_whose_squares_overflow_float32():
+    # 1e20 squared is past float32's largest value, 3.4e38, but not float64's
+    p = Param(np.zeros(4, dtype=np.float32))
+    g = np.full(4, 1e20, dtype=np.float32)
+    sgd_step({"p": p}, {"p": g}, lr=0.1, clip=autodiff.CLIP)
+    assert p.data.dtype == np.float32
+    # the step moves by lr * CLIP along -g
+    np.testing.assert_allclose(p.data, -0.1 * autodiff.CLIP / 2, rtol=1e-6)
+
+
+def test_sgd_step_that_overflows_float32_leaves_inf_and_zero_entries_unmoved():
+    p = Param(np.ones(3, dtype=np.float32))
+    sgd_step({"p": p}, {"p": np.array([1.0, 0.0, -1.0], dtype=np.float32)}, lr=1e308,
+             clip=math.inf)
+    assert p.data.tolist() == [-math.inf, 1.0, math.inf]
+
+
 def test_sgd_step_rejects_nonfinite_named():
     p = Param(1.0)
     with pytest.raises(TrainingError, match="p"):

@@ -48,9 +48,9 @@ from symtrain.policy import (
     score,
     sequence_token_logps,
 )
-from symtrain.pool import CandidatePool, RankedSets, Trajectory, filter_pair
+from symtrain.pool import REWARD_TIE, CandidatePool, RankedSets, Trajectory, filter_pair
 from helpers import (assert_grads_close, assert_read_only, central_differences,
-                     count_reward_rows, mp_dpo_loss, reference_selection)
+                     count_reward_rows, float64_model, mp_dpo_loss, reference_selection)
 
 
 def tiny_config(**over):
@@ -594,8 +594,8 @@ def _dpo_pairs(model, ref_margins):
 
 
 def _toy_model(seed):
-    return PolicyModel(Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")]), d=8, h=12,
-                       seed=seed)
+    return float64_model(Vocab([*CONTROL_TOKENS, *list("abcdefghijkl")]), d=8, h=12,
+                         seed=seed)
 
 
 def test_dpo_loss_is_ln2_when_policy_equals_reference():
@@ -729,7 +729,7 @@ def partly_trained():
     """A grid_agent model behaviour-cloned on half of 16 tasks: it solves some
     tasks but not all, and greedy refinement solves some that it misses."""
     tasks, witnesses = generate_dataset(EnvKind.GRID_AGENT, 16, seed=0)
-    model = PolicyModel(default_vocab(), d=16, h=24, seed=1)
+    model = float64_model(default_vocab(), d=16, h=24, seed=1)
     sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in tasks[:8]], [])
     config = tiny_config(env="grid_agent", train_mode="continual", epochs_per_iter=40,
                          lr=0.5, batch_size=2, max_len=40)
@@ -967,6 +967,28 @@ def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):
     assert pool.update(again) == 0
     assert sorted(pool.all_entries(), key=lambda t: t.task_id) == \
         sorted(seeded, key=lambda t: t.task_id)
+
+
+def test_a_witness_re_found_in_a_pass_of_another_makeup_keeps_its_older_entry():
+    # at the default size and dtype, a witness scored in a one-row pass moves from
+    # its r in a pass of 8 rows by float32 noise, beyond the old tie of 1e-9
+    tasks, witnesses = generate_dataset(EnvKind.LOGIC_RULES, 8, seed=0)
+    config = tiny_config(env="logic_rules")
+    model = PolicyModel(default_vocab(), seed=0)
+    starts = frame_states(model, [t.x for t in tasks])
+    scored = [{} for _ in tasks]
+    engine.score_rows(model, starts, scored, [(i, witnesses[t.id])
+                                              for i, t in enumerate(tasks)])
+    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
+                                starts[i:i + 1], scored[i]) for i, t in enumerate(tasks)]
+    pool = CandidatePool()
+    pool.update(seeded)
+    again = [engine._candidate(model, t, config, witnesses[t.id], "explore", 1,
+                               frame_states(model, [t.x])) for t in tasks]
+    gaps = [abs(new.r - old.r) for old, new in zip(seeded, again)]
+    assert 1e-9 < max(gaps) < REWARD_TIE
+    assert pool.update(again) == 0
+    assert [pool.entries(t.id) for t in tasks] == [[t] for t in seeded]
 
 
 def test_a_witness_re_found_as_a_refinement_keeps_its_warmup_entry(tiny_dataset,

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from symtrain.autodiff import _gru_steps, gru_sequence, gru_sequence_inputs, log_softmax
+from symtrain.autodiff import (CLIP, Param, _gru_steps, gru_sequence, gru_sequence_inputs,
+                               log_softmax, sgd_step)
 from symtrain.environments import MAX_SOLUTION_LEN, EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -40,9 +41,10 @@ from symtrain.policy import (
     score,
     score_rows,
     sequence_token_logps,
+    target_ids,
 )
-from helpers import (assert_grads_close, central_differences, count_reward_rows, reference_gru,
-                     reference_reward)
+from helpers import (assert_grads_close, central_differences, count_reward_rows, float64_model,
+                     reference_gru, reference_reward)
 
 
 def toy_vocab():
@@ -51,6 +53,11 @@ def toy_vocab():
 
 def toy_model(seed=0, d=8, h=12):
     return PolicyModel(toy_vocab(), d=d, h=h, seed=seed)
+
+
+def toy_model64(seed=0, d=8, h=12):
+    """The toy model in float64, for checks against a reference within 1e-12."""
+    return float64_model(toy_vocab(), d=d, h=h, seed=seed)
 
 
 def _random_tokens(rng, vocab, n):
@@ -309,7 +316,7 @@ def test_rows_of_a_mixed_batch_equal_each_tasks_rows_drawn_alone():
 
 
 def test_frame_states_are_forwards_states_at_the_frame_ends():
-    model = toy_model(seed=16)
+    model = toy_model64(seed=16)
     rng = np.random.default_rng(5)
     frames = [model.vocab.encode(_random_tokens(rng, model.vocab, n)) for n in (3, 1, 9, 4, 9)]
     ids = np.full((len(frames), 10), model.vocab.pad_id, dtype=np.intp)
@@ -323,7 +330,7 @@ def test_frame_states_are_forwards_states_at_the_frame_ends():
 
 
 def test_batched_refine_frames_give_the_row_by_row_token_logps():
-    model = toy_model(seed=13)
+    model = toy_model64(seed=13)
     vocab = model.vocab
     rng = np.random.default_rng(3)
     x = ["a", "b", "c"]
@@ -403,7 +410,7 @@ def test_batched_greedy_rows_equal_their_one_row_decodes():
 # scoring
 
 def test_score_is_mean_per_token_logp_with_eos():
-    model = toy_model()
+    model = toy_model64()
     a = ["a", "b", "c"]
     start = frame_states(model, [["d"]])
     p = {k: t.data for k, t in model.params.items()}
@@ -445,7 +452,7 @@ def _reward_rows_case(case, model, rng):
 @pytest.mark.parametrize("case", ["ragged", "single", "more_than_one_pass", "several_tasks"])
 @pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates the gates
 def test_score_rows_match_the_step_by_step_reference(case, scale, monkeypatch):
-    model = toy_model(seed=11)
+    model = toy_model64(seed=11)
     for param in model.params.values():
         param.data *= scale
     p = {k: t.data for k, t in model.params.items()}
@@ -484,7 +491,7 @@ def test_score_rows_do_not_depend_on_the_order_of_the_rows():
 @pytest.mark.parametrize("env", list(EnvKind))
 def test_score_from_the_frame_state_equals_the_full_forward(env):
     tasks, _ = generate_dataset(env, 5, seed=2)
-    model = PolicyModel(default_vocab(), d=8, h=12, seed=6)
+    model = float64_model(default_vocab(), d=8, h=12, seed=6)
     # large weights make the drawn tokens depend on the state they start from
     for param in model.params.values():
         param.data *= 20.0
@@ -528,7 +535,7 @@ def test_score_bounds():
 
 
 def test_score_of_empty_solution_is_eos_alone():
-    model = toy_model()
+    model = toy_model64()
     start = frame_states(model, [["a"]])
     p = {k: t.data for k, t in model.params.items()}
     eos_logp = reference_reward(p, start, [model.vocab.eos_id])
@@ -575,7 +582,7 @@ def test_score_equals_negative_nll_over_length():
 # nll and batching
 
 def test_nll_uniform_logits_is_log_vocab():
-    model = toy_model()
+    model = toy_model64()
     model.params["w_out"].data[:] = 0.0
     model.params["b_out"].data[:] = 0.0
     loss, _ = _condition_nll(model, ["a"], ["b"])
@@ -590,7 +597,7 @@ def test_nll_rejects_empty_target_and_unknown_token():
 
 
 def test_nll_gradient_matches_finite_differences():
-    model = toy_model(seed=12)
+    model = toy_model64(seed=12)
 
     def loss_fn():
         return _condition_nll(model, ["a", "b"], ["c", "d", EOS])[0]
@@ -617,7 +624,7 @@ def test_batch_nll_equals_sum_of_single_losses():
 
 
 def test_sequence_token_logps_match_batch_nll_per_token():
-    model = toy_model(seed=9)
+    model = toy_model64(seed=9)
     vocab = model.vocab
     examples = [
         (vocab.encode([BOS, "a", "b", "c", SEP]), vocab.encode(["d", EOS])),
@@ -643,7 +650,7 @@ def test_sequence_token_logps_match_batch_nll_per_token():
 @pytest.mark.parametrize("from_start", [False, True])
 def test_sequence_token_logps_match_the_step_by_step_reference(n_cond, n_target, scale,
                                                                from_start):
-    model = toy_model(seed=n_cond + n_target)
+    model = toy_model64(seed=n_cond + n_target)
     for param in model.params.values():
         param.data *= scale
     p = {k: t.data for k, t in model.params.items()}
@@ -665,7 +672,7 @@ def test_sequence_token_logps_match_the_step_by_step_reference(n_cond, n_target,
 
 
 def test_batch_nll_gradient_matches_finite_differences():
-    model = toy_model(seed=13)
+    model = toy_model64(seed=13)
     vocab = model.vocab
     examples = [
         (vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS])),
@@ -699,6 +706,56 @@ def test_untaped_forward_equals_taped_states_bitwise():
     row, _ = gru_sequence(p["embed"], ids[:1, :-1], p["w_x"], p["w_h"], p["b"], model.h)
     expected = log_softmax(row[3:] @ p["w_out"] + p["b_out"])[np.arange(2), target]
     assert np.array_equal(sequence_token_logps(model, cond, target), expected)
+
+
+def test_a_default_model_computes_in_float32_and_sums_its_losses_in_float64():
+    model, wide = toy_model(seed=4), toy_model64(seed=4)
+    # the float64 draws, cast: the init stream does not change
+    for name, p in model.params.items():
+        assert p.data.dtype == p.grad.dtype == np.float32
+        assert np.array_equal(p.data, wide.params[name].data.astype(np.float32))
+    vocab = model.vocab
+    examples = [(vocab.encode([BOS, "a", SEP]), vocab.encode(["b", "c", EOS])),
+                (vocab.encode([BOS, "d", "e", SEP]), vocab.encode(["f", EOS]))]
+    nll, tape = batch_nll(model, examples)
+    assert nll.dtype == np.float64
+    tape.backward(np.ones(2))
+    assert all(p.grad.dtype == np.float32 for p in model.params.values())
+    states = frame_states(model, [["a", "b"], ["c"]])
+    assert states.dtype == np.float32
+    assert sequence_token_logps(model, examples[0][0], examples[0][1]).dtype == np.float32
+    assert _rewards(model, states, [examples[0][1], examples[1][1]]).dtype == np.float64
+
+
+def test_float32_training_tracks_float64():
+    # the same init (the float32 parameters, cast) and the same minibatches: 30
+    # SGD steps on logic_rules witnesses at the default size, lr 0.1 and the clip
+    tasks, witnesses = generate_dataset(EnvKind.LOGIC_RULES, 12, seed=0)
+    narrow = PolicyModel(default_vocab(), seed=0)
+    wide = PolicyModel(default_vocab(), seed=0)
+    wide.params = {name: Param(p.data.astype(np.float64))
+                   for name, p in narrow.params.items()}
+    examples = [(condition_ids(narrow, t.x), target_ids(narrow, witnesses[t.id]))
+                for t in tasks]
+    rng = np.random.default_rng(0)
+    eps = np.finfo(np.float32).eps
+    step, means = 0, []
+    for _ in range(10):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(order), 4):
+            batch = [examples[i] for i in order[start:start + 4]]
+            step += 1
+            losses = []
+            for model in (narrow, wide):
+                nll, tape = batch_nll(model, batch)
+                tape.backward(np.ones(len(nll)))
+                sgd_step(model.params, {name: p.grad for name, p in model.params.items()},
+                         0.1, CLIP)
+                losses.append(nll)
+            # each step's float32 roundings may add one epsilon of relative drift
+            np.testing.assert_allclose(losses[0], losses[1], rtol=step * eps, atol=0)
+            means.append(losses[1].mean())
+    assert step == 30 and means[-1] < 0.8 * means[0]  # the steps trained
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +796,10 @@ def test_checkpoint_roundtrip_scores_identical(tmp_path):
     save_checkpoint(model, path, metadata={"note": "test"})
     loaded, metadata = load_checkpoint(path)
     assert metadata == {"note": "test"}
+    # float32 values written as Python floats read back exactly, in the model's dtype
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == p.data.dtype == np.float32
+        assert np.array_equal(loaded.params[name].data, p.data)
     rng = np.random.default_rng(2)
     for _ in range(10):
         cond = _random_tokens(rng, model.vocab, 3)
@@ -804,8 +865,9 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     payload = json.loads(path.read_text())
-    # version 1 carried an rng stream the policy no longer has, version 2 a context budget
-    for version in (1, 2, 99):
+    # version 1 carried an rng stream the policy no longer has, version 2 a context
+    # budget, version 3 float64 parameters
+    for version in (1, 2, 3, 99):
         payload["version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="version"):
@@ -824,7 +886,10 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
      r"'embed' has shape \(3, 8\), expected \(16, 8\)"),
     (lambda payload: payload.update(params=list(payload["params"].values())),
      "params must be an object"),
-], ids=["missing", "extra", "mis_shaped", "params_list"])
+    # past float32's largest value, 3.4e38
+    (lambda payload: payload["params"]["b"]["values"].__setitem__(0, 1e39),
+     "overflow encountered in cast"),
+], ids=["missing", "extra", "mis_shaped", "params_list", "past_float32"])
 def test_checkpoint_parameters_must_fit_the_model(tmp_path, fault, message):
     path = tmp_path / "model.json"
     save_checkpoint(toy_model(), path)

@@ -97,14 +97,16 @@ def test_duplicate_solution_keeps_higher_reward():
 def test_duplicate_within_the_reward_tie_keeps_the_older_entry():
     pool = CandidatePool()
     pool.update([make(a=("a", "b"), r=-1.0, iteration=0)])
-    # float noise, as from scoring one solution twice under one model
-    pool.update([make(a=("a", "b"), r=-1.0 + 1e-15, iteration=1)])
+    # float32 noise, as from scoring one solution twice under one model in
+    # passes of different makeups
+    pool.update([make(a=("a", "b"), r=-1.0 + 3.8e-6, iteration=1)])
     (entry,) = pool.entries("t1")
     assert (entry.r, entry.iteration) == (-1.0, 0)
-    assert 1e-15 < REWARD_TIE < 1e-6
-    pool.update([make(a=("a", "b"), r=-1.0 + 1e-6, iteration=2)])
+    assert 3.8e-6 < REWARD_TIE < 2.7e-3
+    # the smallest gap measured between duplicates scored under different models
+    pool.update([make(a=("a", "b"), r=-1.0 + 2.7e-3, iteration=2)])
     (entry,) = pool.entries("t1")
-    assert (entry.r, entry.iteration) == (-1.0 + 1e-6, 2)
+    assert (entry.r, entry.iteration) == (-1.0 + 2.7e-3, 2)
 
 
 def test_cap_evicts_lowest_reward_negative_first():
