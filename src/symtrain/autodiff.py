@@ -8,24 +8,20 @@ nll_i``, so no buffer is ever zeroed.  The backward rules are plain functions
 that set what they compute: :func:`output_nll_backward` for the output layer
 (:func:`output_nll`), then :func:`gru_sequence_backward`, one BPTT sweep over a
 whole id batch (:func:`gru_sequence`, the training forward, which starts from
-the zero state).  The DPO reference margins step the same inputs by the same
-loop and keep no backward (``policy.sequence_token_logps``); self-reward
-continues each row from its task-frame state through :func:`gru_step`
-(``policy.score_rows``).  Every kernel computes in its operands' dtype: the
-policy holds float32 parameters (``policy.PARAM_DTYPE``), and the checks of
-the kernels run them on float64 operands.  Each example's NLL is summed over
-its tokens in float64, and so is the norm that clips a step
-(:func:`squared_norm`).
+the zero state); self-reward continues each row from its task-frame state
+through :func:`gru_step` (``policy.score_rows``).  Every kernel computes in
+its operands' dtype: the policy holds float32 parameters
+(``policy.PARAM_DTYPE``), and the checks of the kernels run them on float64
+operands.  Each example's NLL is summed over its tokens in float64, and so is
+the norm that clips a step (:func:`squared_norm`).
 
 At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
-input pre-activations ``x @ w_x + b`` of all steps are formed before the
-recurrence: a batch that steps more positions than the vocabulary has rows
-gathers them from the vocabulary's table (:func:`gru_inputs`), built once
-per call, and a shorter batch multiplies its own rows (see
-:func:`gru_sequence_inputs`).  :func:`gru_step`, the one step every caller
-shares, forms all three gates' recurrent products in one call and updates
-the gates in place; and the backward forms the factors of each step's
+input pre-activations ``x @ w_x + b`` of all steps are gathered before the
+recurrence from the vocabulary's table (:func:`gru_inputs`), built once per
+call (:func:`gru_sequence_inputs`).  :func:`gru_step`, the one step every
+caller shares, forms all three gates' recurrent products in one call and
+updates the gates in place; and the backward forms the factors of each step's
 gradient that do not depend on the gradient flowing back for all steps at
 once, so its loop only scales them and carries the gradient into the
 previous state.
@@ -46,8 +42,7 @@ the cache takes 38 us.  Inside a step, a call on the z and r blocks takes
 0.55 us when they are contiguous and 2.4 us when they are not.  Forming the
 inputs of all steps (V = 95 vocabulary rows, d = 32): building the table and
 gathering from it take 45-75 us in all at S*B = 160-592 positions, against
-59-266 us for the per-position product, bias pass and gate-major copy; at
-S*B = 10 the product takes 11 us, the table alone 33-43 us.
+59-266 us for the per-position product, bias pass and gate-major copy.
 
 A layout moves data, not arithmetic: each elementwise value comes from the
 same operations in the same order in any layout, and every product and sum
@@ -172,16 +167,15 @@ def gru_step(xb: Array, h: Array, w_gates: Array, out: Array | None = None,
     return h_new
 
 
-def _gru_steps(gates: Array, w_h: Array,
-               h0: Array | None = None) -> tuple[Array, GRUCache]:
+def _gru_steps(gates: Array, w_h: Array) -> tuple[Array, GRUCache]:
     """The GRU over the input pre-activations ``gates[S, 3, B, h]``, gate-major
-    per step (see :class:`GRUCache`), from ``h0`` (zero by default): the
-    (S + 1, B, h) states, ``[0]`` the start and ``[t + 1]`` after step t, and
-    the forward's cache, whose gates take over ``gates``."""
+    per step (see :class:`GRUCache`), from the zero state: the (S + 1, B, h)
+    states, ``[0]`` the start and ``[t + 1]`` after step t, and the forward's
+    cache, whose gates take over ``gates``."""
     n_steps, _, n_batch, n_hidden = gates.shape
     hw = np.empty_like(gates)
     states = np.empty((n_steps + 1, n_batch, n_hidden), dtype=gates.dtype)
-    states[0] = 0.0 if h0 is None else h0
+    states[0] = 0.0
     w_gates = gate_major(w_h)
     h = states[0]
     for x_t, hw_t, out_t in zip(gates, hw, states[1:]):
@@ -192,9 +186,12 @@ def _gru_steps(gates: Array, w_h: Array,
 def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
                      n_hidden: int) -> tuple[Array, GRUCache]:
     """One GRU step of the batch rows ``x[B, d]`` from ``h[B, h]``: h' and the
-    step's cache."""
-    states, cache = _gru_steps(np.ascontiguousarray(gate_major(x @ w_x + b))[None], w_h, h)
-    return states[1], cache
+    step's cache.  x and h are cast to the weights' dtype first, so the step
+    runs in the dtype every pass over the weights runs in."""
+    x, h = (np.asarray(a, dtype=w_h.dtype) for a in (x, h))
+    xb = np.ascontiguousarray(gate_major(x @ w_x + b))
+    hw = np.empty_like(xb)
+    return gru_step(xb, h, gate_major(w_h), hw=hw), GRUCache(xb[None], hw[None])
 
 
 def gru_sequence_inputs(embed: Array, ids: Array, w_x: Array, b: Array) -> Array:
@@ -202,30 +199,19 @@ def gru_sequence_inputs(embed: Array, ids: Array, w_x: Array, b: Array) -> Array
     ``ids[B, S]``, gate-major per step: the (S, 3, B, h) input of
     :func:`_gru_steps`.
 
-    A batch that steps more positions than the vocabulary has rows (S*B > V)
-    builds the pre-activations of the whole vocabulary once
-    (:func:`gru_inputs`) and gathers each position's three gate blocks from it
-    straight into the per-step gate-major layout, in one ``np.take``.  A
-    shorter batch multiplies its own S*B rows, adds b and copies them
-    gate-major, since the table costs a short DPO pair more than its few rows
-    do.  Both paths compute each entry as the same dot product plus b, so they
-    agree to the bit where BLAS rounds a row the same in any product.
+    It builds the pre-activations of the whole vocabulary once
+    (:func:`gru_inputs`), the table every inference pass builds, and gathers
+    each position's three gate blocks from it straight into the per-step
+    gate-major layout, in one ``np.take``.
     """
     ids = np.asarray(ids, dtype=np.intp)
     vocab = embed.shape[0]
     bad = ids[(ids < 0) | (ids >= vocab)]
     if bad.size:
         raise IndexError(f"gru_sequence_inputs: id {bad[0]} out of range [0, {vocab})")
-    n_batch, n_steps = ids.shape
-    n_hidden = w_x.shape[1] // 3
-    if n_steps * n_batch > vocab:
-        # row g*V + v of the (3V, h) table is gate g's block of id v
-        table = gru_inputs(embed, w_x, b).reshape(3 * vocab, n_hidden)
-        return np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
-    xb = embed[ids.T.reshape(-1)] @ w_x
-    xb += b
-    return np.ascontiguousarray(
-        xb.reshape(n_steps, n_batch, 3, n_hidden).transpose(0, 2, 1, 3))
+    # row g*V + v of the (3V, h) table is gate g's block of id v
+    table = gru_inputs(embed, w_x, b).reshape(3 * vocab, w_x.shape[1] // 3)
+    return np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
 
 
 def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
@@ -234,10 +220,8 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
     from the zero state, which :func:`gru_sequence_backward` assumes.
 
     Returns the S*B x h states, row ``t*B + i`` after ``ids[i, t]``, and the
-    cache the backward reads.  The inputs of all steps are formed before the
-    recurrence (:func:`gru_sequence_inputs`): from the vocabulary's table for
-    a minibatch that steps more positions than the vocabulary has rows, and
-    by the product for a smaller one, a short DPO pair among them.
+    cache the backward reads.  The inputs of all steps are gathered from the
+    vocabulary's table before the recurrence (:func:`gru_sequence_inputs`).
     """
     states, cache = _gru_steps(gru_sequence_inputs(embed, ids, w_x, b), w_h)
     return states[1:].reshape(-1, n_hidden), cache

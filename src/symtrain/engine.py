@@ -12,8 +12,10 @@ quantities.  ``reports.jsonl`` streams those records, one line each.  Before
 any of it, ``run`` rejects a dataset that no run could grade correctly
 (:func:`check_tasks` and the witness checks in :func:`run`).  A step is off
 when the config's ablations name it or when the method table
-``METHOD_ABLATIONS`` implies it for the method.  Everything is a pure function
-of (config, dataset): all randomness derives from the config seed.
+``METHOD_ABLATIONS`` implies it for the method.  All randomness derives from
+the config seed, so a fixed config, seed and BLAS thread count give identical
+results; at the default d=32, h=64 OpenBLAS splits the backward's ``w_h`` and
+``w_out`` gradient products across threads, which moves their last bits.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from symtrain.policy import (
     save_checkpoint,
     score,
     score_rows,
+    # not called here: bench/tracing.py wraps engine.sequence_token_logps
     sequence_token_logps,
     target_ids,
 )
@@ -448,31 +451,46 @@ def dpo_loss(nll_pos: Array, nll_neg: Array, ref_margins: Array,
     return -log_sig, beta * sig_neg
 
 
+def _pair_nlls(model: PolicyModel, pairs: Sequence[tuple]) -> tuple[Array, Array, Tape]:
+    """The NLLs of the positives and of the negatives of the (cond, pos, neg, ...)
+    pairs, and the tape of their one batch_nll forward, positives first."""
+    nll, tape = batch_nll(model, [(cond, pos) for cond, pos, *_ in pairs]
+                          + [(cond, neg) for cond, _, neg, *_ in pairs])
+    return nll[:len(pairs)], nll[len(pairs):], tape
+
+
 def _dpo_losses(model: PolicyModel,
                 pairs: Sequence[tuple[list[int], list[int], list[int], float]],
                 beta: float) -> tuple[Array, Array, Tape]:
     """The pairs' DPO losses, the weights of the NLLs of all positives, then all
     negatives, and the tape of their one batch_nll forward.  Each pair is
     (cond, pos, neg, ref_margin)."""
-    nll, tape = batch_nll(model, [(cond, pos) for cond, pos, _, _ in pairs]
-                          + [(cond, neg) for cond, _, neg, _ in pairs])
-    n_pairs = len(pairs)
-    values, w_pos = dpo_loss(nll[:n_pairs], nll[n_pairs:],
+    nll_pos, nll_neg, tape = _pair_nlls(model, pairs)
+    values, w_pos = dpo_loss(nll_pos, nll_neg,
                              np.array([ref_margin for _, _, _, ref_margin in pairs]), beta)
     return values, np.concatenate([w_pos, -w_pos]), tape
 
 
+def _reference_margins(model: PolicyModel, pairs: Sequence[tuple[list[int], ...]],
+                       batch_size: int) -> list[float]:
+    """Each (cond, pos, neg) pair's reference margin nll(neg) - nll(pos), i.e.
+    logp+ - logp-, in float64: the pairs go in order, at most ``batch_size``
+    per forward (a DPO step's rows), and each forward's tape is dropped."""
+    margins: list[float] = []
+    for k in range(0, len(pairs), batch_size):
+        nll_pos, nll_neg, _ = _pair_nlls(model, pairs[k:k + batch_size])
+        margins += (nll_neg - nll_pos).tolist()
+    return margins
+
+
 def _train_dpo_stage(model: PolicyModel, sets: TrainingSets, config: RunConfig,
                      iteration: int) -> float:
-    pairs = []
+    encoded = [(condition_ids(model, x), target_ids(model, a_plus), target_ids(model, a_minus))
+               for x, a_plus, a_minus in sets.u2]
     # the reference is the model as it enters this stage: every margin is taken
     # before the first DPO step
-    for x, a_plus, a_minus in sets.u2:
-        cond = condition_ids(model, x)
-        pos, neg = target_ids(model, a_plus), target_ids(model, a_minus)
-        ref_margin = float(sequence_token_logps(model, cond, pos).sum(dtype=np.float64)
-                           - sequence_token_logps(model, cond, neg).sum(dtype=np.float64))
-        pairs.append((cond, pos, neg, ref_margin))
+    pairs = [(*pair, margin) for pair, margin
+             in zip(encoded, _reference_margins(model, encoded, config.batch_size))]
     total = 0.0
     for _, values in _sgd_epochs(
             model, pairs, lambda batch: _dpo_losses(model, batch, config.dpo_beta),

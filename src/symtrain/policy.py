@@ -16,9 +16,8 @@ caches, projects only the states that predict target tokens and returns one
 summed NLL per example, together with the forward's backward, a
 :class:`~symtrain.autodiff.Tape`: the output layer's rule followed by one
 BPTT sweep, which set the model's gradients.  Every loss (L1, L2 and DPO) is
-a weighted sum of that vector.  :func:`sequence_token_logps` gives the
-log-probability of each target token of one row from the zero state, with the
-same inputs and the same steps but no backward (the DPO reference margins).
+a weighted sum of that vector, and the DPO reference margins are differences
+of it (``engine``).
 
 Generation steps all rows of a call together as one batch, each from its
 own state and its own uniforms, so one call can serve the rows of many tasks.
@@ -41,22 +40,19 @@ is its one-row case.  Then every row steps with the same GRU step
 EOS, and a scored row when its target ends.  A call computes the input product
 ``x @ w_x + b`` of the whole vocabulary once
 (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
-inputs.  ``batch_nll`` and ``sequence_token_logps`` form the inputs of all
-steps before their recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`):
-from that table when the batch steps more positions than the vocabulary has
-rows, as most training minibatches do, and by multiplying its own rows when it
-steps fewer, as a short DPO pair does.  Each sampled row draws its t-th token
-by inverse CDF with the t-th of its own row of uniforms, which the caller
-draws, over its logits in float64 less their maximum and divided by the
-temperature, so a tiny temperature gives the greedy limit; a greedy row takes
-the argmax.  A row's states move with its batch's makeup in the last bits
-only, so its tokens do not depend on the other rows except where a uniform
-falls within that noise of an inverse-CDF boundary.  No row ever emits PAD,
-BOS or SEP.
+inputs; ``batch_nll`` gathers the inputs of all its steps from that table
+before its recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`).  Each
+sampled row draws its t-th token by inverse CDF with the t-th of its own row
+of uniforms, which the caller draws, over its logits in float64 less their
+maximum and divided by the temperature, so a tiny temperature gives the
+greedy limit; a greedy row takes the argmax.  A row's states move with its
+batch's makeup in the last bits only, so its tokens do not depend on the
+other rows except where a uniform falls within that noise of an inverse-CDF
+boundary.  No row ever emits PAD, BOS or SEP.
 
 Every pass computes in the parameters' dtype, float32 (``PARAM_DTYPE``).
-The NLLs and the self-rewards are summed over their tokens in float64, and
-so are the DPO reference margins (``engine``).
+The NLLs (and so the DPO reference margins) and the self-rewards are summed
+over their tokens in float64.
 """
 
 from __future__ import annotations
@@ -276,8 +272,8 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
     """Log-probability of each target token given the condition prefix.
 
     The GRU steps ``cond_ids`` and the target from the zero state, as
-    ``batch_nll`` does (the DPO reference margins).  Unlike ``batch_nll``, it
-    keeps nothing for a backward.
+    ``batch_nll`` does, and keeps nothing for a backward.  The loop no longer
+    calls it: the DPO reference margins come from ``batch_nll``.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
     p = model.params

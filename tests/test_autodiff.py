@@ -13,10 +13,8 @@ from symtrain.autodiff import (
     gate_major,
     gru_cell_forward,
     gru_inputs,
-    _gru_steps,
     gru_sequence,
     gru_sequence_backward,
-    gru_sequence_inputs,
     gru_step,
     output_nll,
     output_nll_backward,
@@ -155,15 +153,6 @@ def test_gru_sequence_matches_finite_differences(seed):
     assert_grads_close(_grads(params), central_differences(loss, params))
 
 
-def _forward_from(h0, embed, ids, w_x, w_h, b):
-    """The GRU over ``ids[B, S]`` from the states ``h0[B, h]``, as
-    ``policy.sequence_token_logps`` runs it: the inputs of
-    :func:`gru_sequence_inputs` stepped by ``_gru_steps``.  Returns the S*B x
-    h states and the cache."""
-    states, cache = _gru_steps(gru_sequence_inputs(embed, ids, w_x, b), w_h, h0)
-    return states[1:].reshape(-1, h0.shape[1]), cache
-
-
 def _assert_close_to_reference(actual, reference, rtol=1e-12):
     """Equal to the reference within rtol of its largest entry: the batched
     kernels sum in another order, which moves entries that cancel."""
@@ -183,12 +172,6 @@ def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
         p.data *= scale
     p = {name: t.data for name, t in params.items()}
     ids = rng.integers(0, 6, (n_batch, n_steps))
-    # scoring's forward from a given start
-    h0 = rng.uniform(-1, 1, (n_batch, GRU_HIDDEN))
-    states, _ = _forward_from(h0, p["embed"], ids, p["w_x"], p["w_h"], p["b"])
-    _assert_close_to_reference(states, reference_gru(p["embed"], ids, p["w_x"], p["w_h"],
-                                                     p["b"], h0)[0])
-    # the backward runs from the zero state, as batch_nll trains
     states, cache = gru_sequence(p["embed"], ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN)
     ref_states, ref_caches = reference_gru(p["embed"], ids, p["w_x"], p["w_h"], p["b"])
     _assert_close_to_reference(states, ref_states)
@@ -204,40 +187,35 @@ def test_gru_kernels_match_the_step_by_step_reference(n_batch, n_steps, scale):
 
 
 @pytest.mark.parametrize("n_batch", [1, 2, 8])
-@pytest.mark.parametrize("n_steps", [1, 3, 5, 7, 40])
-@pytest.mark.parametrize("given_h0", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 3, 5, 7, 26, 40])
+@pytest.mark.parametrize("padded", [False, True])
 @pytest.mark.parametrize("scale", [1.0, 20.0])
-def test_gru_input_paths_agree(monkeypatch, n_batch, n_steps, given_h0, scale):
-    # over V = 6 ids, S*B runs from 1 to 320: a batch that steps more positions
-    # than the vocabulary has rows gathers its inputs from the vocabulary's
-    # table; the same batch over a table padded with unused rows to S*B rows
-    # multiplies its own rows.  The training forward runs from the zero state,
-    # scoring's from a given one
-    rng = np.random.default_rng(n_batch * 1000 + n_steps * 10 + given_h0)
+def test_gru_input_paths_agree(monkeypatch, n_batch, n_steps, padded, scale):
+    # one input path at every size: the training forward builds one vocabulary
+    # table per call and gathers from it, in agreement with the step-by-step
+    # reference's per-row products.  Over V = 6 ids S*B runs from 1 to 320; a
+    # vocabulary padded with unused rows to V + S*B rows makes every batch,
+    # 1x1 and 2x26 among them, step fewer positions than it has rows
+    rng = np.random.default_rng(n_batch * 1000 + n_steps * 10 + padded)
     p = {name: t.data * scale for name, t in _gru_params(rng).items()}
-    vocab = len(p["embed"])
-    ids = rng.integers(0, vocab, (n_batch, n_steps))
-    h0 = rng.uniform(-1, 1, (n_batch, GRU_HIDDEN)) if given_h0 else None
-    padded = np.vstack([p["embed"], rng.uniform(-1, 1, (n_batch * n_steps, 3))])
+    ids = rng.integers(0, len(p["embed"]), (n_batch, n_steps))
+    embed = (np.vstack([p["embed"], rng.uniform(-1, 1, (n_batch * n_steps, 3))])
+             if padded else p["embed"])
     tables = []
 
     def counted_gru_inputs(*args):
-        tables.append(args[0])
+        tables.append(len(args[0]))
         return gru_inputs(*args)
 
-    def forward(embed):
-        if h0 is None:
-            return gru_sequence(embed, ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN)
-        return _forward_from(h0, embed, ids, p["w_x"], p["w_h"], p["b"])
-
     monkeypatch.setattr(autodiff, "gru_inputs", counted_gru_inputs)
-    states, cache = forward(p["embed"])
-    ref_states, ref_cache = forward(padded)
-    # only the unpadded call, and only past V positions, builds the table
-    assert [len(t) for t in tables] == ([vocab] if n_batch * n_steps > vocab else [])
-    for actual, reference in [(states, ref_states), *zip(cache, ref_cache)]:
-        _assert_close_to_reference(actual, reference)
-        assert actual.flags.c_contiguous
+    states, cache = gru_sequence(embed, ids, p["w_x"], p["w_h"], p["b"], GRU_HIDDEN)
+    assert tables == [len(embed)]
+    ref_states, ref_caches = reference_gru(embed, ids, p["w_x"], p["w_h"], p["b"])
+    _assert_close_to_reference(states, ref_states)
+    # each step's gates z, r, n and its candidate's h_prev @ w_h
+    _assert_close_to_reference(cache.gates, np.array([c[:3] for c in ref_caches]))
+    _assert_close_to_reference(cache.hw[:, 2], np.array([c[3] for c in ref_caches]))
+    assert all(a.flags.c_contiguous for a in (states, *cache))
 
 
 def test_gru_cell_forward_is_one_step_from_given_inputs():
@@ -251,6 +229,20 @@ def test_gru_cell_forward_is_one_step_from_given_inputs():
     # row i of x is the embedding of id i
     _assert_close_to_reference(h_new, reference_gru(x, np.arange(5)[:, None], params["w_x"].data,
                                                     params["w_h"].data, params["b"].data, h)[0])
+
+
+def test_gru_cell_forward_casts_its_inputs_to_the_weights_dtype():
+    # the bench's GRU probe feeds float64 inputs to the policy's float32 weights
+    rng = np.random.default_rng(10)
+    w_x, w_h, b = (rng.uniform(-0.5, 0.5, shape).astype(np.float32)
+                   for shape in ((3, 3 * GRU_HIDDEN), (GRU_HIDDEN, 3 * GRU_HIDDEN),
+                                 (1, 3 * GRU_HIDDEN)))
+    x, h = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, GRU_HIDDEN))
+    h_new, cache = gru_cell_forward(x, h, w_x, w_h, b, GRU_HIDDEN)
+    assert h_new.dtype == cache.gates.dtype == np.float32
+    x32, h32 = x.astype(np.float32), h.astype(np.float32)
+    step = gru_step(np.ascontiguousarray(gate_major(x32 @ w_x + b)), h32, gate_major(w_h))
+    assert np.array_equal(h_new, step)
 
 
 @pytest.mark.parametrize("n_batch", [1, 8, 256])

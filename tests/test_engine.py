@@ -16,6 +16,7 @@ from symtrain.engine import (
     TrainingSets,
     _dpo_losses,
     _encode_examples,
+    _reference_margins,
     _run_epochs,
     _train_dpo_stage,
     build_training_sets,
@@ -46,7 +47,6 @@ from symtrain.policy import (
     refine,
     sample,
     score,
-    sequence_token_logps,
 )
 from symtrain.pool import REWARD_TIE, CandidatePool, RankedSets, Trajectory, filter_pair
 from helpers import (assert_grads_close, assert_read_only, central_differences,
@@ -600,10 +600,10 @@ def _toy_model(seed):
 
 def test_dpo_loss_is_ln2_when_policy_equals_reference():
     model = _toy_model(4)
-    pairs = [(cond, pos, neg,
-              float(sequence_token_logps(model, cond, pos).sum()
-                    - sequence_token_logps(model, cond, neg).sum()))
-             for cond, pos, neg, _ in _dpo_pairs(model, [0.0] * 4)]
+    encoded = [pair[:3] for pair in _dpo_pairs(model, [0.0] * 4)]
+    # the stage's own reference code, in chunks other than the loss's one batch
+    pairs = [(*pair, margin)
+             for pair, margin in zip(encoded, _reference_margins(model, encoded, 3))]
     loss, weights, _ = _dpo_losses(model, pairs, beta=0.1)
     w_pos, w_neg = weights[:4], weights[4:]
     assert loss.shape == (4,) and weights.shape == (8,)
@@ -702,6 +702,39 @@ def test_sft_dpo_trains_dpo_against_the_fine_tuned_model():
     assert l1 > 0.0
     # one DPO minibatch, scored before its step: the policy equals the reference
     assert l2 == pytest.approx(3 * math.log(2), abs=1e-12)
+
+
+def test_sft_dpo_stage_without_pairs_runs_no_forward(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "batch_nll", lambda *args: calls.append(args))
+    model = PolicyModel(default_vocab(), d=8, h=12, seed=7)
+    x = ("a", "=", "2", ";", "sum", "a", "a")
+    config = tiny_config(method="sft_dpo", train_mode="continual")
+    assert _train_dpo_stage(model, TrainingSets([(x, ("a", "+", "a"))], []), config, 1) == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_first_dpo_step_margins_are_zero_to_float32_rounding(monkeypatch, batch_size):
+    # a default float32 model: the reference forwards chunk U2 in order, the
+    # first step takes a shuffled minibatch, and the policy equals the reference
+    tasks, witnesses = environments.generate_dataset(EnvKind.LOGIC_RULES, 12, seed=0)
+    u2 = [(t.x, tuple(witnesses[t.id]), tuple(witnesses[tasks[i - 1].id]))
+          for i, t in enumerate(tasks)]
+    steps = []
+
+    def recording_dpo_loss(nll_pos, nll_neg, ref_margins, beta):
+        steps.append((nll_pos, nll_neg, ref_margins))
+        return dpo_loss(nll_pos, nll_neg, ref_margins, beta)
+
+    monkeypatch.setattr(engine, "dpo_loss", recording_dpo_loss)
+    config = tiny_config(env="logic_rules", method="sft_dpo", train_mode="continual",
+                         epochs_per_iter=1, batch_size=batch_size)
+    _train_dpo_stage(PolicyModel(default_vocab(), seed=3), TrainingSets([], u2), config, 1)
+    nll_pos, nll_neg, ref_margins = steps[0]
+    # one float32 rounding of each side's NLL
+    bound = np.finfo(np.float32).eps * (nll_pos + nll_neg)
+    assert (np.abs((nll_neg - nll_pos) - ref_margins) <= bound).all()
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from symtrain.autodiff import (CLIP, Param, _gru_steps, gru_sequence, gru_sequence_inputs,
-                               log_softmax, sgd_step)
+from symtrain.autodiff import CLIP, Param, gru_sequence, log_softmax, sgd_step
 from symtrain.environments import MAX_SOLUTION_LEN, EnvKind, generate_dataset
 from symtrain.policy import (
     BOS,
@@ -85,16 +84,12 @@ def _refine_task(model, x, drafts, params, seed):
                   params, _uniforms(seed, len(drafts), params.max_len))
 
 
-def _gru_states(model, ids, start=None):
+def _gru_states(model, ids):
     """The GRU states after each of the first T-1 tokens of ``ids[B, T]``, from
-    the zero state through the training forward, or from ``start`` by the same
-    steps; row ``t*B + i`` predicts ``ids[i, t+1]``."""
+    the zero state through the training forward; row ``t*B + i`` predicts
+    ``ids[i, t+1]``."""
     p = {k: t.data for k, t in model.params.items()}
-    if start is None:
-        return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)[0]
-    states, _ = _gru_steps(gru_sequence_inputs(p["embed"], ids[:, :-1], p["w_x"], p["b"]),
-                           p["w_h"], start)
-    return states[1:].reshape(-1, model.h)
+    return gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)[0]
 
 
 def _condition_nll(model, condition, target):
@@ -323,9 +318,14 @@ def test_frame_states_are_forwards_states_at_the_frame_ends():
     for i, frame in enumerate(frames):
         ids[i, :len(frame)] = frame
     ends = [(len(frame) - 1) * len(frames) + i for i, frame in enumerate(frames)]
-    for start in (None, rng.uniform(-1.0, 1.0, (len(frames), model.h))):
-        np.testing.assert_allclose(_frame_states(model, frames, start),
-                                   _gru_states(model, ids, start)[ends], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_frame_states(model, frames), _gru_states(model, ids)[ends],
+                               rtol=0, atol=1e-12)
+    # continued from given states, against the step-by-step reference
+    start = rng.uniform(-1.0, 1.0, (len(frames), model.h))
+    p = {k: t.data for k, t in model.params.items()}
+    from_start, _ = reference_gru(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], start)
+    np.testing.assert_allclose(_frame_states(model, frames, start), from_start[ends],
+                               rtol=0, atol=1e-12)
     assert _frame_states(model, []).shape == (0, model.h)
 
 
@@ -548,7 +548,6 @@ def test_a_zero_step_forward_has_no_states():
     # one column: the only token predicts nothing, so no step runs
     assert _gru_states(model, np.array([[1], [2]])).shape == (0, model.h)
     start = frame_states(model, [["a", "b"]])
-    assert _gru_states(model, np.array([[model.vocab.eos_id]]), start).shape == (0, model.h)
     # an empty solution scored from the frame state is EOS alone, predicted by
     # that state with no step taken
     eos_logp = log_softmax(start @ p["w_out"] + p["b_out"])[0, model.vocab.eos_id]
@@ -642,9 +641,9 @@ def test_sequence_token_logps_match_batch_nll_per_token():
                                rtol=0, atol=1e-12)
 
 
-# the target's and condition's steps together on both sides of V = 16, where
-# the inputs switch from the product to the vocabulary's table; from a given
-# start, the target is the reward pass's, continued from the state after cond
+# the target's and condition's steps together on both sides of V = 16 positions;
+# from a given start, the target is the reward pass's, continued from the state
+# after cond
 @pytest.mark.parametrize("n_cond, n_target", [(0, 1), (0, 4), (3, 2), (0, 30), (12, 20)])
 @pytest.mark.parametrize("scale", [1.0, 20.0])  # x20 saturates the gates
 @pytest.mark.parametrize("from_start", [False, True])
@@ -700,8 +699,8 @@ def test_untaped_forward_equals_taped_states_bitwise():
     taped, cache = gru_sequence(p["embed"], ids[:, :-1], p["w_x"], p["w_h"], p["b"], model.h)
     assert taped.shape == (5 * 3, model.h)
     assert cache.gates.shape == cache.hw.shape == (5, 3, 3, model.h)
-    # sequence_token_logps, which the DPO reference margins use, steps a one-row
-    # batch from the zero state, as batch_nll does
+    # sequence_token_logps steps a one-row batch from the zero state, as
+    # batch_nll does
     cond, target = ids[0, :4].tolist(), ids[0, 4:].tolist()
     row, _ = gru_sequence(p["embed"], ids[:1, :-1], p["w_x"], p["w_h"], p["b"], model.h)
     expected = log_softmax(row[3:] @ p["w_out"] + p["b_out"])[np.arange(2), target]
