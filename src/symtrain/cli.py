@@ -119,9 +119,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, metadata = load_checkpoint(args.checkpoint)
+    warmup_ids = metadata.get("warmup_task_ids", [])
+    if not (isinstance(warmup_ids, list) and all(isinstance(i, str) for i in warmup_ids)):
+        raise CheckpointError(f"{args.checkpoint}: metadata field 'warmup_task_ids' "
+                              "must be a list of strings")
     tasks = [t for t in load_dataset(args.dataset) if t.split == args.split]
     if args.split == "held_in":
-        exclude = set(metadata.get("warmup_task_ids", []))
+        exclude = set(warmup_ids)
         tasks = [t for t in tasks if t.id not in exclude]
     if not tasks:
         raise UsageError(f"no {args.split} tasks to evaluate")

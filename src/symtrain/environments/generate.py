@@ -243,5 +243,13 @@ def load_dataset(path: str | Path) -> list[TaskInstance]:
 
 
 def load_witnesses(path: str | Path) -> dict[str, list[str]]:
-    return dict(_read_json_lines(path, ("id", "a"), "witness",
-                                 lambda rec: (rec["id"], rec["a"].split())))
+    """Each task id's witness solution; a second record of an id is an error."""
+    witnesses: dict[str, list[str]] = {}
+
+    def add(rec: dict) -> None:
+        if rec["id"] in witnesses:
+            raise ValueError(f"duplicate witness id {rec['id']!r}")
+        witnesses[rec["id"]] = rec["a"].split()
+
+    _read_json_lines(path, ("id", "a"), "witness", add)
+    return witnesses

@@ -504,13 +504,14 @@ def batch_nll(model: PolicyModel,
     tokens = chain.from_iterable(chain.from_iterable(examples))  # cond, then target
     ids[np.arange(ids.shape[1]) < n_seq[:, None]] = np.fromiter(tokens, dtype=np.intp,
                                                                 count=n_seq.sum())
-    targets = np.fromiter(chain.from_iterable(t for _, t in examples), dtype=np.intp,
-                          count=n_target.sum())
     # target k of example i is predicted by the state after its condition's last
-    # token and k target tokens: state row (len(cond) - 1 + k) * B + i
+    # token and k target tokens: state row (len(cond) - 1 + k) * B + i.  Row
+    # t * B + i follows ids[i, t], so it predicts ids[i, t + 1], the entry B
+    # on from it in the time-major ids
     first = np.cumsum(n_target) - n_target
-    indices = ((np.arange(len(targets)) + np.repeat(n_cond - 1 - first, n_target)) * n_batch
-               + np.repeat(np.arange(n_batch), n_target))
+    indices = np.repeat((n_cond - 1 - first) * n_batch + np.arange(n_batch), n_target)
+    indices += np.arange(0, len(indices) * n_batch, n_batch)
+    targets = ids.T.reshape(-1)[indices + n_batch]
     p = model.params
     states, gru_cache = gru_sequence(p["embed"].data, ids[:, :-1], p["w_x"].data,
                                      p["w_h"].data, p["b"].data, model.h)
@@ -594,6 +595,9 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
                                       f"expected {tensor.data.shape}")
             if arr.size != int(np.prod(shape)):
                 raise CheckpointError(f"parameter {name}: value count mismatch")
+            # json reads NaN and Infinity, which no run writes: training stops first
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: parameter {name!r} has a non-finite value")
             tensor.data = arr.reshape(shape)
         metadata = payload.get("metadata", {})
         if not isinstance(metadata, dict):

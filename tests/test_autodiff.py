@@ -479,10 +479,27 @@ def test_sgd_step_that_overflows_float32_leaves_inf_and_zero_entries_unmoved():
     assert p.data.tolist() == [-math.inf, 1.0, math.inf]
 
 
-def test_sgd_step_rejects_nonfinite_named():
-    p = Param(1.0)
-    with pytest.raises(TrainingError, match="p"):
-        sgd_step({"p": p}, {"p": np.asarray(math.nan)}, lr=0.1, clip=math.inf)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "plus_inf", "minus_inf"])
+def test_sgd_step_rejects_nonfinite_named(bad):
+    # the norm finds the fault; the error names the one parameter that holds it
+    params = {name: Param(np.ones(4, dtype=np.float32)) for name in ("a", "b", "c")}
+    grads = {name: np.full(4, 0.5, dtype=np.float32) for name in params}
+    grads["b"][2] = bad
+    with pytest.raises(TrainingError, match="^non-finite gradient for parameter 'b'$"):
+        sgd_step(params, grads, lr=0.1, clip=math.inf)
+    assert all(p.data.tolist() == [1.0] * 4 for p in params.values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (64, 192)])
+def test_squared_norm_equals_the_float64_square_sum_bitwise(shape, dtype):
+    rng = np.random.default_rng(len(shape) + 5)
+    a = (rng.standard_normal(shape) * 1e3).astype(dtype)
+    before = a.copy()
+    expected = float(np.square(a, dtype=np.float64).sum())
+    assert autodiff.squared_norm(a).hex() == expected.hex()
+    assert a.tobytes() == before.tobytes()  # squared in a copy, float64 included
 
 
 def test_sgd_step_rejects_bad_lr():

@@ -203,6 +203,21 @@ def test_eval_checkpoint_with_list_metadata_exits_1(finished_run, capsys):
     assert "metadata must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("warmup_ids", [5, ["t0", 5], "t0"], ids=["int", "list_of_int", "str"])
+def test_eval_checkpoint_with_bad_warmup_task_ids_exits_1(finished_run, capsys, warmup_ids):
+    # an int ended in a TypeError traceback, and a string excluded no task
+    data, out_dir = finished_run
+    path = out_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["metadata"]["warmup_task_ids"] = warmup_ids
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--dataset", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'warmup_task_ids' must be a list of strings" in err
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     data = _gen(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "missing.json"),

@@ -1,3 +1,5 @@
+import json
+import re
 import time
 
 import numpy as np
@@ -539,6 +541,19 @@ def test_loaders_reject_malformed_lines_by_line_number(tmp_path, loader, line, m
     target.write_text(target.read_text() + line + "\n")
     with pytest.raises(ValueError, match=f"on line 3: .*{message}"):
         loader(target)
+
+
+def test_load_witnesses_rejects_a_repeated_id_by_line_number(tmp_path):
+    # a repeated record used to replace the generator's witness silently
+    tasks, witnesses = generate_dataset(EnvKind.EXPR_MATH, 2, seed=0)
+    path = tmp_path / "data.jsonl"
+    write_dataset(tasks, witnesses, path)
+    side = witness_path(path)
+    first = json.loads(side.read_text().splitlines()[0])
+    side.write_text(side.read_text() + json.dumps({"id": first["id"], "a": "a + b"}) + "\n")
+    message = f"on line 3: duplicate witness id {first['id']!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_witnesses(side)
 
 
 def test_gen_rejects_nonpositive_count():

@@ -836,6 +836,10 @@ def test_checkpoint_bytes_equal_one_dump_of_the_payload(tmp_path, metadata):
             "metadata": metadata or {},
         }
         assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode()
+        if model is default:  # a checkpoint holds what it is given; a load refuses it
+            with pytest.raises(CheckpointError, match="'b' has a non-finite value"):
+                load_checkpoint(path)
+            continue
         loaded, loaded_metadata = load_checkpoint(path)
         assert loaded_metadata == (metadata or {})
         assert (loaded.vocab.tokens, loaded.d, loaded.h) == \
@@ -888,7 +892,15 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
     # past float32's largest value, 3.4e38
     (lambda payload: payload["params"]["b"]["values"].__setitem__(0, 1e39),
      "overflow encountered in cast"),
-], ids=["missing", "extra", "mis_shaped", "params_list", "past_float32"])
+    # json writes and reads NaN and Infinity
+    (lambda payload: payload["params"]["w_out"]["values"].__setitem__(0, math.nan),
+     "'w_out' has a non-finite value"),
+    (lambda payload: payload["params"]["embed"]["values"].__setitem__(5, math.inf),
+     "'embed' has a non-finite value"),
+    (lambda payload: payload["params"]["b_out"]["values"].__setitem__(-1, -math.inf),
+     "'b_out' has a non-finite value"),
+], ids=["missing", "extra", "mis_shaped", "params_list", "past_float32", "nan", "inf",
+        "minus_inf"])
 def test_checkpoint_parameters_must_fit_the_model(tmp_path, fault, message):
     path = tmp_path / "model.json"
     save_checkpoint(toy_model(), path)
