@@ -19,11 +19,12 @@ At training sizes (batch <= 8, h = 64) a GRU step costs numpy calls, not
 arithmetic, so the kernels keep the work inside the time loop small.  The
 input pre-activations ``x @ w_x + b`` of all steps are gathered before the
 recurrence from the vocabulary's table (:func:`gru_inputs`), built once per
-call (:func:`gru_sequence_inputs`).  :func:`gru_step`, the one step every
-caller shares, forms all three gates' recurrent products in one call and
-updates the gates in place; and the backward forms the factors of each step's
-gradient that do not depend on the gradient flowing back for all steps at
-once, so its loop only scales them and carries the gradient into the
+call of :func:`gru_sequence`, the one forward over an id batch that training
+and ``policy.sequence_token_logps`` share.  :func:`gru_step`, the one step
+every caller shares, forms all three gates' recurrent products in one call
+and updates the gates in place; and the backward forms the factors of each
+step's gradient that do not depend on the gradient flowing back for all steps
+at once, so its loop only scales them and carries the gradient into the
 previous state.
 
 The layout rule: every operand of a numpy call is contiguous over the block
@@ -190,51 +191,15 @@ def gru_step(xb: Array, h: Array, w_gates: Array, out: Array | None = None,
     return h_new
 
 
-def _gru_steps(gates: Array, w_h: Array) -> tuple[Array, GRUCache]:
-    """The GRU over the input pre-activations ``gates[S, 3, B, h]``, gate-major
-    per step (see :class:`GRUCache`), from the zero state: the (S + 1, B, h)
-    states, ``[0]`` the start and ``[t + 1]`` after step t, and the forward's
-    cache, whose gates take over ``gates``."""
-    n_steps, _, n_batch, n_hidden = gates.shape
-    hw = np.empty_like(gates)
-    states = np.empty((n_steps + 1, n_batch, n_hidden), dtype=gates.dtype)
-    states[0] = 0.0
-    w_gates = gate_major(w_h)
-    h = states[0]
-    for x_t, hw_t, out_t in zip(gates, hw, states[1:]):
-        h = gru_step(x_t, h, w_gates, out_t, hw_t)
-    return states, GRUCache(gates, hw)
-
-
 def gru_cell_forward(x: Array, h: Array, w_x: Array, w_h: Array, b: Array,
                      n_hidden: int) -> tuple[Array, GRUCache]:
     """One GRU step of the batch rows ``x[B, d]`` from ``h[B, h]``: h' and the
     step's cache.  x and h are cast to the weights' dtype first, so the step
     runs in the dtype every pass over the weights runs in."""
     x, h = (np.asarray(a, dtype=w_h.dtype) for a in (x, h))
-    xb = np.ascontiguousarray(gate_major(x @ w_x + b))
+    xb = gru_inputs(x, w_x, b)
     hw = np.empty_like(xb)
     return gru_step(xb, h, gate_major(w_h), hw=hw), GRUCache(xb[None], hw[None])
-
-
-def gru_sequence_inputs(embed: Array, ids: Array, w_x: Array, b: Array) -> Array:
-    """The input pre-activations ``x @ w_x + b`` of the embedded id batch
-    ``ids[B, S]``, gate-major per step: the (S, 3, B, h) input of
-    :func:`_gru_steps`.
-
-    It builds the pre-activations of the whole vocabulary once
-    (:func:`gru_inputs`), the table every inference pass builds, and gathers
-    each position's three gate blocks from it straight into the per-step
-    gate-major layout, in one ``np.take``.
-    """
-    ids = np.asarray(ids, dtype=np.intp)
-    vocab = embed.shape[0]
-    bad = ids[(ids < 0) | (ids >= vocab)]
-    if bad.size:
-        raise IndexError(f"gru_sequence_inputs: id {bad[0]} out of range [0, {vocab})")
-    # row g*V + v of the (3V, h) table is gate g's block of id v
-    table = gru_inputs(embed, w_x, b).reshape(3 * vocab, w_x.shape[1] // 3)
-    return np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
 
 
 def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
@@ -243,11 +208,26 @@ def gru_sequence(embed: Array, ids: Array, w_x: Array, w_h: Array, b: Array,
     from the zero state, which :func:`gru_sequence_backward` assumes.
 
     Returns the S*B x h states, row ``t*B + i`` after ``ids[i, t]``, and the
-    cache the backward reads.  The inputs of all steps are gathered from the
-    vocabulary's table before the recurrence (:func:`gru_sequence_inputs`).
+    cache the backward reads.  The vocabulary's input table
+    (:func:`gru_inputs`), the one every inference pass builds, is built once,
+    and one ``np.take`` gathers every position's three gate blocks from it
+    straight into the cache's per-step gate-major layout.
     """
-    states, cache = _gru_steps(gru_sequence_inputs(embed, ids, w_x, b), w_h)
-    return states[1:].reshape(-1, n_hidden), cache
+    ids = np.asarray(ids, dtype=np.intp)
+    vocab = embed.shape[0]
+    bad = ids[(ids < 0) | (ids >= vocab)]
+    if bad.size:
+        raise IndexError(f"gru_sequence: id {bad[0]} out of range [0, {vocab})")
+    # row g*V + v of the (3V, h) table is gate g's block of id v
+    table = gru_inputs(embed, w_x, b).reshape(3 * vocab, n_hidden)
+    gates = np.take(table, ids.T[:, None] + vocab * np.arange(3)[:, None], axis=0)
+    hw = np.empty_like(gates)
+    states = np.empty((ids.shape[1], ids.shape[0], n_hidden), dtype=gates.dtype)
+    w_gates = gate_major(w_h)
+    h = np.zeros((ids.shape[0], n_hidden), dtype=gates.dtype)
+    for x_t, hw_t, out_t in zip(gates, hw, states):
+        h = gru_step(x_t, h, w_gates, out_t, hw_t)
+    return states.reshape(-1, n_hidden), GRUCache(gates, hw)
 
 
 def gru_sequence_backward(g: Array, ids: Array, states: Array, cache: GRUCache,

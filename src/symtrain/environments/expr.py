@@ -67,9 +67,9 @@ class _Lexer:
             return None
         start = self.pos
         ch = self.src[start]
-        if ch.isdigit():
+        if ch.isdecimal():
             end = start
-            while end < len(self.src) and self.src[end].isdigit():
+            while end < len(self.src) and self.src[end].isdecimal():
                 end += 1
             self.pos = end
             return ("int", self.src[start:end], start)
@@ -193,7 +193,7 @@ def parse_task_input(x: Sequence[str]) -> tuple[dict[str, int], list[str]]:
         name = tokens[i]
         i += 2
         digits = []
-        while i < len(tokens) and tokens[i].isdigit():
+        while i < len(tokens) and tokens[i].isdecimal():
             digits.append(tokens[i])
             i += 1
         if not digits or i >= len(tokens) or tokens[i] != ";":

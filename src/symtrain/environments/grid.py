@@ -40,7 +40,8 @@ def parse_grid_task(x: Sequence[str]) -> GridSpec:
     i = 0
 
     def pair(at: int) -> tuple[int, int, int]:
-        if at + 1 >= len(tokens) or not tokens[at].isdigit() or not tokens[at + 1].isdigit():
+        if at + 1 >= len(tokens) or not (tokens[at].isdecimal()
+                                         and tokens[at + 1].isdecimal()):
             raise TaskEncodingError(f"expected two digits at token {at} of x")
         return int(tokens[at]), int(tokens[at + 1]), at + 2
 

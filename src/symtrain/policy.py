@@ -41,7 +41,7 @@ EOS, and a scored row when its target ends.  A call computes the input product
 ``x @ w_x + b`` of the whole vocabulary once
 (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
 inputs; ``batch_nll`` gathers the inputs of all its steps from that table
-before its recurrence (:func:`~symtrain.autodiff.gru_sequence_inputs`).  Each
+before its recurrence (:func:`~symtrain.autodiff.gru_sequence`).  Each
 sampled row draws its t-th token by inverse CDF with the t-th of its own row
 of uniforms, which the caller draws, over its logits in float64 less their
 maximum and divided by the temperature, so a tiny temperature gives the
@@ -66,9 +66,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from symtrain.autodiff import (Array, Param, Tape, _gru_steps, gate_major, gru_inputs,
-                               gru_sequence, gru_sequence_backward, gru_sequence_inputs,
-                               gru_step, log_softmax, output_nll, output_nll_backward)
+from symtrain.autodiff import (Array, Param, Tape, gate_major, gru_inputs, gru_sequence,
+                               gru_sequence_backward, gru_step, log_softmax, output_nll,
+                               output_nll_backward)
 
 PAD, BOS, EOS, SEP = "<pad>", "<bos>", "<eos>", "<sep>"
 CONTROL_TOKENS = (PAD, BOS, EOS, SEP)
@@ -90,6 +90,9 @@ class Vocab:
 
     def __init__(self, tokens: Sequence[str]):
         tokens = list(tokens)
+        bad = [t for t in tokens if not (isinstance(t, str) and t)]
+        if bad:
+            raise ValueError(f"vocabulary token {bad[0]!r} is not a non-empty string")
         if tokens[: len(CONTROL_TOKENS)] != list(CONTROL_TOKENS):
             raise ValueError("vocabulary must start with the control tokens")
         if len(set(tokens)) != len(tokens):
@@ -245,18 +248,18 @@ def _frame_states(model: PolicyModel, frames: Sequence[list[int]],
     from the zero state or from ``start``, the (B, h) states the frames continue.
 
     The rows run longest first, and a row leaves the batch at the end of its
-    frame, so only each row's last state is kept.
+    frame, where its state stays: a zero-length frame keeps its start.
     """
     p = {k: t.data for k, t in model.params.items()}
     order, ids, going = _longest_first(frames)
     xb = gru_inputs(p["embed"], p["w_x"], p["b"])
     w_gates = gate_major(p["w_h"])
     h = np.zeros((len(frames), model.h), dtype=xb.dtype) if start is None else start[order]
-    out = np.empty((len(frames), model.h), dtype=xb.dtype)
     for t in range(len(ids)):
-        n, done = going[t], going[t + 1]
+        n = going[t]
         gru_step(np.take(xb, ids[t, :n], axis=1), h[:n], w_gates, out=h[:n])
-        out[order[done:n]] = h[done:n]
+    out = np.empty((len(frames), model.h), dtype=xb.dtype)
+    out[order] = h
     return out
 
 
@@ -271,17 +274,16 @@ def sequence_token_logps(model: PolicyModel, cond_ids: Sequence[int],
                          target_ids: Sequence[int]) -> Array:
     """Log-probability of each target token given the condition prefix.
 
-    The GRU steps ``cond_ids`` and the target from the zero state, as
-    ``batch_nll`` does, and keeps nothing for a backward.  The loop no longer
-    calls it: the DPO reference margins come from ``batch_nll``.
+    The GRU steps ``cond_ids`` and the target from the zero state through
+    ``batch_nll``'s forward, :func:`~symtrain.autodiff.gru_sequence`.  The
+    loop no longer calls it: the DPO reference margins come from ``batch_nll``.
     """
     tgt = np.asarray(target_ids, dtype=np.intp)
     p = model.params
-    gates = gru_sequence_inputs(p["embed"].data, [[*cond_ids, *target_ids[:-1]]],
-                                p["w_x"].data, p["b"].data)
-    states, _ = _gru_steps(gates, p["w_h"].data)
+    states, _ = gru_sequence(p["embed"].data, [[*cond_ids, *target_ids[:-1]]],
+                             p["w_x"].data, p["w_h"].data, p["b"].data, model.h)
     # the zero state and the states after each token but the last target
-    h_rows = states.reshape(-1, model.h)[len(cond_ids):]
+    h_rows = np.concatenate((np.zeros((1, model.h), states.dtype), states))[len(cond_ids):]
     logits = h_rows @ p["w_out"].data + p["b_out"].data
     return log_softmax(logits)[np.arange(len(tgt)), tgt]
 
@@ -423,10 +425,8 @@ def _rewards(model: PolicyModel, states: Array, targets: Sequence[list[int]]) ->
     total = np.zeros(len(targets))
     for t in range(len(ids)):
         n, n_next = going[t], going[t + 1]
-        # the log-softmax of each live row's logits, at its token t only
-        logits = h[:n] @ p["w_out"] + p["b_out"]
-        logits -= logits.max(axis=1, keepdims=True)
-        total[:n] += logits[rows[:n], ids[t, :n]] - np.log(np.exp(logits).sum(axis=1))
+        # each live row's log-probability of its token t
+        total[:n] += log_softmax(h[:n] @ p["w_out"] + p["b_out"])[rows[:n], ids[t, :n]]
         if n_next:
             gru_step(np.take(xb, ids[t, :n_next], axis=1), h[:n_next], w_gates,
                      out=h[:n_next])

@@ -272,7 +272,7 @@ def test_gru_step_in_place_equals_a_fresh_output(n_batch):
 def test_gru_sequence_rejects_out_of_range_id(bad):
     ids = GRU_IDS.copy()
     ids[1, 2] = bad
-    with pytest.raises(IndexError, match=rf"id {bad} out of range \[0, 6\)"):
+    with pytest.raises(IndexError, match=rf"^gru_sequence: id {bad} out of range \[0, 6\)"):
         gru_sequence(np.ones((6, 3)), ids, np.zeros((3, 6)), np.zeros((2, 6)),
                      np.zeros((1, 6)), 2)
 

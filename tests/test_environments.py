@@ -390,6 +390,12 @@ def test_execute_is_pure():
 @pytest.mark.parametrize("env, x, y, match", [
     pytest.param(EnvKind.EXPR_MATH, ("a", "=", ";", "a"), "0,0", "malformed binding",
                  id="expr_math-x0"),
+    # a superscript digit is a digit to str.isdigit, but not to int()
+    pytest.param(EnvKind.EXPR_MATH, ("a", "=", "²", ";", "a"), "0", "malformed binding",
+                 id="expr_math-superscript_digit"),
+    pytest.param(EnvKind.GRID_AGENT, ("grid", "²", "3", ";", "start", "0", "0", ";",
+                                      "goal", "1", "2"), "1,2", "expected two digits",
+                 id="grid_agent-superscript_digit"),
     pytest.param(EnvKind.GRID_AGENT, ("grid", "3", "3", ";", "start", "0", "0"), "0,0",
                  "one goal", id="grid_agent-x1"),
     # each board below is well formed but for the one defect, and y is its goal
@@ -471,6 +477,20 @@ def test_execute_never_raises_and_stays_fast_on_fuzzed_solutions(env):
         assert isinstance(result, ExecutionResult)
 
     check()
+
+
+@pytest.mark.parametrize("env", list(EnvKind))
+def test_execute_never_raises_on_arbitrary_text_tokens(env):
+    # a model's vocabulary is any list of strings, not only the grammar's
+    tasks, _ = generate_dataset(env, 3, seed=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(tasks), st.lists(st.text(max_size=4), max_size=12))
+    def check(task, a):
+        assert execute(env, task, a).b in (0, 1)
+
+    check()
+    assert execute(env, tasks[0], ["²"]).b == 0
 
 
 # ---------------------------------------------------------------------------

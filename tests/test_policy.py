@@ -125,6 +125,21 @@ def test_vocab_rejects_duplicates_and_unknowns():
         toy_vocab().encode(["zz"])
 
 
+@pytest.mark.parametrize("token", [5, None, "", ["a"]])
+def test_vocab_and_checkpoints_reject_a_non_string_token(tmp_path, token):
+    message = re.escape(f"token {token!r} is not a non-empty string")
+    with pytest.raises(ValueError, match=message):
+        Vocab([*CONTROL_TOKENS, "a", token])
+    # a checkpoint holding one is corrupt, rather than a model whose decoding fails
+    path = tmp_path / "model.json"
+    save_checkpoint(toy_model(), path)
+    payload = json.loads(path.read_text())
+    payload["vocab"][-1] = token
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
 def test_control_tokens_absent_from_grammars():
     vocab = default_vocab()
     for tok in vocab.tokens[len(CONTROL_TOKENS):]:
@@ -327,6 +342,13 @@ def test_frame_states_are_forwards_states_at_the_frame_ends():
     np.testing.assert_allclose(_frame_states(model, frames, start), from_start[ends],
                                rtol=0, atol=1e-12)
     assert _frame_states(model, []).shape == (0, model.h)
+    # a zero-length frame keeps its start state, among frames of any length
+    with_empty = [frames[0], [], frames[2]]
+    assert np.array_equal(_frame_states(model, with_empty)[1], np.zeros(model.h))
+    given = _frame_states(model, with_empty, start[:3])
+    assert np.array_equal(given[1], start[1].astype(given.dtype))
+    assert np.array_equal(given[[0, 2]], _frame_states(model, [frames[0], frames[2]],
+                                                       start[[0, 2]]))
 
 
 def test_batched_refine_frames_give_the_row_by_row_token_logps():
