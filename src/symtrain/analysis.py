@@ -38,10 +38,9 @@ def delta_logp(model: PolicyModel,
     """
     if not pairs:
         return None
-    starts = frame_states(model, [x for x, _, _ in pairs])
-    scored: list[dict[tuple[str, ...], float]] = [{} for _ in pairs]
-    score_rows(model, starts, scored, [(i, a) for i, (_, a_plus, a_minus) in enumerate(pairs)
-                                       for a in (a_plus, a_minus)])
+    scored = score_rows(model, frame_states(model, [x for x, _, _ in pairs]),
+                        [(i, a) for i, (_, a_plus, a_minus) in enumerate(pairs)
+                         for a in (a_plus, a_minus)])
     return sum(rewards[tuple(a_plus)] - rewards[tuple(a_minus)]
                for rewards, (_, a_plus, a_minus) in zip(scored, pairs)) / len(pairs)
 

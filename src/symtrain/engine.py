@@ -223,16 +223,26 @@ def child_seed(*keys: int) -> int:
 # ---------------------------------------------------------------------------
 # exploration
 
-def _candidate(model: PolicyModel, task: TaskInstance, config: RunConfig,
-               a: Sequence[str], source: str, iteration: int, start: Array,
-               scored: dict[tuple[str, ...], float] | None = None) -> Trajectory:
-    """Execute and self-score one solution from ``start``, the task's frame
-    state, whether it was explored, refined or is a warmup witness; ``scored``
-    is the task's dict of rewards already computed (see
-    :func:`~symtrain.policy.score_rows`)."""
-    res = execute(config.env, task, a)
-    return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                      score(model, start, a, scored), source, iteration, res.status)
+def _candidates(model: PolicyModel, tasks: Sequence[TaskInstance], starts: Array,
+                rows: Sequence[tuple[int, Sequence[str], str]], config: RunConfig,
+                iteration: int) -> list[Trajectory]:
+    """Execute and self-score each (i, a, source) row, a solution of
+    ``tasks[i]`` explored, refined or given as a warmup witness.
+
+    All rows are scored from their tasks' frame states ``starts[i]`` in one
+    self-reward pass (:func:`~symtrain.policy.score_rows`), so a repeated
+    (task, a) ties its first occurrence exactly.  Then each row, in order,
+    makes one ``execute`` call and one ``score`` call, which looks its r up.
+    """
+    scored = score_rows(model, starts, [(i, a) for i, a, _ in rows])
+    out = []
+    for i, a, source in rows:
+        task = tasks[i]
+        res = execute(config.env, task, a)
+        out.append(Trajectory(task.id, task.x, task.y, tuple(a), res.b,
+                              score(model, starts[i:i + 1], a, scored[i]), source,
+                              iteration, res.status))
+    return out
 
 
 def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
@@ -243,14 +253,10 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
 
     All tasks go through four batched passes: one over the task frames
     ``BOS x SEP``, one ``sample`` call over tasks x K rows, one ``refine``
-    call over every non-empty draft, and one self-reward pass
-    (:func:`~symtrain.policy.score_rows`) over every draft and refinement,
-    each scored from its task's frame state.  Each task gets a new dict of
-    rewards per call, so a (task, a) that repeats within the phase (a
-    duplicate draft, or a refinement that copies its draft) is computed once
-    and ties its first occurrence exactly, and no r outlives the model it was
-    computed under.  Then every candidate makes one ``score`` call, which
-    looks its r up, and one ``execute`` call.
+    call over every non-empty draft, and one self-reward pass over every draft
+    and then every refinement (:func:`_candidates`), each scored from its
+    task's frame state.  The rewards live for that call only, so no r
+    outlives the model it was computed under.
     Task i draws one (K, 2, max_len) block of uniforms from the stream seeded
     by (iteration, i): row [k, 0] holds draft k's uniforms and row [k, 1] its
     refinement's.  So a task's candidates depend on its position only, not on
@@ -276,21 +282,14 @@ def explore_phase(model: PolicyModel, tasks: Sequence[TaskInstance],
         model, starts[[j // config.K for j in drafts]], [samples[j] for j in drafts],
         GenerationParams(config.temperature, config.max_len, len(drafts)),
         uniforms[drafts, 1]) if drafts else []
-    # row j holds draft j % K of task j // K, or that draft's refinement
-    rows = [*enumerate(samples), *zip(drafts, refinements)]
-    scored: list[dict[tuple[str, ...], float]] = [{} for _ in tasks]
-    score_rows(model, starts, scored, [(j // config.K, a) for j, a in rows])
-
-    def candidate(j: int, a: Sequence[str], source: str) -> Trajectory:
-        i = j // config.K
-        return _candidate(model, tasks[i], config, a, source, iteration, starts[i:i + 1],
-                          scored[i])
-
-    explored = [candidate(j, a, "explore") for j, a in enumerate(samples)]
-    refined: list[Trajectory | None] = [None] * len(samples)
-    for j, a_ref in zip(drafts, refinements):
-        refined[j] = candidate(j, a_ref, "refine")
-    return list(zip(explored, refined))
+    # draft j and its refinement are solutions of task j // K
+    candidates = _candidates(
+        model, tasks, starts,
+        [(j // config.K, a, "explore") for j, a in enumerate(samples)]
+        + [(j // config.K, a, "refine") for j, a in zip(drafts, refinements)],
+        config, iteration)
+    refined = dict(zip(drafts, candidates[len(samples):]))
+    return [(t, refined.get(j)) for j, t in enumerate(candidates[:len(samples)])]
 
 
 def _ablated(config: RunConfig, name: str) -> bool:
@@ -561,9 +560,9 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     Raises ValueError, naming the first offender, on a task :func:`check_tasks`
     rejects, a warmup that leaves no held_in task to evaluate, a witness for
     a task id not in the dataset or with a control token or a token outside the
-    vocabulary, or a warmup task without a witness.  Writes reports.jsonl
-    (streamed per iteration), summary.json and the final checkpoint and pool
-    when out_dir is given.
+    vocabulary, or a warmup task without a witness or whose witness does not
+    solve it.  Writes reports.jsonl (streamed per iteration), summary.json and
+    the final checkpoint and pool when out_dir is given.
     """
     vocab = default_vocab()
     check_tasks(dataset, config.env, vocab)
@@ -585,6 +584,11 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     missing = [t.id for t in warmup if t.id not in witnesses]
     if missing:
         raise ValueError(f"missing witness solutions for warmup tasks: {missing[:3]}")
+    for t in warmup:
+        res = execute(config.env, t, witnesses[t.id])
+        if res.b != 1:
+            raise ValueError(f"witness of warmup task {t.id!r} does not solve it: "
+                             f"status {res.status.value}, output {res.output!r}")
 
     out_path = Path(out_dir) if out_dir is not None else None
     reports_fh = None
@@ -629,14 +633,11 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         warm_l1, _ = _run_epochs(model, warm_examples, config,
                                  child_seed(config.seed, _DOM_WARMUP), 0,
                                  epochs=config.warmup_epochs)
-        # seed the pool with the witnesses, scored as exploration scores its
-        # candidates, from the tasks' frame states in one pass
-        starts = frame_states(model, [t.x for t in warmup])
-        scored: list[dict[tuple[str, ...], float]] = [{} for _ in warmup]
-        score_rows(model, starts, scored, [(i, witnesses[t.id]) for i, t in enumerate(warmup)])
-        seeded = pool.update([_candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                         starts[i:i + 1], scored[i])
-                              for i, t in enumerate(warmup)])
+        # seed the pool with the witnesses, graded and scored as exploration's
+        # candidates are
+        seeded = pool.update(_candidates(
+            model, warmup, frame_states(model, [t.x for t in warmup]),
+            [(i, witnesses[t.id], "explore") for i, t in enumerate(warmup)], config, 0))
         close(0, model, pool, seeded, warm_l1, 0.0, [])
 
         probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []

@@ -31,11 +31,13 @@ state; :func:`score` is its one-row case.
 Every solution of a task is thus scored as one conditional, p(a | x), by one
 computation, whether sampling or refinement drew it or it is a warmup
 witness.  So r is a function of (task, a) under one model, and the pass
-takes each task's dict of rewards already computed: a duplicate sample, or a
-refinement that copies its draft, gets its first occurrence's r without a
-second row.  :func:`greedy_batch` runs the frames of many tasks, of any
-lengths, in one right-padded pass from the zero state; :func:`greedy_decode`
-is its one-row case.  Then every row steps with the same GRU step
+returns one dict of rewards per task, in which a duplicate sample, or a
+refinement that copies its draft, has its first occurrence's r without a
+second row; ``score`` given such a dict only looks r up.
+:func:`greedy_batch` runs the frames of many tasks, of any lengths, in one
+right-padded pass from the zero state; :func:`greedy_decode` is its one-row
+case.  ``sample``, ``refine`` and ``greedy_batch`` share one generation loop,
+which decodes the ids it emits.  Then every row steps with the same GRU step
 (:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when it emits
 EOS, and a scored row when its target ends.  A call computes the input product
 ``x @ w_x + b`` of the whole vocabulary once
@@ -88,6 +90,8 @@ class CheckpointError(RuntimeError):
 class Vocab:
     """Token/id bijection; control tokens first, grammar tokens after."""
 
+    pad_id, bos_id, eos_id, sep_id = range(len(CONTROL_TOKENS))
+
     def __init__(self, tokens: Sequence[str]):
         tokens = list(tokens)
         bad = [t for t in tokens if not (isinstance(t, str) and t)]
@@ -106,22 +110,6 @@ class Vocab:
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def bos_id(self) -> int:
-        return 1
-
-    @property
-    def eos_id(self) -> int:
-        return 2
-
-    @property
-    def sep_id(self) -> int:
-        return 3
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         try:
@@ -182,19 +170,15 @@ class PolicyModel:
 
     def _init_params(self, seed: int) -> dict[str, Param]:
         rng = np.random.default_rng(seed)
-        v, d, h = len(self.vocab), self.d, self.h
+        return {name: Param(rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(PARAM_DTYPE))
+                for name, shape in _param_shapes(len(self.vocab), self.d, self.h).items()}
 
-        def uniform(*shape: int) -> Param:
-            return Param(rng.uniform(-INIT_SCALE, INIT_SCALE, shape).astype(PARAM_DTYPE))
 
-        return {
-            "embed": uniform(v, d),
-            "w_x": uniform(d, 3 * h),
-            "w_h": uniform(h, 3 * h),
-            "b": uniform(1, 3 * h),
-            "w_out": uniform(h, v),
-            "b_out": uniform(1, v),
-        }
+def _param_shapes(v: int, d: int, h: int) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape for v tokens, embedding width d and state width h,
+    in the order the init draws them."""
+    return {"embed": (v, d), "w_x": (d, 3 * h), "w_h": (h, 3 * h), "b": (1, 3 * h),
+            "w_out": (h, v), "b_out": (1, v)}
 
 
 def reinit(model: PolicyModel, seed: int) -> PolicyModel:
@@ -300,14 +284,15 @@ def _draw_tokens(logits: Array, u: Array) -> Array:
     return (cdf < ((1.0 - u) * cdf[:, -1])[:, None]).sum(axis=1)
 
 
-def _generate(model: PolicyModel, states: Array, params: GenerationParams,
-              uniforms: Array | None) -> list[list[int]]:
-    """One solution per row of ``states``, the (B, h) states after each row's frame.
+def _generate(model: PolicyModel, states: Array, max_len: int,
+              uniforms: Array | None = None, temperature: float = 1.0) -> list[list[str]]:
+    """One decoded solution of at most ``max_len`` tokens per row of ``states``,
+    the (B, h) states after each row's frame.
 
     Greedy when uniforms is None.  Otherwise row i draws its t-th token with
-    ``uniforms[i, t]``, from the (B, max_len) uniforms in [0, 1).  EOS is
-    consumed, not returned.  PAD, BOS and SEP are never emitted: a SEP inside
-    a draft would corrupt the refine frame.
+    ``uniforms[i, t]``, from the (B, max_len) uniforms in [0, 1), at
+    ``temperature``.  EOS is consumed, not returned.  PAD, BOS and SEP are
+    never emitted: a SEP inside a draft would corrupt the refine frame.
     """
     p = {k: t.data for k, t in model.params.items()}
     b_out = p["b_out"].copy()
@@ -317,7 +302,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
     rows = np.arange(len(states))
     h = states
     out: list[list[int]] = [[] for _ in rows]
-    for t in range(params.max_len):
+    for t in range(max_len):
         logits = h @ p["w_out"] + b_out
         if uniforms is None:
             tokens = logits.argmax(axis=1)
@@ -328,7 +313,7 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
             # at a tiny temperature every logit below the max overflows to -inf,
             # weight 0: the greedy limit
             with np.errstate(over="ignore"):
-                logits /= params.temperature
+                logits /= temperature
             tokens = _draw_tokens(logits, uniforms[rows, t])
         ids = tokens.tolist()
         if model.vocab.eos_id in ids:
@@ -337,10 +322,10 @@ def _generate(model: PolicyModel, states: Array, params: GenerationParams,
             ids = tokens.tolist()
         for i, token in zip(rows.tolist(), ids):
             out[i].append(token)
-        if not ids or t == params.max_len - 1:
+        if not ids or t == max_len - 1:
             break
         h = gru_step(np.take(xb, tokens, axis=1), h, w_gates)
-    return out
+    return [model.vocab.decode(ids) for ids in out]
 
 
 def _rows_agree(what: str, params: GenerationParams, uniforms: Array,
@@ -363,7 +348,7 @@ def sample(model: PolicyModel, states: Array, params: GenerationParams,
     have the shape (k_samples, max_len).
     """
     _rows_agree("sample", params, uniforms, states=states)
-    return [model.vocab.decode(ids) for ids in _generate(model, states, params, uniforms)]
+    return _generate(model, states, params.max_len, uniforms, params.temperature)
 
 
 def refine(model: PolicyModel, states: Array, drafts: Sequence[Sequence[str]],
@@ -380,7 +365,7 @@ def refine(model: PolicyModel, states: Array, drafts: Sequence[Sequence[str]],
     if not all(drafts):
         raise ValueError("refine: previous solutions must be non-empty")
     states = _frame_states(model, [draft_ids(model, a) for a in drafts], states)
-    return [model.vocab.decode(ids) for ids in _generate(model, states, params, uniforms)]
+    return _generate(model, states, params.max_len, uniforms, params.temperature)
 
 
 def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
@@ -392,9 +377,7 @@ def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
     """
     if not frames:
         return []
-    gen = GenerationParams(temperature=1.0, max_len=max_len, k_samples=len(frames))
-    return [model.vocab.decode(ids)
-            for ids in _generate(model, _frame_states(model, frames), gen, None)]
+    return _generate(model, _frame_states(model, frames), max_len)
 
 
 def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
@@ -435,20 +418,19 @@ def _rewards(model: PolicyModel, states: Array, targets: Sequence[list[int]]) ->
     return out / np.array([len(target) for target in targets])
 
 
-def score_rows(model: PolicyModel, starts: Array,
-               scored: Sequence[dict[tuple[str, ...], float]],
-               items: Iterable[tuple[int, Sequence[str]]]) -> None:
-    """Self-reward each (i, a) of ``items`` that ``scored[i]`` does not hold
-    yet, and store its r in ``scored[i]`` under ``tuple(a)``.
+def score_rows(model: PolicyModel, starts: Array, items: Iterable[tuple[int, Sequence[str]]],
+               ) -> list[dict[tuple[str, ...], float]]:
+    """The self-reward of each (i, a) of ``items``: one dict per row of
+    ``starts``, whose dict i maps ``tuple(a)`` to r for every a of row i.
 
     r = p(a | x) is the length-normalized log-probability of ``a`` and EOS
     (nats per token) from ``starts[i]``, the state after task i's frame ``BOS
-    x SEP`` (a row of :func:`frame_states`).  ``scored[i]`` holds the rewards
-    already computed from that state under this model, so the caller keeps it
-    no longer than both (one per task and phase).  Each new (i, a) is one row:
-    the rows step together, longest first, at most ``_REWARD_ROWS`` at a time.
-    A row's r moves with its pass's makeup in float32's last bits only (see
-    ``pool.REWARD_TIE``).
+    x SEP`` (a row of :func:`frame_states`).  The dicts hold rewards computed
+    from those states under this model, so the caller keeps them no longer
+    than both (one call per phase).  Each distinct (i, a) is one row, so a
+    repeat ties its first occurrence exactly: the rows step together, longest
+    first, at most ``_REWARD_ROWS`` at a time.  A row's r moves with its
+    pass's makeup in float32's last bits only (see ``pool.REWARD_TIE``).
 
     A refinement is scored so too, not in its refine frame, since the pool and
     the U1/U2 ranking compare every candidate on one scale.  Over the
@@ -457,8 +439,8 @@ def score_rows(model: PolicyModel, starts: Array,
     frame, against 0.607/0.718/0.571 from the refine frame.  An empty solution
     scores EOS alone.
     """
-    new = [(i, a) for i, a in dict.fromkeys((i, tuple(a)) for i, a in items)
-           if a not in scored[i]]
+    scored: list[dict[tuple[str, ...], float]] = [{} for _ in starts]
+    new = list(dict.fromkeys((i, tuple(a)) for i, a in items))
     # longest first, so the rows of each pass are of like lengths
     new.sort(key=lambda row: -len(row[1]))
     for k in range(0, len(new), _REWARD_ROWS):
@@ -467,16 +449,17 @@ def score_rows(model: PolicyModel, starts: Array,
                            [target_ids(model, a) for _, a in rows])
         for (i, a), r in zip(rows, rewards.tolist()):
             scored[i][a] = r
+    return scored
 
 
 def score(model: PolicyModel, start: Array, a: Sequence[str],
           scored: dict[tuple[str, ...], float] | None = None) -> float:
     """The self-reward r of ``a`` from ``start``, the (1, h) task-frame state:
     the one-row case of :func:`score_rows`.  ``scored``, if given, is the
-    task's dict of rewards already computed from ``start`` under this model:
-    a stored ``a`` is looked up, and a new one is computed and stored."""
-    scored = {} if scored is None else scored
-    score_rows(model, start, [scored], [(0, a)])
+    task's dict that :func:`score_rows` returned for ``start``, and ``a`` is
+    only looked up there."""
+    if scored is None:
+        scored = score_rows(model, start, [(0, a)])[0]
     return scored[tuple(a)]
 
 
@@ -578,27 +561,39 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyModel, dict]:
             f"checkpoint version {payload.get('version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})")
     try:
-        model = PolicyModel(Vocab(payload["vocab"]), payload["d"], payload["h"])
+        vocab, d, h = Vocab(payload["vocab"]), payload["d"], payload["h"]
+        for key, value in (("d", d), ("h", h)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise CheckpointError(f"{path}: {key} must be a positive integer, "
+                                      f"got {value!r}")
         params = payload["params"]
         if not isinstance(params, dict):
             raise CheckpointError(f"{path}: params must be an object")
-        odd = sorted(set(params) ^ set(model.params))
+        shapes = _param_shapes(len(vocab), d, h)
+        odd = sorted(set(params) ^ set(shapes))
         if odd:
             raise CheckpointError(f"{path}: parameter {odd[0]!r} is "
                                   f"{'unknown' if odd[0] in params else 'missing'}")
-        for name, tensor in model.params.items():
+        # each shape and value count is checked before its array is made, so a
+        # corrupt d or h cannot ask for more memory than the file holds
+        arrays = {}
+        for name, shape in shapes.items():
+            declared, values = tuple(params[name]["shape"]), params[name]["values"]
+            if declared != shape:
+                raise CheckpointError(f"{path}: parameter {name!r} has shape {declared}, "
+                                      f"expected {shape}")
+            if len(values) != math.prod(shape):
+                raise CheckpointError(f"{path}: parameter {name!r} has {len(values)} "
+                                      f"values, expected {math.prod(shape)}")
             with np.errstate(over="raise"):  # a value past the dtype's range is corrupt
-                arr = np.asarray(params[name]["values"], dtype=tensor.data.dtype)
-            shape = tuple(params[name]["shape"])
-            if shape != tensor.data.shape:
-                raise CheckpointError(f"{path}: parameter {name!r} has shape {shape}, "
-                                      f"expected {tensor.data.shape}")
-            if arr.size != int(np.prod(shape)):
-                raise CheckpointError(f"parameter {name}: value count mismatch")
+                arr = np.asarray(values, dtype=PARAM_DTYPE)
             # json reads NaN and Infinity, which no run writes: training stops first
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: parameter {name!r} has a non-finite value")
-            tensor.data = arr.reshape(shape)
+            arrays[name] = arr.reshape(shape)
+        model = PolicyModel(vocab, d, h)
+        for name, arr in arrays.items():
+            model.params[name].data = arr
         metadata = payload.get("metadata", {})
         if not isinstance(metadata, dict):
             raise CheckpointError(f"{path}: metadata must be an object")

@@ -789,9 +789,9 @@ def test_evaluate_solves_what_a_per_task_greedy_loop_solves(partly_trained):
 def test_empty_splits_evaluate_to_zero_without_generating(tiny_dataset, monkeypatch):
     generate = policy._generate
 
-    def generate_rows(model, states, params, rngs):
+    def generate_rows(model, states, *args):
         assert len(states) > 0, "generation called on zero rows"
-        return generate(model, states, params, rngs)
+        return generate(model, states, *args)
 
     monkeypatch.setattr(policy, "_generate", generate_rows)
     model = PolicyModel(default_vocab(), d=8, h=12, seed=0)
@@ -894,6 +894,22 @@ def test_run_rejects_a_dataset_it_cannot_grade(tiny_dataset, fault, message):
         run(tiny_config(), tasks, witnesses)
 
 
+def test_run_rejects_a_warmup_witness_that_does_not_solve_its_task(tiny_dataset, tmp_path,
+                                                                  monkeypatch):
+    tasks, witnesses = tiny_dataset
+    task = tasks[0]
+    res = execute("expr_math", task, ["a"])
+    assert res.b == 0
+    built = []
+    monkeypatch.setattr(engine, "PolicyModel", lambda *args, **kwargs: built.append(args))
+    message = (f"witness of warmup task {task.id!r} does not solve it: "
+               f"status {res.status.value}, output {res.output!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(tiny_config(), tasks, {**witnesses, task.id: ["a"]}, out_dir=tmp_path / "run")
+    # the witness is graded before the model is built or any file is written
+    assert built == [] and not (tmp_path / "run").exists()
+
+
 def test_run_seeds_the_pool_with_the_warmup_witnesses(tiny_dataset, monkeypatch):
     tasks, witnesses = tiny_dataset
     sizes = []
@@ -988,13 +1004,12 @@ def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):
     pool = CandidatePool()
     # run seeds the pool from the warmup tasks' frame states
     starts = frame_states(model, [t.x for t in warmup])
-    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                starts[i:i + 1]) for i, t in enumerate(warmup)]
+    rows = [(i, witnesses[t.id], "explore") for i, t in enumerate(warmup)]
+    seeded = engine._candidates(model, warmup, starts, rows, config, 0)
     pool.update(seeded)
     # exploration scores the same witness from a frame state of a larger batch
     wide = frame_states(model, [t.x for t in reversed(held_in)])[::-1]
-    again = [engine._candidate(model, t, config, witnesses[t.id], "explore", 1,
-                               wide[i:i + 1]) for i, t in enumerate(warmup)]
+    again = engine._candidates(model, held_in, wide, rows, config, 1)
     for old, new in zip(seeded, again):
         assert abs(new.r - old.r) <= 1e-12 * abs(old.r)
     assert pool.update(again) == 0
@@ -1008,16 +1023,14 @@ def test_a_witness_re_found_in_a_pass_of_another_makeup_keeps_its_older_entry():
     tasks, witnesses = generate_dataset(EnvKind.LOGIC_RULES, 8, seed=0)
     config = tiny_config(env="logic_rules")
     model = PolicyModel(default_vocab(), seed=0)
-    starts = frame_states(model, [t.x for t in tasks])
-    scored = [{} for _ in tasks]
-    engine.score_rows(model, starts, scored, [(i, witnesses[t.id])
-                                              for i, t in enumerate(tasks)])
-    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                starts[i:i + 1], scored[i]) for i, t in enumerate(tasks)]
+    seeded = engine._candidates(model, tasks, frame_states(model, [t.x for t in tasks]),
+                                [(i, witnesses[t.id], "explore")
+                                 for i, t in enumerate(tasks)], config, 0)
     pool = CandidatePool()
     pool.update(seeded)
-    again = [engine._candidate(model, t, config, witnesses[t.id], "explore", 1,
-                               frame_states(model, [t.x])) for t in tasks]
+    again = [engine._candidates(model, [t], frame_states(model, [t.x]),
+                                [(0, witnesses[t.id], "explore")], config, 1)[0]
+             for t in tasks]
     gaps = [abs(new.r - old.r) for old, new in zip(seeded, again)]
     assert 1e-9 < max(gaps) < REWARD_TIE
     assert pool.update(again) == 0
@@ -1036,9 +1049,9 @@ def test_a_witness_re_found_as_a_refinement_keeps_its_warmup_entry(tiny_dataset,
     for param in model.params.values():
         param.data *= 10.0
     pool = CandidatePool()
-    starts = frame_states(model, [t.x for t in warmup])
-    seeded = [engine._candidate(model, t, config, witnesses[t.id], "explore", 0,
-                                starts[i:i + 1]) for i, t in enumerate(warmup)]
+    seeded = engine._candidates(model, warmup, frame_states(model, [t.x for t in warmup]),
+                                [(i, witnesses[t.id], "explore")
+                                 for i, t in enumerate(warmup)], config, 0)
     pool.update(seeded)
     # under the unchanged model, every task's draft fails to parse and is refined
     # into the task's witness

@@ -448,9 +448,12 @@ def test_score_without_a_dict_steps_every_call_and_with_one_steps_each_solution_
     a, b = ["a", "b"], ["c"]
     r_a, r_b = score(model, start, a), score(model, start, b)
     assert score(model, start, a) == r_a and rows == [1, 1, 1]
-    scored = {}
-    assert [score(model, start, s, scored) for s in (a, b, a, tuple(b))] == [r_a, r_b, r_a, r_b]
-    assert rows == [1] * 5
+    solutions = (a, b, a, tuple(b))
+    scored = score_rows(model, start, [(0, s) for s in solutions])[0]
+    assert rows == [1, 1, 1, 2]
+    # given the dict, score only looks r up
+    assert [score(model, start, s, scored) for s in solutions] == [r_a, r_b, r_a, r_b]
+    assert rows == [1, 1, 1, 2]
     assert scored == {("a", "b"): r_a, ("c",): r_b}
 
 
@@ -481,16 +484,17 @@ def test_score_rows_match_the_step_by_step_reference(case, scale, monkeypatch):
     starts, items = _reward_rows_case(case, model, np.random.default_rng(7))
     items += items[:3]  # repeats are computed once
     rows = count_reward_rows(monkeypatch)
-    scored = [{} for _ in starts]
-    score_rows(model, starts, scored, items)
+    scored = score_rows(model, starts, items)
+    assert len(scored) == len(starts)
     distinct = {(i, tuple(a)) for i, a in items}
     assert sum(rows) == len(distinct) == sum(len(r) for r in scored)
     assert max(rows) <= _REWARD_ROWS and len(rows) == -(-len(distinct) // _REWARD_ROWS)
     for i, a in distinct:
         expected = reference_reward(p, starts[i:i + 1], model.vocab.encode([*a, EOS]))
         assert abs(scored[i][a] - expected) <= 1e-12
-    # a stored r is kept, not recomputed
-    score_rows(model, starts, scored, items)
+    # a returned r is looked up, not recomputed
+    assert [score(model, starts[i:i + 1], a, scored[i]) for i, a in items] == \
+        [scored[i][tuple(a)] for i, a in items]
     assert sum(rows) == len(distinct)
 
 
@@ -498,12 +502,10 @@ def test_score_rows_do_not_depend_on_the_order_of_the_rows():
     model = toy_model(seed=12)
     rng = np.random.default_rng(8)
     starts, items = _reward_rows_case("more_than_one_pass", model, rng)
-    scored = [{} for _ in starts]
-    score_rows(model, starts, scored, items)
+    scored = score_rows(model, starts, items)
     for seed in range(3):
         shuffled = [items[k] for k in np.random.default_rng(seed).permutation(len(items))]
-        again = [{} for _ in starts]
-        score_rows(model, starts, again, shuffled)
+        again = score_rows(model, starts, shuffled)
         assert [d.keys() for d in again] == [d.keys() for d in scored]
         for before, after in zip(scored, again):
             for a, r in before.items():
@@ -540,10 +542,9 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
         for seed in range(3):
             uniforms = _uniforms(seed, len(drafts), 12)
             assert _refine_task(model, task.x, drafts, params, seed) == \
-                [model.vocab.decode(ids) for ids in _generate(model, full, params, uniforms)]
+                _generate(model, full, params.max_len, uniforms, params.temperature)
             assert _sample_task(model, task.x, params, seed) == \
-                [model.vocab.decode(ids)
-                 for ids in _generate(model, task_frames, params, uniforms)]
+                _generate(model, task_frames, params.max_len, uniforms, params.temperature)
 
 
 def test_score_bounds():
@@ -921,8 +922,15 @@ def test_checkpoint_version_mismatch_is_error(tmp_path):
      "'embed' has a non-finite value"),
     (lambda payload: payload["params"]["b_out"]["values"].__setitem__(-1, -math.inf),
      "'b_out' has a non-finite value"),
+    (lambda payload: payload["params"]["b"]["values"].pop(), "'b' has 35 values, expected 36"),
+    # a model of this d or h would need terabytes: the file is rejected unbuilt
+    (lambda payload: payload.update(d=10**12),
+     r"'embed' has shape \(16, 8\), expected \(16, 1000000000000\)"),
+    (lambda payload: payload.update(h=10**12),
+     r"'w_x' has shape \(8, 36\), expected \(8, 3000000000000\)"),
+    (lambda payload: payload.update(h=0), "h must be a positive integer, got 0"),
 ], ids=["missing", "extra", "mis_shaped", "params_list", "past_float32", "nan", "inf",
-        "minus_inf"])
+        "minus_inf", "value_count", "huge_d", "huge_h", "zero_h"])
 def test_checkpoint_parameters_must_fit_the_model(tmp_path, fault, message):
     path = tmp_path / "model.json"
     save_checkpoint(toy_model(), path)
