@@ -1,6 +1,6 @@
 """Command-line entry point: gen-data, run, eval and compare.
 
-Exit codes: 0 success, 1 runtime/io failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime, io or memory failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, CheckpointError, ValueError, TrainingError) as exc:
+    except (OSError, CheckpointError, ValueError, TrainingError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

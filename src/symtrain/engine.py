@@ -3,10 +3,11 @@
 One iteration is: explore (sample K solutions per task, optionally refine
 each once), grade everything in the environment, self-score, filter each
 explored/refined pair, fold survivors into the candidate pool, select
-positive-only and positive-negative training sets, and retrain the policy
-(from scratch or continually, per ``train_mode``); every loss is a weighted
-sum of per-example NLLs (see :func:`dpo_loss`).  The warmup (iteration 0) and
-every iteration end the same way: evaluate both splits and record one
+positive-only and positive-negative training sets, and retrain the run's one
+model, continually or, under scratch training, from the post-warmup weights
+each iteration (see :func:`train_iteration`); every loss is a weighted sum of
+per-example NLLs (see :func:`dpo_loss`).  The warmup (iteration 0) and every
+iteration end the same way: evaluate both splits and record one
 ``IterationReport``, which carries the solve rates and the analysis
 quantities.  ``reports.jsonl`` streams those records, one line each.  Before
 any of it, ``run`` rejects a dataset that no run could grade correctly
@@ -48,7 +49,6 @@ from symtrain.policy import (
     greedy_batch,
     greedy_decode,  # not called here: bench/tracing.py wraps engine.greedy_decode
     refine,
-    reinit,
     sample,
     save_checkpoint,
     score,
@@ -66,7 +66,8 @@ METHODS = tuple(METHOD_ABLATIONS)
 TRAIN_MODES = ("scratch", "continual")
 ABLATIONS = ("no_self_refine", "no_self_reward", "no_candidate_pool", "no_L2")
 
-# seed-stream domains; 2, the retired per-draft refine stream, stays unused
+# seed-stream domains: _DOM_INIT seeds the run's one parameter draw; 2, the
+# retired per-draft refine stream, stays unused
 _DOM_INIT, _DOM_SAMPLE, _DOM_SHUFFLE, _DOM_SELECT, _DOM_WARMUP = 0, 1, 3, 4, 5
 
 
@@ -398,7 +399,8 @@ def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], lis
 
     def losses(batch: list) -> tuple[Array, Array, Tape]:
         nll, tape = batch_nll(model, [(c, t) for _, c, t in batch])
-        return nll, np.ones(len(nll)), tape
+        # float32 ones are exact in every dtype, so weighting by them casts nothing
+        return nll, np.ones(len(nll), np.float32), tape
 
     sums = {"L1": 0.0, "L2": 0.0}
     for batch, values in _sgd_epochs(
@@ -410,18 +412,20 @@ def _run_epochs(model: PolicyModel, examples: Sequence[tuple[str, list[int], lis
 
 
 def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
-                    iteration: int) -> tuple[PolicyModel, float, float]:
-    """Retrain the policy on the selected sets; returns (model, L1 sum, L2 sum).
+                    iteration: int) -> tuple[float, float]:
+    """Retrain the policy in place on the selected sets; returns (L1 sum, L2 sum).
 
-    ``envisions`` and ``star_env`` minimize L1 + L2 over U1 and U2, from fresh
-    parameters when the training mode is scratch.  ``sft_dpo`` (always
-    continual) fine-tunes on U1 alone, then runs DPO on U2's pairs with that
-    fine-tuned model as the reference; its L2 sum is the DPO loss.
+    Continual training starts from the previous iteration's model; scratch
+    training from the post-warmup weights, which ``run`` copies back in
+    first, as STaR restarts every outer iteration from the base model the
+    warmup stands in for (Zelikman et al. 2022), not from random weights.
+    ``envisions`` and ``star_env`` minimize L1 + L2 over U1 and U2.
+    ``sft_dpo`` (always continual) fine-tunes on U1 alone, then runs DPO on
+    U2's pairs with that fine-tuned model as the reference; its L2 sum is the
+    DPO loss.
     """
     if not sets.u1 and not sets.u2:
         raise ValueError("train_iteration: both training sets are empty")
-    if config.train_mode == "scratch":
-        model = reinit(model, child_seed(config.seed, _DOM_INIT, iteration))
     sft_dpo = config.method == "sft_dpo"
     examples = _encode_examples(model, TrainingSets(sets.u1, []) if sft_dpo else sets)
     l1_sum, l2_sum = _run_epochs(model, examples, config,
@@ -429,7 +433,7 @@ def train_iteration(model: PolicyModel, sets: TrainingSets, config: RunConfig,
                                  iteration)
     if sft_dpo:
         l2_sum = _train_dpo_stage(model, sets, config, iteration)
-    return model, l1_sum, l2_sum
+    return l1_sum, l2_sum
 
 
 def dpo_loss(nll_pos: Array, nll_neg: Array, ref_margins: Array,
@@ -590,6 +594,7 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
             raise ValueError(f"witness of warmup task {t.id!r} does not solve it: "
                              f"status {res.status.value}, output {res.output!r}")
 
+    model = PolicyModel(vocab, config.d, config.h, child_seed(config.seed, _DOM_INIT, 0))
     out_path = Path(out_dir) if out_dir is not None else None
     reports_fh = None
     if out_path is not None:
@@ -598,12 +603,12 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
 
     reports: list[IterationReport] = []
     universe = {t.id for t in eval_held_in}
+    pool = CandidatePool()
+    probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
 
-    def close(iteration: int, model: PolicyModel, pool: CandidatePool, new_count: int,
-              l1_sum: float, l2_sum: float,
-              probe: Sequence[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]],
-              ) -> None:
-        """Evaluate both splits, then record, stream and announce the report."""
+    def close(iteration: int, new_count: int, l1_sum: float, l2_sum: float) -> None:
+        """Evaluate both splits on the run's model, then record, stream and
+        announce the report with the pool and probe as they stand."""
         held_in_rate, solved = evaluate(model, eval_held_in, config.env, config.max_len)
         held_out_rate, _ = evaluate(model, held_out, config.env, config.max_len)
         solved_before = {task_id for r in reports for task_id in r.solved_task_ids}
@@ -623,10 +628,6 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                      f"new_traj={report.new_trajectory_count}")
 
     try:
-        model = PolicyModel(vocab, config.d, config.h,
-                            seed=child_seed(config.seed, _DOM_INIT, 0))
-        pool = CandidatePool()
-
         # warmup: behaviour-clone the witness solutions of the seed tasks
         warm_sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in warmup], [])
         warm_examples = _encode_examples(model, warm_sets)
@@ -638,9 +639,11 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
         seeded = pool.update(_candidates(
             model, warmup, frame_states(model, [t.x for t in warmup]),
             [(i, witnesses[t.id], "explore") for i, t in enumerate(warmup)], config, 0))
-        close(0, model, pool, seeded, warm_l1, 0.0, [])
+        close(0, seeded, warm_l1, 0.0)
+        # scratch iterations restart from this copy (not a view) of the warmed weights
+        warmed = ({name: p.data.copy() for name, p in model.params.items()}
+                  if config.train_mode == "scratch" else {})
 
-        probe: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
         for iteration in range(1, config.iterations + 1):
             pairs = explore_phase(model, held_in, config, iteration)
             filtered = [filter_pair(t, t_tilde) for t, t_tilde in pairs]
@@ -653,10 +656,12 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                 probe = list(sets.u2)
 
             if sets.u1 or sets.u2:
-                model, l1_sum, l2_sum = train_iteration(model, sets, config, iteration)
+                for name, data in warmed.items():
+                    np.copyto(model.params[name].data, data)
+                l1_sum, l2_sum = train_iteration(model, sets, config, iteration)
             else:
                 l1_sum = l2_sum = 0.0
-            close(iteration, model, pool, new_count, l1_sum, l2_sum, probe)
+            close(iteration, new_count, l1_sum, l2_sum)
     finally:
         if reports_fh is not None:
             reports_fh.close()

@@ -181,11 +181,6 @@ def _param_shapes(v: int, d: int, h: int) -> dict[str, tuple[int, int]]:
             "w_out": (h, v), "b_out": (1, v)}
 
 
-def reinit(model: PolicyModel, seed: int) -> PolicyModel:
-    """Fresh parameters from the init distribution; vocabulary unchanged."""
-    return PolicyModel(model.vocab, model.d, model.h, seed)
-
-
 # ---------------------------------------------------------------------------
 # conditioning
 

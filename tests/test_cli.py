@@ -367,6 +367,24 @@ def test_a_diverging_run_prints_one_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value, writes_run_dir", [("d", 10**12, False),
+                                                         ("K", 10**13, True)])
+def test_an_oversize_run_config_prints_one_error(tmp_path, capsys, field, value,
+                                                 writes_run_dir):
+    # the model's embedding at this d, or exploration's uniforms at this K, need
+    # more than x86-64's 128 TiB of user address space, so no machine maps them,
+    # even under overcommit; the model is drawn before the run writes anything
+    data = _gen(tmp_path)
+    capsys.readouterr()
+    code = main(["run", "--config", str(_cfg(tmp_path, **{field: value})), "--dataset",
+                 str(data), "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and str(value) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (tmp_path / "run").exists() == writes_run_dir
+
+
 def test_compare_merges_runs(tmp_path):
     data = _gen(tmp_path)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"

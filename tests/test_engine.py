@@ -335,8 +335,8 @@ def cloned(request):
     config = tiny_config(env=request.param.value, train_mode="continual",
                          epochs_per_iter=30, lr=0.5, batch_size=2, max_len=40)
     sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in tasks[:6]], [])
-    model, _, _ = train_iteration(PolicyModel(default_vocab(), d=16, h=24, seed=2), sets,
-                                  config, iteration=1)
+    model = PolicyModel(default_vocab(), d=16, h=24, seed=2)
+    train_iteration(model, sets, config, iteration=1)
     return tasks, model
 
 
@@ -496,7 +496,8 @@ def test_a_later_explore_phase_recomputes_every_reward(cloned, monkeypatch):
                          epochs_per_iter=1, lr=0.05)
     before = _in_score_order(explore_phase(model, tasks, config, iteration=3))
     sets = TrainingSets([(t.x, t.a) for t in before if t.b == 1], [])
-    trained, _, _ = train_iteration(copy.deepcopy(model), sets, config, iteration=3)
+    trained = copy.deepcopy(model)
+    train_iteration(trained, sets, config, iteration=3)
     rows = count_reward_rows(monkeypatch)
     after = _in_score_order(explore_phase(trained, tasks, config, iteration=3))
     r_before = {(t.task_id, t.a): t.r for t in before}
@@ -523,7 +524,7 @@ def test_memorizes_single_positive_example():
     sets = TrainingSets([(x, target)], [])
     config = tiny_config(epochs_per_iter=150, lr=0.5, batch_size=1,
                          train_mode="continual")
-    model, l1, l2 = train_iteration(model, sets, config, iteration=1)
+    l1, l2 = train_iteration(model, sets, config, iteration=1)
     assert l2 == 0.0
     assert tuple(greedy_decode(model, list(x), max_len=8)) == target
 
@@ -536,7 +537,7 @@ def test_memorizes_single_contrastive_pair():
     sets = TrainingSets([], [(x, a_plus, a_minus)])
     config = tiny_config(epochs_per_iter=150, lr=0.5, batch_size=1,
                          train_mode="continual")
-    model, l1, l2 = train_iteration(model, sets, config, iteration=1)
+    l1, l2 = train_iteration(model, sets, config, iteration=1)
     assert l1 == 0.0
     refined = greedy_decode(model, x, max_len=8, a_prev=a_minus)
     assert tuple(refined) == a_plus
@@ -698,7 +699,7 @@ def test_sft_dpo_trains_dpo_against_the_fine_tuned_model():
                          (x, ("2", "+", "2"), ("a", "-", "a"))])
     config = tiny_config(method="sft_dpo", train_mode="continual", epochs_per_iter=1,
                          batch_size=8)
-    _, l1, l2 = train_iteration(model, sets, config, iteration=1)
+    l1, l2 = train_iteration(model, sets, config, iteration=1)
     assert l1 > 0.0
     # one DPO minibatch, scored before its step: the policy equals the reference
     assert l2 == pytest.approx(3 * math.log(2), abs=1e-12)
@@ -766,7 +767,7 @@ def partly_trained():
     sets = TrainingSets([(t.x, tuple(witnesses[t.id])) for t in tasks[:8]], [])
     config = tiny_config(env="grid_agent", train_mode="continual", epochs_per_iter=40,
                          lr=0.5, batch_size=2, max_len=40)
-    model, _, _ = train_iteration(model, sets, config, iteration=1)
+    train_iteration(model, sets, config, iteration=1)
     return tasks, model
 
 
@@ -987,12 +988,54 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
     pairs = explore_phase(model, held_in, config, iteration=1)
     pool.update([fp(t, tt) for t, tt in pairs])
     sets = build_training_sets(pool, held_in, config, iteration=1)
-    model, _, _ = train_iteration(model, sets, config, iteration=1)
+    train_iteration(model, sets, config, iteration=1)
     rate, _ = evaluate(model, eval_tasks, config.env, config.max_len)
     out_rate, _ = evaluate(model, held_out, config.env, config.max_len)
 
     assert result.reports[-1].held_in_rate == rate
     assert result.reports[-1].held_out_rate == out_rate
+
+
+@pytest.mark.parametrize("train_mode", ["scratch", "continual"])
+def test_each_iteration_trains_from_the_warmup_or_the_previous_weights(
+        tiny_dataset, monkeypatch, train_mode):
+    # scratch: every iteration's training enters with the post-warmup weights;
+    # continual: with the weights the previous training left
+    entered, left = [], []
+
+    def recording_run_epochs(model, *args, **kwargs):
+        entered.append({n: p.data.copy() for n, p in model.params.items()})
+        out = _run_epochs(model, *args, **kwargs)
+        left.append({n: p.data.copy() for n, p in model.params.items()})
+        return out
+
+    monkeypatch.setattr(engine, "_run_epochs", recording_run_epochs)
+    tasks, witnesses = tiny_dataset
+    result = run(tiny_config(iterations=3, train_mode=train_mode), tasks, witnesses)
+    # the warmup witnesses stay in the pool, so every iteration trains
+    assert len(entered) == 4
+    for i in range(1, 4):
+        start = left[0] if train_mode == "scratch" else left[i - 1]
+        assert all(np.array_equal(entered[i][n], start[n]) for n in start)
+        assert not all(np.array_equal(left[i][n], start[n]) for n in start)
+    final = {n: p.data for n, p in result.model.params.items()}
+    assert all(np.array_equal(final[n], left[-1][n]) for n in final)
+
+
+@pytest.mark.parametrize("env", list(EnvKind))
+def test_a_scratch_run_matches_the_continual_run_through_iteration_1(env):
+    # both modes enter iteration 1 with the warmup model, and differ from 2 on
+    tasks, witnesses = generate_dataset(env, 6, seed=0)
+    held_out, held_out_w = generate_dataset(env, 2, seed=0, split="held_out")
+    witnesses.update(held_out_w)
+    runs = [run(tiny_config(env=env.value, iterations=1, max_len=40, train_mode=mode),
+                tasks + held_out, witnesses) for mode in ("scratch", "continual")]
+    scratch, continual = runs
+    assert [r.iteration for r in scratch.reports] == [0, 1]
+    assert scratch.reports == continual.reports
+    assert scratch.reports[1].loss_l1 > 0.0  # iteration 1 trained
+    assert all(np.array_equal(p.data, continual.model.params[n].data)
+               for n, p in scratch.model.params.items())
 
 
 def test_a_re_found_witness_keeps_its_warmup_entry(tiny_dataset):

@@ -34,7 +34,6 @@ from symtrain.policy import (
     greedy_decode,
     load_checkpoint,
     refine,
-    reinit,
     sample,
     save_checkpoint,
     score,
@@ -781,27 +780,25 @@ def test_float32_training_tracks_float64():
 
 
 # ---------------------------------------------------------------------------
-# reinit
+# parameter initialisation: PolicyModel(vocab, d, h, seed)
 
 def test_reinit_same_seed_bitwise_identical():
-    model = toy_model()
-    a = reinit(model, 42)
-    b = reinit(model, 42)
+    a = toy_model(seed=42)
+    b = toy_model(seed=42)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
 def test_reinit_different_seed_differs():
-    model = toy_model()
-    a = reinit(model, 1)
-    b = reinit(model, 2)
+    a = toy_model(seed=1)
+    b = toy_model(seed=2)
     assert any(not np.array_equal(a.params[n].data, b.params[n].data)
                for n in a.params)
 
 
 def test_reinit_bounds_and_behavior_change():
     model = toy_model(seed=0)
-    fresh = reinit(model, 77)
+    fresh = PolicyModel(model.vocab, model.d, model.h, 77)
     for t in fresh.params.values():
         assert np.abs(t.data).max() <= 0.08
     # nudge the original far from init so greedy behaviour differs
