@@ -241,8 +241,7 @@ def _candidates(model: PolicyModel, tasks: Sequence[TaskInstance], starts: Array
         task = tasks[i]
         res = execute(config.env, task, a)
         out.append(Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                              score(model, starts[i:i + 1], a, scored[i]), source,
-                              iteration, res.status))
+                              score(a, scored[i]), source, iteration, res.status))
     return out
 
 
@@ -595,6 +594,9 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
                              f"status {res.status.value}, output {res.output!r}")
 
     model = PolicyModel(vocab, config.d, config.h, child_seed(config.seed, _DOM_INIT, 0))
+    # ask for one task's exploration uniforms too, so that a K no machine can map
+    # fails here, before the run writes anything, and not after the warmup
+    np.empty((config.K, 2, config.max_len))
     out_path = Path(out_dir) if out_dir is not None else None
     reports_fh = None
     if out_path is not None:

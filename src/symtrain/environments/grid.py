@@ -11,6 +11,11 @@ that ``execute`` shares across every solution it grades.  The reader accepts
 only a y that is the goal cell written in x, so the grader is faithful: b=1
 exactly when the moves end on the task's own goal, whatever path they take.
 It rejects a board with a wall on its start or goal, or with two grid fields.
+
+Its chance floor is not zero.  Among the constant programs of 1-6 moves in one
+direction then 0-6 in another, the best are ``L U``, which solves 53/400
+held_in tasks, and ``D D R``, 25/400 held_out tasks: count each program's b=1
+tasks with ``execute`` over ``generate_dataset("grid_agent", 400, 0, split)``.
 """
 
 from __future__ import annotations

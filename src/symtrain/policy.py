@@ -26,21 +26,20 @@ task: :func:`frame_states` steps the task frames of many tasks in one pass,
 keeping only each row's state at the end of its frame.  ``sample`` draws one
 row per given state, ``refine`` steps every draft's tail ``a_prev SEP`` from
 its task's state in one right-padded pass, and :func:`score_rows`, the
-self-reward, steps many rows together, each only ``a EOS`` from its task-frame
-state; :func:`score` is its one-row case.
-Every solution of a task is thus scored as one conditional, p(a | x), by one
-computation, whether sampling or refinement drew it or it is a warmup
-witness.  So r is a function of (task, a) under one model, and the pass
-returns one dict of rewards per task, in which a duplicate sample, or a
-refinement that copies its draft, has its first occurrence's r without a
-second row; ``score`` given such a dict only looks r up.
+self-reward and the one computation of r, steps many rows together, each only
+``a EOS`` from its task-frame state.
+Every solution of a task is thus scored as one conditional, p(a | x), whether
+sampling or refinement drew it or it is a warmup witness.  So r is a function
+of (task, a) under one model, and the pass returns one dict of rewards per
+task, in which a duplicate sample, or a refinement that copies its draft, has
+its first occurrence's r without a second row; :func:`score` looks one r up.
 :func:`greedy_batch` runs the frames of many tasks, of any lengths, in one
 right-padded pass from the zero state; :func:`greedy_decode` is its one-row
-case.  ``sample``, ``refine`` and ``greedy_batch`` share one generation loop,
-which decodes the ids it emits.  Then every row steps with the same GRU step
-(:func:`~symtrain.autodiff.gru_step`), and a row leaves the batch when it emits
-EOS, and a scored row when its target ends.  A call computes the input product
-``x @ w_x + b`` of the whole vocabulary once
+case for a task frame.  ``sample``, ``refine`` and ``greedy_batch`` share one
+generation loop, which decodes the ids it emits.  Then every row steps with
+the same GRU step (:func:`~symtrain.autodiff.gru_step`), and a row leaves the
+batch when it emits EOS, and a scored row when its target ends.  A call
+computes the input product ``x @ w_x + b`` of the whole vocabulary once
 (:func:`~symtrain.autodiff.gru_inputs`), so a step only looks up its rows'
 inputs; ``batch_nll`` gathers the inputs of all its steps from that table
 before its recurrence (:func:`~symtrain.autodiff.gru_sequence`).  Each
@@ -375,11 +374,9 @@ def greedy_batch(model: PolicyModel, frames: Sequence[list[int]],
     return _generate(model, _frame_states(model, frames), max_len)
 
 
-def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int,
-                  a_prev: Sequence[str] | None = None) -> list[str]:
-    """The greedy solution for x, or the greedy refinement of the draft a_prev:
-    the one-row case of :func:`greedy_batch`."""
-    return greedy_batch(model, [condition_ids(model, x, a_prev)], max_len)[0]
+def greedy_decode(model: PolicyModel, x: Sequence[str], max_len: int) -> list[str]:
+    """The greedy solution for x: the one-row case of :func:`greedy_batch`."""
+    return greedy_batch(model, [condition_ids(model, x)], max_len)[0]
 
 
 _REWARD_ROWS = 128  # the most rows one reward pass steps (see score_rows)
@@ -447,14 +444,8 @@ def score_rows(model: PolicyModel, starts: Array, items: Iterable[tuple[int, Seq
     return scored
 
 
-def score(model: PolicyModel, start: Array, a: Sequence[str],
-          scored: dict[tuple[str, ...], float] | None = None) -> float:
-    """The self-reward r of ``a`` from ``start``, the (1, h) task-frame state:
-    the one-row case of :func:`score_rows`.  ``scored``, if given, is the
-    task's dict that :func:`score_rows` returned for ``start``, and ``a`` is
-    only looked up there."""
-    if scored is None:
-        scored = score_rows(model, start, [(0, a)])[0]
+def score(a: Sequence[str], scored: dict[tuple[str, ...], float]) -> float:
+    """The self-reward r of ``a`` in its task's dict ``scored`` from :func:`score_rows`."""
     return scored[tuple(a)]
 
 

@@ -329,9 +329,15 @@ def float64_model(vocab: policy.Vocab, d: int = policy.DEFAULT_D, h: int = polic
         return policy.PolicyModel(vocab, d, h, seed)
 
 
+def one_reward(model: policy.PolicyModel, start: np.ndarray, a: Sequence[str]) -> float:
+    """The self-reward of ``a`` from ``start``, the (1, h) task-frame state,
+    from a one-row pass of ``score_rows``."""
+    return policy.score_rows(model, start, [(0, a)])[0][tuple(a)]
+
+
 def count_reward_rows(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """Wrap ``policy._rewards``, the reward pass behind ``score_rows`` and
-    ``score``; the returned list gets each pass's row count."""
+    """Wrap ``policy._rewards``, the reward pass behind ``score_rows``; the
+    returned list gets each pass's row count."""
     rows: list[int] = []
     rewards = policy._rewards
 

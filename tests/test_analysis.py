@@ -11,7 +11,7 @@ from symtrain.autodiff import sgd_step
 from symtrain.environments import Status
 from symtrain.policy import BOS, EOS, SEP, PolicyModel, batch_nll, default_vocab
 from symtrain.pool import CandidatePool, Trajectory
-from helpers import count_reward_rows
+from helpers import count_reward_rows, one_reward
 
 
 def test_exploratory_ability_half_newly_solved():
@@ -62,14 +62,14 @@ def test_delta_logp_empty_is_null():
 
 
 def test_delta_logp_units_match_reward_difference(monkeypatch):
-    from symtrain.policy import frame_states, score
+    from symtrain.policy import frame_states
     model = PolicyModel(default_vocab(), d=8, h=12, seed=2)
     pairs = [(("a", "=", "3", ";", "sum", "a", "a"), ("a", "+", "a"), ("a", "-", "a")),
              (("b", "=", "2", ";", "b"), ("b",), ("b", "*", "b", "*", "b"))]
     expected = []
     for x, a_plus, a_minus in pairs:
         start = frame_states(model, [x])
-        expected.append(score(model, start, a_plus) - score(model, start, a_minus))
+        expected.append(one_reward(model, start, a_plus) - one_reward(model, start, a_minus))
     rows = count_reward_rows(monkeypatch)
     assert abs(delta_logp(model, pairs) - sum(expected) / len(pairs)) <= 1e-12
     assert rows == [4]  # every probe solution in one pass

@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symtrain.cli import main
-from symtrain.environments import EnvKind, generate_dataset, load_dataset, write_dataset
+from symtrain.engine import ABLATIONS, METHODS, TRAIN_MODES
+from symtrain.environments import (EnvKind, execute, generate_dataset, load_dataset,
+                                   write_dataset)
 
 
 def _cfg(tmp_path, **over):
@@ -368,12 +377,13 @@ def test_a_diverging_run_prints_one_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, writes_run_dir", [("d", 10**12, False),
-                                                         ("K", 10**13, True)])
+                                                         ("K", 10**13, False)])
 def test_an_oversize_run_config_prints_one_error(tmp_path, capsys, field, value,
                                                  writes_run_dir):
     # the model's embedding at this d, or exploration's uniforms at this K, need
     # more than x86-64's 128 TiB of user address space, so no machine maps them,
-    # even under overcommit; the model is drawn before the run writes anything
+    # even under overcommit; the model and one task's uniforms are asked for
+    # before the run writes anything
     data = _gen(tmp_path)
     capsys.readouterr()
     code = main(["run", "--config", str(_cfg(tmp_path, **{field: value})), "--dataset",
@@ -449,3 +459,144 @@ def test_compare_pads_mismatched_iterations(tmp_path, capsys):
     assert "padding" in capsys.readouterr().err
     last = merged.read_text().splitlines()[-1].split(",")
     assert last[1] == "" and last[2] == ""  # shorter run padded with nulls
+
+
+# ---------------------------------------------------------------------------
+# fuzzed run configs
+
+# every field's tiny valid values: a run over at most 6 + 3 tasks takes tens of ms
+_TINY_FIELDS = {
+    "env": st.sampled_from([env.value for env in EnvKind]),
+    "method": st.sampled_from(METHODS),
+    "K": st.integers(1, 3),
+    "N1": st.integers(1, 3),
+    "N2": st.integers(0, 2),
+    "iterations": st.integers(1, 2),
+    "train_mode": st.sampled_from(TRAIN_MODES),
+    "ablations": st.one_of(st.just([]), st.lists(st.sampled_from(ABLATIONS), max_size=2)),
+    "epochs_per_iter": st.integers(1, 2),
+    "lr": st.sampled_from([0.05, 0.3, 1.0]),
+    "dpo_beta": st.sampled_from([0.1, 1.0]),
+    "seed": st.integers(0, 3),
+    "d": st.integers(1, 10),
+    "h": st.integers(1, 12),
+    "temperature": st.sampled_from([1.0, 0.5, 5.0, 1e-310]),
+    "max_len": st.integers(1, 16),
+    "batch_size": st.integers(1, 5),
+    "warmup_tasks": st.integers(0, 2),
+    "warmup_epochs": st.integers(0, 3),
+}
+# each needs more than x86-64's 128 TiB of address space, so no machine maps it,
+# even under overcommit: the (V, d) embedding, the (d, 3h) input weights with
+# d >= 1, and one task's (K, 2, max_len) exploration uniforms with max_len >= 1
+_OVERSIZE = {"d": 10**12, "h": 10**13, "K": 10**13}
+_CHOICES = {"env": [env.value for env in EnvKind], "method": list(METHODS),
+            "train_mode": list(TRAIN_MODES), "ablations": [list(ABLATIONS)]}
+_FLOATS = ("lr", "dpo_beta", "temperature")
+
+
+def _out_of_range(name):
+    if name in _CHOICES:
+        return [["bogus"]] if name == "ablations" else ["bogus"]
+    if name in _FLOATS:
+        # an lr of 1e308 is in range, and its first update overflows the weights
+        return [0, -1.0, math.inf, math.nan, *([1e308] if name == "lr" else [])]
+    minimum = 0 if name in ("N2", "seed", "warmup_tasks", "warmup_epochs") else 1
+    # 257 is one past the longest solution execute grades; 6 warmup tasks take
+    # every held_in task of the largest dataset drawn
+    return [minimum - 1, *{"max_len": [257], "warmup_tasks": [6]}.get(name, [])]
+
+
+# how a field is spoiled, and the values each field takes so
+_SPOILERS = {
+    "size": lambda name: [_OVERSIZE[name]] if name in _OVERSIZE else [],
+    "range": _out_of_range,
+    "type": lambda name: [None, "2", [2], {"K": 2}, True, 2.5, 3],
+    # another valid choice, which the rest of the config or the dataset's env
+    # may not admit
+    "choice": lambda name: _CHOICES.get(name, []),
+}
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    """A raw run config with at most two fields spoiled, and the held_in and
+    held_out sizes of the dataset it runs on, of the config's drawn env."""
+    raw = {name: draw(values) for name, values in _TINY_FIELDS.items()}
+    # a valid config before spoiling: only envisions takes ablations, and
+    # sft_dpo trains continually
+    if raw["method"] != "envisions":
+        raw["ablations"] = []
+    if raw["method"] == "sft_dpo":
+        raw["train_mode"] = "continual"
+    env = raw["env"]
+    for _ in range(draw(st.integers(0, 2))):
+        spoil = _SPOILERS[draw(st.sampled_from(sorted(_SPOILERS)))]
+        name = draw(st.sampled_from([name for name in _TINY_FIELDS if spoil(name)]))
+        raw[name] = draw(st.sampled_from(spoil(name)))
+    return raw, env, draw(st.integers(3, 6)), draw(st.integers(0, 3))
+
+
+def _main(argv):
+    """main's exit code, stdout and stderr; any exception it lets out fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_completed_run(run_dir, data, raw):
+    reports = [json.loads(line) for line in (run_dir / "reports.jsonl").read_text().splitlines()]
+    assert len(reports) == raw["iterations"] + 1
+    for report in reports:
+        for key, value in report.items():
+            if isinstance(value, float):
+                assert math.isfinite(value), (key, report)
+    tasks = {t.id: t for t in load_dataset(data)}
+    pool = [json.loads(line) for line in (run_dir / "pool.jsonl").read_text().splitlines()]
+    for entry in pool:
+        if entry["b"] == 1:
+            assert execute(raw["env"], tasks[entry["task_id"]], entry["a"].split()).b == 1
+    summary = json.loads((run_dir / "summary.json").read_text())
+    for split in ("held_in", "held_out"):
+        code, out, _ = _main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                              "--dataset", str(data), "--split", split,
+                              "--max-len", str(raw["max_len"])])
+        if split == "held_out" and not summary["n_held_out"]:
+            assert code == 2  # no tasks to evaluate
+        else:
+            assert code == 0 and float(out) == summary[f"final_{split}_rate"]
+
+
+def test_a_fuzzed_run_config_exits_cleanly_and_a_finished_run_keeps_its_contract(tmp_path):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fuzzed_runs())
+    def check(case):
+        raw, env, n_train, n_held_out = case
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            scratch = Path(scratch)
+            data = scratch / "data.jsonl"
+            tasks, witnesses = generate_dataset(env, n_train, 0, "held_in")
+            if n_held_out:
+                more, more_witnesses = generate_dataset(env, n_held_out, 0, "held_out")
+                tasks += more
+                witnesses.update(more_witnesses)
+            write_dataset(tasks, witnesses, data)
+            config = scratch / "config.json"
+            config.write_text(json.dumps(raw))
+            runs = [scratch / "run", scratch / "again"]
+            code, _, err = _main(["run", "--config", str(config), "--dataset", str(data),
+                                  "--out-dir", str(runs[0])])
+            assert code in (0, 1, 2), code
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert "Traceback" not in err
+                return
+            _check_completed_run(runs[0], data, raw)
+            assert _main(["run", "--config", str(config), "--dataset", str(data),
+                          "--out-dir", str(runs[1])])[0] == 0
+            for name in ("reports.jsonl", "pool.jsonl", "checkpoint.json", "summary.json"):
+                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    check()

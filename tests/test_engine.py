@@ -41,16 +41,18 @@ from symtrain.policy import (
     Vocab,
     CONTROL_TOKENS,
     batch_nll,
+    condition_ids,
     default_vocab,
     frame_states,
+    greedy_batch,
     greedy_decode,
     refine,
     sample,
-    score,
 )
 from symtrain.pool import REWARD_TIE, CandidatePool, RankedSets, Trajectory, filter_pair
 from helpers import (assert_grads_close, assert_read_only, central_differences,
-                     count_reward_rows, float64_model, mp_dpo_loss, reference_selection)
+                     count_reward_rows, float64_model, mp_dpo_loss, one_reward,
+                     reference_selection)
 
 
 def tiny_config(**over):
@@ -305,7 +307,7 @@ def _explore_task_by_task(model, tasks, config, iteration):
         def candidate(a, source):
             res = execute(config.env, task, a)
             return Trajectory(task.id, task.x, task.y, tuple(a), res.b,
-                              score(model, start, a), source, iteration, res.status)
+                              one_reward(model, start, a), source, iteration, res.status)
 
         # row [k, 0] of the task's block holds draft k's uniforms, [k, 1] its refinement's
         block = np.random.default_rng(
@@ -370,7 +372,7 @@ def test_refinements_are_scored_from_the_task_frame(cloned):
             continue
         i = j // config.K
         # its r is the one-row r from the task frame, up to the pass's makeup
-        assert abs(t_tilde.r - score(model, starts[i:i + 1], t_tilde.a)) <= 1e-12
+        assert abs(t_tilde.r - one_reward(model, starts[i:i + 1], t_tilde.a)) <= 1e-12
         if t_tilde.a == t.a:
             # a refinement that copies its draft ties it exactly
             assert t_tilde.r == t.r
@@ -446,7 +448,7 @@ def test_explore_phase_scores_and_executes_each_candidate_once(cloned, monkeypat
     # all drafts are graded first, then all refinements
     candidates = [t for t, _ in pairs] + [u for _, u in pairs if u is not None]
     assert len(candidates) > len(pairs)
-    assert [tuple(args[2]) for args in calls["score"]] == [t.a for t in candidates]
+    assert [tuple(args[0]) for args in calls["score"]] == [t.a for t in candidates]
     assert [(task.id, tuple(a)) for _, task, a in calls["execute"]] == \
         [(t.task_id, t.a) for t in candidates]
 
@@ -486,7 +488,7 @@ def test_the_same_solution_on_two_tasks_is_computed_for_each(cloned, monkeypatch
     starts = frame_states(model, [t.x for t in two])
     for j, (t, _) in enumerate(pairs):
         i = j // config.K
-        assert abs(t.r - score(model, starts[i:i + 1], a)) <= 1e-12
+        assert abs(t.r - one_reward(model, starts[i:i + 1], a)) <= 1e-12
     assert pairs[0][0].r != pairs[config.K][0].r
 
 
@@ -510,7 +512,7 @@ def test_a_later_explore_phase_recomputes_every_reward(cloned, monkeypatch):
     index = {t.id: i for i, t in enumerate(tasks)}
     for t in again:
         i = index[t.task_id]
-        assert abs(t.r - score(trained, starts[i:i + 1], t.a)) <= 1e-12
+        assert abs(t.r - one_reward(trained, starts[i:i + 1], t.a)) <= 1e-12
         assert abs(t.r - r_before[(t.task_id, t.a)]) > 1e-12
 
 
@@ -539,7 +541,7 @@ def test_memorizes_single_contrastive_pair():
                          train_mode="continual")
     l1, l2 = train_iteration(model, sets, config, iteration=1)
     assert l1 == 0.0
-    refined = greedy_decode(model, x, max_len=8, a_prev=a_minus)
+    refined = greedy_batch(model, [condition_ids(model, x, a_minus)], max_len=8)[0]
     assert tuple(refined) == a_plus
 
 
@@ -779,7 +781,8 @@ def test_evaluate_solves_what_a_per_task_greedy_loop_solves(partly_trained):
         a = greedy_decode(model, t.x, 40)
         if execute("grid_agent", t, a).b == 1:
             plain.add(t.id)
-        elif a and execute("grid_agent", t, greedy_decode(model, t.x, 40, a)).b == 1:
+        elif a and execute("grid_agent", t,
+                           greedy_batch(model, [condition_ids(model, t.x, a)], 40)[0]).b == 1:
             refined.add(t.id)
     assert plain and refined and len(plain | refined) < len(tasks)
     for with_refine, solved in ((False, plain), (True, plain | refined)):
@@ -983,7 +986,7 @@ def test_single_iteration_equals_hand_driven_composition(tiny_dataset):
     pool = CandidatePool()
     starts = frame_states(model, [t.x for t in warmup])
     pool.update([Trajectory(t.id, t.x, t.y, tuple(witnesses[t.id]), 1,
-                            score(model, starts[i:i + 1], witnesses[t.id]),
+                            one_reward(model, starts[i:i + 1], witnesses[t.id]),
                             "explore", 0, Status.OK) for i, t in enumerate(warmup)])
     pairs = explore_phase(model, held_in, config, iteration=1)
     pool.update([fp(t, tt) for t, tt in pairs])

@@ -42,7 +42,7 @@ from symtrain.policy import (
     target_ids,
 )
 from helpers import (assert_grads_close, central_differences, count_reward_rows, float64_model,
-                     reference_gru, reference_reward)
+                     one_reward, reference_gru, reference_reward)
 
 
 def toy_vocab():
@@ -419,11 +419,13 @@ def test_batched_greedy_rows_equal_their_one_row_decodes():
     for n_x in (1, 3, 7, 12):
         x = _random_tokens(rng, model.vocab, n_x)
         frames += [(x, None), (x, _random_tokens(rng, model.vocab, 1 + n_x % 5))]
-    alone = [greedy_decode(model, x, 12, a_prev) for x, a_prev in frames]
+    encoded = [condition_ids(model, x, a_prev) for x, a_prev in frames]
+    alone = [greedy_batch(model, [frame], 12)[0] for frame in encoded]
     assert len({len(a) for a in alone}) > 2
-    together = greedy_batch(model, [condition_ids(model, x, a_prev) for x, a_prev in frames],
-                            12)
-    assert together == alone
+    assert greedy_batch(model, encoded, 12) == alone
+    # a task frame's one-row case is greedy_decode
+    assert [greedy_decode(model, x, 12) for x, a_prev in frames if a_prev is None] == \
+        alone[::2]
     assert greedy_batch(model, [], 12) == []
 
 
@@ -436,23 +438,21 @@ def test_score_is_mean_per_token_logp_with_eos():
     start = frame_states(model, [["d"]])
     p = {k: t.data for k, t in model.params.items()}
     expected = reference_reward(p, start, model.vocab.encode([*a, EOS]))
-    assert abs(score(model, start, a) - expected) <= 1e-12
+    assert abs(one_reward(model, start, a) - expected) <= 1e-12
 
 
-def test_score_without_a_dict_steps_every_call_and_with_one_steps_each_solution_once(
-        monkeypatch):
+def test_score_rows_steps_each_solution_once_and_score_looks_r_up(monkeypatch):
     model = toy_model()
     start = frame_states(model, [["d"]])
     rows = count_reward_rows(monkeypatch)
     a, b = ["a", "b"], ["c"]
-    r_a, r_b = score(model, start, a), score(model, start, b)
-    assert score(model, start, a) == r_a and rows == [1, 1, 1]
+    r_a, r_b = one_reward(model, start, a), one_reward(model, start, b)
+    assert rows == [1, 1]
     solutions = (a, b, a, tuple(b))
     scored = score_rows(model, start, [(0, s) for s in solutions])[0]
-    assert rows == [1, 1, 1, 2]
-    # given the dict, score only looks r up
-    assert [score(model, start, s, scored) for s in solutions] == [r_a, r_b, r_a, r_b]
-    assert rows == [1, 1, 1, 2]
+    assert rows == [1, 1, 2]
+    assert [score(s, scored) for s in solutions] == [r_a, r_b, r_a, r_b]
+    assert rows == [1, 1, 2]
     assert scored == {("a", "b"): r_a, ("c",): r_b}
 
 
@@ -492,7 +492,7 @@ def test_score_rows_match_the_step_by_step_reference(case, scale, monkeypatch):
         expected = reference_reward(p, starts[i:i + 1], model.vocab.encode([*a, EOS]))
         assert abs(scored[i][a] - expected) <= 1e-12
     # a returned r is looked up, not recomputed
-    assert [score(model, starts[i:i + 1], a, scored[i]) for i, a in items] == \
+    assert [score(a, scored[i]) for i, a in items] == \
         [scored[i][tuple(a)] for i, a in items]
     assert sum(rows) == len(distinct)
 
@@ -526,7 +526,7 @@ def test_score_from_the_frame_state_equals_the_full_forward(env):
             # the task frame and the target, stepped from the zero state
             full = sequence_token_logps(model, condition_ids(model, task.x),
                                         model.vocab.encode([*a, EOS]))
-            assert abs(score(model, start, a) - full.mean()) <= 1e-12
+            assert abs(one_reward(model, start, a) - full.mean()) <= 1e-12
         # sample and refine, started from the shared state, draw what the full
         # frames draw, stepped from the zero state as one batch
         drafts = [_random_tokens(rng, model.vocab, n) for n in (1, 10, 4)]
@@ -551,7 +551,7 @@ def test_score_bounds():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 6)))
-        r = score(model, frame_states(model, [["a"]]), a)
+        r = one_reward(model, frame_states(model, [["a"]]), a)
         assert r <= 0.0
         assert 0.0 < math.exp(r * (len(a) + 1)) <= 1.0
 
@@ -561,7 +561,7 @@ def test_score_of_empty_solution_is_eos_alone():
     start = frame_states(model, [["a"]])
     p = {k: t.data for k, t in model.params.items()}
     eos_logp = reference_reward(p, start, [model.vocab.eos_id])
-    assert abs(score(model, start, []) - eos_logp) <= 1e-12
+    assert abs(one_reward(model, start, []) - eos_logp) <= 1e-12
 
 
 def test_a_zero_step_forward_has_no_states():
@@ -573,7 +573,7 @@ def test_a_zero_step_forward_has_no_states():
     # an empty solution scored from the frame state is EOS alone, predicted by
     # that state with no step taken
     eos_logp = log_softmax(start @ p["w_out"] + p["b_out"])[0, model.vocab.eos_id]
-    assert score(model, start, []) == pytest.approx(eos_logp, abs=1e-12)
+    assert one_reward(model, start, []) == pytest.approx(eos_logp, abs=1e-12)
 
 
 def test_score_consistent_with_loss_primitive():
@@ -586,7 +586,7 @@ def test_score_consistent_with_loss_primitive():
         loss, _ = _condition_nll(model, condition, target)
         cond_ids = model.vocab.encode([BOS, *condition, SEP])
         per_token = _token_nlls(model, [(cond_ids, model.vocab.encode(target))])
-        assert score(model, frame_states(model, [condition]), a) == \
+        assert one_reward(model, frame_states(model, [condition]), a) == \
             pytest.approx(-per_token.mean(), abs=1e-9)
         assert loss == pytest.approx(per_token.sum(), abs=1e-9)
 
@@ -595,8 +595,8 @@ def test_score_equals_negative_nll_over_length():
     model = toy_model(seed=1)
     a = ["b", "a", "d"]
     loss, _ = _condition_nll(model, ["c"], [*a, EOS])
-    assert loss == pytest.approx(-score(model, frame_states(model, [["c"]]), a) * (len(a) + 1),
-                                 abs=1e-9)
+    assert loss == pytest.approx(
+        -one_reward(model, frame_states(model, [["c"]]), a) * (len(a) + 1), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +823,8 @@ def test_checkpoint_roundtrip_scores_identical(tmp_path):
     for _ in range(10):
         cond = _random_tokens(rng, model.vocab, 3)
         a = _random_tokens(rng, model.vocab, int(rng.integers(1, 6)))
-        assert score(model, frame_states(model, [cond]), a) == \
-            score(loaded, frame_states(loaded, [cond]), a)
+        assert one_reward(model, frame_states(model, [cond]), a) == \
+            one_reward(loaded, frame_states(loaded, [cond]), a)
 
 
 # strings shaped like the JSON around params, which a writer that splices text
