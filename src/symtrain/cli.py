@@ -1,5 +1,8 @@
 """Command-line entry point: gen-data, run, eval and compare.
 
+``eval`` grades at the config a run recorded in its checkpoint, its env and
+``max_len``, so it prints the rate the run reported.
+
 Exit codes: 0 success, 1 runtime, io or memory failure, 2 usage or configuration error.
 """
 
@@ -13,7 +16,6 @@ from pathlib import Path
 from symtrain.autodiff import TrainingError
 from symtrain.engine import ConfigError, RunConfig, check_tasks, evaluate, run
 from symtrain.environments import (
-    MAX_SOLUTION_LEN,
     SPLITS,
     EnvKind,
     generate_dataset,
@@ -29,19 +31,6 @@ EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
 class UsageError(Exception):
     pass
-
-
-def _max_len(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    if value > MAX_SOLUTION_LEN:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_SOLUTION_LEN}, "
-                                         f"the longest solution execute grades, got {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=SPLITS, default="held_in")
     p.add_argument("--with-refine", action="store_true",
                    help="allow one refinement attempt on failures")
-    p.add_argument("--max-len", type=_max_len, default=RunConfig.max_len)
 
     p = sub.add_parser("compare", help="merge several runs' curves into one CSV")
     p.add_argument("--runs", nargs="+", required=True)
@@ -117,9 +105,26 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _recorded_config(record: object, error: type[Exception], where: str) -> RunConfig:
+    """The whole config a run recorded in its checkpoint's metadata or summary."""
+    raw = record.get("config") if isinstance(record, dict) else None
+    try:
+        if not isinstance(raw, dict):
+            raise ConfigError("missing or not an object")
+        config = RunConfig.from_dict(raw)
+        missing = sorted(config.as_dict().keys() - raw.keys())  # no default stands in
+        if missing:
+            raise ConfigError(f"missing config key {missing[0]!r}")
+    except ConfigError as exc:
+        raise error(f"{where}: {exc}") from exc
+    return config
+
+
 def _cmd_eval(args) -> int:
     model, metadata = load_checkpoint(args.checkpoint)
-    warmup_ids = metadata.get("warmup_task_ids", [])
+    config = _recorded_config(metadata, CheckpointError,
+                              f"{args.checkpoint}: metadata field 'config'")
+    warmup_ids = metadata.get("warmup_task_ids")
     if not (isinstance(warmup_ids, list) and all(isinstance(i, str) for i in warmup_ids)):
         raise CheckpointError(f"{args.checkpoint}: metadata field 'warmup_task_ids' "
                               "must be a list of strings")
@@ -129,15 +134,12 @@ def _cmd_eval(args) -> int:
         tasks = [t for t in tasks if t.id not in exclude]
     if not tasks:
         raise UsageError(f"no {args.split} tasks to evaluate")
-    envs = sorted({t.env for t in tasks})
-    if len(envs) > 1:
-        raise UsageError(f"the {args.split} tasks mix envs {envs}")
-    trained_on = metadata.get("env")  # absent from checkpoints of older runs
-    if trained_on is not None and trained_on != envs[0]:
-        raise UsageError(f"the checkpoint was trained on {trained_on}, "
-                         f"but the {args.split} tasks are {envs[0]} tasks")
-    check_tasks(tasks, envs[0], model.vocab)
-    rate, _ = evaluate(model, tasks, envs[0], args.max_len, args.with_refine)
+    others = sorted({t.env for t in tasks} - {config.env})
+    if others:
+        raise UsageError(f"the checkpoint was trained on {config.env}, "
+                         f"but the {args.split} tasks include {others[0]} tasks")
+    check_tasks(tasks, config.env, model.vocab)
+    rate, _ = evaluate(model, tasks, config.env, config.max_len, args.with_refine)
     print(rate)
     return EXIT_OK
 
@@ -147,17 +149,16 @@ def _cmd_compare(args) -> int:
         raise UsageError("compare needs at least two run directories")
     loaded = []
     for run_dir in map(Path, args.runs):
-        summary = json.loads((run_dir / "summary.json").read_text())
-        if not isinstance(summary, dict) or not {"method", "seed"} <= summary.keys():
-            raise UsageError(f"{run_dir / 'summary.json'} is not a run summary: "
-                             "it needs a method and a seed")
+        summary = run_dir / "summary.json"
+        config = _recorded_config(json.loads(summary.read_text()), UsageError,
+                                  f"{summary} is not a run summary: field 'config'")
         rows = [json.loads(line)
                 for line in (run_dir / "reports.jsonl").read_text().splitlines()]
         if not all(isinstance(row, dict) and {"held_in_rate", "held_out_rate"} <= row.keys()
                    for row in rows):
             raise UsageError(f"{run_dir / 'reports.jsonl'} is not a run's reports: "
                              "every line needs a held_in_rate and a held_out_rate")
-        loaded.append((summary["method"], summary["seed"], rows))
+        loaded.append((config.method, config.seed, rows))
     lengths = {len(rows) for _, _, rows in loaded}
     if len(lengths) > 1:
         print("warning: runs have different iteration counts; padding with nulls",

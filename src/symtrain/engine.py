@@ -333,7 +333,7 @@ def build_training_sets(pool: CandidatePool, tasks: Sequence[TaskInstance],
         u1 = select_u1(sets, config.N1)
         assert all(t.b == 1 for t in u1)
         u1_entries += [(t.x, t.a) for t in u1]
-        if not _ablated(config, "no_L2") and config.N2 > 0:
+        if not _ablated(config, "no_L2"):
             pairs = select_u2(sets, config.N1, config.N2)
             assert all(p.b == 1 and n.b == 0 for p, n in pairs)
             u2_entries += [(p.x, p.a, n.a) for p, n in pairs]
@@ -671,14 +671,11 @@ def run(config: RunConfig, dataset: Sequence[TaskInstance],
     warmup_ids = tuple(t.id for t in warmup)
     if out_path is not None:
         save_checkpoint(model, out_path / "checkpoint.json",
-                        metadata={"warmup_task_ids": list(warmup_ids), "env": config.env,
-                                  "method": config.method, "seed": config.seed})
+                        metadata={"config": config.as_dict(),
+                                  "warmup_task_ids": list(warmup_ids)})
         persist(pool, out_path / "pool.jsonl")
         summary = {
             "config": config.as_dict(),
-            "method": config.method,
-            "seed": config.seed,
-            "iterations": config.iterations,
             "warmup_task_ids": list(warmup_ids),
             "n_held_in": len(held_in),
             "n_eval_held_in": len(eval_held_in),

@@ -24,24 +24,6 @@ from symtrain.environments.types import (
     canonical_output,
 )
 
-__all__ = [
-    "MAX_SOLUTION_LEN",
-    "SPLITS",
-    "EnvKind",
-    "ExecutionResult",
-    "Status",
-    "TaskEncodingError",
-    "TaskInstance",
-    "canonical_output",
-    "check_task",
-    "execute",
-    "generate_dataset",
-    "load_dataset",
-    "load_witnesses",
-    "witness_path",
-    "write_dataset",
-]
-
 # each env's reader of a task, (x, canonical y) -> reading, and its runner of a
 # solution, (a, reading, canonical y) -> ExecutionResult
 _ENVS = {

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symtrain.cli import main
-from symtrain.engine import ABLATIONS, METHODS, TRAIN_MODES
-from symtrain.environments import (EnvKind, execute, generate_dataset, load_dataset,
+from symtrain.engine import ABLATIONS, METHODS, TRAIN_MODES, evaluate
+from symtrain.environments import (SPLITS, EnvKind, execute, generate_dataset, load_dataset,
                                    write_dataset)
+from symtrain.policy import load_checkpoint
 
 
 def _cfg(tmp_path, **over):
@@ -26,9 +27,9 @@ def _cfg(tmp_path, **over):
     return path
 
 
-def _gen(tmp_path, n_train=6, n_held_out=2):
+def _gen(tmp_path, n_train=6, n_held_out=2, env="expr_math"):
     out = tmp_path / "data.jsonl"
-    code = main(["gen-data", "--env", "expr_math", "--n-train", str(n_train),
+    code = main(["gen-data", "--env", env, "--n-train", str(n_train),
                  "--n-held-out", str(n_held_out), "--seed", "0",
                  "--out", str(out)])
     assert code == 0
@@ -122,7 +123,7 @@ def test_run_star_env_method(tmp_path):
     assert main(["run", "--config", str(cfg), "--dataset", str(data),
                  "--out-dir", str(tmp_path / "run")]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["method"] == "star_env"
+    assert summary["config"]["method"] == "star_env"
 
 
 @pytest.fixture()
@@ -140,8 +141,7 @@ def test_eval_reproduces_final_reported_rate(finished_run, capsys):
                for line in (out_dir / "reports.jsonl").read_text().splitlines()]
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-                 "--dataset", str(data), "--split", "held_in",
-                 "--max-len", "10"])
+                 "--dataset", str(data), "--split", "held_in"])
     assert code == 0
     rate = float(capsys.readouterr().out.strip())
     assert rate == reports[-1]["held_in_rate"]
@@ -151,7 +151,7 @@ def test_eval_held_out_split(finished_run, capsys):
     data, out_dir = finished_run
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-                 "--dataset", str(data), "--split", "held_out", "--max-len", "10"])
+                 "--dataset", str(data), "--split", "held_out"])
     assert code == 0
     rate = float(capsys.readouterr().out.strip())
     assert 0.0 <= rate <= 1.0
@@ -161,34 +161,12 @@ def test_eval_with_refine_never_lowers_rate(finished_run, capsys):
     data, out_dir = finished_run
     capsys.readouterr()
     main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-          "--dataset", str(data), "--split", "held_in", "--max-len", "10"])
+          "--dataset", str(data), "--split", "held_in"])
     base = float(capsys.readouterr().out.strip())
     main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-          "--dataset", str(data), "--split", "held_in", "--max-len", "10",
-          "--with-refine"])
+          "--dataset", str(data), "--split", "held_in", "--with-refine"])
     refined = float(capsys.readouterr().out.strip())
     assert refined >= base
-
-
-@pytest.mark.parametrize("max_len", ["0", "-3"])
-def test_eval_max_len_below_one_is_usage_error(finished_run, capsys, max_len):
-    data, out_dir = finished_run
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-              "--dataset", str(data), "--max-len", max_len])
-    assert exc.value.code == 2
-    assert "--max-len: must be >= 1" in capsys.readouterr().err
-
-
-def test_eval_max_len_over_the_bound_is_usage_error(finished_run, capsys):
-    data, out_dir = finished_run
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-              "--dataset", str(data), "--max-len", "257"])
-    assert exc.value.code == 2
-    assert "--max-len: must be <= 256" in capsys.readouterr().err
 
 
 def test_run_max_len_over_the_bound_is_usage_error(tmp_path, capsys):
@@ -227,6 +205,59 @@ def test_eval_checkpoint_with_bad_warmup_task_ids_exits_1(finished_run, capsys, 
     assert err.startswith("error: ") and "'warmup_task_ids' must be a list of strings" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda metadata: metadata.pop("config"), "field 'config': missing or not an object"),
+    (lambda metadata: metadata["config"].update(max_len=257),
+     "field 'config': max_len must be <= 256"),
+    (lambda metadata: metadata["config"].pop("max_len"),
+     "field 'config': missing config key 'max_len'"),
+    (lambda metadata: metadata["config"].update(bogus=1),
+     "field 'config': unknown config key 'bogus'"),
+    (lambda metadata: metadata["config"].update(lr="0.1"),
+     "field 'config': lr must be a finite positive number"),
+], ids=["no_config", "max_len_257", "no_max_len", "unknown_key", "lr_string"])
+def test_eval_checkpoint_without_its_whole_run_config_exits_1(finished_run, capsys, edit,
+                                                              message):
+    # eval grades at the recorded config, so it takes no default for any field
+    data, out_dir = finished_run
+    path = out_dir / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    edit(payload["metadata"])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(path), "--dataset", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: metadata {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env, max_len", [("grid_agent", 1), ("expr_math", 2)])
+def test_eval_grades_at_the_max_len_its_run_recorded(tmp_path, capsys, env, max_len):
+    # the model's greedy outputs outgrow these caps: graded at a cap of 80, eval's
+    # old default, grid's held_in rate read 0.056 where the run reported 0.111, and
+    # expr's rates 0.056 and 0.2 where it reported 0.0 and 0.0
+    data = _gen(tmp_path, n_train=30, n_held_out=10, env=env)
+    config = _cfg(tmp_path, env=env, max_len=max_len, train_mode="continual", d=16, h=24,
+                  warmup_tasks=12)
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--dataset", str(data),
+                 "--out-dir", str(run_dir)]) == 0
+    summary = json.loads((run_dir / "summary.json").read_text())
+    model, _ = load_checkpoint(run_dir / "checkpoint.json")
+    reported, at_80 = [], []
+    for split in SPLITS:
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--dataset", str(data), "--split", split]) == 0
+        assert float(capsys.readouterr().out) == summary[f"final_{split}_rate"]
+        reported.append(summary[f"final_{split}_rate"])
+        tasks = [t for t in load_dataset(data)
+                 if t.split == split and t.id not in summary["warmup_task_ids"]]
+        at_80.append(evaluate(model, tasks, env, 80)[0])
+    assert at_80 != reported  # so a cap other than the run's shows here
+
+
 def test_eval_missing_checkpoint_exits_1(tmp_path, capsys):
     data = _gen(tmp_path)
     code = main(["eval", "--checkpoint", str(tmp_path / "missing.json"),
@@ -244,7 +275,7 @@ def test_eval_mixed_env_split_is_usage_error(finished_run, tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
                  "--dataset", str(mixed), "--split", "held_out"])
     assert code == 2
-    assert "mix envs" in capsys.readouterr().err
+    assert "the held_out tasks include grid_agent tasks" in capsys.readouterr().err
 
 
 def test_eval_on_another_env_is_usage_error(finished_run, tmp_path, capsys):
@@ -342,7 +373,7 @@ def test_eval_rejects_a_bad_task_naming_it(finished_run, capsys, suffix, message
     data.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
-                 "--dataset", str(data), "--split", "held_out", "--max-len", "10"])
+                 "--dataset", str(data), "--split", "held_out"])
     assert code == 1
     assert message in capsys.readouterr().err
 
@@ -423,10 +454,21 @@ def test_compare_single_run_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def _without_config_key(key):
+    """An edit of a run summary that drops one key of its recorded config."""
+    def edit(text):
+        summary = json.loads(text)
+        del summary["config"][key]
+        return json.dumps(summary)
+    return edit
+
+
 @pytest.mark.parametrize("name, content, message", [
-    ("summary.json", json.dumps({"seed": 0}), "is not a run summary"),
-    ("summary.json", json.dumps({"method": "envisions"}), "is not a run summary"),
-    ("summary.json", "[1]", "is not a run summary"),
+    ("summary.json", _without_config_key("method"),
+     "is not a run summary: field 'config': missing config key 'method'"),
+    ("summary.json", _without_config_key("seed"),
+     "is not a run summary: field 'config': missing config key 'seed'"),
+    ("summary.json", "[1]", "is not a run summary: field 'config': missing or not an object"),
     ("reports.jsonl", json.dumps({"held_out_rate": 0.0}) + "\n", "is not a run's reports"),
     ("reports.jsonl", "[0.0, 0.0]\n", "is not a run's reports"),
 ], ids=["no_method", "no_seed", "summary_list", "no_held_in_rate", "report_list"])
@@ -437,7 +479,8 @@ def test_compare_on_files_that_are_not_a_run_is_usage_error(finished_run, capsys
     other.mkdir()
     for file in ("summary.json", "reports.jsonl"):
         (other / file).write_text((out_dir / file).read_text())
-    (other / name).write_text(content)
+    (other / name).write_text(content((out_dir / name).read_text()) if callable(content)
+                              else content)
     capsys.readouterr()
     code = main(["compare", "--runs", str(out_dir), str(other),
                  "--out", str(out_dir.parent / "m.csv")])
@@ -560,8 +603,7 @@ def _check_completed_run(run_dir, data, raw):
     summary = json.loads((run_dir / "summary.json").read_text())
     for split in ("held_in", "held_out"):
         code, out, _ = _main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
-                              "--dataset", str(data), "--split", split,
-                              "--max-len", str(raw["max_len"])])
+                              "--dataset", str(data), "--split", split])
         if split == "held_out" and not summary["n_held_out"]:
             assert code == 2  # no tasks to evaluate
         else:
@@ -598,5 +640,124 @@ def test_a_fuzzed_run_config_exits_cleanly_and_a_finished_run_keeps_its_contract
                           "--out-dir", str(runs[1])])[0] == 0
             for name in ("reports.jsonl", "pool.jsonl", "checkpoint.json", "summary.json"):
                 assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed checkpoints
+
+# each mutation kind, and the mutations it draws: (path into the checkpoint
+# payload, operation, value, whether eval must accept the result).  Every size
+# fits in a few MB or, like d = 10**12, is rejected before anything is allocated
+_MUTATION_KINDS = ("weight", "shape", "vocab", "size", "header", "metadata", "config",
+                   "warmup")
+_DELETE = "delete"
+# a value out of each config field's range, values of the wrong type for every
+# field, and valid changes, which eval grades at (max_len) or does not read
+_CONFIG_OUT_OF_RANGE = {"env": "bogus", "method": "bogus", "train_mode": "bogus",
+                        "ablations": ["bogus"], "K": 0, "N1": 0, "N2": -1,
+                        "iterations": 0, "epochs_per_iter": 0, "lr": -1.0,
+                        "dpo_beta": 0, "seed": -1, "d": 0, "h": 0, "temperature": math.inf,
+                        "max_len": 257, "batch_size": 0, "warmup_tasks": -1,
+                        "warmup_epochs": -1}
+_CONFIG_WRONG_TYPES = [None, "2", [2], {"K": 2}, True]
+_CONFIG_VALID = [("seed", 3), ("K", 5), ("N1", 1), ("N2", 0), ("iterations", 2),
+                 ("lr", 0.5), ("temperature", 1e-310), ("max_len", 1), ("max_len", 256),
+                 ("warmup_tasks", 0), ("d", 3), ("train_mode", "continual"),
+                 ("ablations", ["no_L2"])]
+
+
+@st.composite
+def _checkpoint_mutations(draw, payload, kinds=_MUTATION_KINDS):
+    """One drawn field of a checkpoint payload and how it is mutated."""
+    kind = draw(st.sampled_from(kinds))
+    params, vocab = payload["params"], payload["vocab"]
+    if kind in ("weight", "shape"):
+        name = draw(st.sampled_from(sorted(params)))
+    if kind == "weight":
+        i = draw(st.integers(0, len(params[name]["values"]) - 1))
+        value, valid = draw(st.sampled_from([
+            (math.nan, False), (math.inf, False), (-math.inf, False), (1e39, False),
+            (-3.5e38, False), (0.0, True), (-2.5, True), (100.0, True)]))
+        return ("params", name, "values", i), "set", value, valid
+    if kind == "shape":
+        shape = params[name]["shape"]
+        op = draw(st.sampled_from(["set", "append", "pop"]))
+        if op != "set":  # one value too many or too few
+            return ("params", name, "values"), op, 0.0, False
+        return ("params", name, "shape"), op, draw(st.sampled_from([
+            shape[:-1], [*shape, 1], [shape[0] + 1, *shape[1:]], [10**12, *shape[1:]],
+            "2", 5])), False
+    if kind == "vocab":
+        i = draw(st.integers(0, len(vocab) - 1))
+        other = draw(st.sampled_from([t for t in vocab if t != vocab[i]]))
+        return ("vocab", i), "set", draw(st.sampled_from([5, 1.5, "", other])), False
+    if kind == "size":
+        return ((draw(st.sampled_from(["d", "h"])),), "set",
+                draw(st.sampled_from([0, -1, True, 10**12])), False)
+    if kind == "header":
+        key = draw(st.sampled_from(["version", "format"]))
+        return (key,), "set", draw(st.sampled_from([None, _DELETE, "bogus", 3, 5, "4"])), False
+    if kind == "metadata":
+        return draw(st.sampled_from([
+            (("metadata",), "set", [1], False), (("metadata",), "set", "x", False),
+            (("metadata",), "set", None, False), (("metadata",), "set", _DELETE, False),
+            (("metadata", "config"), "set", _DELETE, False),
+            (("metadata", "note"), "set", "x", True)]))
+    if kind == "config":
+        field = draw(st.sampled_from(sorted(_CONFIG_OUT_OF_RANGE)))
+        change = draw(st.sampled_from(["unknown", "missing", "range", "type", "valid"]))
+        if change == "unknown":
+            return ("metadata", "config", "bogus"), "set", 1, False
+        if change == "valid":
+            field, value = draw(st.sampled_from(_CONFIG_VALID))
+            return ("metadata", "config", field), "set", value, True
+        if change == "missing":
+            value = _DELETE
+        elif change == "range":
+            value = _CONFIG_OUT_OF_RANGE[field]
+        else:
+            value = draw(st.sampled_from(_CONFIG_WRONG_TYPES))
+        return ("metadata", "config", field), "set", value, False
+    value, valid = draw(st.sampled_from([
+        (5, False), ("t0", False), ([5], False), (None, False), ({"t0": 1}, False),
+        (_DELETE, False), ([], True), (["elsewhere"], True)]))
+    return ("metadata", "warmup_task_ids"), "set", value, valid
+
+
+def _mutate(payload, path, op, value):
+    *parents, key = path
+    for part in parents:
+        payload = payload[part]
+    if op != "set":
+        getattr(payload[key], op)(*([value] if op == "append" else []))
+    elif value == _DELETE:
+        del payload[key]
+    else:
+        payload[key] = value
+
+
+def test_a_fuzzed_checkpoint_evaluates_or_exits_with_one_error(finished_run, tmp_path):
+    data, out_dir = finished_run
+    text = (out_dir / "checkpoint.json").read_text()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    # held_in reads the warmup task ids, held_out does not
+    @given(_checkpoint_mutations(json.loads(text)), st.sampled_from(SPLITS))
+    def check(mutation, split):
+        path, op, value, valid = mutation
+        payload = json.loads(text)
+        _mutate(payload, path, op, value)
+        checkpoint = tmp_path / "mutated.json"
+        checkpoint.write_text(json.dumps(payload))
+        code, out, err = _main(["eval", "--checkpoint", str(checkpoint), "--dataset",
+                                str(data), "--split", split])
+        assert "Traceback" not in err
+        if valid:
+            assert code == 0 and 0 <= float(out) <= 1, err
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
     check()
